@@ -3,19 +3,6 @@
 from __future__ import annotations
 
 
-class ScanError(ValueError):
-    """Raised by the scanner kernels on unlexable input.
-
-    Internal to the scanning layer; the lexer wraps it into LexError
-    with a proper source span.
-    """
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(message)
-        self.line = line
-        self.col = col
-
-
 class FrontendError(Exception):
     """Base for errors raised while turning a source file into a tree."""
 

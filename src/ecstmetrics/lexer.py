@@ -1,9 +1,8 @@
 """Tokenization: turns source text into classified tokens.
 
-The scanner kernel produces raw character stretches; this layer maps
-them to Token objects with one of the six token types (keyword,
-identifier, literal, operator, punctuation, comment) according to the
-per-language configuration.
+Each token gets one of the six token types (keyword, identifier,
+literal, operator, punctuation, comment) according to the per-language
+configuration below; the scan module does the work in one pass.
 """
 
 from __future__ import annotations
@@ -11,15 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import scan as _scan
-from .errors import LexError, ScanError, UnsupportedLanguageError
-from .tree import SourceSpan
-
-
-@dataclass(frozen=True)
-class Token:
-    lexeme: str
-    type: str
-    span: SourceSpan
+from .errors import UnsupportedLanguageError
+from .scan import Token
 
 
 @dataclass(frozen=True)
@@ -93,43 +85,14 @@ def lex(source: str, language_id: str) -> list[Token]:
     if spec is None:
         raise UnsupportedLanguageError(f"no lexer for language {language_id!r}")
     text = source.replace("\r\n", "\n").replace("\r", "\n")
-    try:
-        raw = _scan.scan(
-            text,
-            spec.line_comment,
-            spec.block_open,
-            spec.block_close,
-            spec.nested_blocks,
-            spec.two_char_ops,
-            spec.single_chars,
-            spec.string_escapes,
-        )
-    except ScanError as e:
-        raise LexError(str(e), span=SourceSpan(e.line, e.col, e.line, e.col)) from e
-    tokens = []
-    for code, start, end, line, col, end_line, end_col in raw:
-        lexeme = text[start:end]
-        if code == _scan.WORD:
-            if lexeme in spec.keywords:
-                token_type = "keyword"
-            elif lexeme in spec.operator_words:
-                token_type = "operator"
-            elif lexeme in spec.literal_words:
-                token_type = "literal"
-            else:
-                token_type = "identifier"
-        elif code == _scan.NUMBER or code == _scan.STRING:
-            token_type = "literal"
-        elif code == _scan.SYMBOL:
-            token_type = "punctuation" if lexeme in spec.punctuation else "operator"
-        else:
-            token_type = "comment"
-        tokens.append(
-            Token(lexeme, token_type, SourceSpan(line, col, end_line, end_col))
-        )
-    return tokens
+    return _scan.scan(text, spec)
 
 
 def count_physical_lines(source: str) -> int:
-    """Physical line count of a source text, at least 1."""
-    return max(1, len(source.splitlines()))
+    """Physical line count of a source text, at least 1.
+
+    A line ends at "\\n" once "\\r\\n" and "\\r" are read as "\\n", as
+    the lexer does; a final line break starts no new line.
+    """
+    text = source.replace("\r\n", "\n").replace("\r", "\n")
+    return text.count("\n") + (not text.endswith("\n"))

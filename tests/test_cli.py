@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,13 +200,20 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 class TestEntryPoint:
     def test_module_invocation(self, workdir):
+        # The subprocess runs in a temp directory, where a relative
+        # PYTHONPATH such as "src" would not resolve.
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ecstmetrics", "run", "QuickSort.mod", "--table"],
             capture_output=True,
             text=True,
             cwd=workdir,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
         )
         assert proc.returncode == 0, proc.stderr
         assert "Sort" in proc.stdout

@@ -128,3 +128,5 @@ class TestLexerContract:
         assert count_physical_lines("a\n") == 1
         assert count_physical_lines("a\nb") == 2
         assert count_physical_lines("a\nb\n") == 2
+        assert count_physical_lines("a\r\nb\rc") == 3
+        assert count_physical_lines("a\x0cb\x1c\x85\u2028\u2029\n") == 1

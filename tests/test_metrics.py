@@ -156,6 +156,14 @@ class TestAgainstLineOracle:
             assert row.sloc == sum(1 for n in window if n in code)
             assert row.cloc == sum(1 for n in window if n in comment)
 
+    def test_file_loc_counts_line_feeds_only(self):
+        # A form feed in a comment and a line separator in a string are
+        # not line breaks: the scanner and every span count "\n" alone.
+        text = 'class A {\n    // page\x0cbreak\n    static String s = "a\u2028b";\n}\n'
+        report = measure_tree(parse_source(text, "javaoo"))
+        assert report.totals.loc == 4
+        assert oracles.line_count(text) == 4
+
 
 class TestDecisionCounting:
     def test_hand_counted_subtrees(self, corpus):

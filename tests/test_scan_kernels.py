@@ -1,147 +1,131 @@
-"""Parity between the pure-Python and compiled scan kernels.
+"""The single-pass scanner, through lex, and its agreement with the
+reference character-loop lexer in oracles.py.
 
-The compiled kernel must be indistinguishable from the pure one:
-identical token tuples on every input and identical error types,
-messages, and positions on every rejection.
+The lexer must be indistinguishable from the reference: identical
+tokens (lexeme, type, span) on every input, and identical LexError
+messages and spans on every rejection.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import string
-import subprocess
-import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecstmetrics.errors import ScanError
-from ecstmetrics.lexer import JAVA_SPEC, MODULA2_SPEC
-from ecstmetrics.scan import COMMENT, NUMBER, STRING, SYMBOL, WORD, _kernel
-
-try:
-    from ecstmetrics.scan import _kernel_c
-except ImportError:
-    _kernel_c = None
+import generators
+import oracles
+from ecstmetrics.errors import LexError
+from ecstmetrics.lexer import lex
 
 from conftest import CORPUS, FIXTURE_DIR
 
-needs_compiled = pytest.mark.skipif(
-    _kernel_c is None, reason="compiled kernel not built"
-)
-
-SPECS = {"modula2": MODULA2_SPEC, "javaoo": JAVA_SPEC}
+LANGUAGES = ("modula2", "javaoo")
 
 
-def _run(kernel, text, spec):
-    try:
-        result = kernel.scan(
-            text,
-            spec.line_comment,
-            spec.block_open,
-            spec.block_close,
-            spec.nested_blocks,
-            spec.two_char_ops,
-            spec.single_chars,
-            spec.string_escapes,
-        )
-        return ("ok", result)
-    except ScanError as e:
-        return ("err", (str(e), e.line, e.col))
+def _lexemes(tokens):
+    return [t.lexeme for t in tokens]
+
+
+def _positions(token):
+    span = token.span
+    return (span.start_line, span.start_col, span.end_line, span.end_col)
+
+
+def _error(text, language):
+    with pytest.raises(LexError) as info:
+        lex(text, language)
+    span = info.value.span
+    return str(info.value), (span.start_line, span.start_col)
 
 
 class TestPureKernel:
     def test_word_number_symbol_layout(self):
-        text = "i := i + 10"
-        result = _run(_kernel, text, MODULA2_SPEC)[1]
-        codes = [t[0] for t in result]
-        assert codes == [WORD, SYMBOL, WORD, SYMBOL, NUMBER]
-        lexemes = [text[t[1] : t[2]] for t in result]
-        assert lexemes == ["i", ":=", "i", "+", "10"]
+        tokens = lex("i := i + 10", "modula2")
+        assert [t.type for t in tokens] == [
+            "identifier",
+            "operator",
+            "identifier",
+            "operator",
+            "literal",
+        ]
+        assert _lexemes(tokens) == ["i", ":=", "i", "+", "10"]
         # 1-based inclusive positions
-        assert result[0][3:] == (1, 1, 1, 1)
-        assert result[1][3:] == (1, 3, 1, 4)
-        assert result[4][3:] == (1, 10, 1, 11)
+        assert _positions(tokens[0]) == (1, 1, 1, 1)
+        assert _positions(tokens[1]) == (1, 3, 1, 4)
+        assert _positions(tokens[4]) == (1, 10, 1, 11)
 
     def test_range_operator_not_a_decimal(self):
-        text = "[1 .. 9]"
-        result = _run(_kernel, text, MODULA2_SPEC)[1]
-        lexemes = [text[t[1] : t[2]] for t in result]
-        assert lexemes == ["[", "1", "..", "9", "]"]
+        tokens = lex("[1 .. 9]", "modula2")
+        assert _lexemes(tokens) == ["[", "1", "..", "9", "]"]
+        assert tokens[1].type == "literal"
+        assert tokens[2].type == "operator"
 
     def test_decimal_number_needs_digit_after_point(self):
-        text = "x = 1.5;"
-        result = _run(_kernel, text, JAVA_SPEC)[1]
-        lexemes = [text[t[1] : t[2]] for t in result]
-        assert lexemes == ["x", "=", "1.5", ";"]
+        tokens = lex("x = 1.5;", "javaoo")
+        assert _lexemes(tokens) == ["x", "=", "1.5", ";"]
+        assert tokens[2].type == "literal"
 
     def test_multiline_block_comment_span(self):
-        text = "(* a\n   b *) END"
-        result = _run(_kernel, text, MODULA2_SPEC)[1]
-        assert result[0][0] == COMMENT
-        assert result[0][3:] == (1, 1, 2, 7)
-        assert result[1][3:] == (2, 9, 2, 11)
+        tokens = lex("(* a\n   b *) END", "modula2")
+        assert tokens[0].type == "comment"
+        assert _positions(tokens[0]) == (1, 1, 2, 7)
+        assert _positions(tokens[1]) == (2, 9, 2, 11)
 
     def test_nested_block_comment(self):
-        text = "(* outer (* inner *) tail *) x"
-        result = _run(_kernel, text, MODULA2_SPEC)[1]
-        assert [t[0] for t in result] == [COMMENT, WORD]
+        tokens = lex("(* outer (* inner *) tail *) x", "modula2")
+        assert [t.type for t in tokens] == ["comment", "identifier"]
+        assert tokens[0].lexeme == "(* outer (* inner *) tail *)"
 
     def test_java_block_comment_does_not_nest(self):
-        text = "/* a /* b */ x"
-        result = _run(_kernel, text, JAVA_SPEC)[1]
-        assert [t[0] for t in result] == [COMMENT, WORD]
-        assert text[result[1][1] : result[1][2]] == "x"
+        tokens = lex("/* a /* b */ x", "javaoo")
+        assert [t.type for t in tokens] == ["comment", "identifier"]
+        assert tokens[1].lexeme == "x"
 
     def test_line_comment_runs_to_newline(self):
-        text = "a // rest of line\nb"
-        result = _run(_kernel, text, JAVA_SPEC)[1]
-        assert [t[0] for t in result] == [WORD, COMMENT, WORD]
-        assert result[2][3:5] == (2, 1)
+        tokens = lex("a // rest of line\nb", "javaoo")
+        assert [t.type for t in tokens] == ["identifier", "comment", "identifier"]
+        assert tokens[1].lexeme == "// rest of line"
+        assert _positions(tokens[2])[:2] == (2, 1)
 
     def test_line_comment_at_eof(self):
-        result = _run(_kernel, "// tail", JAVA_SPEC)[1]
-        assert [t[0] for t in result] == [COMMENT]
+        tokens = lex("// tail", "javaoo")
+        assert [t.type for t in tokens] == ["comment"]
 
     def test_string_with_escape(self):
-        text = 'say("a\\"b");'
-        result = _run(_kernel, text, JAVA_SPEC)[1]
-        strings = [text[t[1] : t[2]] for t in result if t[0] == STRING]
+        tokens = lex('say("a\\"b");', "javaoo")
+        strings = [t.lexeme for t in tokens if t.lexeme.startswith('"')]
         assert strings == ['"a\\"b"']
+        assert [t.type for t in tokens if t.lexeme in strings] == ["literal"]
 
     def test_modula2_string_has_no_escapes(self):
-        text = "s := 'a\\'"
-        result = _run(_kernel, text, MODULA2_SPEC)[1]
-        strings = [text[t[1] : t[2]] for t in result if t[0] == STRING]
+        tokens = lex("s := 'a\\'", "modula2")
+        strings = [t.lexeme for t in tokens if t.lexeme.startswith("'")]
         assert strings == ["'a\\'"]
 
     def test_unterminated_string_position(self):
-        status, detail = _run(_kernel, 'x = "abc\n', JAVA_SPEC)
-        assert status == "err"
-        message, line, col = detail
+        message, position = _error('x = "abc\n', "javaoo")
         assert "unterminated string" in message
-        assert (line, col) == (1, 5)
+        assert position == (1, 5)
 
     def test_unterminated_block_comment_position(self):
-        status, detail = _run(_kernel, "x;\n(* no close", MODULA2_SPEC)
-        assert status == "err"
-        _, line, col = detail
-        assert (line, col) == (2, 1)
+        message, position = _error("x;\n(* no close", "modula2")
+        assert message == "unterminated block comment"
+        assert position == (2, 1)
 
     def test_unrecognized_character_position(self):
-        status, detail = _run(_kernel, "int a = 1;\nb = a $ 2;", JAVA_SPEC)
-        assert status == "err"
-        message, line, col = detail
+        message, position = _error("int a = 1;\nb = a $ 2;", "javaoo")
         assert "$" in message
-        assert (line, col) == (2, 7)
+        assert position == (2, 7)
 
     def test_empty_input(self):
-        assert _run(_kernel, "", MODULA2_SPEC) == ("ok", [])
+        assert lex("", "modula2") == []
 
     def test_carriage_return_skipped(self):
-        text = "a\r\nb"
-        result = _run(_kernel, text, MODULA2_SPEC)[1]
-        assert result[1][3:5] == (2, 1)
+        tokens = lex("a\r\nb", "modula2")
+        assert _positions(tokens[1])[:2] == (2, 1)
 
 
 FUZZ_ALPHABET = (
@@ -163,55 +147,93 @@ def _fuzz_cases(seed_count=150):
         "//" + "x" * 500,
         "a" * 2000,
         "1" * 300 + "." + "2" * 300,
+        # an opener overlapping a closer, and a closer right after an opener
+        "(*) x *) y",
+        "(* (*) *) *) z",
+        "(*)",
+        "/*/ x */ y",
+        "x ? y",
+        "x ~ y",
+        '"open',
+        "'open",
+        "(* open",
+        "/* open",
+        'a = "x\\\n"',
+        'a = "x\\',
+        "s := 'a\\' + 'b'",
+        "a\r\nb\rc (* x\r\n y *) d",
+        "x\x0c// form feed\n\u2028",
     ]
     return cases
 
 
-@needs_compiled
-class TestKernelParity:
-    def test_fixture_corpus_identical(self):
+def _outcome(lexer, text, language):
+    """The tokens, or the LexError's message and span."""
+    try:
+        return ("ok", lexer(text, language))
+    except LexError as e:
+        return ("err", str(e), e.span)
+
+
+def _assert_agrees(text, language):
+    expected = _outcome(oracles.reference_lex, text, language)
+    assert _outcome(lex, text, language) == expected, f"divergence on {text!r}"
+
+
+# Fragments chosen so that generated text meets every scanner rule and
+# their boundaries: comment delimiters of both languages, quotes and
+# escapes, decimal points and ranges, line breaks, and characters
+# neither language accepts.
+FRAGMENTS = st.sampled_from(
+    [
+        *"aZ_9 0.\t\n\r'\"\\()*/{}[]<>=!+-&|:;,#%$?~\x07\x0c\u2028é",
+        "(*",
+        "*)",
+        "/*",
+        "*/",
+        "//",
+        "..",
+        ":=",
+        "<>",
+        "&&",
+        "++",
+        "1.5",
+        "\r\n",
+        "IF",
+        "DIV",
+        "while",
+        "true",
+        "null",
+    ]
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.lists(FRAGMENTS, max_size=40).map("".join), language=st.sampled_from(LANGUAGES))
+    def test_generated_text(self, text, language):
+        _assert_agrees(text, language)
+
+    @pytest.mark.parametrize("language", LANGUAGES)
+    def test_fuzz_cases(self, language):
+        for case in _fuzz_cases():
+            _assert_agrees(case, language)
+
+    def test_fixture_corpus(self):
         for name, language in CORPUS:
             text = (FIXTURE_DIR / name).read_text(encoding="utf-8")
-            spec = SPECS[language]
-            assert _run(_kernel, text, spec) == _run(_kernel_c, text, spec)
+            assert lex(text, language) == oracles.reference_lex(text, language), name
 
-    def test_fuzz_identical(self):
-        for case in _fuzz_cases():
-            for spec in (MODULA2_SPEC, JAVA_SPEC):
-                pure = _run(_kernel, case, spec)
-                fast = _run(_kernel_c, case, spec)
-                assert pure == fast, f"kernel divergence on {case!r}"
-
-    def test_error_parity_on_rejects(self):
-        rejects = [
-            ("x ? y", JAVA_SPEC),
-            ("x ~ y", MODULA2_SPEC),
-            ('"open', JAVA_SPEC),
-            ("'open", MODULA2_SPEC),
-            ("(* open", MODULA2_SPEC),
-            ("/* open", JAVA_SPEC),
-        ]
-        for text, spec in rejects:
-            pure = _run(_kernel, text, spec)
-            fast = _run(_kernel_c, text, spec)
-            assert pure[0] == "err"
-            assert pure == fast
+    @pytest.mark.parametrize("language", LANGUAGES)
+    def test_generated_programs(self, language):
+        for seed in range(200):
+            source = generators.generate(language, seed).source
+            assert lex(source, language) == oracles.reference_lex(source, language), seed
 
 
 class TestKernelSelection:
     def test_active_kernel_exported(self):
         from ecstmetrics.scan import KERNEL, scan
 
-        assert KERNEL in ("c", "python")
+        assert KERNEL == "python"
         assert callable(scan)
-
-    def test_pure_override_env(self):
-        env = dict(os.environ, ECSTMETRICS_PURE="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from ecstmetrics.scan import KERNEL; print(KERNEL)"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "python"
