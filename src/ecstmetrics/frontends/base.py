@@ -19,11 +19,12 @@ class BaseParser:
         self.language_id = language_id
         self.source_path = source_path
         self.toks: list[Token] = []
-        # (number of real tokens preceding the comment, comment token)
-        self.comments: list[tuple[int, Token]] = []
+        # (number of real tokens preceding the comment, comment node)
+        self.comments: list[tuple[int, EcstNode]] = []
         for tok in tokens:
             if tok.type == "comment":
-                self.comments.append((len(self.toks), tok))
+                node = EcstNode.concrete(tok.lexeme, "comment", tok.span)
+                self.comments.append((len(self.toks), node))
             else:
                 self.toks.append(tok)
         self.i = 0
@@ -47,7 +48,7 @@ class BaseParser:
         tok = self._peek()
         if tok is None:
             self._error("unexpected end of input")
-        node = EcstNode.concrete(tok.lexeme, tok.type, tok.span, token_index=self.i)
+        node = EcstNode.concrete(tok.lexeme, tok.type, tok.span)
         self.i += 1
         return node
 
@@ -93,64 +94,32 @@ class BaseParser:
     def _attach_comments(self, root: EcstNode) -> None:
         """Insert comment nodes at their source positions.
 
-        Each comment sits between real tokens p-1 and p; it becomes a
-        child of the deepest node whose token range covers both
-        neighbours, so a trailing comment never widens the span of the
-        construct it follows.  Placements are computed on the pristine
-        tree first, then applied with per-parent offsets.
+        Each comment sits between real tokens p-1 and p.  It becomes a
+        child of the deepest node covering both, just before the child
+        holding token p, so a trailing comment never widens the span of
+        the construct it follows.  One preorder walk merges the comments
+        in: that node is the one the walk next steps down from after
+        token p-1.  Comments outside all tokens go to the root.
         """
-        if not self.comments:
-            return
-        ranges: dict[int, tuple[int, int]] = {}
-
-        def compute(node: EcstNode) -> tuple[int, int]:
-            cached = ranges.get(id(node))
-            if cached is not None:
-                return cached
-            if node.token_index is not None:
-                rng = (node.token_index, node.token_index)
+        comments = self.comments
+        c = 0
+        seen = 0  # real tokens walked so far
+        stack = [[root, 0]]  # open nodes with the index of their next child
+        while stack:
+            node, k = frame = stack[-1]
+            if k == len(node.children):
+                stack.pop()
+                continue
+            while c < len(comments) and comments[c][0] == seen:
+                node.children.insert(k, comments[c][1])
+                k += 1
+                c += 1
+            frame[1] = k + 1
+            if node.children[k].is_universal:
+                stack.append([node.children[k], 0])
             else:
-                child_ranges = [compute(c) for c in node.children]
-                rng = (
-                    min(r[0] for r in child_ranges),
-                    max(r[1] for r in child_ranges),
-                )
-            ranges[id(node)] = rng
-            return rng
-
-        compute(root)
-        n = len(self.toks)
-        placements: list[tuple[EcstNode, int, EcstNode]] = []
-        for pos, tok in self.comments:
-            target = root
-            if 0 < pos < n:
-                while True:
-                    for child in target.children:
-                        lo, hi = ranges[id(child)]
-                        if lo <= pos - 1 and hi >= pos:
-                            target = child
-                            break
-                    else:
-                        break
-            index = len(target.children)
-            for k, child in enumerate(target.children):
-                if ranges[id(child)][0] >= pos:
-                    index = k
-                    break
-            comment_node = EcstNode.concrete(tok.lexeme, "comment", tok.span)
-            placements.append((target, index, comment_node))
-
-        by_parent: dict[int, list[tuple[int, EcstNode]]] = {}
-        parents: dict[int, EcstNode] = {}
-        for parent, index, node in placements:
-            by_parent.setdefault(id(parent), []).append((index, node))
-            parents[id(parent)] = parent
-        for key, items in by_parent.items():
-            parent = parents[key]
-            offset = 0
-            for index, node in sorted(items, key=lambda item: item[0]):
-                parent.children.insert(index + offset, node)
-                offset += 1
+                seen += 1
+        root.children.extend(comment for _, comment in comments[c:])
 
     # -- shared construct helpers ------------------------------------------
 

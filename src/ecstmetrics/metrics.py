@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedElementError
-from .tree import EcstNode, EcstTree, UniversalKind, preorder, subtree_span
+from .errors import MalformedTreeError, UnsupportedElementError
+from .tree import EcstNode, EcstTree, SourceSpan, UniversalKind, walk
 
 MEASURED_KINDS = (
     UniversalKind.FUNCTION_DECL,
@@ -60,82 +60,40 @@ def is_decision_point(node: EcstNode) -> bool:
     return False
 
 
-def _logical_operator_count(node: EcstNode) -> int:
-    count = 0
-    for n in preorder(node):
-        if n.kind is UniversalKind.CONDITION:
-            for d in preorder(n):
-                if d.token_type == "operator" and d.label in LOGICAL_OPERATORS:
-                    count += 1
-    return count
+class _Lines:
+    """Distinct lines covered by a stream of tokens in source order."""
+
+    def __init__(self):
+        self.count = 0  # distinct lines covered so far
+        self.last = 0  # the last of them
+        self.starts: list[int] = []  # first line of each token so far
+
+    def add(self, span: SourceSpan) -> None:
+        # A token may start on the line the previous one ended on.
+        self.count += span.end_line - max(span.start_line - 1, self.last)
+        self.last = span.end_line
+        self.starts.append(span.start_line)
+
+    def mark(self) -> tuple[int, int, int]:
+        return self.count, self.last, len(self.starts)
+
+    def since(self, mark: tuple[int, int, int]) -> int:
+        """Distinct lines covered by the tokens added after mark()."""
+        count, last, tokens = mark
+        if tokens == len(self.starts):
+            return 0
+        return self.count - count + (self.starts[tokens] == last)
 
 
-def decision_count(node: EcstNode, extended: bool = False) -> int:
-    """Decision points in the subtree rooted at node, node included."""
-    count = sum(1 for n in preorder(node) if is_decision_point(n))
-    if extended:
-        count += _logical_operator_count(node)
-    return count
-
-
-def cyclomatic_complexity(node: EcstNode, extended: bool = False) -> int:
-    """CC of a measured element.
-
-    Units get base complexity 1 plus their decision count; loop,
-    branch-statement, and branch rows carry the bare decision count.
-    """
+def _name(node: EcstNode, first_identifier: list[EcstNode]) -> str:
     if node.kind is UniversalKind.FUNCTION_DECL:
-        return 1 + decision_count(node, extended)
-    if node.kind in (
-        UniversalKind.LOOP_STATEMENT,
-        UniversalKind.BRANCH_STATEMENT,
-        UniversalKind.BRANCH,
-    ):
-        return decision_count(node, extended)
-    raise UnsupportedElementError(
-        f"cyclomatic complexity is not defined for {node.label!r}"
-    )
-
-
-def loc_bundle(node: EcstNode) -> LocBundle:
-    """Physical, source, and comment line counts of a subtree."""
-    span = subtree_span(node)
-    code_lines: set[int] = set()
-    comment_lines: set[int] = set()
-    for n in preorder(node):
-        if n.span is None:
-            continue
-        target = comment_lines if n.token_type == "comment" else code_lines
-        target.update(range(n.span.start_line, n.span.end_line + 1))
-    return LocBundle(
-        loc=span.end_line - span.start_line + 1,
-        sloc=len(code_lines),
-        cloc=len(comment_lines),
-    )
-
-
-def element_name(node: EcstNode) -> str:
-    """Report name for a measured element.
-
-    Units are named by their identifier; loops by their introducing
-    keyword (do-while reported as DO-WHILE); branch chains are named
-    BRANCHING and individual branches IF/ELSIF/ELSE.
-    """
-    if node.kind is UniversalKind.FUNCTION_DECL:
-        previous = None
-        for n in preorder(node):
-            if n.span is None:
-                continue
-            if n.token_type == "punctuation" and n.label == "(":
+        previous = first_identifier
+        for child in node.children:
+            if child.token_type == "punctuation" and child.label in ("(", ":", ";"):
                 break
-            if n.token_type == "identifier":
-                previous = n
-        if previous is not None:
-            return previous.label
-        for n in preorder(node):
-            if n.token_type == "identifier":
-                return n.label
-        return "<anonymous>"
+            if child.token_type == "identifier":
+                previous = [child]
+        return previous[0].label if previous else "<anonymous>"
     if node.kind is UniversalKind.BRANCH_STATEMENT:
         return "BRANCHING"
     keywords = [
@@ -153,32 +111,115 @@ def element_name(node: EcstNode) -> str:
     return head
 
 
+def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
+    """Rows of root and of every measured node below it, in preorder.
+
+    One walk() over a valid tree: each value is a running count noted
+    when a node is entered and read again when it is left, and its lines
+    are those of its first and last token.  A unit's cc includes its
+    base complexity of 1.
+    """
+    if root.kind is None:
+        root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [root])
+    rows: list = []
+    tokens: list[EcstNode] = []
+    identifiers: list[EcstNode] = []
+    code = _Lines()
+    comment = _Lines()
+    decisions = 0  # decision points entered so far
+    operators = 0  # logical operators so far that have a CONDITION ancestor
+    conditions = 0  # open CONDITION nodes
+    marks: list[tuple] = []  # per open reported node: its row and the counts
+    for node, lo, hi in walk(root):
+        kind = node.kind
+        if kind is None:
+            tokens.append(node)
+            (comment if node.token_type == "comment" else code).add(node.span)
+            if node.token_type == "identifier":
+                identifiers.append(node)
+            elif conditions and node.token_type == "operator":
+                operators += node.label in LOGICAL_OPERATORS
+            continue
+        reported = node is root or kind in MEASURED_KINDS
+        if hi is None:
+            if reported:
+                counts = (decisions, operators, code.mark(), comment.mark())
+                marks.append((len(rows), *counts, len(identifiers)))
+                rows.append(None)
+            conditions += kind is UniversalKind.CONDITION
+            decisions += is_decision_point(node)
+            continue
+        conditions -= kind is UniversalKind.CONDITION
+        if not reported:
+            continue
+        row, decisions_in, operators_in, code_in, comment_in, named = marks.pop()
+        if hi == lo:
+            raise MalformedTreeError(
+                f"universal node {node.label!r} has no concrete descendants"
+            )
+        cc = decisions - decisions_in + (kind is UniversalKind.FUNCTION_DECL)
+        if extended:
+            cc += operators - operators_in
+        start_line = tokens[lo].span.start_line
+        end_line = tokens[hi - 1].span.end_line
+        rows[row] = ElementMetrics(
+            name=_name(node, identifiers[named : named + 1]),
+            annotation=kind.value,
+            cc=cc,
+            loc=end_line - start_line + 1,
+            sloc=code.since(code_in),
+            cloc=comment.since(comment_in),
+            start_line=start_line,
+            end_line=end_line,
+        )
+    return rows
+
+
+def decision_count(node: EcstNode, extended: bool = False) -> int:
+    """Decision points in the subtree rooted at node, node included; with
+    extended, plus its logical operators that have a CONDITION ancestor."""
+    return _fold(node, extended)[0].cc - (node.kind is UniversalKind.FUNCTION_DECL)
+
+
+def cyclomatic_complexity(node: EcstNode, extended: bool = False) -> int:
+    """CC of a measured element.
+
+    Units get base complexity 1 plus their decision count; loop,
+    branch-statement, and branch rows carry the bare decision count.
+    """
+    if node.kind not in MEASURED_KINDS:
+        raise UnsupportedElementError(
+            f"cyclomatic complexity is not defined for {node.label!r}"
+        )
+    return _fold(node, extended)[0].cc
+
+
+def loc_bundle(node: EcstNode) -> LocBundle:
+    """Physical, source, and comment line counts of a subtree."""
+    row = _fold(node, False)[0]
+    return LocBundle(loc=row.loc, sloc=row.sloc, cloc=row.cloc)
+
+
+def element_name(node: EcstNode) -> str:
+    """Report name for a measured element.
+
+    A unit is named by the last identifier among its direct children
+    before its first "(", ":" or ";" punctuation child, else by its first
+    identifier, else "<anonymous>".  Loops are named by their keyword
+    (DO-WHILE for do-while), branch chains BRANCHING and branches
+    IF/ELSIF/ELSE.
+    """
+    return _fold(node, False)[0].name
+
+
 def measure_tree(tree: EcstTree, extended: bool = False) -> MetricsReport:
     """Per-element metrics in preorder plus file-level totals."""
-    rows = []
-    for node in preorder(tree.root):
-        if node.kind in MEASURED_KINDS:
-            bundle = loc_bundle(node)
-            span = subtree_span(node)
-            rows.append(
-                ElementMetrics(
-                    name=element_name(node),
-                    annotation=node.kind.value,
-                    cc=cyclomatic_complexity(node, extended),
-                    loc=bundle.loc,
-                    sloc=bundle.sloc,
-                    cloc=bundle.cloc,
-                    start_line=span.start_line,
-                    end_line=span.end_line,
-                )
-            )
-    whole = loc_bundle(tree.root)
-    totals = LocBundle(loc=tree.total_lines, sloc=whole.sloc, cloc=whole.cloc)
+    whole, *rows = _fold(tree.root, extended)
     return MetricsReport(
         source_path=tree.source_path,
         language_id=tree.language_id,
         elements=rows,
-        totals=totals,
+        totals=LocBundle(loc=tree.total_lines, sloc=whole.sloc, cloc=whole.cloc),
     )
 
 

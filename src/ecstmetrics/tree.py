@@ -68,9 +68,6 @@ class EcstNode:
     span: SourceSpan | None = None
     children: list["EcstNode"] = field(default_factory=list)
     node_id: int = field(default=-1, compare=False)
-    # Position among the file's non-comment tokens; set by frontends while
-    # placing comments, meaningless afterwards.
-    token_index: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_universal(self) -> bool:
@@ -81,19 +78,8 @@ class EcstNode:
         return cls(label=kind.value, kind=kind, children=children)
 
     @classmethod
-    def concrete(
-        cls,
-        lexeme: str,
-        token_type: str,
-        span: SourceSpan,
-        token_index: int | None = None,
-    ) -> "EcstNode":
-        return cls(
-            label=lexeme,
-            token_type=token_type,
-            span=span,
-            token_index=token_index,
-        )
+    def concrete(cls, lexeme: str, token_type: str, span: SourceSpan) -> "EcstNode":
+        return cls(label=lexeme, token_type=token_type, span=span)
 
 
 @dataclass
@@ -116,37 +102,35 @@ def preorder(tree_or_node: EcstTree | EcstNode) -> Iterator[EcstNode]:
         stack.extend(reversed(current.children))
 
 
+def walk(root: EcstNode) -> Iterator[tuple[EcstNode, int, int | None]]:
+    """Preorder pass with exit markers below a universal root, iterative.
+
+    Tokens are numbered 0, 1, 2, ... in preorder.  A universal node is
+    reported on entry as (node, lo, None) and on exit as (node, lo, hi),
+    where [lo, hi) numbers its subtree's tokens: in a valid tree, its
+    whole extent.  A token is reported once, as (node, i, i + 1).
+    """
+    yield root, 0, None
+    count = 0
+    stack = [(root, 0, iter(root.children))]
+    while stack:
+        node, lo, children = stack[-1]
+        for child in children:
+            if child.kind is None:
+                yield child, count, count + 1
+                count += 1
+            else:
+                yield child, count, None
+                stack.append((child, count, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            yield node, lo, count
+
+
 def find_nodes(tree_or_node: EcstTree | EcstNode, kind: UniversalKind) -> list[EcstNode]:
     """All universal nodes of the given kind, in preorder."""
     return [n for n in preorder(tree_or_node) if n.kind is kind]
-
-
-def subtree_span(node: EcstNode) -> SourceSpan:
-    """Minimal span covering every concrete node in the subtree.
-
-    For a concrete node this is its own span.  A universal node with no
-    concrete descendants has no position and is malformed by definition.
-    """
-    first = None
-    last = None
-    for n in preorder(node):
-        if n.span is None:
-            continue
-        if first is None or (n.span.start_line, n.span.start_col) < (
-            first.start_line,
-            first.start_col,
-        ):
-            first = n.span
-        if last is None or (n.span.end_line, n.span.end_col) > (
-            last.end_line,
-            last.end_col,
-        ):
-            last = n.span
-    if first is None:
-        raise MalformedTreeError(
-            f"universal node {node.label!r} has no concrete descendants"
-        )
-    return SourceSpan(first.start_line, first.start_col, last.end_line, last.end_col)
 
 
 def assign_node_ids(root: EcstNode) -> None:
@@ -159,9 +143,10 @@ def validate_tree(tree: EcstTree) -> None:
     """Check the structural invariants; raise MalformedTreeError on breach.
 
     Covers: COMPILATION_UNIT root, token/universal field discipline,
-    universal nodes having concrete descendants, BRANCH_STATEMENT's
-    universal children all being BRANCH, CONDITION placement, and every
-    FUNCTION_DECL containing an identifier token.
+    tokens in strictly increasing source order (each starts after the
+    previous one ends), universal nodes having concrete descendants,
+    BRANCH_STATEMENT's universal children all being BRANCH, CONDITION
+    placement, and every FUNCTION_DECL containing an identifier token.
     """
     if tree.root.kind is not UniversalKind.COMPILATION_UNIT:
         raise MalformedTreeError("tree root must be a COMPILATION_UNIT node")
@@ -169,52 +154,60 @@ def validate_tree(tree: EcstTree) -> None:
         raise MalformedTreeError("total_lines must be positive")
 
     seen_ids = set()
-    # (node, inside_branch_or_loop) pairs for CONDITION placement checks
-    stack: list[tuple[EcstNode, bool]] = [(tree.root, False)]
-    while stack:
-        node, guarded = stack.pop()
+    guarded = False  # inside a BRANCH or LOOP_STATEMENT
+    identifiers = 0  # identifier tokens so far
+    entries: list[tuple[bool, int]] = []  # both, at each open node's entry
+    previous_end = (0, 0)
+    for node, lo, hi in walk(tree.root):
+        kind = node.kind
+        if hi is not None and kind is not None:
+            guarded, before = entries.pop()
+            if hi == lo:
+                raise MalformedTreeError(
+                    f"universal node {node.label!r} has no concrete descendants"
+                )
+            if kind is UniversalKind.FUNCTION_DECL and identifiers == before:
+                raise MalformedTreeError("FUNCTION_DECL without an identifier token")
+            continue
         if node.node_id in seen_ids:
             raise MalformedTreeError(f"duplicate node id {node.node_id}")
         seen_ids.add(node.node_id)
-        if node.is_universal:
+        if kind is not None:
             if node.token_type is not None:
                 raise MalformedTreeError("universal node carries a token type")
-            if node.label != node.kind.value:
+            if node.label != kind.value:
                 raise MalformedTreeError(
                     f"universal node label {node.label!r} does not match its kind"
                 )
-            subtree_span(node)  # raises when no concrete descendants
-            if node.kind is UniversalKind.CONDITION and not guarded:
+            if kind is UniversalKind.CONDITION and not guarded:
                 raise MalformedTreeError(
                     "CONDITION node outside any BRANCH or LOOP_STATEMENT"
                 )
-            if node.kind is UniversalKind.BRANCH_STATEMENT:
+            if kind is UniversalKind.BRANCH_STATEMENT:
                 for child in node.children:
                     if child.is_universal and child.kind is not UniversalKind.BRANCH:
                         raise MalformedTreeError(
                             "BRANCH_STATEMENT has a universal child "
                             f"of kind {child.kind.value}"
                         )
-            if node.kind is UniversalKind.FUNCTION_DECL:
-                if not any(
-                    n.token_type == "identifier" for n in preorder(node)
-                ):
-                    raise MalformedTreeError(
-                        "FUNCTION_DECL without an identifier token"
-                    )
-        else:
-            if node.token_type not in TOKEN_TYPES:
-                raise MalformedTreeError(
-                    f"concrete node with invalid token type {node.token_type!r}"
-                )
-            if node.span is None:
-                raise MalformedTreeError("concrete node without a span")
-            if node.children:
-                raise MalformedTreeError("concrete node with children")
-            if not node.label:
-                raise MalformedTreeError("concrete node with empty lexeme")
-        down = guarded or node.kind in (
-            UniversalKind.BRANCH,
-            UniversalKind.LOOP_STATEMENT,
-        )
-        stack.extend((c, down) for c in node.children)
+            entries.append((guarded, identifiers))
+            guarded |= kind in (UniversalKind.BRANCH, UniversalKind.LOOP_STATEMENT)
+            continue
+        if node.token_type not in TOKEN_TYPES:
+            raise MalformedTreeError(
+                f"concrete node with invalid token type {node.token_type!r}"
+            )
+        if node.span is None:
+            raise MalformedTreeError("concrete node without a span")
+        if node.children:
+            raise MalformedTreeError("concrete node with children")
+        if not node.label:
+            raise MalformedTreeError("concrete node with empty lexeme")
+        start = (node.span.start_line, node.span.start_col)
+        if start <= previous_end:
+            raise MalformedTreeError(
+                f"token {node.label!r} at {start[0]}:{start[1]} "
+                "does not start after the previous token ends"
+            )
+        previous_end = (node.span.end_line, node.span.end_col)
+        identifiers += node.token_type == "identifier"

@@ -8,7 +8,7 @@ offending element and line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
@@ -82,57 +82,22 @@ def serialize_metrics(report) -> str:
 # -- parsing ---------------------------------------------------------------
 
 
-@dataclass
-class _Element:
+class _Open(NamedTuple):
+    """An element whose end tag has not been read yet."""
+
     tag: str
     attrs: dict
     line: int
-    children: list = field(default_factory=list)
-    text_parts: list = field(default_factory=list)
-
-    @property
-    def text(self) -> str:
-        return "".join(self.text_parts)
+    order: int  # position in document order
+    children: list  # built child nodes; None for one that failed its checks
+    text: list
 
 
-def _parse_dom(data: bytes) -> _Element:
-    parser = expat.ParserCreate()
-    parser.buffer_text = True
-    root: list[_Element] = []
-    stack: list[_Element] = []
-
-    def start(tag, attrs):
-        el = _Element(tag, attrs, parser.CurrentLineNumber)
-        if stack:
-            stack[-1].children.append(el)
-        else:
-            root.append(el)
-        stack.append(el)
-
-    def chars(text):
-        if stack:
-            stack[-1].text_parts.append(text)
-
-    def end(tag):
-        stack.pop()
-
-    parser.StartElementHandler = start
-    parser.CharacterDataHandler = chars
-    parser.EndElementHandler = end
-    try:
-        parser.Parse(data, True)
-    except expat.ExpatError as e:
-        raise TreeXmlError(f"not well-formed XML: {e}") from e
-    if not root:
-        raise TreeXmlError("empty document")
-    return root[0]
-
-
-def _fail(el: _Element, message: str):
+def _fail(el: _Open, message: str):
     raise TreeXmlError(f"{message} (element <{el.tag}>, line {el.line})")
 
 
-def _int_attr(el: _Element, name: str, minimum: int = 1) -> int:
+def _int_attr(el: _Open, name: str, minimum: int = 1) -> int:
     raw = el.attrs.get(name)
     if raw is None:
         _fail(el, f"missing attribute {name!r}")
@@ -145,17 +110,18 @@ def _int_attr(el: _Element, name: str, minimum: int = 1) -> int:
     return value
 
 
-def _build_node(el: _Element) -> EcstNode:
+def _build_node(el: _Open) -> EcstNode:
+    """The node for an element below <ecst>, its children already built."""
+    text = "".join(el.text)
     if el.tag == "node":
         kind_raw = el.attrs.get("kind")
         if kind_raw is None:
             _fail(el, "missing attribute 'kind'")
         if kind_raw not in _KIND_VALUES:
             _fail(el, f"unknown universal kind {kind_raw!r}")
-        if el.text.strip():
+        if text.strip():
             _fail(el, "unexpected text content in <node>")
-        children = [_build_node(child) for child in el.children]
-        return EcstNode.universal(UniversalKind(kind_raw), children)
+        return EcstNode.universal(UniversalKind(kind_raw), el.children)
     if el.tag == "token":
         token_type = el.attrs.get("type")
         if token_type is None:
@@ -164,8 +130,7 @@ def _build_node(el: _Element) -> EcstNode:
             _fail(el, f"unknown token type {token_type!r}")
         if el.children:
             _fail(el, "<token> must not contain elements")
-        lexeme = el.text
-        if not lexeme:
+        if not text:
             _fail(el, "empty <token> lexeme")
         try:
             span = SourceSpan(
@@ -176,18 +141,54 @@ def _build_node(el: _Element) -> EcstNode:
             )
         except ValueError as e:
             _fail(el, f"invalid span: {e}")
-        return EcstNode.concrete(lexeme, token_type, span)
+        return EcstNode.concrete(text, token_type, span)
     _fail(el, f"unknown element <{el.tag}>")
 
 
 def parse_tree_xml(data: bytes | str) -> EcstTree:
     """Parse an eCST XML document back into a tree.
 
-    Raises TreeXmlError on any well-formedness or schema violation.
+    Nodes are built straight from the parser's events, without recursion.
+    Raises TreeXmlError on any well-formedness or schema violation; of
+    several schema violations, the one of the <ecst> element comes first,
+    then the first failing element in document order.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    root_el = _parse_dom(data)
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    stack: list[_Open] = []  # open elements; the <ecst> element stays
+    top: list[_Open] = []  # elements directly inside <ecst>
+    failures: list = []  # (order, error) per failing element
+
+    def start(tag, attrs):
+        line = parser.CurrentLineNumber
+        stack.append(_Open(tag, attrs, line, parser.CurrentByteIndex, [], []))
+
+    def chars(text):
+        stack[-1].text.append(text)
+
+    def end(tag):
+        if len(stack) == 1:
+            return
+        el = stack.pop()
+        if len(stack) == 1:
+            top.append(el)
+        try:
+            node = _build_node(el)
+        except TreeXmlError as e:
+            node = None
+            failures.append((el.order, e))
+        stack[-1].children.append(node)
+
+    parser.StartElementHandler = start
+    parser.CharacterDataHandler = chars
+    parser.EndElementHandler = end
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as e:
+        raise TreeXmlError(f"not well-formed XML: {e}") from e
+    root_el = stack[0]
     if root_el.tag != "ecst":
         _fail(root_el, "expected root element <ecst>")
     source = root_el.attrs.get("source")
@@ -197,16 +198,13 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     total_lines = _int_attr(root_el, "totalLines")
     if len(root_el.children) != 1:
         _fail(root_el, "<ecst> must contain exactly one <node>")
-    root_node = _build_node(root_el.children[0])
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    root_node = root_el.children[0]
     if root_node.kind is not UniversalKind.COMPILATION_UNIT:
-        _fail(root_el.children[0], "top-level <node> must be COMPILATION_UNIT")
+        _fail(top[0], "top-level <node> must be COMPILATION_UNIT")
     assign_node_ids(root_node)
-    tree = EcstTree(
-        root=root_node,
-        source_path=source,
-        language_id=language,
-        total_lines=total_lines,
-    )
+    tree = EcstTree(root_node, source, language, total_lines)
     try:
         validate_tree(tree)
     except MalformedTreeError as e:

@@ -7,13 +7,32 @@ values can be checked against a second, unrelated implementation.
 reference_lex is the character-loop scanner and classifier the package
 used before its single-pass regex scanner; the lexer must agree with it
 token for token and on every LexError.
+
+reference_parse_source, reference_measure_tree and subtree_span keep the
+subtree re-walking implementations the package used before its single
+ordered pass (tree.walk): comment placement by per-node token ranges,
+metrics read off each measured node's own subtree, and a node's span as
+the least and greatest position among its tokens.  Two rules differ
+from those earlier bodies on purpose, to match the current definitions:
+a unit is named from its direct children, and a logical operator counts
+once however many CONDITION nodes enclose it.
 """
 
 from __future__ import annotations
 
-from ecstmetrics.errors import LexError, UnsupportedLanguageError
-from ecstmetrics.lexer import LEXER_SPECS, Token
-from ecstmetrics.tree import SourceSpan
+import functools
+
+from ecstmetrics.errors import LexError, MalformedTreeError, UnsupportedLanguageError
+from ecstmetrics.frontends import FRONTENDS
+from ecstmetrics.lexer import LEXER_SPECS, Token, count_physical_lines, lex
+from ecstmetrics.metrics import (
+    LOGICAL_OPERATORS,
+    MEASURED_KINDS,
+    ElementMetrics,
+    LocBundle,
+    MetricsReport,
+)
+from ecstmetrics.tree import SourceSpan, UniversalKind, preorder
 
 
 def line_count(text: str) -> int:
@@ -286,3 +305,213 @@ def reference_lex(source, language_id):
             Token(lexeme, token_type, SourceSpan(line, col, end_line, end_col))
         )
     return tokens
+
+
+# -- comment attachment ----------------------------------------------------
+
+
+def reference_attach_comments(parser, root):
+    """Insert the parser's comments into its pristine tree by token ranges.
+
+    Each comment sits between real tokens p-1 and p; it becomes a child
+    of the deepest node whose token range covers both neighbours.
+    """
+    if not parser.comments:
+        return
+    # A concrete node shares its SourceSpan object with the token it
+    # was built from.
+    token_index = {id(tok.span): i for i, tok in enumerate(parser.toks)}
+    ranges = {}
+
+    def compute(node):
+        cached = ranges.get(id(node))
+        if cached is not None:
+            return cached
+        if not node.is_universal:
+            rng = (token_index[id(node.span)],) * 2
+        else:
+            child_ranges = [compute(c) for c in node.children]
+            rng = (
+                min(r[0] for r in child_ranges),
+                max(r[1] for r in child_ranges),
+            )
+        ranges[id(node)] = rng
+        return rng
+
+    compute(root)
+    n = len(parser.toks)
+    placements = []
+    for pos, comment_node in parser.comments:
+        target = root
+        if 0 < pos < n:
+            while True:
+                for child in target.children:
+                    lo, hi = ranges[id(child)]
+                    if lo <= pos - 1 and hi >= pos:
+                        target = child
+                        break
+                else:
+                    break
+        index = len(target.children)
+        for k, child in enumerate(target.children):
+            if ranges[id(child)][0] >= pos:
+                index = k
+                break
+        placements.append((target, index, comment_node))
+
+    by_parent = {}
+    parents = {}
+    for parent, index, node in placements:
+        by_parent.setdefault(id(parent), []).append((index, node))
+        parents[id(parent)] = parent
+    for key, items in by_parent.items():
+        parent = parents[key]
+        offset = 0
+        for index, node in sorted(items, key=lambda item: item[0]):
+            parent.children.insert(index + offset, node)
+            offset += 1
+
+
+def reference_parse_source(source, language_id, source_path="<string>"):
+    """parse_source with comments placed by reference_attach_comments."""
+    parser = FRONTENDS[language_id](lex(source, language_id), language_id, source_path)
+    parser._attach_comments = functools.partial(reference_attach_comments, parser)
+    return parser.build_tree(count_physical_lines(source))
+
+
+# -- metrics ---------------------------------------------------------------
+
+
+def subtree_span(node):
+    """Minimal span covering every concrete node in the subtree, found
+    by comparing all of their positions.
+
+    For a concrete node this is its own span.  A universal node with no
+    concrete descendants has no position and is malformed by definition.
+    """
+    first = None
+    last = None
+    for n in preorder(node):
+        if n.span is None:
+            continue
+        if first is None or (n.span.start_line, n.span.start_col) < (
+            first.start_line,
+            first.start_col,
+        ):
+            first = n.span
+        if last is None or (n.span.end_line, n.span.end_col) > (
+            last.end_line,
+            last.end_col,
+        ):
+            last = n.span
+    if first is None:
+        raise MalformedTreeError(
+            f"universal node {node.label!r} has no concrete descendants"
+        )
+    return SourceSpan(first.start_line, first.start_col, last.end_line, last.end_col)
+
+
+def _is_decision_point(node):
+    if node.kind is UniversalKind.LOOP_STATEMENT:
+        return True
+    if node.kind is UniversalKind.BRANCH:
+        return any(child.kind is UniversalKind.CONDITION for child in node.children)
+    return False
+
+
+def _conditional_operators(root):
+    """ids of the logical operator tokens that have a CONDITION ancestor."""
+    found = set()
+    for n in preorder(root):
+        if n.kind is UniversalKind.CONDITION:
+            for d in preorder(n):
+                if d.token_type == "operator" and d.label in LOGICAL_OPERATORS:
+                    found.add(id(d))
+    return found
+
+
+def _loc_bundle(node):
+    span = subtree_span(node)
+    code_lines = set()
+    comment_lines = set()
+    for n in preorder(node):
+        if n.span is None:
+            continue
+        target = comment_lines if n.token_type == "comment" else code_lines
+        target.update(range(n.span.start_line, n.span.end_line + 1))
+    return LocBundle(
+        loc=span.end_line - span.start_line + 1,
+        sloc=len(code_lines),
+        cloc=len(comment_lines),
+    )
+
+
+def _element_name(node):
+    if node.kind is UniversalKind.FUNCTION_DECL:
+        previous = None
+        for child in node.children:
+            if child.token_type == "punctuation" and child.label in ("(", ":", ";"):
+                break
+            if child.token_type == "identifier":
+                previous = child
+        if previous is not None:
+            return previous.label
+        for n in preorder(node):
+            if n.token_type == "identifier":
+                return n.label
+        return "<anonymous>"
+    if node.kind is UniversalKind.BRANCH_STATEMENT:
+        return "BRANCHING"
+    keywords = [
+        child.label for child in node.children if child.token_type == "keyword"
+    ]
+    if node.kind is UniversalKind.LOOP_STATEMENT:
+        head = keywords[0].upper() if keywords else "LOOP"
+        return "DO-WHILE" if head == "DO" else head
+    if not keywords:
+        return "BRANCH"
+    head = keywords[0].upper()
+    if head == "ELSE" and len(keywords) > 1 and keywords[1].upper() == "IF":
+        return "ELSIF"
+    return head
+
+
+def reference_measure_tree(tree):
+    """measure_tree's reports, plain and extended, re-walking each
+    measured node's subtree; returned as {extended: report}."""
+    operators = _conditional_operators(tree.root)
+    rows = {False: [], True: []}
+    for node in preorder(tree.root):
+        if node.kind in MEASURED_KINDS:
+            bundle = _loc_bundle(node)
+            span = subtree_span(node)
+            name = _element_name(node)
+            cc = 1 if node.kind is UniversalKind.FUNCTION_DECL else 0
+            logical = 0
+            for n in preorder(node):
+                cc += _is_decision_point(n)
+                logical += id(n) in operators
+            for extended, extra in ((False, 0), (True, logical)):
+                rows[extended].append(
+                    ElementMetrics(
+                        name=name,
+                        annotation=node.kind.value,
+                        cc=cc + extra,
+                        loc=bundle.loc,
+                        sloc=bundle.sloc,
+                        cloc=bundle.cloc,
+                        start_line=span.start_line,
+                        end_line=span.end_line,
+                    )
+                )
+    whole = _loc_bundle(tree.root)
+    totals = LocBundle(loc=tree.total_lines, sloc=whole.sloc, cloc=whole.cloc)
+    return {
+        extended: MetricsReport(
+            source_path=tree.source_path,
+            language_id=tree.language_id,
+            elements=elements,
+            totals=totals,
+        )
+        for extended, elements in rows.items()
+    }

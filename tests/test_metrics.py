@@ -7,10 +7,13 @@ per line, spans read off the construct boundaries.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import oracles
 from ecstmetrics import parse_source
+from ecstmetrics.cli import main
 from ecstmetrics.errors import UnsupportedElementError
 from ecstmetrics.metrics import (
     cyclomatic_complexity,
@@ -22,6 +25,7 @@ from ecstmetrics.metrics import (
     render_table,
 )
 from ecstmetrics.tree import EcstNode, SourceSpan, UniversalKind, find_nodes
+from ecstmetrics.xmlio import parse_tree_xml
 
 # (name, annotation, cc, loc, sloc, cloc, startLine, endLine)
 EXPECTED_ROWS = {
@@ -224,6 +228,13 @@ class TestDecisionCounting:
         assert decision_count(branch) == 1
         assert decision_count(branch, extended=True) == 2
 
+    def test_logical_operator_outside_condition_does_not_count(self):
+        tree = parse_source(
+            "class T { void m() { b = x && y; if (x || y) { } } }", "javaoo"
+        )
+        unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
+        assert cyclomatic_complexity(unit, extended=True) == 3
+
     def test_nested_procedure_decisions_roll_up(self):
         src = (
             "MODULE M;\n"
@@ -242,6 +253,57 @@ class TestDecisionCounting:
         assert cyclomatic_complexity(inner) == 2
         # the subtree rule includes nested declarations
         assert cyclomatic_complexity(outer) == 3
+
+
+# A BRANCH whose CONDITION holds another BRANCH with "a && b": legal tree
+# XML, though no frontend nests conditions.
+NESTED_CONDITIONS_XML = """\
+<ecst source="Nested.java" language="javaoo" totalLines="1">
+  <node kind="COMPILATION_UNIT">
+    <node kind="FUNCTION_DECL">
+      <token type="identifier" line="1" col="1" endLine="1" endCol="1">f</token>
+      <node kind="BRANCH_STATEMENT">
+        <node kind="BRANCH">
+          <token type="keyword" line="1" col="3" endLine="1" endCol="4">if</token>
+          <node kind="CONDITION">
+            <node kind="BRANCH_STATEMENT">
+              <node kind="BRANCH">
+                <token type="keyword" line="1" col="6" endLine="1" endCol="7">if</token>
+                <node kind="CONDITION">
+                  <token type="identifier" line="1" col="9" endLine="1" endCol="9">a</token>
+                  <token type="operator" line="1" col="11" endLine="1" endCol="12">&amp;&amp;</token>
+                  <token type="identifier" line="1" col="14" endLine="1" endCol="14">b</token>
+                </node>
+              </node>
+            </node>
+          </node>
+        </node>
+      </node>
+    </node>
+  </node>
+</ecst>
+"""
+
+
+class TestNestedConditions:
+    def test_operator_counts_once(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "nested.ecst.xml"
+        path.write_text(NESTED_CONDITIONS_XML, encoding="utf-8")
+        assert main(["measure", "nested.ecst.xml", "--extended-cc"]) == 0
+        metrics = (tmp_path / "nested.metrics.xml").read_text(encoding="utf-8")
+        cc = re.findall(r'name="([^"]+)" annotation="([A-Z_]+)" cc="(\d+)"', metrics)
+        assert cc == [
+            ("f", "FUNCTION_DECL", "4"),
+            ("BRANCHING", "BRANCH_STATEMENT", "3"),
+            ("IF", "BRANCH", "3"),
+            ("BRANCHING", "BRANCH_STATEMENT", "2"),
+            ("IF", "BRANCH", "2"),
+        ]
+
+    def test_plain_cc_ignores_operators(self):
+        report = measure_tree(parse_tree_xml(NESTED_CONDITIONS_XML))
+        assert [r.cc for r in report.elements] == [3, 2, 2, 1, 1]
 
 
 class TestMonotonicity:
@@ -278,6 +340,29 @@ class TestElementNames:
         )
         unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
         assert element_name(unit) == "twice"
+
+    def test_parameterless_unit_is_not_named_after_a_call(self):
+        tree = parse_source(
+            "PROCEDURE F; BEGIN IF Odd(x) THEN y := 1 END END F;", "modula2"
+        )
+        assert [r.name for r in measure_tree(tree).elements][0] == "F"
+
+    def test_function_procedure_is_not_named_after_a_call(self):
+        tree = parse_source(
+            "PROCEDURE F: INTEGER; BEGIN RETURN G(1) END F;", "modula2"
+        )
+        assert [r.name for r in measure_tree(tree).elements] == ["F"]
+
+    def test_unit_without_header_identifier_uses_first_identifier(self):
+        unit = EcstNode.universal(
+            UniversalKind.FUNCTION_DECL,
+            [
+                EcstNode.concrete("(", "punctuation", SourceSpan(1, 1, 1, 1)),
+                EcstNode.concrete("x", "identifier", SourceSpan(1, 2, 1, 2)),
+                EcstNode.concrete(")", "punctuation", SourceSpan(1, 3, 1, 3)),
+            ],
+        )
+        assert element_name(unit) == "x"
 
     def test_nameless_unit_is_anonymous(self):
         unit = EcstNode.universal(

@@ -9,7 +9,8 @@ import pytest
 from ecstmetrics import parse_source
 from ecstmetrics.errors import ParseError
 from ecstmetrics.lexer import lex
-from ecstmetrics.tree import UniversalKind, find_nodes, preorder, subtree_span
+from ecstmetrics.tree import UniversalKind, find_nodes, preorder
+from oracles import subtree_span
 
 
 def _wrap(statements: str) -> str:

@@ -8,8 +8,9 @@ import generators
 from ecstmetrics import parse_source
 from ecstmetrics.lexer import lex
 from ecstmetrics.metrics import measure_tree
-from ecstmetrics.tree import preorder, subtree_span, validate_tree
+from ecstmetrics.tree import preorder, validate_tree
 from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
+from oracles import subtree_span
 
 LANGUAGES = ("modula2", "javaoo")
 SEEDS = range(40)

