@@ -8,61 +8,62 @@ spans their own tokens define.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..lexer import Token
-from ..tree import EcstNode, EcstTree, SourceSpan, UniversalKind, assign_node_ids
+from ..tree import EcstNode, EcstTree, SourceSpan, UniversalKind
 
 
 class BaseParser:
-    """Cursor over the real (non-comment) tokens plus tree assembly."""
+    """Cursor over the real (non-comment) tokens plus tree assembly.
 
-    def __init__(self, tokens: list[Token], language_id: str, source_path: str):
+    The tokens are the scanner's concrete nodes; each one consumed goes
+    into the tree as it is.
+    """
+
+    def __init__(self, tokens: list[EcstNode], language_id: str, source_path: str):
         self.language_id = language_id
         self.source_path = source_path
-        self.toks: list[Token] = []
+        self.toks: list[EcstNode] = []
         # (number of real tokens preceding the comment, comment node)
         self.comments: list[tuple[int, EcstNode]] = []
         for tok in tokens:
-            if tok.type == "comment":
-                node = EcstNode.concrete(tok.lexeme, "comment", tok.span)
-                self.comments.append((len(self.toks), node))
+            if tok.token_type == "comment":
+                self.comments.append((len(self.toks), tok))
             else:
                 self.toks.append(tok)
         self.i = 0
 
     # -- cursor primitives -------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token | None:
+    def _peek(self, offset: int = 0) -> EcstNode | None:
         j = self.i + offset
         return self.toks[j] if j < len(self.toks) else None
 
     def _at(self, *lexemes: str) -> bool:
         tok = self._peek()
-        return tok is not None and tok.lexeme in lexemes
+        return tok is not None and tok.label in lexemes
 
     def _at_type(self, token_type: str) -> bool:
         tok = self._peek()
-        return tok is not None and tok.type == token_type
+        return tok is not None and tok.token_type == token_type
 
     def _advance(self) -> EcstNode:
-        """Consume the current token as a concrete node."""
+        """Consume the current token and return it."""
         tok = self._peek()
         if tok is None:
             self._error("unexpected end of input")
-        node = EcstNode.concrete(tok.lexeme, tok.type, tok.span)
         self.i += 1
-        return node
+        return tok
 
     def _expect(self, lexeme: str) -> EcstNode:
         tok = self._peek()
-        if tok is None or tok.lexeme != lexeme:
-            found = "end of input" if tok is None else repr(tok.lexeme)
+        if tok is None or tok.label != lexeme:
+            found = "end of input" if tok is None else repr(tok.label)
             self._error(f"expected {lexeme!r}, found {found}")
         return self._advance()
 
     def _expect_type(self, token_type: str) -> EcstNode:
         tok = self._peek()
-        if tok is None or tok.type != token_type:
-            found = "end of input" if tok is None else repr(tok.lexeme)
+        if tok is None or tok.token_type != token_type:
+            found = "end of input" if tok is None else repr(tok.label)
             self._error(f"expected {token_type}, found {found}")
         return self._advance()
 
@@ -83,7 +84,6 @@ class BaseParser:
         if self.i < len(self.toks):
             self._error("trailing input after compilation unit")
         self._attach_comments(root)
-        assign_node_ids(root)
         return EcstTree(
             root=root,
             source_path=self.source_path,
@@ -141,11 +141,11 @@ class BaseParser:
             tok = self._peek()
             if tok is None:
                 return nodes
-            if depth == 0 and tok.lexeme in stops:
+            if depth == 0 and tok.label in stops:
                 return nodes
-            if tok.lexeme in self._OPENERS:
+            if tok.label in self._OPENERS:
                 depth += 1
-            elif tok.lexeme in self._CLOSERS:
+            elif tok.label in self._CLOSERS:
                 if depth == 0:
                     return nodes
                 depth -= 1
@@ -154,7 +154,7 @@ class BaseParser:
     def _balanced_group(self) -> list[EcstNode]:
         """Consume a bracketed group through its matching closer."""
         tok = self._peek()
-        if tok is None or tok.lexeme not in self._OPENERS:
+        if tok is None or tok.label not in self._OPENERS:
             self._error("expected a bracketed group")
         nodes = [self._advance()]
         depth = 1
@@ -162,9 +162,9 @@ class BaseParser:
             tok = self._peek()
             if tok is None:
                 self._error("unbalanced brackets")
-            if tok.lexeme in self._OPENERS:
+            if tok.label in self._OPENERS:
                 depth += 1
-            elif tok.lexeme in self._CLOSERS:
+            elif tok.label in self._CLOSERS:
                 depth -= 1
             nodes.append(self._advance())
         return nodes

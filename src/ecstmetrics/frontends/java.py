@@ -47,7 +47,7 @@ class JavaParser(BaseParser):
         j = self.i
         decide = None
         while j < len(self.toks):
-            lex = self.toks[j].lexeme
+            lex = self.toks[j].label
             if lex in ("(", "=", ";", "{"):
                 decide = lex
                 break
@@ -101,7 +101,7 @@ class JavaParser(BaseParser):
             kids.append(self._expect(";"))
         else:
             tok = self._peek()
-            if tok is None or (tok.type == "keyword" and tok.lexeme not in DECL_KEYWORDS):
+            if tok is None or (tok.token_type == "keyword" and tok.label not in DECL_KEYWORDS):
                 self._error("expected statement")
             kids.extend(self._flat_until({";"}))
             kids.append(self._expect(";"))
@@ -117,7 +117,7 @@ class JavaParser(BaseParser):
         branches = [self._universal(UniversalKind.BRANCH, b)]
         while self._at("else"):
             nxt = self._peek(1)
-            if nxt is not None and nxt.lexeme == "if":
+            if nxt is not None and nxt.label == "if":
                 # else-if flattens into a sibling branch of the same chain
                 b = [self._advance(), self._advance(), self._paren_condition()]
                 self._stmt_or_block(b)

@@ -80,7 +80,7 @@ class Modula2Parser(BaseParser):
     def _statement_sequence(self, kids: list[EcstNode], terminators: set) -> None:
         while True:
             tok = self._peek()
-            if tok is None or (tok.type == "keyword" and tok.lexeme in terminators):
+            if tok is None or (tok.token_type == "keyword" and tok.label in terminators):
                 return
             self._statement(kids)
             # Separator semicolons stay siblings of the construct nodes.

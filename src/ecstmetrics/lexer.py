@@ -1,4 +1,5 @@
-"""Tokenization: turns source text into classified tokens.
+"""Tokenization: turns source text into classified tokens, the concrete
+nodes of the tree.
 
 Each token gets one of the six token types (keyword, identifier,
 literal, operator, punctuation, comment) according to the per-language
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 from . import scan as _scan
 from .errors import UnsupportedLanguageError
-from .scan import Token
+from .tree import EcstNode
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ LEXER_SPECS = {
 }
 
 
-def lex(source: str, language_id: str) -> list[Token]:
+def lex(source: str, language_id: str) -> list[EcstNode]:
     """Tokenize source text; comments kept, whitespace dropped.
 
     Spans are 1-based and inclusive.  Raises LexError on unlexable

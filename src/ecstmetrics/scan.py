@@ -1,30 +1,22 @@
 """Scanning and token classification in one pass.
 
 One compiled pattern per LexerSpec splits the text into tokens; each
-match is classified by the spec and becomes a Token with a 1-based,
-inclusive SourceSpan.  The pattern matches only a block comment's
-opener; a str.find loop then finds the closer, because Modula-2
-comments nest.
+match is classified by the spec and becomes a concrete EcstNode, the
+token the tree keeps, with a 1-based, inclusive SourceSpan.  The
+pattern matches only a block comment's opener; a str.find loop then
+finds the closer, because Modula-2 comments nest.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import LexError
-from .tree import SourceSpan
+from .tree import EcstNode, SourceSpan
 
 #: The scanner implementation, named in benchmark reports.
 KERNEL = "python"
-
-
-@dataclass(frozen=True)
-class Token:
-    lexeme: str
-    type: str
-    span: SourceSpan
 
 
 # Token type of every match group whose type does not depend on the lexeme.
@@ -102,7 +94,7 @@ def _error(message: str, line: int, col: int) -> LexError:
     return LexError(message, span=SourceSpan(line, col, line, col))
 
 
-def scan(text: str, spec) -> list[Token]:
+def scan(text: str, spec) -> list[EcstNode]:
     """Tokenize text by spec (a lexer.LexerSpec); comments kept,
     whitespace dropped.
 
@@ -138,9 +130,8 @@ def scan(text: str, spec) -> list[Token]:
             if breaks:
                 line += breaks
                 line_start = text.rfind("\n", pos, end) + 1
-            tokens.append(
-                Token(text[pos:end], "comment", SourceSpan(start_line, col, line, end - line_start))
-            )
+            span = SourceSpan(start_line, col, line, end - line_start)
+            tokens.append(EcstNode.concrete(text[pos:end], "comment", span))
         elif kind == "quote":
             raise _error("unterminated string literal", line, col)
         else:
@@ -151,8 +142,7 @@ def scan(text: str, spec) -> list[Token]:
                 token_type = symbol_types[lexeme]
             else:
                 token_type = _GROUP_TYPES[kind]
-            tokens.append(
-                Token(lexeme, token_type, SourceSpan(line, col, line, col + end - pos - 1))
-            )
+            span = SourceSpan(line, col, line, col + end - pos - 1)
+            tokens.append(EcstNode.concrete(lexeme, token_type, span))
         pos = end
     return tokens

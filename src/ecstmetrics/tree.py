@@ -58,8 +58,8 @@ class EcstNode:
     """One tree node: a concrete token or a universal marker.
 
     label holds the source lexeme for concrete nodes and the canonical
-    kind spelling for universal nodes.  node_id is unique within a tree,
-    assigned in preorder, and ignored for equality.
+    kind spelling for universal nodes.  The scanner makes the concrete
+    nodes and the parser places each of them once in the tree.
     """
 
     label: str
@@ -67,7 +67,6 @@ class EcstNode:
     token_type: str | None = None
     span: SourceSpan | None = None
     children: list["EcstNode"] = field(default_factory=list)
-    node_id: int = field(default=-1, compare=False)
 
     @property
     def is_universal(self) -> bool:
@@ -133,12 +132,6 @@ def find_nodes(tree_or_node: EcstTree | EcstNode, kind: UniversalKind) -> list[E
     return [n for n in preorder(tree_or_node) if n.kind is kind]
 
 
-def assign_node_ids(root: EcstNode) -> None:
-    """Number all nodes 0,1,2,... in preorder."""
-    for i, node in enumerate(preorder(root)):
-        node.node_id = i
-
-
 def validate_tree(tree: EcstTree) -> None:
     """Check the structural invariants; raise MalformedTreeError on breach.
 
@@ -153,7 +146,6 @@ def validate_tree(tree: EcstTree) -> None:
     if tree.total_lines < 1:
         raise MalformedTreeError("total_lines must be positive")
 
-    seen_ids = set()
     guarded = False  # inside a BRANCH or LOOP_STATEMENT
     identifiers = 0  # identifier tokens so far
     entries: list[tuple[bool, int]] = []  # both, at each open node's entry
@@ -169,9 +161,6 @@ def validate_tree(tree: EcstTree) -> None:
             if kind is UniversalKind.FUNCTION_DECL and identifiers == before:
                 raise MalformedTreeError("FUNCTION_DECL without an identifier token")
             continue
-        if node.node_id in seen_ids:
-            raise MalformedTreeError(f"duplicate node id {node.node_id}")
-        seen_ids.add(node.node_id)
         if kind is not None:
             if node.token_type is not None:
                 raise MalformedTreeError("universal node carries a token type")

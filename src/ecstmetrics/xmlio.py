@@ -19,8 +19,8 @@ from .tree import (
     EcstTree,
     SourceSpan,
     UniversalKind,
-    assign_node_ids,
     validate_tree,
+    walk,
 )
 
 _KIND_VALUES = {kind.value for kind in UniversalKind}
@@ -29,31 +29,30 @@ _KIND_VALUES = {kind.value for kind in UniversalKind}
 # -- serialization ---------------------------------------------------------
 
 
-def _write_node(node: EcstNode, depth: int, out: list[str]) -> None:
-    pad = "  " * depth
-    if node.is_universal:
-        out.append(f"{pad}<node kind={quoteattr(node.kind.value)}>\n")
-        for child in node.children:
-            _write_node(child, depth + 1, out)
-        out.append(f"{pad}</node>\n")
-    else:
-        span = node.span
-        out.append(
-            f"{pad}<token type={quoteattr(node.token_type)}"
-            f' line="{span.start_line}" col="{span.start_col}"'
-            f' endLine="{span.end_line}" endCol="{span.end_col}"'
-            f">{escape(node.label)}</token>\n"
-        )
-
-
 def serialize_tree(tree: EcstTree) -> str:
-    """Render a tree as a deterministic eCST XML document."""
+    """Render a tree as a deterministic eCST XML document, in one pass
+    without recursion."""
     out = [
         f"<ecst source={quoteattr(tree.source_path)}"
         f" language={quoteattr(tree.language_id)}"
         f' totalLines="{tree.total_lines}">\n'
     ]
-    _write_node(tree.root, 1, out)
+    depth = 0  # open <node> elements, each one level of indent
+    for node, _, hi in walk(tree.root):
+        if node.kind is None:
+            span = node.span
+            out.append(
+                f"{'  ' * (depth + 1)}<token type={quoteattr(node.token_type)}"
+                f' line="{span.start_line}" col="{span.start_col}"'
+                f' endLine="{span.end_line}" endCol="{span.end_col}"'
+                f">{escape(node.label)}</token>\n"
+            )
+        elif hi is None:
+            depth += 1
+            out.append(f"{'  ' * depth}<node kind={quoteattr(node.kind.value)}>\n")
+        else:
+            out.append(f"{'  ' * depth}</node>\n")
+            depth -= 1
     out.append("</ecst>\n")
     return "".join(out)
 
@@ -203,7 +202,6 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     root_node = root_el.children[0]
     if root_node.kind is not UniversalKind.COMPILATION_UNIT:
         _fail(top[0], "top-level <node> must be COMPILATION_UNIT")
-    assign_node_ids(root_node)
     tree = EcstTree(root_node, source, language, total_lines)
     try:
         validate_tree(tree)

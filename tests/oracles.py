@@ -24,7 +24,7 @@ import functools
 
 from ecstmetrics.errors import LexError, MalformedTreeError, UnsupportedLanguageError
 from ecstmetrics.frontends import FRONTENDS
-from ecstmetrics.lexer import LEXER_SPECS, Token, count_physical_lines, lex
+from ecstmetrics.lexer import LEXER_SPECS, count_physical_lines, lex
 from ecstmetrics.metrics import (
     LOGICAL_OPERATORS,
     MEASURED_KINDS,
@@ -32,7 +32,7 @@ from ecstmetrics.metrics import (
     LocBundle,
     MetricsReport,
 )
-from ecstmetrics.tree import SourceSpan, UniversalKind, preorder
+from ecstmetrics.tree import EcstNode, SourceSpan, UniversalKind, preorder
 
 
 def line_count(text: str) -> int:
@@ -302,7 +302,7 @@ def reference_lex(source, language_id):
         else:
             token_type = "comment"
         tokens.append(
-            Token(lexeme, token_type, SourceSpan(line, col, end_line, end_col))
+            EcstNode.concrete(lexeme, token_type, SourceSpan(line, col, end_line, end_col))
         )
     return tokens
 
@@ -318,8 +318,8 @@ def reference_attach_comments(parser, root):
     """
     if not parser.comments:
         return
-    # A concrete node shares its SourceSpan object with the token it
-    # was built from.
+    # A concrete node is the token itself, so it shares the token's
+    # SourceSpan object.
     token_index = {id(tok.span): i for i, tok in enumerate(parser.toks)}
     ranges = {}
 

@@ -9,7 +9,7 @@ from ecstmetrics.lexer import count_physical_lines, lex
 
 
 def _types(tokens):
-    return [(t.lexeme, t.type) for t in tokens]
+    return [(t.label, t.token_type) for t in tokens]
 
 
 class TestModula2Lexing:
@@ -25,7 +25,7 @@ class TestModula2Lexing:
 
     def test_operator_words(self):
         tokens = lex("x DIV y MOD z AND w OR v", "modula2")
-        kinds = {t.lexeme: t.type for t in tokens}
+        kinds = {t.label: t.token_type for t in tokens}
         assert kinds["DIV"] == "operator"
         assert kinds["MOD"] == "operator"
         assert kinds["AND"] == "operator"
@@ -37,7 +37,7 @@ class TestModula2Lexing:
 
     def test_punctuation_versus_operator_symbols(self):
         tokens = lex("a[i] := (b + c) * 2;", "modula2")
-        kinds = {t.lexeme: t.type for t in tokens}
+        kinds = {t.label: t.token_type for t in tokens}
         assert kinds["["] == "punctuation"
         assert kinds["("] == "punctuation"
         assert kinds[";"] == "punctuation"
@@ -46,7 +46,7 @@ class TestModula2Lexing:
 
     def test_comment_token_and_span(self):
         tokens = lex("x := 1; (* note\nspans lines *)\ny := 2;", "modula2")
-        comments = [t for t in tokens if t.type == "comment"]
+        comments = [t for t in tokens if t.token_type == "comment"]
         assert len(comments) == 1
         assert comments[0].span.start_line == 1
         assert comments[0].span.end_line == 2
@@ -63,19 +63,19 @@ class TestModula2Lexing:
 class TestJavaLexing:
     def test_do_while_keywords(self):
         tokens = lex("do { } while (x);", "javaoo")
-        assert tokens[0].lexeme == "do"
-        assert tokens[0].type == "keyword"
+        assert tokens[0].label == "do"
+        assert tokens[0].token_type == "keyword"
         assert ("while", "keyword") in _types(tokens)
 
     def test_literal_words(self):
         tokens = lex("flag = true; other = null;", "javaoo")
-        kinds = {t.lexeme: t.type for t in tokens}
+        kinds = {t.label: t.token_type for t in tokens}
         assert kinds["true"] == "literal"
         assert kinds["null"] == "literal"
 
     def test_two_char_operators(self):
         tokens = lex("a <= b && c != d || e++", "javaoo")
-        ops = [t.lexeme for t in tokens if t.type == "operator"]
+        ops = [t.label for t in tokens if t.token_type == "operator"]
         assert ops == ["<=", "&&", "!=", "||", "++"]
 
     def test_braces_are_punctuation(self):
@@ -84,7 +84,7 @@ class TestJavaLexing:
 
     def test_both_comment_styles(self):
         tokens = lex("// one\n/* two */ x", "javaoo")
-        assert [t.type for t in tokens] == ["comment", "comment", "identifier"]
+        assert [t.token_type for t in tokens] == ["comment", "comment", "identifier"]
 
 
 class TestLexerContract:
@@ -94,7 +94,7 @@ class TestLexerContract:
 
     def test_whitespace_dropped_comments_kept(self):
         tokens = lex("  a\t b  (* c *)  ", "modula2")
-        assert [t.lexeme for t in tokens] == ["a", "b", "(* c *)"]
+        assert [t.label for t in tokens] == ["a", "b", "(* c *)"]
 
     def test_spans_are_one_based_inclusive(self):
         tokens = lex("ab cd", "modula2")

@@ -160,12 +160,12 @@ class TestInvariants:
     def test_token_preservation(self, corpus):
         for name in ("QuickSort.mod", "Features.mod"):
             text, tree = corpus[name]
-            tokens = [t for t in lex(text, "modula2") if t.type != "comment"]
+            tokens = [t for t in lex(text, "modula2") if t.token_type != "comment"]
             concrete = [
                 n for n in preorder(tree.root)
                 if n.span is not None and n.token_type != "comment"
             ]
-            assert [t.lexeme for t in tokens] == [n.label for n in concrete]
+            assert [t.label for t in tokens] == [n.label for n in concrete]
 
     def test_parse_is_deterministic(self, corpus):
         text, tree = corpus["QuickSort.mod"]

@@ -35,9 +35,9 @@ def test_token_and_comment_preservation(language, seed):
     concrete = [n for n in preorder(tree.root) if n.span is not None]
     code = [n.label for n in concrete if n.token_type != "comment"]
     comments = [n.label for n in concrete if n.token_type == "comment"]
-    assert code == [t.lexeme for t in tokens if t.type != "comment"]
+    assert code == [t.label for t in tokens if t.token_type != "comment"]
     assert sorted(comments) == sorted(
-        t.lexeme for t in tokens if t.type == "comment"
+        t.label for t in tokens if t.token_type == "comment"
     )
 
 

@@ -26,7 +26,7 @@ LANGUAGES = ("modula2", "javaoo")
 
 
 def _lexemes(tokens):
-    return [t.lexeme for t in tokens]
+    return [t.label for t in tokens]
 
 
 def _positions(token):
@@ -44,7 +44,7 @@ def _error(text, language):
 class TestPureKernel:
     def test_word_number_symbol_layout(self):
         tokens = lex("i := i + 10", "modula2")
-        assert [t.type for t in tokens] == [
+        assert [t.token_type for t in tokens] == [
             "identifier",
             "operator",
             "identifier",
@@ -60,49 +60,49 @@ class TestPureKernel:
     def test_range_operator_not_a_decimal(self):
         tokens = lex("[1 .. 9]", "modula2")
         assert _lexemes(tokens) == ["[", "1", "..", "9", "]"]
-        assert tokens[1].type == "literal"
-        assert tokens[2].type == "operator"
+        assert tokens[1].token_type == "literal"
+        assert tokens[2].token_type == "operator"
 
     def test_decimal_number_needs_digit_after_point(self):
         tokens = lex("x = 1.5;", "javaoo")
         assert _lexemes(tokens) == ["x", "=", "1.5", ";"]
-        assert tokens[2].type == "literal"
+        assert tokens[2].token_type == "literal"
 
     def test_multiline_block_comment_span(self):
         tokens = lex("(* a\n   b *) END", "modula2")
-        assert tokens[0].type == "comment"
+        assert tokens[0].token_type == "comment"
         assert _positions(tokens[0]) == (1, 1, 2, 7)
         assert _positions(tokens[1]) == (2, 9, 2, 11)
 
     def test_nested_block_comment(self):
         tokens = lex("(* outer (* inner *) tail *) x", "modula2")
-        assert [t.type for t in tokens] == ["comment", "identifier"]
-        assert tokens[0].lexeme == "(* outer (* inner *) tail *)"
+        assert [t.token_type for t in tokens] == ["comment", "identifier"]
+        assert tokens[0].label == "(* outer (* inner *) tail *)"
 
     def test_java_block_comment_does_not_nest(self):
         tokens = lex("/* a /* b */ x", "javaoo")
-        assert [t.type for t in tokens] == ["comment", "identifier"]
-        assert tokens[1].lexeme == "x"
+        assert [t.token_type for t in tokens] == ["comment", "identifier"]
+        assert tokens[1].label == "x"
 
     def test_line_comment_runs_to_newline(self):
         tokens = lex("a // rest of line\nb", "javaoo")
-        assert [t.type for t in tokens] == ["identifier", "comment", "identifier"]
-        assert tokens[1].lexeme == "// rest of line"
+        assert [t.token_type for t in tokens] == ["identifier", "comment", "identifier"]
+        assert tokens[1].label == "// rest of line"
         assert _positions(tokens[2])[:2] == (2, 1)
 
     def test_line_comment_at_eof(self):
         tokens = lex("// tail", "javaoo")
-        assert [t.type for t in tokens] == ["comment"]
+        assert [t.token_type for t in tokens] == ["comment"]
 
     def test_string_with_escape(self):
         tokens = lex('say("a\\"b");', "javaoo")
-        strings = [t.lexeme for t in tokens if t.lexeme.startswith('"')]
+        strings = [t.label for t in tokens if t.label.startswith('"')]
         assert strings == ['"a\\"b"']
-        assert [t.type for t in tokens if t.lexeme in strings] == ["literal"]
+        assert [t.token_type for t in tokens if t.label in strings] == ["literal"]
 
     def test_modula2_string_has_no_escapes(self):
         tokens = lex("s := 'a\\'", "modula2")
-        strings = [t.lexeme for t in tokens if t.lexeme.startswith("'")]
+        strings = [t.label for t in tokens if t.label.startswith("'")]
         assert strings == ["'a\\'"]
 
     def test_unterminated_string_position(self):

@@ -10,7 +10,6 @@ from ecstmetrics.tree import (
     EcstTree,
     SourceSpan,
     UniversalKind,
-    assign_node_ids,
     find_nodes,
     preorder,
     validate_tree,
@@ -30,7 +29,6 @@ def _unit(children):
 
 def _tree(root_children, total_lines=1):
     root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, root_children)
-    assign_node_ids(root)
     return EcstTree(root=root, source_path="t", language_id="modula2", total_lines=total_lines)
 
 
@@ -70,13 +68,6 @@ class TestNodeConstruction:
         assert node.token_type == "keyword"
         assert node.span.end_col == 5
 
-    def test_equality_ignores_node_id_and_token_index(self):
-        a = _tok("x")
-        b = _tok("x")
-        a.node_id = 3
-        b.node_id = 9
-        assert a == b
-
 
 class TestTraversal:
     def test_preorder_order(self):
@@ -89,12 +80,6 @@ class TestTraversal:
         inner = _unit([_tok("f")])
         tree = _tree([inner])
         assert find_nodes(tree.root, UniversalKind.FUNCTION_DECL) == [inner]
-
-    def test_assign_node_ids_is_preorder(self):
-        inner = _unit([_tok("f")])
-        tree = _tree([_tok("a"), inner])
-        ids = [n.node_id for n in preorder(tree.root)]
-        assert ids == [0, 1, 2, 3]
 
 
 class TestWalk:
@@ -154,9 +139,12 @@ class TestValidation:
         for _, tree in corpus.values():
             validate_tree(tree)
 
+    def test_accepts_hand_built_tree(self):
+        unit = _unit([_tok("PROCEDURE", "keyword"), _tok("P", col=11)])
+        validate_tree(_tree([unit, _tok(";", "punctuation", col=12)]))
+
     def test_rejects_non_unit_root(self):
         root = EcstNode.universal(UniversalKind.BRANCH, [_tok("x")])
-        assign_node_ids(root)
         tree = EcstTree(root=root, source_path="t", language_id="modula2", total_lines=1)
         with pytest.raises(MalformedTreeError):
             validate_tree(tree)
@@ -230,12 +218,5 @@ class TestValidation:
         tree = _tree([_tok("a", line=1, col=9), inner, _tok("z", line=3, col=2)])
         validate_tree(tree)
         tree = _tree([_tok("a", line=2, col=1), _unit([_tok("f", line=1, col=5)])])
-        with pytest.raises(MalformedTreeError):
-            validate_tree(tree)
-
-    def test_rejects_duplicate_node_ids(self):
-        tree = _tree([_tok("x"), _tok("y", col=2)])
-        for node in preorder(tree.root):
-            node.node_id = 0
         with pytest.raises(MalformedTreeError):
             validate_tree(tree)

@@ -7,7 +7,7 @@ import pytest
 from ecstmetrics.cli import main
 from ecstmetrics.errors import SourceIoError, TreeXmlError
 from ecstmetrics.metrics import ElementMetrics, LocBundle, MetricsReport, measure_tree
-from ecstmetrics.tree import EcstNode, EcstTree, SourceSpan, UniversalKind, assign_node_ids
+from ecstmetrics.tree import EcstNode, EcstTree, SourceSpan, UniversalKind
 from ecstmetrics.xmlio import (
     load_tree_file,
     parse_tree_xml,
@@ -37,7 +37,6 @@ def _mini_tree() -> EcstTree:
         ],
     )
     root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
-    assign_node_ids(root)
     return EcstTree(
         root=root, source_path="Mini.mod", language_id="modula2", total_lines=1
     )
@@ -85,7 +84,6 @@ class TestRoundTrip:
         tree.root.children[0].children.append(
             EcstNode.concrete('"x<&>"', "literal", SourceSpan(1, 13, 1, 18))
         )
-        assign_node_ids(tree.root)
         again = parse_tree_xml(serialize_tree(tree))
         assert again.root.children[0].children[-1].label == '"x<&>"'
 
@@ -291,6 +289,11 @@ class TestDeepDocument:
         assert main(["measure", "deep.ecst.xml"]) == 0
         metrics = (tmp_path / "deep.metrics.xml").read_text(encoding="utf-8")
         assert '<element name="F" annotation="FUNCTION_DECL" cc="1201"' in metrics
+
+    def test_rewrite_without_recursion(self):
+        # Compares bytes: tree equality recurses through the children.
+        s = serialize_tree(parse_tree_xml(_deep_document(1200)))
+        assert serialize_tree(parse_tree_xml(s)) == s
 
 
 class TestLoadTreeFile:
