@@ -12,13 +12,12 @@ import os
 import sys
 
 from .errors import (
+    FrontendError,
     LexError,
     ParseError,
     RegistryError,
     SourceIoError,
     TreeXmlError,
-    UnknownExtensionError,
-    UnsupportedLanguageError,
 )
 from .frontends import parse_file
 from .frontends.registry import builtin_registry, load_registry
@@ -28,27 +27,8 @@ from .xmlio import load_tree_file, parse_tree_xml, serialize_metrics, serialize_
 TREE_SUFFIX = ".ecst.xml"
 METRICS_SUFFIX = ".metrics.xml"
 
-_HANDLED = (
-    UnknownExtensionError,
-    UnsupportedLanguageError,
-    LexError,
-    ParseError,
-    SourceIoError,
-    RegistryError,
-    TreeXmlError,
-)
-
-
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, (UnknownExtensionError, UnsupportedLanguageError)):
-        return 2
-    if isinstance(exc, (LexError, ParseError)):
-        return 3
-    if isinstance(exc, (SourceIoError, RegistryError)):
-        return 4
-    if isinstance(exc, TreeXmlError):
-        return 5
-    raise exc
+# Every handled error class carries its exit code in exit_code.
+_HANDLED = (FrontendError, RegistryError, TreeXmlError)
 
 
 def _report_error(path, exc: Exception) -> None:
@@ -91,13 +71,13 @@ def _cmd_parse(args) -> int:
         tree = parse_file(src, language)
     except _HANDLED as e:
         _report_error(src, e)
-        return _exit_code(e)
+        return e.exit_code
     out = args.out if args.out else src + TREE_SUFFIX
     try:
         _write_text(out, serialize_tree(tree))
     except _HANDLED as e:
         _report_error(out, e)
-        return _exit_code(e)
+        return e.exit_code
     print(f"{src} -> {out}")
     return 0
 
@@ -114,13 +94,13 @@ def _cmd_measure(args) -> int:
         report = measure_tree(tree, extended=args.extended_cc)
     except _HANDLED as e:
         _report_error(src, e)
-        return _exit_code(e)
+        return e.exit_code
     out = args.out if args.out else _metrics_out_path(src)
     try:
         _write_text(out, serialize_metrics(report))
     except _HANDLED as e:
         _report_error(out, e)
-        return _exit_code(e)
+        return e.exit_code
     if args.table:
         sys.stdout.write(render_table(report))
     print(f"{src} -> {out}")
@@ -146,7 +126,7 @@ def _run_one(src, registry, args) -> int:
         _write_text(out, serialize_metrics(report))
     except _HANDLED as e:
         _report_error(src, e)
-        return _exit_code(e)
+        return e.exit_code
     if args.table:
         sys.stdout.write(render_table(report))
     print(f"{src} -> {out}")
@@ -206,7 +186,7 @@ def main(argv=None) -> int:
     except _HANDLED as e:
         # Registry problems surface before any per-file processing.
         _report_error(getattr(args, "registry", None) or "languages.xml", e)
-        return _exit_code(e)
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 
 class FrontendError(Exception):
-    """Base for errors raised while turning a source file into a tree."""
+    """Base for errors raised while turning a source file into a tree.
 
-    kind = "FrontendError"
+    Each subclass names the CLI's exit code for it in exit_code.
+    """
 
     def __init__(self, message: str, span=None):
         super().__init__(message)
@@ -16,39 +17,43 @@ class FrontendError(Exception):
 class UnknownExtensionError(FrontendError):
     """No registry entry matches the file's extension."""
 
-    kind = "UnknownExtension"
+    exit_code = 2
 
 
 class UnsupportedLanguageError(FrontendError):
     """The registry mapped the file to a language with no frontend."""
 
-    kind = "UnsupportedLanguage"
+    exit_code = 2
 
 
 class LexError(FrontendError):
     """Source text could not be tokenized; span points at the problem."""
 
-    kind = "LexError"
+    exit_code = 3
 
 
 class ParseError(FrontendError):
     """Token stream violates the grammar; span points at the offending token."""
 
-    kind = "ParseError"
+    exit_code = 3
 
 
 class SourceIoError(FrontendError):
     """Source file could not be read."""
 
-    kind = "IoError"
+    exit_code = 4
 
 
 class RegistryError(Exception):
     """Language registry file is malformed or inconsistent."""
 
+    exit_code = 4
+
 
 class TreeXmlError(Exception):
     """A tree XML document is malformed or violates the document schema."""
+
+    exit_code = 5
 
 
 class MalformedTreeError(Exception):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from ..errors import SourceIoError, UnsupportedLanguageError
+import re
+
+from ..errors import LexError, SourceIoError, UnsupportedLanguageError
 from ..lexer import count_physical_lines, lex
-from ..tree import EcstTree
+from ..tree import EcstNode, EcstTree, SourceSpan
 from .java import JavaParser
 from .modula2 import Modula2Parser
 
@@ -13,6 +15,31 @@ FRONTENDS = {
     "javaoo": JavaParser,
 }
 
+# A character outside XML 1.0's Char production, which tree XML cannot carry.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _check_xml_chars(source: str, tokens: list[EcstNode]) -> None:
+    """Raise LexError at the first character tree XML cannot store.
+
+    The scanner rejects any such character outside a comment or string,
+    so a lexeme holds each one the source has.
+    """
+    if _NOT_XML_CHAR.search(source) is None:
+        return
+    for tok in tokens:
+        m = _NOT_XML_CHAR.search(tok.label)
+        if m is None:
+            continue
+        before = tok.label[: m.start()]
+        line = tok.span.start_line + before.count("\n")
+        newline = before.rfind("\n")
+        col = m.start() - newline if newline >= 0 else tok.span.start_col + m.start()
+        raise LexError(
+            f"character {m.group()!r} cannot be stored in tree XML",
+            span=SourceSpan(line, col, line, col),
+        )
+
 
 def parse_source(source: str, language_id: str, source_path: str = "<string>") -> EcstTree:
     """Lex and parse source text into an eCST."""
@@ -20,6 +47,7 @@ def parse_source(source: str, language_id: str, source_path: str = "<string>") -
     if parser_cls is None:
         raise UnsupportedLanguageError(f"no frontend for language {language_id!r}")
     tokens = lex(source, language_id)
+    _check_xml_chars(source, tokens)
     parser = parser_cls(tokens, language_id, source_path)
     return parser.build_tree(count_physical_lines(source))
 

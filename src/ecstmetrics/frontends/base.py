@@ -8,7 +8,7 @@ spans their own tokens define.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..tree import EcstNode, EcstTree, SourceSpan, UniversalKind
+from ..tree import EcstNode, EcstTree, SourceSpan
 
 
 class BaseParser:
@@ -122,9 +122,6 @@ class BaseParser:
         root.children.extend(comment for _, comment in comments[c:])
 
     # -- shared construct helpers ------------------------------------------
-
-    def _universal(self, kind: UniversalKind, children: list[EcstNode]) -> EcstNode:
-        return EcstNode.universal(kind, children)
 
     _OPENERS = ("(", "[", "{")
     _CLOSERS = (")", "]", "}")

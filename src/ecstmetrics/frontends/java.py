@@ -27,7 +27,7 @@ class JavaParser(BaseParser):
             self._error("empty compilation unit")
         while self._peek() is not None:
             self._class_declaration(kids)
-        return self._universal(UniversalKind.COMPILATION_UNIT, kids)
+        return EcstNode.universal(UniversalKind.COMPILATION_UNIT, kids)
 
     # -- class structure ---------------------------------------------------
 
@@ -64,7 +64,7 @@ class JavaParser(BaseParser):
         k = self._flat_until({"("})
         k.extend(self._balanced_group())
         self._block(k)
-        return self._universal(UniversalKind.FUNCTION_DECL, k)
+        return EcstNode.universal(UniversalKind.FUNCTION_DECL, k)
 
     # -- statements --------------------------------------------------------
 
@@ -109,30 +109,30 @@ class JavaParser(BaseParser):
     def _paren_condition(self) -> EcstNode:
         if not self._at("("):
             self._error("expected parenthesized condition")
-        return self._universal(UniversalKind.CONDITION, self._balanced_group())
+        return EcstNode.universal(UniversalKind.CONDITION, self._balanced_group())
 
     def _if_statement(self) -> EcstNode:
         b = [self._expect("if"), self._paren_condition()]
         self._stmt_or_block(b)
-        branches = [self._universal(UniversalKind.BRANCH, b)]
+        branches = [EcstNode.universal(UniversalKind.BRANCH, b)]
         while self._at("else"):
             nxt = self._peek(1)
             if nxt is not None and nxt.label == "if":
                 # else-if flattens into a sibling branch of the same chain
                 b = [self._advance(), self._advance(), self._paren_condition()]
                 self._stmt_or_block(b)
-                branches.append(self._universal(UniversalKind.BRANCH, b))
+                branches.append(EcstNode.universal(UniversalKind.BRANCH, b))
                 continue
             b = [self._advance()]
             self._stmt_or_block(b)
-            branches.append(self._universal(UniversalKind.BRANCH, b))
+            branches.append(EcstNode.universal(UniversalKind.BRANCH, b))
             break
-        return self._universal(UniversalKind.BRANCH_STATEMENT, branches)
+        return EcstNode.universal(UniversalKind.BRANCH_STATEMENT, branches)
 
     def _while_loop(self) -> EcstNode:
         k = [self._expect("while"), self._paren_condition()]
         self._stmt_or_block(k)
-        return self._universal(UniversalKind.LOOP_STATEMENT, k)
+        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)
 
     def _do_loop(self) -> EcstNode:
         k = [self._expect("do")]
@@ -140,7 +140,7 @@ class JavaParser(BaseParser):
         k.append(self._expect("while"))
         k.append(self._paren_condition())
         k.append(self._expect(";"))
-        return self._universal(UniversalKind.LOOP_STATEMENT, k)
+        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)
 
     def _for_loop(self) -> EcstNode:
         k = [self._expect("for"), self._expect("(")]
@@ -149,9 +149,9 @@ class JavaParser(BaseParser):
         test = self._flat_until({";"})
         if test:
             # An empty test part gets no CONDITION node.
-            k.append(self._universal(UniversalKind.CONDITION, test))
+            k.append(EcstNode.universal(UniversalKind.CONDITION, test))
         k.append(self._expect(";"))
         k.extend(self._flat_until({")"}))
         k.append(self._expect(")"))
         self._stmt_or_block(k)
-        return self._universal(UniversalKind.LOOP_STATEMENT, k)
+        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)

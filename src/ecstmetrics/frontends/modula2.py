@@ -42,7 +42,7 @@ class Modula2Parser(BaseParser):
             self._declarations(kids)
             if not kids:
                 self._error("empty compilation unit")
-        return self._universal(UniversalKind.COMPILATION_UNIT, kids)
+        return EcstNode.universal(UniversalKind.COMPILATION_UNIT, kids)
 
     # -- declarations ------------------------------------------------------
 
@@ -73,7 +73,7 @@ class Modula2Parser(BaseParser):
         k.append(self._expect("END"))
         k.append(self._expect_type("identifier"))
         k.append(self._expect(";"))
-        return self._universal(UniversalKind.FUNCTION_DECL, k)
+        return EcstNode.universal(UniversalKind.FUNCTION_DECL, k)
 
     # -- statements --------------------------------------------------------
 
@@ -108,35 +108,35 @@ class Modula2Parser(BaseParser):
         nodes = self._flat_until(stops)
         if not nodes:
             self._error("empty condition")
-        return self._universal(UniversalKind.CONDITION, nodes)
+        return EcstNode.universal(UniversalKind.CONDITION, nodes)
 
     def _if_statement(self) -> EcstNode:
         b = [self._expect("IF"), self._condition(COND_STOPS), self._expect("THEN")]
         self._statement_sequence(b, {"ELSIF", "ELSE", "END"})
-        branches = [self._universal(UniversalKind.BRANCH, b)]
+        branches = [EcstNode.universal(UniversalKind.BRANCH, b)]
         while self._at("ELSIF"):
             b = [self._advance(), self._condition(COND_STOPS), self._expect("THEN")]
             self._statement_sequence(b, {"ELSIF", "ELSE", "END"})
-            branches.append(self._universal(UniversalKind.BRANCH, b))
+            branches.append(EcstNode.universal(UniversalKind.BRANCH, b))
         if self._at("ELSE"):
             b = [self._advance()]
             self._statement_sequence(b, {"END"})
-            branches.append(self._universal(UniversalKind.BRANCH, b))
+            branches.append(EcstNode.universal(UniversalKind.BRANCH, b))
         branches.append(self._expect("END"))
-        return self._universal(UniversalKind.BRANCH_STATEMENT, branches)
+        return EcstNode.universal(UniversalKind.BRANCH_STATEMENT, branches)
 
     def _while_loop(self) -> EcstNode:
         k = [self._expect("WHILE"), self._condition(COND_STOPS), self._expect("DO")]
         self._statement_sequence(k, {"END"})
         k.append(self._expect("END"))
-        return self._universal(UniversalKind.LOOP_STATEMENT, k)
+        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)
 
     def _repeat_loop(self) -> EcstNode:
         k = [self._expect("REPEAT")]
         self._statement_sequence(k, {"UNTIL"})
         k.append(self._expect("UNTIL"))
         k.append(self._condition(COND_STOPS))
-        return self._universal(UniversalKind.LOOP_STATEMENT, k)
+        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)
 
     def _for_loop(self) -> EcstNode:
         k = [self._expect("FOR"), self._expect_type("identifier"), self._expect(":=")]
@@ -150,4 +150,4 @@ class Modula2Parser(BaseParser):
         k.append(self._expect("DO"))
         self._statement_sequence(k, {"END"})
         k.append(self._expect("END"))
-        return self._universal(UniversalKind.LOOP_STATEMENT, k)
+        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)

@@ -96,7 +96,8 @@ def _fail(el: _Open, message: str):
     raise TreeXmlError(f"{message} (element <{el.tag}>, line {el.line})")
 
 
-def _int_attr(el: _Open, name: str, minimum: int = 1) -> int:
+def _int_attr(el: _Open, name: str) -> int:
+    """A positive integer attribute: a line, a column or totalLines."""
     raw = el.attrs.get(name)
     if raw is None:
         _fail(el, f"missing attribute {name!r}")
@@ -104,13 +105,17 @@ def _int_attr(el: _Open, name: str, minimum: int = 1) -> int:
         value = int(raw)
     except ValueError:
         _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
-    if value < minimum:
-        _fail(el, f"attribute {name!r} must be >= {minimum}, got {value}")
+    if value < 1:
+        _fail(el, f"attribute {name!r} must be >= 1, got {value}")
     return value
 
 
 def _build_node(el: _Open) -> EcstNode:
-    """The node for an element below <ecst>, its children already built."""
+    """The node for an element below <ecst>, its children already built.
+
+    Checks every rule about the element's own fields; validate_tree
+    checks the rules that span elements.
+    """
     text = "".join(el.text)
     if el.tag == "node":
         kind_raw = el.attrs.get("kind")
@@ -131,15 +136,14 @@ def _build_node(el: _Open) -> EcstNode:
             _fail(el, "<token> must not contain elements")
         if not text:
             _fail(el, "empty <token> lexeme")
-        try:
-            span = SourceSpan(
-                _int_attr(el, "line"),
-                _int_attr(el, "col"),
-                _int_attr(el, "endLine"),
-                _int_attr(el, "endCol"),
-            )
-        except ValueError as e:
-            _fail(el, f"invalid span: {e}")
+        span = SourceSpan(
+            _int_attr(el, "line"),
+            _int_attr(el, "col"),
+            _int_attr(el, "endLine"),
+            _int_attr(el, "endCol"),
+        )
+        if span[:2] > span[2:]:
+            _fail(el, f"invalid span: span start after end: {span}")
         return EcstNode.concrete(text, token_type, span)
     _fail(el, f"unknown element <{el.tag}>")
 

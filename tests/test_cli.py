@@ -6,18 +6,24 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecstmetrics import measure_tree, parse_file, parse_source
 from ecstmetrics.cli import main
+from ecstmetrics.errors import LexError
+from ecstmetrics.tree import SourceSpan
 from ecstmetrics.xmlio import (
     load_tree_file,
     parse_tree_xml,
     serialize_metrics,
     serialize_tree,
 )
+from test_reference_parity import LANGUAGES, PROGRAMS
 
 
 @pytest.fixture
@@ -190,6 +196,30 @@ class TestExitCodes:
         assert main(["measure", "bad.ecst.xml"]) == 5
         assert "MYSTERY" in capsys.readouterr().err
 
+    # Legal sources with a character XML 1.0 cannot carry in a comment.
+    CONTROL_SOURCES = {
+        "Bell.java": "class T {\n    // abc\x07\n    void m() { }\n}\n",
+        "Page.mod": "MODULE M;\n(* comment\x0c *)\nBEGIN\nEND M.\n",
+    }
+
+    @pytest.mark.parametrize("command", ["parse", "measure", "run"])
+    @pytest.mark.parametrize("name", sorted(CONTROL_SOURCES))
+    def test_control_character_is_3_with_position(self, workdir, capsys, command, name):
+        text = self.CONTROL_SOURCES[name]
+        (workdir / name).write_text(text, encoding="utf-8")
+        assert main([command, name]) == 3
+        char = repr(text[text.index("\n") + 11])
+        assert capsys.readouterr().err == (
+            f"{name}:2:11: error: character {char} cannot be stored in tree XML\n"
+        )
+        assert not any(p.name.startswith(name + ".") for p in workdir.iterdir())
+
+    def test_control_character_inside_a_multiline_comment(self):
+        source = "MODULE M;\n(* one\n  two\x1b *)\nBEGIN\nEND M.\n"
+        with pytest.raises(LexError, match=r"character '\\x1b'") as info:
+            parse_source(source, "modula2")
+        assert info.value.span == SourceSpan(3, 6, 3, 6)
+
     def test_run_returns_worst_code(self, workdir, capsys):
         (workdir / "Broken.mod").write_text("MODULE B;\nEND\n", encoding="utf-8")
         code = main(["run", "QuickSort.mod", "Broken.mod", "--metrics-dir", "out"])
@@ -198,6 +228,36 @@ class TestExitCodes:
         assert (workdir / "out" / "QuickSort.mod.metrics.xml").exists()
         assert not (workdir / "out" / "Broken.mod.metrics.xml").exists()
         capsys.readouterr()
+
+
+# A comment holding a character that tree XML cannot carry.
+CONTROL_COMMENTS = {"modula2": "(* \x07 *)", "javaoo": "// \x0c\n"}
+EXTENSIONS = {"modula2": ".mod", "javaoo": ".java"}
+
+
+class TestRunContract:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        language=st.shared(st.sampled_from(LANGUAGES), key="language"),
+        source=PROGRAMS,
+        control=st.booleans(),
+        where=st.floats(0, 1, exclude_max=True),
+    )
+    def test_run_exits_0_or_3_and_round_trips(self, language, source, control, where):
+        if control:
+            gaps = [i for i, c in enumerate(source) if c in " \n"]
+            i = gaps[int(where * len(gaps))]
+            source = f"{source[:i]} {CONTROL_COMMENTS[language]} {source[i:]}"
+        with tempfile.TemporaryDirectory() as tmp:
+            src = os.path.join(tmp, "P" + EXTENSIONS[language])
+            with open(src, "w", encoding="utf-8", newline="") as handle:
+                handle.write(source)
+            trees = os.path.join(tmp, "trees")
+            code = main(["run", src, "--tree-dir", trees, "--metrics-dir", tmp])
+            assert code in ((3,) if control else (0, 3))
+            if code == 0:
+                doc = Path(trees, "P" + EXTENSIONS[language] + ".ecst.xml").read_bytes()
+                assert serialize_tree(parse_tree_xml(doc)).encode("utf-8") == doc
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ecstmetrics.errors import MalformedTreeError
+from ecstmetrics.errors import MalformedTreeError, TreeXmlError
 from ecstmetrics.tree import (
     EcstNode,
     EcstTree,
@@ -15,6 +15,7 @@ from ecstmetrics.tree import (
     validate_tree,
     walk,
 )
+from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
 from oracles import subtree_span
 
 
@@ -32,24 +33,30 @@ def _tree(root_children, total_lines=1):
     return EcstTree(root=root, source_path="t", language_id="modula2", total_lines=total_lines)
 
 
+def _rejected_on_reload(tree_or_doc, match):
+    """The rules on one node's own fields belong to the XML reader: a tree
+    that breaks one is written out as it is, and cannot be read back."""
+    doc = tree_or_doc if isinstance(tree_or_doc, str) else serialize_tree(tree_or_doc)
+    with pytest.raises(TreeXmlError, match=match):
+        parse_tree_xml(doc)
+
+
 class TestSourceSpan:
     def test_single_position(self):
         span = SourceSpan(3, 7, 3, 7)
         assert span.start_line == span.end_line == 3
 
     def test_rejects_zero_based(self):
-        with pytest.raises(ValueError):
-            SourceSpan(0, 1, 1, 1)
-        with pytest.raises(ValueError):
-            SourceSpan(1, 0, 1, 1)
+        _rejected_on_reload(_tree([_tok("x", line=0)]), "'line' must be >= 1")
+        _rejected_on_reload(_tree([_tok("x", col=0, end_col=1)]), "'col' must be >= 1")
 
     def test_rejects_reversed_lines(self):
-        with pytest.raises(ValueError):
-            SourceSpan(4, 1, 3, 1)
+        node = EcstNode.concrete("x", "identifier", SourceSpan(4, 1, 3, 1))
+        _rejected_on_reload(_tree([node], total_lines=4), "span start after end")
 
     def test_rejects_reversed_cols_on_same_line(self):
-        with pytest.raises(ValueError):
-            SourceSpan(2, 9, 2, 5)
+        node = EcstNode.concrete("x", "identifier", SourceSpan(2, 9, 2, 5))
+        _rejected_on_reload(_tree([node], total_lines=2), "span start after end")
 
     def test_multiline_allows_smaller_end_col(self):
         span = SourceSpan(1, 10, 2, 2)
@@ -146,8 +153,7 @@ class TestValidation:
     def test_rejects_non_unit_root(self):
         root = EcstNode.universal(UniversalKind.BRANCH, [_tok("x")])
         tree = EcstTree(root=root, source_path="t", language_id="modula2", total_lines=1)
-        with pytest.raises(MalformedTreeError):
-            validate_tree(tree)
+        _rejected_on_reload(tree, "top-level <node> must be COMPILATION_UNIT")
 
     def test_rejects_universal_without_tokens(self):
         tree = _tree([EcstNode.universal(UniversalKind.BRANCH_STATEMENT, [])])
@@ -187,16 +193,16 @@ class TestValidation:
 
     def test_rejects_bad_token_type(self):
         node = EcstNode(label="x", token_type="mystery", span=SourceSpan(1, 1, 1, 1))
-        tree = _tree([node])
-        with pytest.raises(MalformedTreeError):
-            validate_tree(tree)
+        _rejected_on_reload(_tree([node]), "unknown token type 'mystery'")
 
     def test_rejects_concrete_with_children(self):
-        bad = _tok("x")
-        bad.children.append(_tok("y", col=2))
-        tree = _tree([bad])
-        with pytest.raises(MalformedTreeError):
-            validate_tree(tree)
+        # The writer never descends into a token, so the child is put in by hand.
+        doc = serialize_tree(_tree([_tok("x")])).replace(
+            ">x</token>",
+            '>x<token type="identifier" line="1" col="2" endLine="1" endCol="2">y'
+            "</token></token>",
+        )
+        _rejected_on_reload(doc, "<token> must not contain elements")
 
     def test_rejects_swapped_tokens(self):
         tree = _tree([_tok("b", col=3), _tok("a", col=1)])

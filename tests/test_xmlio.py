@@ -87,6 +87,14 @@ class TestRoundTrip:
         again = parse_tree_xml(serialize_tree(tree))
         assert again.root.children[0].children[-1].label == '"x<&>"'
 
+    def test_multiline_span_with_smaller_end_col(self):
+        doc = MINI_XML.replace(
+            'col="11" endLine="1" endCol="11"', 'col="11" endLine="2" endCol="2"'
+        )
+        tree = parse_tree_xml(doc)
+        assert tree.root.children[0].children[1].span == SourceSpan(1, 11, 2, 2)
+        assert serialize_tree(tree) == doc
+
     def test_bytes_and_str_inputs_agree(self):
         assert parse_tree_xml(MINI_XML.encode()) == parse_tree_xml(MINI_XML)
 
@@ -109,12 +117,19 @@ class TestSchemaErrors:
     def test_root_must_be_compilation_unit(self):
         doc = MINI_XML.replace('kind="COMPILATION_UNIT"', 'kind="BRANCH"')
         self._raises(doc, "COMPILATION_UNIT", "line 2")
+        doc = MINI_XML.replace('kind="COMPILATION_UNIT"', 'kind="FUNCTION_DECL"')
+        self._raises(doc, "top-level <node> must be COMPILATION_UNIT", "line 2")
 
     def test_unknown_token_type(self):
         self._raises(
             MINI_XML.replace('type="identifier"', 'type="wibble"'),
             "unknown token type",
             "line 5",
+        )
+        self._raises(
+            MINI_XML.replace('type="keyword"', 'type="mystery"'),
+            "unknown token type 'mystery'",
+            "line 4",
         )
 
     def test_missing_span_attribute(self):
@@ -135,6 +150,11 @@ class TestSchemaErrors:
             MINI_XML.replace('line="1" col="1"', 'line="0" col="1"', 1),
             ">= 1",
         )
+        self._raises(
+            MINI_XML.replace('line="1" col="1"', 'line="1" col="0"', 1),
+            "attribute 'col' must be >= 1, got 0",
+            "line 4",
+        )
 
     def test_reversed_span_rejected(self):
         self._raises(
@@ -143,6 +163,22 @@ class TestSchemaErrors:
                 'line="1" col="9" endLine="1" endCol="1"',
             ),
             "invalid span",
+        )
+        self._raises(
+            MINI_XML.replace(
+                'line="1" col="11" endLine="1"', 'line="4" col="11" endLine="3"'
+            ),
+            "invalid span: span start after end: "
+            "SourceSpan(start_line=4, start_col=11, end_line=3, end_col=11)",
+            "line 5",
+        )
+        self._raises(
+            MINI_XML.replace(
+                'line="1" col="11" endLine="1" endCol="11"',
+                'line="2" col="9" endLine="2" endCol="5"',
+            ),
+            "invalid span: span start after end: "
+            "SourceSpan(start_line=2, start_col=9, end_line=2, end_col=5)",
         )
 
     def test_text_inside_node_element(self):
@@ -156,6 +192,12 @@ class TestSchemaErrors:
             ">P</token>", '><node kind="BRANCH"/></token>'
         )
         self._raises(doc, "must not contain elements")
+        doc = MINI_XML.replace(
+            ">P</token>",
+            '><token type="identifier" line="1" col="12" endLine="1" endCol="12">y'
+            "</token>P</token>",
+        )
+        self._raises(doc, "<token> must not contain elements", "line 5")
 
     def test_empty_token_lexeme(self):
         doc = MINI_XML.replace(">PROCEDURE</token>", "></token>")
