@@ -57,6 +57,17 @@ def _write_text(path, text: str) -> None:
         raise SourceIoError(f"cannot write {path}: {e.strerror or e}") from e
 
 
+def _out_path(directory, source_path: str, suffix: str) -> str:
+    """directory/<source file name><suffix>, creating directory if needed."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as e:
+        raise SourceIoError(
+            f"cannot create directory {directory}: {e.strerror or e}"
+        ) from e
+    return os.path.join(directory, os.path.basename(source_path) + suffix)
+
+
 def _metrics_out_path(source_path: str) -> str:
     if source_path.endswith(TREE_SUFFIX):
         return source_path[: -len(TREE_SUFFIX)] + METRICS_SUFFIX
@@ -110,19 +121,13 @@ def _cmd_measure(args) -> int:
 def _run_one(src, registry, args) -> int:
     try:
         language = registry.detect(src)
-        tree = parse_file(src, language)
-        tree_xml = serialize_tree(tree)
+        tree_xml = serialize_tree(parse_file(src, language))
         if args.tree_dir:
-            os.makedirs(args.tree_dir, exist_ok=True)
-            tree_path = os.path.join(args.tree_dir, os.path.basename(src) + TREE_SUFFIX)
-            _write_text(tree_path, tree_xml)
+            _write_text(_out_path(args.tree_dir, src, TREE_SUFFIX), tree_xml)
         # The reload step is part of the pipeline, not an option.
         reloaded = parse_tree_xml(tree_xml)
         report = measure_tree(reloaded, extended=args.extended_cc)
-        os.makedirs(args.metrics_dir, exist_ok=True)
-        out = os.path.join(
-            args.metrics_dir, os.path.basename(src) + METRICS_SUFFIX
-        )
+        out = _out_path(args.metrics_dir, src, METRICS_SUFFIX)
         _write_text(out, serialize_metrics(report))
     except _HANDLED as e:
         _report_error(src, e)

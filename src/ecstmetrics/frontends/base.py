@@ -10,6 +10,12 @@ from __future__ import annotations
 from ..errors import ParseError
 from ..tree import EcstNode, EcstTree, SourceSpan
 
+#: Deepest nesting a source may have.  Each method or procedure and each
+#: statement opens one level, so a loop or branch counts once with its
+#: braces and a bare block counts once.  The parsers recurse once per
+#: level; the limit keeps them well inside Python's recursion limit.
+MAX_NESTING = 200
+
 
 class BaseParser:
     """Cursor over the real (non-comment) tokens plus tree assembly.
@@ -30,6 +36,7 @@ class BaseParser:
             else:
                 self.toks.append(tok)
         self.i = 0
+        self.depth = 0  # nesting levels open at the cursor
 
     # -- cursor primitives -------------------------------------------------
 
@@ -66,6 +73,15 @@ class BaseParser:
             found = "end of input" if tok is None else repr(tok.label)
             self._error(f"expected {token_type}, found {found}")
         return self._advance()
+
+    def _enter_level(self) -> None:
+        """Open one nesting level at the current token; see MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self._error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+
+    def _leave_level(self) -> None:
+        self.depth -= 1
 
     def _error(self, message: str):
         tok = self._peek()

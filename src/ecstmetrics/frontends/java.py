@@ -61,9 +61,11 @@ class JavaParser(BaseParser):
             kids.append(self._expect(";"))
 
     def _method(self) -> EcstNode:
+        self._enter_level()
         k = self._flat_until({"("})
         k.extend(self._balanced_group())
         self._block(k)
+        self._leave_level()
         return EcstNode.universal(UniversalKind.FUNCTION_DECL, k)
 
     # -- statements --------------------------------------------------------
@@ -83,6 +85,7 @@ class JavaParser(BaseParser):
             self._statement(kids)
 
     def _statement(self, kids: list[EcstNode]) -> None:
+        self._enter_level()
         if self._at("if"):
             kids.append(self._if_statement())
         elif self._at("while"):
@@ -105,6 +108,7 @@ class JavaParser(BaseParser):
                 self._error("expected statement")
             kids.extend(self._flat_until({";"}))
             kids.append(self._expect(";"))
+        self._leave_level()
 
     def _paren_condition(self) -> EcstNode:
         if not self._at("("):

@@ -59,6 +59,7 @@ class Modula2Parser(BaseParser):
                 return
 
     def _procedure(self) -> EcstNode:
+        self._enter_level()
         k = [self._expect("PROCEDURE"), self._expect_type("identifier")]
         if self._at("("):
             k.extend(self._balanced_group())
@@ -73,6 +74,7 @@ class Modula2Parser(BaseParser):
         k.append(self._expect("END"))
         k.append(self._expect_type("identifier"))
         k.append(self._expect(";"))
+        self._leave_level()
         return EcstNode.universal(UniversalKind.FUNCTION_DECL, k)
 
     # -- statements --------------------------------------------------------
@@ -88,6 +90,7 @@ class Modula2Parser(BaseParser):
                 kids.append(self._advance())
 
     def _statement(self, kids: list[EcstNode]) -> None:
+        self._enter_level()
         if self._at("IF"):
             kids.append(self._if_statement())
         elif self._at("WHILE"):
@@ -103,6 +106,7 @@ class Modula2Parser(BaseParser):
             kids.extend(self._flat_until(COND_STOPS))
         else:
             self._error("expected statement")
+        self._leave_level()
 
     def _condition(self, stops: frozenset) -> EcstNode:
         nodes = self._flat_until(stops)

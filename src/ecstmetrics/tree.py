@@ -9,7 +9,7 @@ always derived from their concrete descendants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -50,20 +50,21 @@ class SourceSpan(NamedTuple):
     end_col: int
 
 
-@dataclass
+@dataclass(slots=True)
 class EcstNode:
     """One tree node: a concrete token or a universal marker.
 
     label holds the source lexeme for concrete nodes and the canonical
     kind spelling for universal nodes.  The scanner makes the concrete
-    nodes and the parser places each of them once in the tree.
+    nodes and the parser places each of them once in the tree.  A token
+    is a leaf: its children are the shared empty tuple.
     """
 
     label: str
     kind: UniversalKind | None = None
     token_type: str | None = None
     span: SourceSpan | None = None
-    children: list["EcstNode"] = field(default_factory=list)
+    children: list["EcstNode"] | tuple = ()
 
     @property
     def is_universal(self) -> bool:

@@ -156,8 +156,6 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     several schema violations, the one of the <ecst> element comes first,
     then the first failing element in document order.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
     parser = expat.ParserCreate()
     parser.buffer_text = True
     stack: list[_Open] = []  # open elements; the <ecst> element stays

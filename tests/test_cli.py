@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import shutil
 import subprocess
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecstmetrics import measure_tree, parse_file, parse_source
+from ecstmetrics import cli, measure_tree, parse_file, parse_source
 from ecstmetrics.cli import main
-from ecstmetrics.errors import LexError
-from ecstmetrics.tree import SourceSpan
+from ecstmetrics.errors import LexError, ParseError
+from ecstmetrics.frontends.base import MAX_NESTING
+from ecstmetrics.tree import EcstTree, SourceSpan
 from ecstmetrics.xmlio import (
     load_tree_file,
     parse_tree_xml,
@@ -122,6 +124,22 @@ class TestRunCommand:
         data = (workdir / "trees" / "QuickSort.java.ecst.xml").read_bytes()
         assert parse_tree_xml(data) == parse_file("QuickSort.java", "javaoo")
 
+    def test_parsed_tree_is_freed_before_the_reload(self, workdir, monkeypatch):
+        src = str(workdir / "QuickSort.mod")  # a path no other tree carries
+        alive = []
+
+        def reload(document):
+            gc.collect()
+            alive.append(sum(
+                isinstance(o, EcstTree) and o.source_path == src
+                for o in gc.get_objects()
+            ))
+            return parse_tree_xml(document)
+
+        monkeypatch.setattr(cli, "parse_tree_xml", reload)
+        assert main(["run", src]) == 0
+        assert alive == [0]
+
 
 class TestRegistryResolution:
     def test_builtin_registry_covers_fixture_extensions(self, workdir):
@@ -220,6 +238,26 @@ class TestExitCodes:
             parse_source(source, "modula2")
         assert info.value.span == SourceSpan(3, 6, 3, 6)
 
+    @pytest.mark.parametrize(
+        "option,directory,reason",
+        [
+            ("--metrics-dir", "afile/sub", "Not a directory"),
+            ("--tree-dir", "afile", "File exists"),
+        ],
+    )
+    def test_uncreatable_output_directory_is_4(
+        self, workdir, capsys, option, directory, reason
+    ):
+        (workdir / "afile").write_text("", encoding="utf-8")
+        assert main(["run", "QuickSort.mod", "Features.java", option, directory]) == 4
+        captured = capsys.readouterr()
+        # No traceback, and the run goes on to the next file.
+        assert captured.err == "".join(
+            f"{name}: error: cannot create directory {directory}: {reason}\n"
+            for name in ("QuickSort.mod", "Features.java")
+        )
+        assert captured.out == ""
+
     def test_run_returns_worst_code(self, workdir, capsys):
         (workdir / "Broken.mod").write_text("MODULE B;\nEND\n", encoding="utf-8")
         code = main(["run", "QuickSort.mod", "Broken.mod", "--metrics-dir", "out"])
@@ -260,21 +298,84 @@ class TestRunContract:
                 assert serialize_tree(parse_tree_xml(doc)).encode("utf-8") == doc
 
 
+# Sources nested `levels` deep, one level opening per line, each with
+# the line where its deepest level opens.  A method or procedure opens a
+# level, and so does each statement: a loop with its braces, a bare block.
+def _java(opening: str, levels: int) -> tuple[str, int]:
+    n = levels - 1  # inside the method
+    return "class T {\n  void m() {\n" + opening * n + "}\n" * n + "  }\n}\n", 2 + n
+
+
+def _modula2_loops(levels: int) -> tuple[str, int]:
+    n = levels - 1  # the innermost assignment is the last level
+    source = "MODULE M;\nBEGIN\n" + "WHILE a DO\n" * n + "a := 1\n" + "END\n" * n + "END M.\n"
+    return source, 3 + n
+
+
+def _modula2_procedures(levels: int) -> tuple[str, int]:
+    names = [f"P{i}" for i in range(levels)]
+    source = (
+        "MODULE M;\n"
+        + "".join(f"PROCEDURE {name};\n" for name in names)
+        + "".join(f"END {name};\n" for name in reversed(names))
+        + "END M.\n"
+    )
+    return source, 1 + levels
+
+
+NESTED = {
+    "java-loops": ("javaoo", lambda levels: _java("while (a) {\n", levels)),
+    "java-blocks": ("javaoo", lambda levels: _java("{\n", levels)),
+    "modula2-loops": ("modula2", _modula2_loops),
+    "modula2-procedures": ("modula2", _modula2_procedures),
+}
+NESTING_ERROR = f"nesting deeper than {MAX_NESTING} levels"
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_limit_parses_and_deeper_is_a_parse_error(self, shape):
+        language, build = NESTED[shape]
+        parse_source(build(MAX_NESTING)[0], language)
+        _, line = build(MAX_NESTING + 1)
+        for levels in (MAX_NESTING + 1, 600):
+            with pytest.raises(ParseError, match=NESTING_ERROR) as info:
+                parse_source(build(levels)[0], language)
+            assert info.value.span[:2] == (line, 1)
+
+    @pytest.mark.parametrize("shape", ["java-loops", "modula2-loops"])
+    def test_run_subprocess_at_and_past_the_limit(self, tmp_path, shape):
+        language, build = NESTED[shape]
+        name = "Deep" + EXTENSIONS[language]
+        for levels, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 3)):
+            source, line = build(levels)
+            (tmp_path / name).write_text(source, encoding="utf-8")
+            proc = _run_module(["run", name], cwd=tmp_path)
+            assert proc.returncode == code, proc.stderr
+            expected = f"{name}:{line}:1: error: {NESTING_ERROR}\n" if code else ""
+            assert proc.stderr == expected
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_module(argv, cwd) -> subprocess.CompletedProcess:
+    """python -m ecstmetrics in cwd, with this checkout's package."""
+    # The subprocess runs in a temp directory, where a relative
+    # PYTHONPATH such as "src" would not resolve.
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ecstmetrics", *argv],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
 
 
 class TestEntryPoint:
     def test_module_invocation(self, workdir):
-        # The subprocess runs in a temp directory, where a relative
-        # PYTHONPATH such as "src" would not resolve.
-        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ecstmetrics", "run", "QuickSort.mod", "--table"],
-            capture_output=True,
-            text=True,
-            cwd=workdir,
-            env=dict(os.environ, PYTHONPATH=pythonpath),
-        )
+        proc = _run_module(["run", "QuickSort.mod", "--table"], cwd=workdir)
         assert proc.returncode == 0, proc.stderr
         assert "Sort" in proc.stdout
         assert (workdir / "QuickSort.mod.metrics.xml").exists()

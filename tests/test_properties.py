@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import generators
 from ecstmetrics import parse_source
 from ecstmetrics.lexer import lex
 from ecstmetrics.metrics import measure_tree
-from ecstmetrics.tree import preorder, validate_tree
+from ecstmetrics.tree import preorder, validate_tree, walk
 from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
 from oracles import subtree_span
 
@@ -70,3 +72,39 @@ def test_measurement_bounds(language, seed):
     assert all(
         e.cc >= b.cc for e, b in zip(extended.elements, report.elements)
     )
+
+
+def _language_independent_view(language, seed):
+    """What the paper claims no language changes: the universal skeleton
+    (kind and entry/exit) and the (annotation, cc) columns, plain and
+    extended."""
+    tree = parse_source(generators.generate(language, seed).source, language)
+    skeleton = [
+        (node.kind, hi is not None)
+        for node, _, hi in walk(tree.root)
+        if node.kind is not None
+    ]
+    columns = [
+        [(row.annotation, row.cc) for row in measure_tree(tree, extended=ext).elements]
+        for ext in (False, True)
+    ]
+    return skeleton, columns
+
+
+def _assert_languages_agree(seed):
+    modula2 = _language_independent_view("modula2", seed)
+    java = _language_independent_view("javaoo", seed)
+    assert modula2[0] == java[0], "universal skeletons differ"
+    assert modula2[1] == java[1], "(annotation, cc) columns differ"
+
+
+@pytest.mark.parametrize("seed", range(400))
+def test_languages_agree_on_generated_programs(seed):
+    # The generators draw the same constructs for a seed in both languages.
+    _assert_languages_agree(seed)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=400, max_value=2**32 - 1))
+def test_languages_agree_on_any_seed(seed):
+    _assert_languages_agree(seed)

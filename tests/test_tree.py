@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ecstmetrics.errors import MalformedTreeError, TreeXmlError
+from ecstmetrics.lexer import lex
 from ecstmetrics.tree import (
     EcstNode,
     EcstTree,
@@ -74,6 +75,17 @@ class TestNodeConstruction:
         assert not node.is_universal
         assert node.token_type == "keyword"
         assert node.span.end_col == 5
+
+    def test_tokens_are_slotted_leaves(self, corpus):
+        # One object per token: no children list and no instance __dict__.
+        for name, (text, tree) in corpus.items():
+            lexed = lex(text, tree.language_id)
+            reloaded = parse_tree_xml(serialize_tree(tree))
+            tokens = [n for n in preorder(reloaded) if not n.is_universal]
+            assert len(tokens) == len(lexed), name
+            for tok in lexed + tokens:
+                assert tok.children == ()
+                assert not hasattr(tok, "__dict__")
 
 
 class TestTraversal:

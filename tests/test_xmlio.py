@@ -97,6 +97,25 @@ class TestRoundTrip:
 
     def test_bytes_and_str_inputs_agree(self):
         assert parse_tree_xml(MINI_XML.encode()) == parse_tree_xml(MINI_XML)
+        # A non-ASCII lexeme before the fault: both are read as UTF-8.
+        bad = MINI_XML.replace(">P</token>", ">\u00e9</token><")
+        messages = []
+        for doc in (bad, bad.encode()):
+            with pytest.raises(TreeXmlError, match="not well-formed") as info:
+                parse_tree_xml(doc)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+    def test_str_is_read_as_its_characters(self):
+        # A declared encoding applies to bytes; a str is already decoded.
+        doc = '<?xml version="1.0" encoding="latin-1"?>\n' + MINI_XML.replace(
+            ">P</token>", ">\u00e9</token>"
+        )
+        token = parse_tree_xml(doc).root.children[0].children[1]
+        assert token.label == "\u00e9"
+        token = parse_tree_xml(doc.encode("latin-1")).root.children[0].children[1]
+        assert token.label == "\u00e9"
 
 
 class TestSchemaErrors:
@@ -227,7 +246,13 @@ class TestSchemaErrors:
         self._raises(doc, "exactly one")
 
     def test_not_well_formed(self):
-        self._raises('<ecst source="x" language="y" totalLines="1">', "not well-formed")
+        doc = '<ecst source="x" language="y" totalLines="1">'
+        self._raises(doc, "not well-formed")
+        with pytest.raises(TreeXmlError) as as_str:
+            parse_tree_xml(doc)
+        with pytest.raises(TreeXmlError) as as_bytes:
+            parse_tree_xml(doc.encode())
+        assert str(as_bytes.value) == str(as_str.value)
 
     def test_empty_input(self):
         with pytest.raises(TreeXmlError):
