@@ -8,17 +8,11 @@ For multi-file runs the highest per-file code wins.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
-from .errors import (
-    FrontendError,
-    LexError,
-    ParseError,
-    RegistryError,
-    SourceIoError,
-    TreeXmlError,
-)
+from .errors import FrontendError, RegistryError, SourceIoError, TreeXmlError
 from .frontends import parse_file
 from .frontends.registry import builtin_registry, load_registry
 from .metrics import measure_tree, render_table
@@ -32,13 +26,11 @@ _HANDLED = (FrontendError, RegistryError, TreeXmlError)
 
 
 def _report_error(path, exc: Exception) -> None:
+    """One line naming path, and the position when the error has one."""
     span = getattr(exc, "span", None)
-    if isinstance(exc, (LexError, ParseError)) and span is not None:
-        sys.stderr.write(
-            f"{path}:{span.start_line}:{span.start_col}: error: {exc}\n"
-        )
-    else:
-        sys.stderr.write(f"{path}: error: {exc}\n")
+    if span is not None:
+        path = f"{path}:{span.start_line}:{span.start_col}"
+    sys.stderr.write(f"{path}: error: {exc}\n")
 
 
 def _load_registry(registry_path):
@@ -50,11 +42,22 @@ def _load_registry(registry_path):
 
 
 def _write_text(path, text: str) -> None:
+    """Replace path by a file holding text, or leave it as it was.
+
+    The text goes to a temporary file next to path, which then replaces
+    path in one rename, so a failed write never leaves a torn output.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        os.replace(tmp, path)
     except OSError as e:
         raise SourceIoError(f"cannot write {path}: {e.strerror or e}") from e
+    finally:
+        # Already gone after the rename; a failed write must not leave it.
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def _out_path(directory, source_path: str, suffix: str) -> str:
@@ -77,17 +80,11 @@ def _metrics_out_path(source_path: str) -> str:
 def _cmd_parse(args) -> int:
     registry = _load_registry(args.registry)
     src = args.file
-    try:
-        language = registry.detect(src)
-        tree = parse_file(src, language)
-    except _HANDLED as e:
-        _report_error(src, e)
-        return e.exit_code
     out = args.out if args.out else src + TREE_SUFFIX
     try:
-        _write_text(out, serialize_tree(tree))
+        _write_text(out, serialize_tree(parse_file(src, registry.detect(src))))
     except _HANDLED as e:
-        _report_error(out, e)
+        _report_error(src, e)
         return e.exit_code
     print(f"{src} -> {out}")
     return 0
@@ -96,21 +93,16 @@ def _cmd_parse(args) -> int:
 def _cmd_measure(args) -> int:
     registry = _load_registry(args.registry)
     src = args.file
+    out = args.out if args.out else _metrics_out_path(src)
     try:
         if src.endswith(TREE_SUFFIX):
             tree = load_tree_file(src)
         else:
-            language = registry.detect(src)
-            tree = parse_file(src, language)
+            tree = parse_file(src, registry.detect(src))
         report = measure_tree(tree, extended=args.extended_cc)
-    except _HANDLED as e:
-        _report_error(src, e)
-        return e.exit_code
-    out = args.out if args.out else _metrics_out_path(src)
-    try:
         _write_text(out, serialize_metrics(report))
     except _HANDLED as e:
-        _report_error(out, e)
+        _report_error(src, e)
         return e.exit_code
     if args.table:
         sys.stdout.write(render_table(report))
@@ -120,8 +112,7 @@ def _cmd_measure(args) -> int:
 
 def _run_one(src, registry, args) -> int:
     try:
-        language = registry.detect(src)
-        tree_xml = serialize_tree(parse_file(src, language))
+        tree_xml = serialize_tree(parse_file(src, registry.detect(src)))
         if args.tree_dir:
             _write_text(_out_path(args.tree_dir, src, TREE_SUFFIX), tree_xml)
         # The reload step is part of the pipeline, not an option.

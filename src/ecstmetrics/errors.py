@@ -39,7 +39,7 @@ class ParseError(FrontendError):
 
 
 class SourceIoError(FrontendError):
-    """Source file could not be read."""
+    """Source file could not be read, or its name cannot be stored."""
 
     exit_code = 4
 

@@ -46,6 +46,11 @@ def parse_source(source: str, language_id: str, source_path: str = "<string>") -
     parser_cls = FRONTENDS.get(language_id)
     if parser_cls is None:
         raise UnsupportedLanguageError(f"no frontend for language {language_id!r}")
+    bad = _NOT_XML_CHAR.search(source_path)
+    if bad is not None:
+        raise SourceIoError(
+            f"character {bad.group()!r} in the file name cannot be stored in tree XML"
+        )
     tokens = lex(source, language_id)
     _check_xml_chars(source, tokens)
     parser = parser_cls(tokens, language_id, source_path)

@@ -170,14 +170,8 @@ class BaseParser:
         if tok is None or tok.label not in self._OPENERS:
             self._error("expected a bracketed group")
         nodes = [self._advance()]
-        depth = 1
-        while depth:
-            tok = self._peek()
-            if tok is None:
-                self._error("unbalanced brackets")
-            if tok.label in self._OPENERS:
-                depth += 1
-            elif tok.label in self._CLOSERS:
-                depth -= 1
-            nodes.append(self._advance())
+        nodes.extend(self._flat_until(()))
+        if self._peek() is None:
+            self._error("unbalanced brackets")
+        nodes.append(self._advance())
         return nodes

@@ -63,6 +63,8 @@ class JavaParser(BaseParser):
     def _method(self) -> EcstNode:
         self._enter_level()
         k = self._flat_until({"("})
+        if not k or k[-1].token_type != "identifier":
+            self._expect_type("identifier")  # a method needs its name
         k.extend(self._balanced_group())
         self._block(k)
         self._leave_level()

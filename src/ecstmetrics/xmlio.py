@@ -31,7 +31,8 @@ _KIND_VALUES = {kind.value for kind in UniversalKind}
 
 def serialize_tree(tree: EcstTree) -> str:
     """Render a tree as a deterministic eCST XML document, in one pass
-    without recursion."""
+    without recursion.  Token types and node kinds are bare words from
+    closed vocabularies, so they are written without escaping."""
     out = [
         f"<ecst source={quoteattr(tree.source_path)}"
         f" language={quoteattr(tree.language_id)}"
@@ -42,14 +43,14 @@ def serialize_tree(tree: EcstTree) -> str:
         if node.kind is None:
             span = node.span
             out.append(
-                f"{'  ' * (depth + 1)}<token type={quoteattr(node.token_type)}"
+                f"{'  ' * (depth + 1)}<token type=\"{node.token_type}\""
                 f' line="{span.start_line}" col="{span.start_col}"'
                 f' endLine="{span.end_line}" endCol="{span.end_col}"'
                 f">{escape(node.label)}</token>\n"
             )
         elif hi is None:
             depth += 1
-            out.append(f"{'  ' * depth}<node kind={quoteattr(node.kind.value)}>\n")
+            out.append(f"{'  ' * depth}<node kind=\"{node.kind.value}\">\n")
         else:
             out.append(f"{'  ' * depth}</node>\n")
             depth -= 1
@@ -187,7 +188,8 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     parser.EndElementHandler = end
     try:
         parser.Parse(data, True)
-    except expat.ExpatError as e:
+    except (expat.ExpatError, UnicodeEncodeError) as e:
+        # pyexpat encodes a str as UTF-8, which a lone surrogate fails.
         raise TreeXmlError(f"not well-formed XML: {e}") from e
     root_el = stack[0]
     if root_el.tag != "ecst":

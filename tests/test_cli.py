@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import io
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -258,6 +260,38 @@ class TestExitCodes:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["parse", "measure"])
+    def test_unwritable_output_is_4_against_the_source(self, workdir, capsys, command):
+        assert main([command, "QuickSort.java", "--out", "missing/x.xml"]) == 4
+        assert capsys.readouterr().err == (
+            "QuickSort.java: error: cannot write missing/x.xml:"
+            " No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize("command", ["parse", "measure", "run"])
+    def test_file_name_tree_xml_cannot_carry_is_4(self, workdir, monkeypatch, command):
+        # On a POSIX file system the name is the bytes b"Bad\xff.java".
+        name = "Bad\udcff.java"
+        (workdir / name).write_text("class T {\n}\n", encoding="utf-8")
+        before = sorted(os.listdir(workdir))
+        # The process's own stderr escapes the surrogate; a StringIO keeps it.
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        assert main([command, name]) == 4
+        assert sys.stderr.getvalue() == (
+            f"{name}: error: character '\\udcff' in the file name"
+            " cannot be stored in tree XML\n"
+        )
+        assert sys.stdout.getvalue() == ""
+        assert sorted(os.listdir(workdir)) == before
+
+    @pytest.mark.parametrize("command", ["parse", "measure", "run"])
+    def test_method_without_a_name_is_3(self, workdir, capsys, command):
+        (workdir / "A.java").write_text("class A {\n  void () { }\n}\n", encoding="utf-8")
+        assert main([command, "A.java"]) == 3
+        assert capsys.readouterr().err == "A.java:2:8: error: expected identifier, found '('\n"
+        assert not any(p.name.startswith("A.java.") for p in workdir.iterdir())
+
     def test_run_returns_worst_code(self, workdir, capsys):
         (workdir / "Broken.mod").write_text("MODULE B;\nEND\n", encoding="utf-8")
         code = main(["run", "QuickSort.mod", "Broken.mod", "--metrics-dir", "out"])
@@ -359,8 +393,9 @@ class TestNestingLimit:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_module(argv, cwd) -> subprocess.CompletedProcess:
-    """python -m ecstmetrics in cwd, with this checkout's package."""
+def _run_module(argv, cwd, **options) -> subprocess.CompletedProcess:
+    """python -m ecstmetrics in cwd, with this checkout's package; options
+    go to subprocess.run."""
     # The subprocess runs in a temp directory, where a relative
     # PYTHONPATH such as "src" would not resolve.
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -370,7 +405,65 @@ def _run_module(argv, cwd) -> subprocess.CompletedProcess:
         text=True,
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=pythonpath),
+        **options,
     )
+
+
+def _file_size_limit(limit: int):
+    """A preexec_fn capping the size of any file the child writes.
+
+    A write past the limit fails with EFBIG: Python ignores SIGXFSZ.
+    """
+    return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+
+class TestWholeOutputs:
+    """An output file is replaced whole or left as it was."""
+
+    # command, then the output it writes for QuickSort.java
+    COMMANDS = {
+        "parse": (["parse", "QuickSort.java"], "QuickSort.java.ecst.xml"),
+        "measure": (["measure", "QuickSort.java"], "QuickSort.java.metrics.xml"),
+        "run --tree-dir": (
+            ["run", "QuickSort.java", "--tree-dir", "trees"],
+            os.path.join("trees", "QuickSort.java.ecst.xml"),
+        ),
+    }
+
+    @staticmethod
+    def _files(root) -> list[str]:
+        return sorted(
+            os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root)
+            for f in names
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failed_write_keeps_the_previous_output(self, workdir, command):
+        argv, out = self.COMMANDS[command]
+        assert main(argv) == 0
+        previous = (workdir / out).read_bytes()
+        files = self._files(workdir)
+        # The new output is the old one's size, so half of it cannot be written.
+        proc = _run_module(
+            argv, cwd=workdir, preexec_fn=_file_size_limit(len(previous) // 2)
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert (workdir / out).read_bytes() == previous
+        assert self._files(workdir) == files
+        assert proc.stderr == f"QuickSort.java: error: cannot write {out}: File too large\n"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_successful_write_leaves_only_the_output(self, workdir, command):
+        argv, out = self.COMMANDS[command]
+        files = self._files(workdir)
+        (workdir / out).parent.mkdir(exist_ok=True)
+        (workdir / out).write_text("stale\n", encoding="utf-8")
+        assert main(argv) == 0
+        assert (workdir / out).read_text(encoding="utf-8") != "stale\n"
+        # run also writes its metrics, by default into the working directory.
+        written = {out, "QuickSort.java.metrics.xml"} if argv[0] == "run" else {out}
+        assert self._files(workdir) == sorted(set(files) | written)
 
 
 class TestEntryPoint:

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import generators
 from ecstmetrics import parse_source
+from ecstmetrics.errors import LexError, ParseError
 from ecstmetrics.lexer import lex
 from ecstmetrics.metrics import measure_tree
 from ecstmetrics.tree import preorder, validate_tree, walk
 from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
 from oracles import subtree_span
+from test_reference_parity import PROGRAMS
 
 LANGUAGES = ("modula2", "javaoo")
 SEEDS = range(40)
@@ -26,6 +28,22 @@ def _cases():
 def test_generated_trees_validate(language, seed):
     program = generators.generate(language, seed)
     tree = parse_source(program.source, language)
+    validate_tree(tree)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    language=st.shared(st.sampled_from(LANGUAGES), key="language"),
+    source=PROGRAMS,
+)
+# A method without a name must be a parse error, not a tree that fails
+# validation only when it is reloaded.
+@example(language="javaoo", source="class A {\n  void () { }\n}\n")
+def test_every_parsed_tree_validates(language, source):
+    try:
+        tree = parse_source(source, language)
+    except (LexError, ParseError):
+        return
     validate_tree(tree)
 
 

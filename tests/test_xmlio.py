@@ -258,6 +258,15 @@ class TestSchemaErrors:
         with pytest.raises(TreeXmlError):
             parse_tree_xml("")
 
+    def test_lone_surrogate_in_a_str(self):
+        # A str with a lone surrogate has no UTF-8 form for expat to read.
+        self._raises(
+            MINI_XML.replace(">P<", ">\ud800<"),
+            "not well-formed XML",
+            "'\\ud800'",
+            "surrogates not allowed",
+        )
+
     def test_invariant_violation_is_wrapped(self):
         # BRANCH_STATEMENT holding a non-BRANCH universal child
         doc = (
