@@ -60,7 +60,8 @@ def parse_source(source: str, language_id: str, source_path: str = "<string>") -
 def parse_file(path, language_id: str) -> EcstTree:
     """Read a source file and parse it into an eCST."""
     try:
-        source = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as f:
+            source = f.read()
     except OSError as e:
         raise SourceIoError(f"cannot read {path}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:

@@ -139,39 +139,44 @@ class BaseParser:
 
     # -- shared construct helpers ------------------------------------------
 
-    _OPENERS = ("(", "[", "{")
+    _CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
     _CLOSERS = (")", "]", "}")
 
     def _flat_until(self, stops) -> list[EcstNode]:
         """Consume tokens up to a bracket-level-zero stop lexeme.
 
-        Also stops before an unmatched closing bracket so enclosing
-        groups stay balanced.  The stop token itself is not consumed.
+        A closing bracket must match the innermost opening one consumed
+        here; one with none open stops the loop, so enclosing groups stay
+        balanced.  The stop token itself is not consumed.
         """
         nodes: list[EcstNode] = []
-        depth = 0
+        closers: list[str] = []  # the closer each open bracket needs
         while True:
             tok = self._peek()
             if tok is None:
                 return nodes
-            if depth == 0 and tok.label in stops:
+            label = tok.label
+            if not closers and label in stops:
                 return nodes
-            if tok.label in self._OPENERS:
-                depth += 1
-            elif tok.label in self._CLOSERS:
-                if depth == 0:
+            if label in self._CLOSER_OF:
+                closers.append(self._CLOSER_OF[label])
+            elif label in self._CLOSERS:
+                if not closers:
                     return nodes
-                depth -= 1
+                if label != closers[-1]:
+                    self._error(f"expected {closers[-1]!r}, found {label!r}")
+                closers.pop()
             nodes.append(self._advance())
 
     def _balanced_group(self) -> list[EcstNode]:
-        """Consume a bracketed group through its matching closer."""
+        """Consume a bracketed group through the closer of its opener."""
         tok = self._peek()
-        if tok is None or tok.label not in self._OPENERS:
+        if tok is None or tok.label not in self._CLOSER_OF:
             self._error("expected a bracketed group")
+        closer = self._CLOSER_OF[tok.label]
         nodes = [self._advance()]
         nodes.extend(self._flat_until(()))
         if self._peek() is None:
             self._error("unbalanced brackets")
-        nodes.append(self._advance())
+        nodes.append(self._expect(closer))
         return nodes

@@ -59,7 +59,8 @@ def load_registry(path) -> LanguageRegistry:
     RegistryError.
     """
     try:
-        data = open(path, "rb").read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise SourceIoError(f"cannot read registry {path}: {e.strerror or e}") from e
 

@@ -50,14 +50,15 @@ class SourceSpan(NamedTuple):
     end_col: int
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class EcstNode:
     """One tree node: a concrete token or a universal marker.
 
     label holds the source lexeme for concrete nodes and the canonical
     kind spelling for universal nodes.  The scanner makes the concrete
     nodes and the parser places each of them once in the tree.  A token
-    is a leaf: its children are the shared empty tuple.
+    is a leaf: its children are the shared empty tuple.  Nodes compare by
+    identity; comparing their fields would recurse through the children.
     """
 
     label: str

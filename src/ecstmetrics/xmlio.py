@@ -23,9 +23,6 @@ from .tree import (
     walk,
 )
 
-_KIND_VALUES = {kind.value for kind in UniversalKind}
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -81,16 +78,19 @@ def serialize_metrics(report) -> str:
 
 # -- parsing ---------------------------------------------------------------
 
+_KINDS = {kind.value: kind for kind in UniversalKind}
+
 
 class _Open(NamedTuple):
-    """An element whose end tag has not been read yet."""
+    """An element whose end tag has not been read yet, other than a
+    <token> with no child element."""
 
     tag: str
     attrs: dict
     line: int
     order: int  # position in document order
     children: list  # built child nodes; None for one that failed its checks
-    text: list
+    text: list  # the non-blank character data chunks
 
 
 def _fail(el: _Open, message: str):
@@ -114,19 +114,21 @@ def _int_attr(el: _Open, name: str) -> int:
 def _build_node(el: _Open) -> EcstNode:
     """The node for an element below <ecst>, its children already built.
 
-    Checks every rule about the element's own fields; validate_tree
-    checks the rules that span elements.
+    Checks every rule about the element's own fields, in the order that
+    decides which message a failing element gets; validate_tree checks
+    the rules that span elements.  parse_tree_xml builds a valid element
+    itself and calls this only for one that fails its guard.
     """
     text = "".join(el.text)
     if el.tag == "node":
         kind_raw = el.attrs.get("kind")
         if kind_raw is None:
             _fail(el, "missing attribute 'kind'")
-        if kind_raw not in _KIND_VALUES:
+        if kind_raw not in _KINDS:
             _fail(el, f"unknown universal kind {kind_raw!r}")
         if text.strip():
             _fail(el, "unexpected text content in <node>")
-        return EcstNode.universal(UniversalKind(kind_raw), el.children)
+        return EcstNode.universal(_KINDS[kind_raw], el.children)
     if el.tag == "token":
         token_type = el.attrs.get("type")
         if token_type is None:
@@ -153,6 +155,10 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     """Parse an eCST XML document back into a tree.
 
     Nodes are built straight from the parser's events, without recursion.
+    An open <token> with no child element lives in the handlers' locals,
+    not in a record, and each element that passes one guard at its end
+    tag is built in place; one that fails it goes to _build_node, which
+    words the failure.
     Raises TreeXmlError on any well-formedness or schema violation; of
     several schema violations, the one of the <ecst> element comes first,
     then the first failing element in document order.
@@ -160,22 +166,81 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     parser = expat.ParserCreate()
     parser.buffer_text = True
     stack: list[_Open] = []  # open elements; the <ecst> element stays
-    top: list[_Open] = []  # elements directly inside <ecst>
+    top: list[_Open] = []  # records directly inside <ecst>
     failures: list = []  # (order, error) per failing element
+    token = None  # attributes of the open <token> with no child element
+    token_line = token_order = 0
+    lexeme = ""
+    new_tuple = tuple.__new__  # a SourceSpan without its Python-level __new__
 
     def start(tag, attrs):
-        line = parser.CurrentLineNumber
-        stack.append(_Open(tag, attrs, line, parser.CurrentByteIndex, [], []))
+        nonlocal token, token_line, token_order, lexeme
+        if token is not None:  # an element inside a <token>
+            stack.append(_Open("token", token, token_line, token_order, [], []))
+            token = None
+        if tag == "token" and stack:  # not the root element
+            token = attrs
+            token_line = parser.CurrentLineNumber
+            token_order = parser.CurrentByteIndex
+            lexeme = ""
+        else:
+            line = parser.CurrentLineNumber
+            stack.append(_Open(tag, attrs, line, parser.CurrentByteIndex, [], []))
 
     def chars(text):
-        stack[-1].text.append(text)
+        nonlocal lexeme
+        if token is not None:
+            lexeme += text
+        elif not text.isspace():
+            # A <node> rejects only non-blank text, and a <token> record
+            # (the root, or one holding an element) fails before its lexeme.
+            stack[-1].text.append(text)
 
     def end(tag):
-        if len(stack) == 1:
-            return
-        el = stack.pop()
-        if len(stack) == 1:
-            top.append(el)
+        nonlocal token
+        if token is not None:
+            attrs = token
+            token = None
+            try:
+                line = int(attrs["line"])
+                col = int(attrs["col"])
+                end_line = int(attrs["endLine"])
+                end_col = int(attrs["endCol"])
+            except (KeyError, ValueError):
+                line = 0
+            token_type = attrs.get("type")
+            if (
+                token_type in TOKEN_TYPES
+                and lexeme
+                and 0 < line <= end_line
+                and col > 0
+                and end_col > 0
+                and (line < end_line or col <= end_col)
+            ):
+                stack[-1].children.append(
+                    EcstNode(
+                        lexeme,
+                        None,
+                        token_type,
+                        new_tuple(SourceSpan, (line, col, end_line, end_col)),
+                    )
+                )
+                return
+            el = _Open("token", attrs, token_line, token_order, [], [lexeme])
+        else:
+            if len(stack) == 1:
+                return
+            el = stack.pop()
+            if len(stack) == 1:
+                top.append(el)
+            if el.tag == "node" and not el.text:
+                kind = _KINDS.get(el.attrs.get("kind"))
+                if kind is not None:
+                    # _value_ is kind.value without the enum property's call
+                    stack[-1].children.append(
+                        EcstNode(kind._value_, kind, None, None, el.children)
+                    )
+                    return
         try:
             node = _build_node(el)
         except TreeXmlError as e:
@@ -205,7 +270,9 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
         raise min(failures, key=lambda failure: failure[0])[1]
     root_node = root_el.children[0]
     if root_node.kind is not UniversalKind.COMPILATION_UNIT:
-        _fail(top[0], "top-level <node> must be COMPILATION_UNIT")
+        # With no record, the one element inside <ecst> is the only <token>.
+        el = top[0] if top else _Open("token", {}, token_line, token_order, [], [])
+        _fail(el, "top-level <node> must be COMPILATION_UNIT")
     tree = EcstTree(root_node, source, language, total_lines)
     try:
         validate_tree(tree)
@@ -217,7 +284,8 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
 def load_tree_file(path) -> EcstTree:
     """Read and parse an eCST XML file."""
     try:
-        data = open(path, "rb").read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise SourceIoError(f"cannot read {path}: {e.strerror or e}") from e
     return parse_tree_xml(data)

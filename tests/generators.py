@@ -4,11 +4,15 @@ Programs nest loops and branches to a bounded depth while the
 generator records, per unit, how many decision points and logical
 operators it emitted.  Those counts are the ground truth the metric
 implementation is checked against.
+
+mutate_tree_document edits a tree XML document at random, to hold the
+reader's messages and their precedence against a reference reader.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 
@@ -217,3 +221,185 @@ def generate(language_id: str, seed: int) -> GeneratedProgram:
         raise ValueError(f"no generator for language {language_id!r}")
     rng = random.Random(seed * 7919 + 17)
     return emitter.program(seed, n_units=rng.randint(1, 3))
+
+
+# -- tree XML mutations ----------------------------------------------------
+
+_TOKEN = re.compile(r"<token [^>]*>[^<]*</token>")
+_TOKEN_TAG = re.compile(r"<token [^>]*>")
+_LEXEME = re.compile(r"(?<=\">)[^<]*(?=</token>)")
+_POSITION = re.compile(r'\b(line|col|endLine|endCol)="[^"]*"')
+_NODE_TAG = re.compile(r"<node [^>]*>")
+_END_TAG = re.compile(r"</(node|token)>")
+_BETWEEN = re.compile(r">\n")
+
+
+def _pick(pattern, doc, rng):
+    matches = list(pattern.finditer(doc))
+    return rng.choice(matches) if matches else None
+
+
+def _splice(doc, match, text):
+    return doc[: match.start()] + text + doc[match.end() :]
+
+
+def _edit_position(doc, rng):
+    tag = _pick(_TOKEN_TAG, doc, rng)
+    if tag is None:
+        return doc
+    attrs = list(_POSITION.finditer(tag.group()))
+    if not attrs:
+        return doc
+    attr = rng.choice(attrs)
+    value = rng.choice(["0", "-3", "x", "", " 7 ", "1_2", "+2", "99999", "\u0663", "1.0"])
+    new = "" if rng.random() < 0.25 else f'{attr.group(1)}="{value}"'
+    text = tag.group()
+    return _splice(doc, tag, text[: attr.start()] + new + text[attr.end() :])
+
+
+def _reverse_span(doc, rng):
+    tag = _pick(_TOKEN_TAG, doc, rng)
+    if tag is None:
+        return doc
+    values = dict(
+        re.findall(r'\b(line|col|endLine|endCol)="([^"]*)"', tag.group())
+    )
+    a, b = rng.choice([("line", "endLine"), ("col", "endCol")])
+    if a not in values or b not in values:
+        return doc
+    text = re.sub(
+        rf'\b({a}|{b})="[^"]*"',
+        lambda m: f'{m.group(1)}="{values[b if m.group(1) == a else a]}"',
+        tag.group(),
+    )
+    return _splice(doc, tag, text)
+
+
+def _edit_type(doc, rng):
+    attr = _pick(re.compile(r' type="[^"]*"'), doc, rng)
+    if attr is None:
+        return doc
+    value = rng.choice(["wibble", "", "Keyword", "comment", "literal"])
+    return _splice(doc, attr, "" if rng.random() < 0.25 else f' type="{value}"')
+
+
+def _edit_kind(doc, rng):
+    attr = _pick(re.compile(r' kind="[^"]*"'), doc, rng)
+    if attr is None:
+        return doc
+    value = rng.choice(
+        ["WIDGET", "branch", "", "CONDITION", "BRANCH", "LOOP_STATEMENT", "FUNCTION_DECL"]
+    )
+    return _splice(doc, attr, "" if rng.random() < 0.25 else f' kind="{value}"')
+
+
+def _text_in_node(doc, rng):
+    tag = _pick(rng.choice([_NODE_TAG, re.compile("</node>")]), doc, rng)
+    if tag is None:
+        return doc
+    text = rng.choice(["stray", "&amp;", " \t\n ", "<!-- c -->x", "\n  "])
+    if tag.group().startswith("</"):
+        return doc[: tag.start()] + text + doc[tag.start() :]
+    return doc[: tag.end()] + text + doc[tag.end() :]
+
+
+def _element_in_token(doc, rng):
+    lexeme = _pick(_LEXEME, doc, rng)
+    if lexeme is None:
+        return doc
+    child = rng.choice(
+        [
+            '<node kind="BRANCH"/>',
+            "<widget/>",
+            '<token type="identifier" line="1" col="1" endLine="1" endCol="1">y</token>',
+            "<token>z</token>",
+        ]
+    )
+    at = rng.randint(lexeme.start(), lexeme.end())
+    return doc[:at] + child + doc[at:]
+
+
+def _unknown_element(doc, rng):
+    if rng.random() < 0.5:
+        token = _pick(_TOKEN, doc, rng)
+        return doc if token is None else _splice(doc, token, "<widget/>")
+    gap = _pick(_BETWEEN, doc, rng)
+    return doc if gap is None else _splice(doc, gap, "><widget>x</widget>\n")
+
+
+def _edit_lexeme(doc, rng):
+    lexeme = _pick(_LEXEME, doc, rng)
+    if lexeme is None:
+        return doc
+    if rng.random() < 0.5:
+        return _splice(doc, lexeme, rng.choice(["", " ", "\n"]))
+    piece = rng.choice(
+        ["&lt;", "&#65;", "&amp;&gt;", "<!-- c -->", "<![CDATA[x]]>", "<?pi x?>"]
+    )
+    at = rng.randint(lexeme.start(), lexeme.end())
+    return doc[:at] + piece + doc[at:]
+
+
+def _drop_end_tag(doc, rng):
+    tag = _pick(_END_TAG, doc, rng)
+    return doc if tag is None else _splice(doc, tag, "")
+
+
+def _edit_root(doc, rng):
+    edit = rng.randrange(6)
+    if edit == 0:
+        return doc.replace("<ecst ", "<tree ", 1).replace("</ecst>", "</tree>")
+    if edit == 1:
+        return re.sub(rng.choice([r' source="[^"]*"', r' language="[^"]*"']), "", doc, 1)
+    if edit == 2:
+        value = rng.choice(["0", "x", ""])
+        return re.sub(r'totalLines="[^"]*"', f'totalLines="{value}"', doc, 1)
+    if edit == 3:
+        return doc.replace("</ecst>", '<node kind="COMPILATION_UNIT"/></ecst>')
+    if edit == 4:
+        kind = rng.choice(["FUNCTION_DECL", "BRANCH"])
+        return doc.replace('kind="COMPILATION_UNIT"', f'kind="{kind}"', 1)
+    token = _pick(_TOKEN, doc, rng)
+    if token is None:
+        return doc
+    head = doc[: doc.index(">") + 1]
+    return f"{head}{token.group()}</ecst>\n"
+
+
+def _move_token(doc, rng):
+    tokens = list(_TOKEN.finditer(doc))
+    if len(tokens) < 2:
+        return doc
+    a, b = sorted(rng.sample(tokens, 2), key=lambda m: m.start())
+    if rng.random() < 0.5:  # swap the two
+        return (
+            doc[: a.start()] + b.group() + doc[a.end() : b.start()] + a.group()
+            + doc[b.end() :]
+        )
+    return _splice(doc, a, "")  # or drop one
+
+
+TREE_EDITS = (
+    _edit_position,
+    _reverse_span,
+    _edit_type,
+    _edit_kind,
+    _text_in_node,
+    _element_in_token,
+    _unknown_element,
+    _edit_lexeme,
+    _drop_end_tag,
+    _edit_root,
+    _move_token,
+)
+
+
+def mutate_tree_document(doc: str, rng: random.Random) -> str:
+    """doc after one to four edits drawn from TREE_EDITS: positions that
+    are zero, missing or not integers, reversed spans, unknown types and
+    kinds, text in a node, an element in a token, unknown elements, empty
+    lexemes, entities and XML comments in a lexeme, dropped end tags, a
+    wrong root, and tokens out of order."""
+    for _ in range(rng.randint(1, 4)):
+        doc = rng.choice(TREE_EDITS)(doc, rng)
+    return doc

@@ -16,13 +16,29 @@ the least and greatest position among its tokens.  Two rules differ
 from those earlier bodies on purpose, to match the current definitions:
 a unit is named from its direct children, and a logical operator counts
 once however many CONDITION nodes enclose it.
+
+reference_parse_tree_xml is the XML reader the package used before its
+reader built valid elements in the handlers themselves: a record per
+element and every check run on every element.  The reader must give
+its tree or its TreeXmlError message on every document.
+
+same_tree compares two trees field by field without recursion;
+EcstNode itself compares by identity.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from typing import NamedTuple
+from xml.parsers import expat
 
-from ecstmetrics.errors import LexError, MalformedTreeError, UnsupportedLanguageError
+from ecstmetrics.errors import (
+    LexError,
+    MalformedTreeError,
+    TreeXmlError,
+    UnsupportedLanguageError,
+)
 from ecstmetrics.frontends import FRONTENDS
 from ecstmetrics.lexer import LEXER_SPECS, count_physical_lines, lex
 from ecstmetrics.metrics import (
@@ -32,7 +48,16 @@ from ecstmetrics.metrics import (
     LocBundle,
     MetricsReport,
 )
-from ecstmetrics.tree import EcstNode, SourceSpan, UniversalKind, preorder
+from ecstmetrics.tree import (
+    TOKEN_TYPES,
+    EcstNode,
+    EcstTree,
+    SourceSpan,
+    UniversalKind,
+    preorder,
+    validate_tree,
+    walk,
+)
 
 
 def line_count(text: str) -> int:
@@ -515,3 +540,166 @@ def reference_measure_tree(tree):
         )
         for extended, elements in rows.items()
     }
+
+
+# -- trees -----------------------------------------------------------------
+
+
+def same_tree(a: EcstTree, b: EcstTree) -> bool:
+    """Equal headers, and equal nodes (label, kind, token type, span) at
+    equal places in the entry/exit order of tree.walk."""
+    if (a.source_path, a.language_id, a.total_lines) != (
+        b.source_path,
+        b.language_id,
+        b.total_lines,
+    ):
+        return False
+    for step_a, step_b in itertools.zip_longest(walk(a.root), walk(b.root)):
+        if step_a is None or step_b is None:
+            return False
+        (node_a, lo_a, hi_a), (node_b, lo_b, hi_b) = step_a, step_b
+        if (lo_a, hi_a) != (lo_b, hi_b) or fields(node_a) != fields(node_b):
+            return False
+    return True
+
+
+def fields(node: EcstNode) -> tuple:
+    """What a node holds apart from its children."""
+    return node.label, node.kind, node.token_type, node.span
+
+
+# -- tree XML reader -------------------------------------------------------
+
+_KIND_VALUES = {kind.value for kind in UniversalKind}
+
+
+class _Open(NamedTuple):
+    """An element whose end tag has not been read yet."""
+
+    tag: str
+    attrs: dict
+    line: int
+    order: int  # position in document order
+    children: list  # built child nodes; None for one that failed its checks
+    text: list
+
+
+def _fail(el: _Open, message: str):
+    raise TreeXmlError(f"{message} (element <{el.tag}>, line {el.line})")
+
+
+def _int_attr(el: _Open, name: str) -> int:
+    """A positive integer attribute: a line, a column or totalLines."""
+    raw = el.attrs.get(name)
+    if raw is None:
+        _fail(el, f"missing attribute {name!r}")
+    try:
+        value = int(raw)
+    except ValueError:
+        _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
+    if value < 1:
+        _fail(el, f"attribute {name!r} must be >= 1, got {value}")
+    return value
+
+
+def _build_node(el: _Open) -> EcstNode:
+    """The node for an element below <ecst>, its children already built.
+
+    Checks every rule about the element's own fields; validate_tree
+    checks the rules that span elements.
+    """
+    text = "".join(el.text)
+    if el.tag == "node":
+        kind_raw = el.attrs.get("kind")
+        if kind_raw is None:
+            _fail(el, "missing attribute 'kind'")
+        if kind_raw not in _KIND_VALUES:
+            _fail(el, f"unknown universal kind {kind_raw!r}")
+        if text.strip():
+            _fail(el, "unexpected text content in <node>")
+        return EcstNode.universal(UniversalKind(kind_raw), el.children)
+    if el.tag == "token":
+        token_type = el.attrs.get("type")
+        if token_type is None:
+            _fail(el, "missing attribute 'type'")
+        if token_type not in TOKEN_TYPES:
+            _fail(el, f"unknown token type {token_type!r}")
+        if el.children:
+            _fail(el, "<token> must not contain elements")
+        if not text:
+            _fail(el, "empty <token> lexeme")
+        span = SourceSpan(
+            _int_attr(el, "line"),
+            _int_attr(el, "col"),
+            _int_attr(el, "endLine"),
+            _int_attr(el, "endCol"),
+        )
+        if span[:2] > span[2:]:
+            _fail(el, f"invalid span: span start after end: {span}")
+        return EcstNode.concrete(text, token_type, span)
+    _fail(el, f"unknown element <{el.tag}>")
+
+
+def reference_parse_tree_xml(data: bytes | str) -> EcstTree:
+    """Parse an eCST XML document back into a tree.
+
+    Nodes are built straight from the parser's events, without recursion.
+    Raises TreeXmlError on any well-formedness or schema violation; of
+    several schema violations, the one of the <ecst> element comes first,
+    then the first failing element in document order.
+    """
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    stack: list[_Open] = []  # open elements; the <ecst> element stays
+    top: list[_Open] = []  # elements directly inside <ecst>
+    failures: list = []  # (order, error) per failing element
+
+    def start(tag, attrs):
+        line = parser.CurrentLineNumber
+        stack.append(_Open(tag, attrs, line, parser.CurrentByteIndex, [], []))
+
+    def chars(text):
+        stack[-1].text.append(text)
+
+    def end(tag):
+        if len(stack) == 1:
+            return
+        el = stack.pop()
+        if len(stack) == 1:
+            top.append(el)
+        try:
+            node = _build_node(el)
+        except TreeXmlError as e:
+            node = None
+            failures.append((el.order, e))
+        stack[-1].children.append(node)
+
+    parser.StartElementHandler = start
+    parser.CharacterDataHandler = chars
+    parser.EndElementHandler = end
+    try:
+        parser.Parse(data, True)
+    except (expat.ExpatError, UnicodeEncodeError) as e:
+        # pyexpat encodes a str as UTF-8, which a lone surrogate fails.
+        raise TreeXmlError(f"not well-formed XML: {e}") from e
+    root_el = stack[0]
+    if root_el.tag != "ecst":
+        _fail(root_el, "expected root element <ecst>")
+    source = root_el.attrs.get("source")
+    language = root_el.attrs.get("language")
+    if source is None or language is None:
+        _fail(root_el, "<ecst> requires source and language attributes")
+    total_lines = _int_attr(root_el, "totalLines")
+    if len(root_el.children) != 1:
+        _fail(root_el, "<ecst> must contain exactly one <node>")
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    root_node = root_el.children[0]
+    if root_node.kind is not UniversalKind.COMPILATION_UNIT:
+        _fail(top[0], "top-level <node> must be COMPILATION_UNIT")
+    tree = EcstTree(root_node, source, language, total_lines)
+    try:
+        validate_tree(tree)
+    except MalformedTreeError as e:
+        raise TreeXmlError(f"document violates tree invariants: {e}") from e
+    return tree

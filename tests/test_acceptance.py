@@ -168,7 +168,7 @@ def test_criterion_5_xml_round_trip():
             tree = parse_file(os.path.join(FIXTURES, name), language)
             document = serialize_tree(tree)
             reloaded = parse_tree_xml(document)
-            assert reloaded == tree, name
+            assert oracles.same_tree(reloaded, tree), name
             assert serialize_tree(reloaded) == document, name
 
     ok, detail = _check(body)

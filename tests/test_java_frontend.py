@@ -10,6 +10,7 @@ from ecstmetrics import parse_source
 from ecstmetrics.errors import ParseError
 from ecstmetrics.lexer import lex
 from ecstmetrics.tree import UniversalKind, find_nodes, preorder
+from oracles import same_tree
 
 
 def _wrap(statements: str) -> str:
@@ -139,13 +140,32 @@ class TestInvariants:
     def test_parse_is_deterministic(self, corpus):
         text, tree = corpus["QuickSort.java"]
         again = parse_source(text, "javaoo", source_path="QuickSort.java")
-        assert again == tree
+        assert same_tree(again, tree)
 
 
 class TestErrors:
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse_source(_wrap("while (a < 10 { a++; }"), "javaoo")
+
+    @pytest.mark.parametrize(
+        "statement,message,col",
+        [
+            ("a = f(b];", "expected ')', found ']'", 8),
+            ("a = f(g[b)];", "expected ']', found ')'", 10),
+            ("while (a < 10] { a++; }", "expected ')', found ']'", 14),
+            ("for (i = 0; i < n; i++] { }", "expected ')', found ']'", 23),
+        ],
+    )
+    def test_closer_must_match_its_opener(self, statement, message, col):
+        with pytest.raises(ParseError) as info:
+            parse_source(_wrap(statement), "javaoo")
+        assert str(info.value) == message
+        assert info.value.span[:2] == (3, col)
+
+    def test_nested_brackets_of_each_kind(self):
+        tree = parse_source(_wrap("a[f(x[0])] = g((b), {c});"), "javaoo")
+        assert _kinds(tree)[UniversalKind.FUNCTION_DECL] == 1
 
     def test_missing_while_after_do(self):
         with pytest.raises(ParseError) as info:

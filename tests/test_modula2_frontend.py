@@ -10,7 +10,7 @@ from ecstmetrics import parse_source
 from ecstmetrics.errors import ParseError
 from ecstmetrics.lexer import lex
 from ecstmetrics.tree import UniversalKind, find_nodes, preorder
-from oracles import subtree_span
+from oracles import same_tree, subtree_span
 
 
 def _wrap(statements: str) -> str:
@@ -170,10 +170,24 @@ class TestInvariants:
     def test_parse_is_deterministic(self, corpus):
         text, tree = corpus["QuickSort.mod"]
         again = parse_source(text, "modula2", source_path="QuickSort.mod")
-        assert again == tree
+        assert same_tree(again, tree)
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "statement,message,col",
+        [
+            ("a := F(b];", "expected ')', found ']'", 9),
+            ("a := F(G[b)];", "expected ']', found ')'", 11),
+            ("WHILE F(a] DO a := 1 END;", "expected ')', found ']'", 10),
+        ],
+    )
+    def test_closer_must_match_its_opener(self, statement, message, col):
+        with pytest.raises(ParseError) as info:
+            parse_source(_wrap(statement), "modula2")
+        assert str(info.value) == message
+        assert info.value.span[:2] == (4, col)
+
     def test_missing_then(self):
         with pytest.raises(ParseError) as info:
             parse_source(_wrap("IF a ; THEN x := 1 END;"), "modula2")

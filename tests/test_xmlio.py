@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import generators
+from ecstmetrics import parse_source, xmlio
 from ecstmetrics.cli import main
 from ecstmetrics.errors import SourceIoError, TreeXmlError
 from ecstmetrics.metrics import ElementMetrics, LocBundle, MetricsReport, measure_tree
@@ -14,6 +18,7 @@ from ecstmetrics.xmlio import (
     serialize_metrics,
     serialize_tree,
 )
+from oracles import reference_parse_tree_xml, same_tree
 
 # A hand-built two-token tree; the serialized form below is frozen.
 MINI_XML = (
@@ -69,14 +74,14 @@ class TestSerialize:
 class TestRoundTrip:
     def test_mini_parses_back(self):
         tree = parse_tree_xml(MINI_XML)
-        assert tree == _mini_tree()
+        assert same_tree(tree, _mini_tree())
         assert serialize_tree(tree) == MINI_XML
 
     def test_corpus_round_trips(self, corpus):
         for _, tree in corpus.values():
             doc = serialize_tree(tree)
             again = parse_tree_xml(doc)
-            assert again == tree
+            assert same_tree(again, tree)
             assert serialize_tree(again) == doc
 
     def test_escaped_lexemes_survive(self):
@@ -96,7 +101,7 @@ class TestRoundTrip:
         assert serialize_tree(tree) == doc
 
     def test_bytes_and_str_inputs_agree(self):
-        assert parse_tree_xml(MINI_XML.encode()) == parse_tree_xml(MINI_XML)
+        assert same_tree(parse_tree_xml(MINI_XML.encode()), parse_tree_xml(MINI_XML))
         # A non-ASCII lexeme before the fault: both are read as UTF-8.
         bad = MINI_XML.replace(">P</token>", ">\u00e9</token><")
         messages = []
@@ -367,16 +372,63 @@ class TestDeepDocument:
         assert '<element name="F" annotation="FUNCTION_DECL" cc="1201"' in metrics
 
     def test_rewrite_without_recursion(self):
-        # Compares bytes: tree equality recurses through the children.
         s = serialize_tree(parse_tree_xml(_deep_document(1200)))
         assert serialize_tree(parse_tree_xml(s)) == s
+
+    def test_compare_without_recursion(self):
+        doc = _deep_document(1200)
+        first, second = parse_tree_xml(doc), parse_tree_xml(doc)
+        assert same_tree(first, second)
+        assert first != second  # identity: == does not walk the children
+        last = ">WHILE</token>\n</node>"
+        changed = parse_tree_xml(doc.replace(last, last.replace("WHILE", "LOOP")))
+        assert not same_tree(first, changed)
+
+
+def _outcome(read, doc):
+    """The rewritten tree, or the TreeXmlError message."""
+    try:
+        return serialize_tree(read(doc))
+    except TreeXmlError as e:
+        return f"error: {e}"
+
+
+class TestReaderParity:
+    """The reader against the one in oracles.py that checks every element
+    in full: same tree or same message, for str and bytes alike."""
+
+    def test_mutated_documents(self, corpus):
+        bases = [MINI_XML, *(serialize_tree(tree) for _, tree in corpus.values())]
+        rng = random.Random(20261018)
+        accepted = 0
+        for _ in range(1000):
+            doc = generators.mutate_tree_document(rng.choice(bases), rng)
+            for data in (doc, doc.encode()):
+                expected = _outcome(reference_parse_tree_xml, data)
+                assert _outcome(parse_tree_xml, data) == expected, doc
+            accepted += not expected.startswith("error: ")
+        # Both kinds of outcome occur.
+        assert 50 < accepted < 500
+
+    def test_valid_documents_never_word_a_failure(self, corpus, monkeypatch):
+        def fail(el):
+            raise AssertionError(f"<{el.tag}> at line {el.line} left the guard")
+
+        documents = [serialize_tree(tree) for _, tree in corpus.values()]
+        for language in ("modula2", "javaoo"):
+            for seed in range(40):
+                source = generators.generate(language, seed).source
+                documents.append(serialize_tree(parse_source(source, language)))
+        monkeypatch.setattr(xmlio, "_build_node", fail)
+        for doc in documents:
+            parse_tree_xml(doc)
 
 
 class TestLoadTreeFile:
     def test_reads_file(self, tmp_path):
         path = tmp_path / "mini.ecst.xml"
         path.write_text(MINI_XML, encoding="utf-8")
-        assert load_tree_file(path) == _mini_tree()
+        assert same_tree(load_tree_file(path), _mini_tree())
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(SourceIoError):
