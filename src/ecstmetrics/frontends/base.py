@@ -27,52 +27,59 @@ class BaseParser:
     def __init__(self, tokens: list[EcstNode], language_id: str, source_path: str):
         self.language_id = language_id
         self.source_path = source_path
-        self.toks: list[EcstNode] = []
+        toks: list[EcstNode] = []
         # (number of real tokens preceding the comment, comment node)
-        self.comments: list[tuple[int, EcstNode]] = []
+        comments: list[tuple[int, EcstNode]] = []
         for tok in tokens:
             if tok.token_type == "comment":
-                self.comments.append((len(self.toks), tok))
+                comments.append((len(toks), tok))
             else:
-                self.toks.append(tok)
+                toks.append(tok)
+        self.toks = toks
+        self.comments = comments
         self.i = 0
         self.depth = 0  # nesting levels open at the cursor
 
     # -- cursor primitives -------------------------------------------------
+    # Each reads self.toks at self.i itself: no helper call per token.
 
     def _peek(self, offset: int = 0) -> EcstNode | None:
         j = self.i + offset
         return self.toks[j] if j < len(self.toks) else None
 
     def _at(self, *lexemes: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.label in lexemes
+        i = self.i
+        return i < len(self.toks) and self.toks[i].label in lexemes
 
     def _at_type(self, token_type: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.token_type == token_type
+        i = self.i
+        return i < len(self.toks) and self.toks[i].token_type == token_type
 
     def _advance(self) -> EcstNode:
         """Consume the current token and return it."""
-        tok = self._peek()
-        if tok is None:
-            self._error("unexpected end of input")
-        self.i += 1
-        return tok
+        i = self.i
+        if i < len(self.toks):
+            self.i = i + 1
+            return self.toks[i]
+        self._error("unexpected end of input")
 
     def _expect(self, lexeme: str) -> EcstNode:
+        i = self.i
+        if i < len(self.toks) and self.toks[i].label == lexeme:
+            self.i = i + 1
+            return self.toks[i]
         tok = self._peek()
-        if tok is None or tok.label != lexeme:
-            found = "end of input" if tok is None else repr(tok.label)
-            self._error(f"expected {lexeme!r}, found {found}")
-        return self._advance()
+        found = "end of input" if tok is None else repr(tok.label)
+        self._error(f"expected {lexeme!r}, found {found}")
 
     def _expect_type(self, token_type: str) -> EcstNode:
+        i = self.i
+        if i < len(self.toks) and self.toks[i].token_type == token_type:
+            self.i = i + 1
+            return self.toks[i]
         tok = self._peek()
-        if tok is None or tok.token_type != token_type:
-            found = "end of input" if tok is None else repr(tok.label)
-            self._error(f"expected {token_type}, found {found}")
-        return self._advance()
+        found = "end of input" if tok is None else repr(tok.label)
+        self._error(f"expected {token_type}, found {found}")
 
     def _enter_level(self) -> None:
         """Open one nesting level at the current token; see MAX_NESTING."""
@@ -115,26 +122,42 @@ class BaseParser:
         holding token p, so a trailing comment never widens the span of
         the construct it follows.  One preorder walk merges the comments
         in: that node is the one the walk next steps down from after
-        token p-1.  Comments outside all tokens go to the root.
+        token p-1.  The walk places the comments before the last token
+        and ends with the last of them; comments after the last token go
+        to the root.
         """
         comments = self.comments
+        if not comments:
+            return
+        inside = len(comments)  # comments before the last token
+        while inside and comments[inside - 1][0] == len(self.toks):
+            inside -= 1
         c = 0
+        due = comments[0][0]  # tokens before the next comment to place
         seen = 0  # real tokens walked so far
         stack = [[root, 0]]  # open nodes with the index of their next child
-        while stack:
+        while c < inside:
             node, k = frame = stack[-1]
-            if k == len(node.children):
-                stack.pop()
-                continue
-            while c < len(comments) and comments[c][0] == seen:
-                node.children.insert(k, comments[c][1])
+            children = node.children
+            # Step through this node's children until one is universal.
+            while k < len(children):
+                if seen == due:
+                    children.insert(k, comments[c][1])
+                    k += 1
+                    c += 1
+                    if c == inside:
+                        break
+                    due = comments[c][0]
+                    continue
+                child = children[k]
                 k += 1
-                c += 1
-            frame[1] = k + 1
-            if node.children[k].is_universal:
-                stack.append([node.children[k], 0])
-            else:
+                if child.kind is not None:
+                    frame[1] = k
+                    stack.append([child, 0])
+                    break
                 seen += 1
+            else:
+                stack.pop()
         root.children.extend(comment for _, comment in comments[c:])
 
     # -- shared construct helpers ------------------------------------------
@@ -149,24 +172,25 @@ class BaseParser:
         here; one with none open stops the loop, so enclosing groups stay
         balanced.  The stop token itself is not consumed.
         """
-        nodes: list[EcstNode] = []
+        toks, closer_of, all_closers = self.toks, self._CLOSER_OF, self._CLOSERS
+        start = j = self.i
         closers: list[str] = []  # the closer each open bracket needs
-        while True:
-            tok = self._peek()
-            if tok is None:
-                return nodes
-            label = tok.label
+        while j < len(toks):
+            label = toks[j].label
             if not closers and label in stops:
-                return nodes
-            if label in self._CLOSER_OF:
-                closers.append(self._CLOSER_OF[label])
-            elif label in self._CLOSERS:
+                break
+            if label in closer_of:
+                closers.append(closer_of[label])
+            elif label in all_closers:
                 if not closers:
-                    return nodes
+                    break
                 if label != closers[-1]:
+                    self.i = j
                     self._error(f"expected {closers[-1]!r}, found {label!r}")
                 closers.pop()
-            nodes.append(self._advance())
+            j += 1
+        self.i = j
+        return toks[start:j]
 
     def _balanced_group(self) -> list[EcstNode]:
         """Consume a bracketed group through the closer of its opener."""

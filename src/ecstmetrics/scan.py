@@ -2,9 +2,12 @@
 
 One compiled pattern per LexerSpec splits the text into tokens; each
 match is classified by the spec and becomes a concrete EcstNode, the
-token the tree keeps, with a 1-based, inclusive SourceSpan.  The
-pattern matches only a block comment's opener; a str.find loop then
-finds the closer, because Modula-2 comments nest.
+token the tree keeps, with a 1-based, inclusive SourceSpan.  Blanks
+ride with the match before them: every match takes the blanks after
+it, and a line break takes the next line's indentation, so the loop
+turns once per token and once per line.  The pattern matches only a
+block comment's opener; a str.find loop then finds the closer, because
+Modula-2 comments nest.
 """
 
 from __future__ import annotations
@@ -38,23 +41,28 @@ def _string(quote: str, escapes: bool) -> str:
 @lru_cache(maxsize=None)
 def _compile(spec):
     """The match function and classification tables for one LexerSpec."""
-    groups = [r"(?P<newline>\n)", r"(?P<space>[ \t\r]+)"]
+    # The common kinds come first; a comment opener must precede the
+    # symbol it starts with.
+    groups = [r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)"]
     if spec.line_comment:
         groups.append(rf"(?P<line_comment>{re.escape(spec.line_comment)}[^\n]*)")
     if spec.block_open:
         groups.append(rf"(?P<block_comment>{re.escape(spec.block_open)})")
-    strings = _string('"', spec.string_escapes) + "|" + _string("'", spec.string_escapes)
-    groups += [
-        r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
-        # a decimal point only when a digit follows keeps ".." a symbol
-        r"(?P<number>[0-9]+(?:\.[0-9]+)?)",
-        f"(?P<string>{strings})",
-        r"""(?P<quote>["'])""",
-    ]
     # two-character operators first, so "<=" is not read as "<" then "="
     symbols = [re.escape(op) for op in sorted(spec.two_char_ops)]
     symbols.append("[" + "".join(re.escape(c) for c in spec.single_chars) + "]")
     groups.append("(?P<symbol>" + "|".join(symbols) + ")")
+    strings = _string('"', spec.string_escapes) + "|" + _string("'", spec.string_escapes)
+    groups += [
+        # a line break takes the next line's indentation along
+        r"(?P<newline>\n[ \t\r]*)",
+        # a decimal point only when a digit follows keeps ".." a symbol
+        r"(?P<number>[0-9]+(?:\.[0-9]+)?)",
+        f"(?P<string>{strings})",
+        r"""(?P<quote>["'])""",
+        # blanks at the start of the text or after a block comment
+        r"(?P<space>[ \t\r]+)",
+    ]
 
     # later updates win: a keyword beats an operator word beats a literal word
     word_types = dict.fromkeys(spec.literal_words, "literal")
@@ -64,7 +72,8 @@ def _compile(spec):
         symbol: "punctuation" if symbol in spec.punctuation else "operator"
         for symbol in (*spec.two_char_ops, *spec.single_chars)
     }
-    return re.compile("|".join(groups)).match, word_types, symbol_types
+    pattern = "(?:" + "|".join(groups) + r")[ \t\r]*"
+    return re.compile(pattern).match, word_types, symbol_types
 
 
 def _block_comment_end(text: str, pos: int, spec) -> int:
@@ -105,6 +114,8 @@ def scan(text: str, spec) -> list[EcstNode]:
     """
     match, word_types, symbol_types = _compile(spec)
     tokens = []
+    append = tokens.append
+    new_tuple = tuple.__new__  # a SourceSpan without its Python-level __new__
     pos = 0
     line = 1
     line_start = 0  # offset of the current line's first character
@@ -115,14 +126,20 @@ def scan(text: str, spec) -> list[EcstNode]:
         if m is None:
             raise _error(f"unrecognized character {text[pos]!r}", line, col)
         kind = m.lastgroup
-        end = m.end()
-        if kind == "newline":
+        if kind == "word":
+            lexeme = m[kind]
+            token_type = word_types.get(lexeme, "identifier")
+        elif kind == "symbol":
+            lexeme = m[kind]
+            token_type = symbol_types[lexeme]
+        elif kind == "newline":
             line += 1
-            line_start = end
-        elif kind == "space":
-            pass
+            line_start = pos + 1
+            pos = m.end()
+            continue
         elif kind == "block_comment":
-            end = _block_comment_end(text, end, spec)
+            # the opener's own end: blanks after it belong to the comment
+            end = _block_comment_end(text, m.end(kind), spec)
             if end < 0:
                 raise _error("unterminated block comment", line, col)
             start_line = line
@@ -130,19 +147,19 @@ def scan(text: str, spec) -> list[EcstNode]:
             if breaks:
                 line += breaks
                 line_start = text.rfind("\n", pos, end) + 1
-            span = SourceSpan(start_line, col, line, end - line_start)
-            tokens.append(EcstNode.concrete(text[pos:end], "comment", span))
+            span = new_tuple(SourceSpan, (start_line, col, line, end - line_start))
+            append(EcstNode(text[pos:end], None, "comment", span))
+            pos = end
+            continue
+        elif kind == "space":
+            pos = m.end()
+            continue
         elif kind == "quote":
             raise _error("unterminated string literal", line, col)
         else:
-            lexeme = m.group()
-            if kind == "word":
-                token_type = word_types.get(lexeme, "identifier")
-            elif kind == "symbol":
-                token_type = symbol_types[lexeme]
-            else:
-                token_type = _GROUP_TYPES[kind]
-            span = SourceSpan(line, col, line, col + end - pos - 1)
-            tokens.append(EcstNode.concrete(lexeme, token_type, span))
-        pos = end
+            lexeme = m[kind]
+            token_type = _GROUP_TYPES[kind]
+        span = new_tuple(SourceSpan, (line, col, line, col + len(lexeme) - 1))
+        append(EcstNode(lexeme, None, token_type, span))
+        pos = m.end()
     return tokens

@@ -29,27 +29,33 @@ from .tree import (
 def serialize_tree(tree: EcstTree) -> str:
     """Render a tree as a deterministic eCST XML document, in one pass
     without recursion.  Token types and node kinds are bare words from
-    closed vocabularies, so they are written without escaping."""
+    closed vocabularies, so they are written without escaping; a lexeme
+    is escaped only when it holds "&", "<" or ">"."""
     out = [
         f"<ecst source={quoteattr(tree.source_path)}"
         f" language={quoteattr(tree.language_id)}"
         f' totalLines="{tree.total_lines}">\n'
     ]
+    indents = ["", "  "]  # indents[d]: d levels, built once per depth
     depth = 0  # open <node> elements, each one level of indent
     for node, _, hi in walk(tree.root):
         if node.kind is None:
+            label = node.label
+            if "&" in label or "<" in label or ">" in label:
+                label = escape(label)
             span = node.span
             out.append(
-                f"{'  ' * (depth + 1)}<token type=\"{node.token_type}\""
-                f' line="{span.start_line}" col="{span.start_col}"'
-                f' endLine="{span.end_line}" endCol="{span.end_col}"'
-                f">{escape(node.label)}</token>\n"
+                f'{indents[depth + 1]}<token type="{node.token_type}"'
+                f' line="{span[0]}" col="{span[1]}"'
+                f' endLine="{span[2]}" endCol="{span[3]}">{label}</token>\n'
             )
         elif hi is None:
             depth += 1
-            out.append(f"{'  ' * depth}<node kind=\"{node.kind.value}\">\n")
+            if depth + 1 == len(indents):
+                indents.append(indents[-1] + "  ")
+            out.append(f'{indents[depth]}<node kind="{node.kind.value}">\n')
         else:
-            out.append(f"{'  ' * depth}</node>\n")
+            out.append(f"{indents[depth]}</node>\n")
             depth -= 1
     out.append("</ecst>\n")
     return "".join(out)

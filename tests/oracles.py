@@ -22,6 +22,11 @@ reader built valid elements in the handlers themselves: a record per
 element and every check run on every element.  The reader must give
 its tree or its TreeXmlError message on every document.
 
+reference_serialize_tree is the tree writer the package used before it
+escaped only the lexemes that hold markup characters: every lexeme
+escaped, each indent built per line.  The writer must give the same
+bytes for every tree.
+
 same_tree compares two trees field by field without recursion;
 EcstNode itself compares by identity.
 """
@@ -32,6 +37,7 @@ import functools
 import itertools
 from typing import NamedTuple
 from xml.parsers import expat
+from xml.sax.saxutils import escape, quoteattr
 
 from ecstmetrics.errors import (
     LexError,
@@ -703,3 +709,35 @@ def reference_parse_tree_xml(data: bytes | str) -> EcstTree:
     except MalformedTreeError as e:
         raise TreeXmlError(f"document violates tree invariants: {e}") from e
     return tree
+
+
+# -- tree XML writer -------------------------------------------------------
+
+
+def reference_serialize_tree(tree: EcstTree) -> str:
+    """Render a tree as a deterministic eCST XML document, in one pass
+    without recursion.  Token types and node kinds are bare words from
+    closed vocabularies, so they are written without escaping."""
+    out = [
+        f"<ecst source={quoteattr(tree.source_path)}"
+        f" language={quoteattr(tree.language_id)}"
+        f' totalLines="{tree.total_lines}">\n'
+    ]
+    depth = 0  # open <node> elements, each one level of indent
+    for node, _, hi in walk(tree.root):
+        if node.kind is None:
+            span = node.span
+            out.append(
+                f"{'  ' * (depth + 1)}<token type=\"{node.token_type}\""
+                f' line="{span.start_line}" col="{span.start_col}"'
+                f' endLine="{span.end_line}" endCol="{span.end_col}"'
+                f">{escape(node.label)}</token>\n"
+            )
+        elif hi is None:
+            depth += 1
+            out.append(f"{'  ' * depth}<node kind=\"{node.kind.value}\">\n")
+        else:
+            out.append(f"{'  ' * depth}</node>\n")
+            depth -= 1
+    out.append("</ecst>\n")
+    return "".join(out)

@@ -13,6 +13,7 @@ from conftest import CORPUS, FIXTURE_DIR
 from ecstmetrics import parse_source
 from ecstmetrics.errors import LexError, ParseError
 from ecstmetrics.metrics import measure_tree
+from ecstmetrics.tree import walk
 from ecstmetrics.xmlio import serialize_tree
 
 LANGUAGES = ("modula2", "javaoo")
@@ -97,3 +98,55 @@ def test_generated_programs_match_reference(language):
 )
 def test_mutated_programs_match_reference(language, source):
     _assert_same(source, language)
+
+
+# One file per comment shape.  The deepest construct is the CONDITION of
+# the innermost branch; "@" marks the gap between its last two tokens.
+BODIES = {
+    "modula2": "MODULE M;\nPROCEDURE P;\nBEGIN\n  WHILE a DO\n"
+    "    IF b >@ c THEN x := 1 END\n  END\nEND P;\nEND M.\n",
+    "javaoo": "class A {\n  void m() {\n    while (a) {\n"
+    "      if (b > c@) { x = 1; }\n    }\n  }\n}\n",
+}
+SHAPES = {
+    "no comments": lambda body, c: body.replace("@", ""),
+    "before the first token": lambda body, c: f"{c[0]}\n{c[1]} " + body.replace("@", ""),
+    "after the last token": lambda body, c: body.replace("@", "") + f"{c[0]} {c[1]}",
+    "inside the deepest construct": lambda body, c: body.replace("@", f" {c[0]} "),
+}
+# (parent kind, parent depth, index among the parent's children) per
+# comment; a negative index counts from the end.
+PLACES = {
+    "no comments": [],
+    "before the first token": [("COMPILATION_UNIT", 0, 0), ("COMPILATION_UNIT", 0, 1)],
+    "after the last token": [("COMPILATION_UNIT", 0, -2), ("COMPILATION_UNIT", 0, -1)],
+    "inside the deepest construct": [("CONDITION", 5, -2)],
+}
+
+
+def _comment_places(tree, expected):
+    """Each comment's place, its index counted as in the expected one."""
+    open_nodes = []
+    places = []
+    for node, _, hi in walk(tree.root):
+        if node.kind is None:
+            if node.token_type == "comment":
+                parent = open_nodes[-1]
+                index = parent.children.index(node)
+                if expected[len(places)][2] < 0:
+                    index -= len(parent.children)
+                places.append((parent.label, len(open_nodes) - 1, index))
+        elif hi is None:
+            open_nodes.append(node)
+        else:
+            open_nodes.pop()
+    return places
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("language", LANGUAGES)
+def test_comment_shapes_match_reference(language, shape):
+    source = SHAPES[shape](BODIES[language], COMMENTS[language])
+    _assert_same(source, language)
+    expected = PLACES[shape]
+    assert _comment_places(parse_source(source, language), expected) == expected

@@ -237,6 +237,65 @@ class TestAgainstReference:
             ], seed
 
 
+# Blanks ride with the match before them; each case puts blanks where
+# that folding has to keep lines, columns and lexemes right.
+BLANK_CASES = {
+    "modula2": {
+        "leading blanks": " \t  x := 1",
+        "trailing blanks": "x := 1;  \t\ny := 2 \t ",
+        "tab indentation": "BEGIN\n\tx := 1;\n\t\t y := 2\nEND",
+        "blank lines with spaces": "x := 1;\n  \n \t \n\n   y := 2",
+        "blanks after block comment opener": "(*   x *)   y (*\t\n  z *)  w",
+        "unrecognized character after indentation": "x := 1;\n    $ y",
+        "unterminated string after indentation": "x := 1;\n\t  'abc\ny",
+    },
+    "javaoo": {
+        "leading blanks": " \t  x = 1;",
+        "trailing blanks": "x = 1;  \t\ny = 2; \t ",
+        "tab indentation": "{\n\tx = 1;\n\t\t y = 2;\n}",
+        "blank lines with spaces": "x = 1;\n  \n \t \n\n   y = 2;",
+        "blanks after block comment opener": "/*   x */   y /*\t\n  z */  w",
+        "unrecognized character after indentation": "x = 1;\n    $ y",
+        "unterminated string after indentation": 'x = 1;\n\t  "abc\ny',
+    },
+}
+
+
+class TestBlankFolding:
+    @pytest.mark.parametrize(
+        "language,case",
+        [(language, case) for language, cases in BLANK_CASES.items() for case in cases],
+    )
+    def test_agrees_with_reference(self, language, case):
+        text = BLANK_CASES[language][case]
+        _assert_agrees(text, language)
+        outcome = _outcome(lex, text, language)
+        # Each case reaches the path it names.
+        assert (outcome[0] == "err") == case.startswith(("unrecognized", "unterminated"))
+
+    @pytest.mark.parametrize("language", LANGUAGES)
+    def test_comment_keeps_its_blanks(self, language):
+        text = BLANK_CASES[language]["blanks after block comment opener"]
+        tokens = lex(text, language)
+        assert [t.token_type for t in tokens] == ["comment", "identifier"] * 2
+        assert tokens[0].label == text[:9]  # "(*   x *)" or "/*   x */"
+        assert tokens[2].label == text[14:24]
+        assert _positions(tokens[1]) == (1, 13, 1, 13)
+        assert _positions(tokens[2]) == (1, 15, 2, 6)
+        assert _positions(tokens[3]) == (2, 9, 2, 9)
+
+    @pytest.mark.parametrize("language", LANGUAGES)
+    def test_error_column_after_indentation(self, language):
+        cases = BLANK_CASES[language]
+        assert _error(cases["unrecognized character after indentation"], language) == (
+            "unrecognized character '$'",
+            (2, 5),
+        )
+        message, position = _error(cases["unterminated string after indentation"], language)
+        assert message == "unterminated string literal"
+        assert position == (2, 4)
+
+
 class TestKernelSelection:
     def test_active_kernel_exported(self):
         from ecstmetrics.scan import KERNEL, scan

@@ -18,7 +18,7 @@ from ecstmetrics.xmlio import (
     serialize_metrics,
     serialize_tree,
 )
-from oracles import reference_parse_tree_xml, same_tree
+from oracles import reference_parse_tree_xml, reference_serialize_tree, same_tree
 
 # A hand-built two-token tree; the serialized form below is frozen.
 MINI_XML = (
@@ -422,6 +422,62 @@ class TestReaderParity:
         monkeypatch.setattr(xmlio, "_build_node", fail)
         for doc in documents:
             parse_tree_xml(doc)
+
+
+# Lexemes holding the characters XML text may need escaped: "&", "<" and
+# ">" in operators, strings and comments, and quotes, which text content
+# leaves as they are.
+MARKUP_SOURCES = {
+    "javaoo": """class Markup {
+    void m(int a, int b) {
+        if (a && b <= 3 || a >= b) { s = "a<b&c>"; } // x < y
+        t = "q\\"d's"; /* a & b > c */
+        while (a < b && b > 0) { a = a + 1; }
+    }
+}
+""",
+    "modula2": """MODULE Markup;
+PROCEDURE P(a, b: INTEGER);
+BEGIN
+    IF (a <> b) & (a < b) THEN s := "x'y" END; (* a<b *)
+    t := 'q"d'; (* a & b > c *)
+    WHILE (a >= b) OR (a <= 0) DO a := a - 1 END
+END P;
+END Markup.
+""",
+}
+
+
+class TestWriterParity:
+    """The writer against the one in oracles.py that escapes every lexeme:
+    the same bytes for every tree."""
+
+    def test_fixtures(self, corpus):
+        for _, tree in corpus.values():
+            assert serialize_tree(tree) == reference_serialize_tree(tree)
+
+    @pytest.mark.parametrize("language", ("modula2", "javaoo"))
+    def test_generated_programs(self, language):
+        for seed in range(200):
+            tree = parse_source(generators.generate(language, seed).source, language)
+            assert serialize_tree(tree) == reference_serialize_tree(tree), seed
+
+    @pytest.mark.parametrize("language", sorted(MARKUP_SOURCES))
+    def test_markup_lexemes(self, language):
+        tree = parse_source(MARKUP_SOURCES[language], language, source_path="a&<b>'\".x")
+        doc = serialize_tree(tree)
+        assert doc == reference_serialize_tree(tree)
+        assert "&amp;" in doc and "&lt;" in doc and "&gt;" in doc
+        assert same_tree(parse_tree_xml(doc), tree)
+
+    def test_escaped_lexemes(self):
+        lexemes = ["&&", "<=", ">=", '"a<b&c>"', "// x < y", "<>", "&", "(* a<b *)", "'\"'"]
+        tree = _mini_tree()
+        tree.root.children[0].children += [
+            EcstNode.concrete(lexeme, "literal", SourceSpan(line, 1, line, len(lexeme)))
+            for line, lexeme in enumerate(lexemes, start=2)
+        ]
+        assert serialize_tree(tree) == reference_serialize_tree(tree)
 
 
 class TestLoadTreeFile:
