@@ -14,7 +14,7 @@ import sys
 
 from .errors import FrontendError, RegistryError, SourceIoError, TreeXmlError
 from .frontends import parse_file
-from .frontends.registry import builtin_registry, load_registry
+from .frontends.registry import BUILTIN, detect, load_registry
 from .metrics import measure_tree, render_table
 from .xmlio import load_tree_file, parse_tree_xml, serialize_metrics, serialize_tree
 
@@ -38,7 +38,7 @@ def _load_registry(registry_path):
         return load_registry(registry_path)
     if os.path.exists("languages.xml"):
         return load_registry("languages.xml")
-    return builtin_registry()
+    return BUILTIN
 
 
 def _write_text(path, text: str) -> None:
@@ -52,12 +52,13 @@ def _write_text(path, text: str) -> None:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except OSError as e:
-        raise SourceIoError(f"cannot write {path}: {e.strerror or e}") from e
-    finally:
-        # Already gone after the rename; a failed write must not leave it.
+    except BaseException as e:
+        # A failed write or rename must not leave the temporary file.
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(e, OSError):
+            raise SourceIoError(f"cannot write {path}: {e.strerror or e}") from e
+        raise
 
 
 def _out_path(directory, source_path: str, suffix: str) -> str:
@@ -82,7 +83,7 @@ def _cmd_parse(args) -> int:
     src = args.file
     out = args.out if args.out else src + TREE_SUFFIX
     try:
-        _write_text(out, serialize_tree(parse_file(src, registry.detect(src))))
+        _write_text(out, serialize_tree(parse_file(src, detect(registry, src))))
     except _HANDLED as e:
         _report_error(src, e)
         return e.exit_code
@@ -98,7 +99,7 @@ def _cmd_measure(args) -> int:
         if src.endswith(TREE_SUFFIX):
             tree = load_tree_file(src)
         else:
-            tree = parse_file(src, registry.detect(src))
+            tree = parse_file(src, detect(registry, src))
         report = measure_tree(tree, extended=args.extended_cc)
         _write_text(out, serialize_metrics(report))
     except _HANDLED as e:
@@ -112,7 +113,7 @@ def _cmd_measure(args) -> int:
 
 def _run_one(src, registry, args) -> int:
     try:
-        tree_xml = serialize_tree(parse_file(src, registry.detect(src)))
+        tree_xml = serialize_tree(parse_file(src, detect(registry, src)))
         if args.tree_dir:
             _write_text(_out_path(args.tree_dir, src, TREE_SUFFIX), tree_xml)
         # The reload step is part of the pipeline, not an option.
@@ -171,8 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "parse":
             return _cmd_parse(args)

@@ -6,7 +6,7 @@ import re
 
 from ..errors import LexError, SourceIoError, UnsupportedLanguageError
 from ..lexer import count_physical_lines, lex
-from ..tree import EcstNode, EcstTree, SourceSpan
+from ..tree import EcstTree, SourceSpan
 from .java import JavaParser
 from .modula2 import Modula2Parser
 
@@ -19,26 +19,24 @@ FRONTENDS = {
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
-def _check_xml_chars(source: str, tokens: list[EcstNode]) -> None:
+def _check_xml_chars(source: str) -> None:
     """Raise LexError at the first character tree XML cannot store.
 
-    The scanner rejects any such character outside a comment or string,
-    so a lexeme holds each one the source has.
+    Called once lex has accepted the source: the scanner rejects any
+    such character outside a comment or string, so the first one in the
+    source is the one to report.  Its line and column count lines as the
+    lexer does, with "\\r\\n" and "\\r" read as "\\n".
     """
-    if _NOT_XML_CHAR.search(source) is None:
+    m = _NOT_XML_CHAR.search(source)
+    if m is None:
         return
-    for tok in tokens:
-        m = _NOT_XML_CHAR.search(tok.label)
-        if m is None:
-            continue
-        before = tok.label[: m.start()]
-        line = tok.span.start_line + before.count("\n")
-        newline = before.rfind("\n")
-        col = m.start() - newline if newline >= 0 else tok.span.start_col + m.start()
-        raise LexError(
-            f"character {m.group()!r} cannot be stored in tree XML",
-            span=SourceSpan(line, col, line, col),
-        )
+    before = source[: m.start()].replace("\r\n", "\n").replace("\r", "\n")
+    line = before.count("\n") + 1
+    col = len(before) - before.rfind("\n")
+    raise LexError(
+        f"character {m.group()!r} cannot be stored in tree XML",
+        span=SourceSpan(line, col, line, col),
+    )
 
 
 def parse_source(source: str, language_id: str, source_path: str = "<string>") -> EcstTree:
@@ -52,7 +50,7 @@ def parse_source(source: str, language_id: str, source_path: str = "<string>") -
             f"character {bad.group()!r} in the file name cannot be stored in tree XML"
         )
     tokens = lex(source, language_id)
-    _check_xml_chars(source, tokens)
+    _check_xml_chars(source)
     parser = parser_cls(tokens, language_id, source_path)
     return parser.build_tree(count_physical_lines(source))
 

@@ -1,62 +1,36 @@
-"""Extension-to-frontend mapping loaded from a small XML file."""
+"""A registry is a table from a lower-case file extension (without the
+dot) to a language id.  BUILTIN is the table used when no registry file
+is given or present; load_registry reads one from a small XML file.
+"""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from xml.parsers import expat
 
 from ..errors import RegistryError, SourceIoError, UnknownExtensionError
 
-
-@dataclass(frozen=True)
-class LanguageEntry:
-    language_id: str
-    display_name: str
-    extensions: tuple[str, ...]
+BUILTIN = {"mod": "modula2", "java": "javaoo"}
 
 
-class LanguageRegistry:
-    def __init__(self, entries: list[LanguageEntry]):
-        self.entries = list(entries)
-        self._by_extension: dict[str, LanguageEntry] = {}
-        for entry in self.entries:
-            for ext in entry.extensions:
-                key = ext.lower()
-                if key in self._by_extension:
-                    raise RegistryError(f"duplicate extension {ext!r} in registry")
-                self._by_extension[key] = entry
-
-    def detect(self, path) -> str:
-        """Language id for a source path, matched on its extension."""
-        ext = os.path.splitext(str(path))[1].lstrip(".").lower()
-        entry = self._by_extension.get(ext)
-        if entry is None:
-            raise UnknownExtensionError(
-                f"no language registered for extension {ext or '<none>'!r}"
-            )
-        return entry.language_id
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def detect(registry: dict[str, str], path) -> str:
+    """Language id for a source path, matched on its extension."""
+    ext = os.path.splitext(str(path))[1].lstrip(".").lower()
+    language_id = registry.get(ext)
+    if language_id is None:
+        raise UnknownExtensionError(
+            f"no language registered for extension {ext or '<none>'!r}"
+        )
+    return language_id
 
 
-def builtin_registry() -> LanguageRegistry:
-    """Registry used when no registry file is given or present."""
-    return LanguageRegistry(
-        [
-            LanguageEntry("modula2", "Modula-2", ("mod",)),
-            LanguageEntry("javaoo", "Java", ("java",)),
-        ]
-    )
-
-
-def load_registry(path) -> LanguageRegistry:
+def load_registry(path) -> dict[str, str]:
     """Load a registry XML document.
 
     Malformed XML raises SourceIoError; schema problems (unknown
     elements, missing attributes, duplicate extensions) raise
-    RegistryError.
+    RegistryError.  A <language> needs both id and name; the name is
+    not used.  Duplicates are looked for once the whole document is read.
     """
     try:
         with open(path, "rb") as f:
@@ -64,16 +38,15 @@ def load_registry(path) -> LanguageRegistry:
     except OSError as e:
         raise SourceIoError(f"cannot read registry {path}: {e.strerror or e}") from e
 
-    entries: list[LanguageEntry] = []
-    stack: list[str] = []
-    current: dict | None = None
-    text_parts: list[str] = []
+    pairs: list[tuple[str, str]] = []  # (extension as written, language id)
+    depth = 0  # open elements: <languages>, <language>, <ext>
+    language_id = ""  # id of the open <language>
+    text: list[str] = []  # character data of the open <ext>
     parser = expat.ParserCreate()
     parser.buffer_text = True
 
     def start(tag, attrs):
-        nonlocal current
-        depth = len(stack)
+        nonlocal depth, language_id
         if depth == 0:
             if tag != "languages":
                 raise RegistryError(f"expected root element 'languages', got {tag!r}")
@@ -85,34 +58,29 @@ def load_registry(path) -> LanguageRegistry:
                     f"<language> requires id and name attributes (line "
                     f"{parser.CurrentLineNumber})"
                 )
-            current = {"id": attrs["id"], "name": attrs["name"], "exts": []}
+            language_id = attrs["id"]
         elif depth == 2:
             if tag != "ext":
                 raise RegistryError(f"unknown element {tag!r} in registry")
-            text_parts.clear()
+            text.clear()
         else:
             raise RegistryError(f"unexpected element {tag!r} in registry")
-        stack.append(tag)
+        depth += 1
 
     def chars(data_):
-        if stack and stack[-1] == "ext":
-            text_parts.append(data_)
+        if depth == 3:
+            text.append(data_)
 
     def end(tag):
-        nonlocal current
-        stack.pop()
-        if tag == "ext":
-            ext = "".join(text_parts).strip()
+        nonlocal depth
+        depth -= 1
+        if depth == 2:  # </ext>
+            ext = "".join(text).strip()
             if not ext:
                 raise RegistryError(
                     f"empty <ext> element (line {parser.CurrentLineNumber})"
                 )
-            current["exts"].append(ext)
-        elif tag == "language":
-            entries.append(
-                LanguageEntry(current["id"], current["name"], tuple(current["exts"]))
-            )
-            current = None
+            pairs.append((ext, language_id))
 
     parser.StartElementHandler = start
     parser.CharacterDataHandler = chars
@@ -121,4 +89,9 @@ def load_registry(path) -> LanguageRegistry:
         parser.Parse(data, True)
     except expat.ExpatError as e:
         raise SourceIoError(f"malformed registry XML {path}: {e}") from e
-    return LanguageRegistry(entries)
+    registry: dict[str, str] = {}
+    for ext, language in pairs:
+        if ext.lower() in registry:
+            raise RegistryError(f"duplicate extension {ext!r} in registry")
+        registry[ext.lower()] = language
+    return registry

@@ -8,7 +8,7 @@ offending element and line.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
@@ -117,24 +117,22 @@ def _int_attr(el: _Open, name: str) -> int:
     return value
 
 
-def _build_node(el: _Open) -> EcstNode:
-    """The node for an element below <ecst>, its children already built.
+def _word_failure(el: _Open) -> NoReturn:
+    """Raise the TreeXmlError for an element below <ecst> that failed
+    parse_tree_xml's guard, which builds every valid element itself.
 
-    Checks every rule about the element's own fields, in the order that
+    Checks the rules about the element's own fields in the order that
     decides which message a failing element gets; validate_tree checks
-    the rules that span elements.  parse_tree_xml builds a valid element
-    itself and calls this only for one that fails its guard.
+    the rules that span elements.
     """
-    text = "".join(el.text)
     if el.tag == "node":
         kind_raw = el.attrs.get("kind")
         if kind_raw is None:
             _fail(el, "missing attribute 'kind'")
         if kind_raw not in _KINDS:
             _fail(el, f"unknown universal kind {kind_raw!r}")
-        if text.strip():
-            _fail(el, "unexpected text content in <node>")
-        return EcstNode.universal(_KINDS[kind_raw], el.children)
+        # The guard passes a <node> with a known kind and no text.
+        _fail(el, "unexpected text content in <node>")
     if el.tag == "token":
         token_type = el.attrs.get("type")
         if token_type is None:
@@ -143,7 +141,7 @@ def _build_node(el: _Open) -> EcstNode:
             _fail(el, f"unknown token type {token_type!r}")
         if el.children:
             _fail(el, "<token> must not contain elements")
-        if not text:
+        if not "".join(el.text):
             _fail(el, "empty <token> lexeme")
         span = SourceSpan(
             _int_attr(el, "line"),
@@ -151,9 +149,9 @@ def _build_node(el: _Open) -> EcstNode:
             _int_attr(el, "endLine"),
             _int_attr(el, "endCol"),
         )
-        if span[:2] > span[2:]:
-            _fail(el, f"invalid span: span start after end: {span}")
-        return EcstNode.concrete(text, token_type, span)
+        # The guard passes a well-typed, non-empty <token> with this span
+        # unless the span starts after its end.
+        _fail(el, f"invalid span: span start after end: {span}")
     _fail(el, f"unknown element <{el.tag}>")
 
 
@@ -163,8 +161,7 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     Nodes are built straight from the parser's events, without recursion.
     An open <token> with no child element lives in the handlers' locals,
     not in a record, and each element that passes one guard at its end
-    tag is built in place; one that fails it goes to _build_node, which
-    words the failure.
+    tag is built in place; one that fails it goes to _word_failure.
     Raises TreeXmlError on any well-formedness or schema violation; of
     several schema violations, the one of the <ecst> element comes first,
     then the first failing element in document order.
@@ -248,11 +245,10 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
                     )
                     return
         try:
-            node = _build_node(el)
+            _word_failure(el)
         except TreeXmlError as e:
-            node = None
             failures.append((el.order, e))
-        stack[-1].children.append(node)
+        stack[-1].children.append(None)
 
     parser.StartElementHandler = start
     parser.CharacterDataHandler = chars

@@ -206,6 +206,18 @@ class TestExitCodes:
         assert main(["parse", "QuickSort.mod", "--registry", "none.xml"]) == 4
         assert "none.xml" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["parse", "measure", "run"])
+    def test_invalid_registry_is_4_against_the_registry(self, workdir, capsys, command):
+        (workdir / "bad.xml").write_text("<langs/>\n", encoding="utf-8")
+        before = sorted(os.listdir(workdir))
+        assert main([command, "QuickSort.mod", "--registry", "bad.xml"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "bad.xml: error: expected root element 'languages', got 'langs'\n"
+        )
+        assert captured.out == ""
+        assert sorted(os.listdir(workdir)) == before
+
     def test_malformed_tree_xml_is_5(self, workdir, capsys):
         bad = workdir / "bad.ecst.xml"
         bad.write_text(
@@ -235,11 +247,27 @@ class TestExitCodes:
         )
         assert not any(p.name.startswith(name + ".") for p in workdir.iterdir())
 
+    # (source, language, the first character XML cannot carry, its line and
+    # column): comments spanning lines with each line end, a string
+    # literal, a tab-indented comment and a source with two such characters.
+    MULTILINE_CONTROL = [
+        ("MODULE M;\n(* one\n  two\x1b *)\nBEGIN\nEND M.\n", "modula2", "\x1b", 3, 6),
+        ("MODULE M;\r\n(* one\r\n  two\x1b *)\r\nBEGIN\r\nEND M.\r\n", "modula2", "\x1b", 3, 6),
+        ("MODULE M;\r(* one\r  two\x1b *)\rBEGIN\rEND M.\r", "modula2", "\x1b", 3, 6),
+        ('class T {\n  void m() { s = "a\x07b"; }\n}\n', "javaoo", "\x07", 2, 20),
+        ("class T {\n\t/* x\n\t\t\ufffe */\n}\n", "javaoo", "\ufffe", 3, 3),
+        ("class T {\n  // \x00 and \x0c\n  /* \x0c */\n}\n", "javaoo", "\x00", 2, 6),
+    ]
+
     def test_control_character_inside_a_multiline_comment(self):
-        source = "MODULE M;\n(* one\n  two\x1b *)\nBEGIN\nEND M.\n"
-        with pytest.raises(LexError, match=r"character '\\x1b'") as info:
-            parse_source(source, "modula2")
-        assert info.value.span == SourceSpan(3, 6, 3, 6)
+        for source, language, char, line, col in self.MULTILINE_CONTROL:
+            with pytest.raises(LexError) as info:
+                parse_source(source, language)
+            message = f"character {char!r} cannot be stored in tree XML"
+            assert (str(info.value), info.value.span) == (
+                message,
+                SourceSpan(line, col, line, col),
+            ), source
 
     @pytest.mark.parametrize(
         "option,directory,reason",
@@ -293,19 +321,54 @@ class TestExitCodes:
         assert capsys.readouterr().err == "A.java:2:8: error: expected identifier, found '('\n"
         assert not any(p.name.startswith("A.java.") for p in workdir.iterdir())
 
+    # Bracket and condition errors the parsers report, each with its position.
     @pytest.mark.parametrize("command", ["parse", "measure", "run"])
     @pytest.mark.parametrize(
-        "name,source,where",
+        "name,source,where,message",
         [
-            ("A.java", "class A {\n  void m(int x] { a = f(b]; }\n}\n", "2:15"),
-            ("A.java", "class A {\n  void m(int x) { a = f(b]; }\n}\n", "2:26"),
-            ("M.mod", "MODULE M;\nPROCEDURE P;\nBEGIN\n  a := F(b];\nEND P;\nEND M.\n", "4:11"),
+            (
+                "A.java",
+                "class A {\n  void m(int x] { a = f(b]; }\n}\n",
+                "2:15",
+                "expected ')', found ']'",
+            ),
+            (
+                "A.java",
+                "class A {\n  void m(int x) { a = f(b]; }\n}\n",
+                "2:26",
+                "expected ')', found ']'",
+            ),
+            (
+                "M.mod",
+                "MODULE M;\nPROCEDURE P;\nBEGIN\n  a := F(b];\nEND P;\nEND M.\n",
+                "4:11",
+                "expected ')', found ']'",
+            ),
+            ("A.java", "class A {\n  void m ) ( { }\n}\n", "2:10", "expected a bracketed group"),
+            ("A.java", "class A {\n  void m(int x\n", "2:14", "unbalanced brackets"),
+            (
+                "A.java",
+                "class A {\n  void m() { while x; }\n}\n",
+                "2:20",
+                "expected parenthesized condition",
+            ),
+            (
+                "M.mod",
+                "MODULE M;\nBEGIN\n  WHILE DO x := 1 END\nEND M.\n",
+                "3:9",
+                "empty condition",
+            ),
+            ("M.mod", "PROCEDURE P(a;\n", "1:14", "unbalanced brackets"),
         ],
     )
-    def test_mismatched_closer_is_3(self, workdir, capsys, command, name, source, where):
+    def test_mismatched_closer_is_3(
+        self, workdir, capsys, command, name, source, where, message
+    ):
         (workdir / name).write_text(source, encoding="utf-8")
         assert main([command, name]) == 3
-        assert capsys.readouterr().err == f"{name}:{where}: error: expected ')', found ']'\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"{name}:{where}: error: {message}\n"
+        assert captured.out == ""
         assert not any(p.name.startswith(f"{name}.") for p in workdir.iterdir())
 
     def test_run_returns_worst_code(self, workdir, capsys):

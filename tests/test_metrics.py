@@ -14,7 +14,7 @@ import pytest
 import oracles
 from ecstmetrics import parse_source
 from ecstmetrics.cli import main
-from ecstmetrics.errors import UnsupportedElementError
+from ecstmetrics.errors import MalformedTreeError, UnsupportedElementError
 from ecstmetrics.metrics import (
     cyclomatic_complexity,
     decision_count,
@@ -24,7 +24,7 @@ from ecstmetrics.metrics import (
     measure_tree,
     render_table,
 )
-from ecstmetrics.tree import EcstNode, SourceSpan, UniversalKind, find_nodes
+from ecstmetrics.tree import EcstNode, EcstTree, SourceSpan, UniversalKind, find_nodes
 from ecstmetrics.xmlio import parse_tree_xml
 
 # (name, annotation, cc, loc, sloc, cloc, startLine, endLine)
@@ -213,6 +213,22 @@ class TestDecisionCounting:
             cyclomatic_complexity(condition)
         with pytest.raises(UnsupportedElementError):
             cyclomatic_complexity(condition.children[0])
+
+    def test_universal_node_without_tokens_is_malformed(self):
+        # A tree no frontend builds and validate_tree rejects: the fold
+        # itself refuses a measured node with nothing to span.
+        unit = EcstNode.universal(
+            UniversalKind.COMPILATION_UNIT,
+            [
+                EcstNode.concrete("x", "identifier", SourceSpan(1, 1, 1, 1)),
+                EcstNode.universal(UniversalKind.FUNCTION_DECL, []),
+            ],
+        )
+        with pytest.raises(
+            MalformedTreeError,
+            match="^universal node 'FUNCTION_DECL' has no concrete descendants$",
+        ):
+            measure_tree(EcstTree(unit, "T.java", "javaoo", 1))
 
     def test_operator_tokens_only_count_in_extended_mode(self):
         cond = EcstNode.universal(

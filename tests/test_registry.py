@@ -5,29 +5,25 @@ from __future__ import annotations
 import pytest
 
 from ecstmetrics.errors import RegistryError, SourceIoError, UnknownExtensionError
-from ecstmetrics.frontends.registry import (
-    LanguageEntry,
-    LanguageRegistry,
-    builtin_registry,
-    load_registry,
-)
+from ecstmetrics.frontends.registry import BUILTIN, detect, load_registry
 
 
 class TestLoadRegistry:
     def test_fixture_registry_read_back(self, fixture_dir):
         registry = load_registry(fixture_dir / "languages.xml")
-        assert len(registry) == 2
-        assert registry.detect("QuickSort.mod") == "modula2"
-        assert registry.detect("QuickSort.java") == "javaoo"
-        assert registry.detect("defs.def") == "modula2"
+        assert set(registry.values()) == {"modula2", "javaoo"}
+        assert registry == {"mod": "modula2", "def": "modula2", "java": "javaoo"}
+        assert detect(registry, "QuickSort.mod") == "modula2"
+        assert detect(registry, "QuickSort.java") == "javaoo"
+        assert detect(registry, "defs.def") == "modula2"
 
     def test_empty_registry(self, tmp_path):
         path = tmp_path / "langs.xml"
         path.write_text("<languages/>")
         registry = load_registry(path)
-        assert len(registry) == 0
+        assert registry == {}
         with pytest.raises(UnknownExtensionError):
-            registry.detect("a.mod")
+            detect(registry, "a.mod")
 
     def test_duplicate_extension_rejected(self, tmp_path):
         path = tmp_path / "langs.xml"
@@ -51,6 +47,52 @@ class TestLoadRegistry:
         path.write_text('<languages><language id="x"><ext>x</ext></language></languages>')
         with pytest.raises(RegistryError):
             load_registry(path)
+
+    # A registry document with one schema fault, and the exact message.
+    SCHEMA_FAULTS = {
+        "root": ("<langs/>", "expected root element 'languages', got 'langs'"),
+        "element in language": (
+            '<languages>\n  <language id="a" name="A"><note/></language>\n</languages>',
+            "unknown element 'note' in registry",
+        ),
+        "element in ext": (
+            '<languages><language id="a" name="A"><ext>a<b/></ext></language></languages>',
+            "unexpected element 'b' in registry",
+        ),
+        "no name": (
+            '<languages>\n\n  <language id="a">\n    <ext>a</ext>\n  </language>\n</languages>',
+            "<language> requires id and name attributes (line 3)",
+        ),
+        "no id": (
+            '<languages>\n  <language name="A"><ext>a</ext></language>\n</languages>',
+            "<language> requires id and name attributes (line 2)",
+        ),
+        "empty ext": (
+            '<languages>\n  <language id="a" name="A">\n    <ext>\n    </ext>\n'
+            "  </language>\n</languages>",
+            "empty <ext> element (line 4)",
+        ),
+        "duplicate": (
+            '<languages><language id="a" name="A"><ext>mod</ext></language>'
+            '<language id="b" name="B"><ext>MOD</ext></language></languages>',
+            "duplicate extension 'MOD' in registry",
+        ),
+        # Duplicates are checked once the whole document is read.
+        "duplicate, then unknown element": (
+            '<languages><language id="a" name="A"><ext>x</ext></language>'
+            '<language id="b" name="B"><ext>X</ext></language><alien/></languages>',
+            "unknown element 'alien' in registry",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(SCHEMA_FAULTS))
+    def test_schema_fault_message(self, tmp_path, fault):
+        document, message = self.SCHEMA_FAULTS[fault]
+        path = tmp_path / "langs.xml"
+        path.write_text(document)
+        with pytest.raises(RegistryError) as info:
+            load_registry(path)
+        assert str(info.value) == message
 
     def test_empty_ext_rejected(self, tmp_path):
         path = tmp_path / "langs.xml"
@@ -77,34 +119,25 @@ class TestLoadRegistry:
             '<language id="a" name="A" vendor="y"><ext>a</ext></language>'
             "</languages>"
         )
-        registry = load_registry(path)
-        assert registry.detect("f.a") == "a"
+        assert load_registry(path) == {"a": "a"}
 
 
 class TestDetection:
     def test_case_insensitive_extension(self):
-        registry = builtin_registry()
-        assert registry.detect("A.MOD") == "modula2"
-        assert registry.detect("B.Java") == "javaoo"
+        assert detect(BUILTIN, "A.MOD") == "modula2"
+        assert detect(BUILTIN, "B.Java") == "javaoo"
 
     def test_unknown_extension(self):
-        with pytest.raises(UnknownExtensionError, match="txt"):
-            builtin_registry().detect("notes.txt")
+        with pytest.raises(
+            UnknownExtensionError, match="^no language registered for extension 'txt'$"
+        ):
+            detect(BUILTIN, "notes.txt")
 
     def test_no_extension(self):
-        with pytest.raises(UnknownExtensionError):
-            builtin_registry().detect("README")
-
-    def test_duplicate_in_constructor(self):
-        with pytest.raises(RegistryError):
-            LanguageRegistry(
-                [
-                    LanguageEntry("a", "A", ("x",)),
-                    LanguageEntry("b", "B", ("X",)),
-                ]
-            )
+        with pytest.raises(
+            UnknownExtensionError, match="^no language registered for extension '<none>'$"
+        ):
+            detect(BUILTIN, "README")
 
     def test_builtin_covers_both_languages(self):
-        registry = builtin_registry()
-        ids = {entry.language_id for entry in registry.entries}
-        assert ids == {"modula2", "javaoo"}
+        assert set(BUILTIN.values()) == {"modula2", "javaoo"}

@@ -419,7 +419,7 @@ class TestReaderParity:
             for seed in range(40):
                 source = generators.generate(language, seed).source
                 documents.append(serialize_tree(parse_source(source, language)))
-        monkeypatch.setattr(xmlio, "_build_node", fail)
+        monkeypatch.setattr(xmlio, "_word_failure", fail)
         for doc in documents:
             parse_tree_xml(doc)
 
