@@ -72,6 +72,16 @@ def _out_path(directory, source_path: str, suffix: str) -> str:
     return os.path.join(directory, os.path.basename(source_path) + suffix)
 
 
+def _write_new(path, text: str, src, written: dict[str, str]) -> None:
+    """_write_text, unless this run already wrote path: written maps the
+    absolute path of each output written so far to its source."""
+    key = os.path.abspath(path)
+    if key in written:
+        raise SourceIoError(f"cannot write {path}: already written for {written[key]}")
+    _write_text(path, text)
+    written[key] = src
+
+
 def _metrics_out_path(source_path: str) -> str:
     if source_path.endswith(TREE_SUFFIX):
         return source_path[: -len(TREE_SUFFIX)] + METRICS_SUFFIX
@@ -111,16 +121,18 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _run_one(src, registry, args) -> int:
+def _run_one(src, registry, args, written: dict[str, str]) -> int:
     try:
         tree_xml = serialize_tree(parse_file(src, detect(registry, src)))
         if args.tree_dir:
-            _write_text(_out_path(args.tree_dir, src, TREE_SUFFIX), tree_xml)
+            _write_new(
+                _out_path(args.tree_dir, src, TREE_SUFFIX), tree_xml, src, written
+            )
         # The reload step is part of the pipeline, not an option.
         reloaded = parse_tree_xml(tree_xml)
         report = measure_tree(reloaded, extended=args.extended_cc)
         out = _out_path(args.metrics_dir, src, METRICS_SUFFIX)
-        _write_text(out, serialize_metrics(report))
+        _write_new(out, serialize_metrics(report), src, written)
     except _HANDLED as e:
         _report_error(src, e)
         return e.exit_code
@@ -133,8 +145,9 @@ def _run_one(src, registry, args) -> int:
 def _cmd_run(args) -> int:
     registry = _load_registry(args.registry)
     worst = 0
+    written: dict[str, str] = {}  # absolute output path -> its source
     for src in args.files:
-        worst = max(worst, _run_one(src, registry, args))
+        worst = max(worst, _run_one(src, registry, args, written))
     return worst
 
 

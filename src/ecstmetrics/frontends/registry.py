@@ -89,6 +89,11 @@ def load_registry(path) -> dict[str, str]:
         parser.Parse(data, True)
     except expat.ExpatError as e:
         raise SourceIoError(f"malformed registry XML {path}: {e}") from e
+    finally:
+        # Break the parser <-> handler-closure cycle (see parse_tree_xml).
+        parser.StartElementHandler = None
+        parser.CharacterDataHandler = None
+        parser.EndElementHandler = None
     registry: dict[str, str] = {}
     for ext, language in pairs:
         if ext.lower() in registry:

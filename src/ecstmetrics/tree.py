@@ -137,11 +137,12 @@ def validate_tree(tree: EcstTree) -> None:
     Covers what no single element shows: tokens in strictly increasing
     source order (each starts after the previous one ends), universal
     nodes having concrete descendants, BRANCH_STATEMENT's universal
-    children all being BRANCH, CONDITION placement, and every
-    FUNCTION_DECL containing an identifier token.  The fields of each
-    node, the root kind and total_lines are the builder's to get right:
-    the frontends build nodes through EcstNode.universal/concrete, and
-    the XML reader checks every element it reads.
+    children all being BRANCH, CONDITION placement, every FUNCTION_DECL
+    containing an identifier token, and the last token ending on or
+    before line total_lines.  The fields of each node and the root kind
+    are the builder's to get right: the frontends build nodes through
+    EcstNode.universal/concrete, and the XML reader checks every element
+    it reads.
     """
     guarded = False  # inside a BRANCH or LOOP_STATEMENT
     identifiers = 0  # identifier tokens so far
@@ -181,3 +182,8 @@ def validate_tree(tree: EcstTree) -> None:
             )
         previous_end = (span.end_line, span.end_col)
         identifiers += node.token_type == "identifier"
+    if previous_end[0] > tree.total_lines:
+        raise MalformedTreeError(
+            f"last token ends on line {previous_end[0]}, "
+            f"after the last line {tree.total_lines}"
+        )

@@ -170,7 +170,7 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     parser.buffer_text = True
     stack: list[_Open] = []  # open elements; the <ecst> element stays
     top: list[_Open] = []  # records directly inside <ecst>
-    failures: list = []  # (order, error) per failing element
+    failures: list = []  # (order, message) per failing element
     token = None  # attributes of the open <token> with no child element
     token_line = token_order = 0
     lexeme = ""
@@ -247,7 +247,10 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
         try:
             _word_failure(el)
         except TreeXmlError as e:
-            failures.append((el.order, e))
+            # The message, not the error: its traceback holds this frame,
+            # whose cells hold failures, and that cycle would keep the
+            # whole tree alive until the cyclic garbage collector runs.
+            failures.append((el.order, e.args[0]))
         stack[-1].children.append(None)
 
     parser.StartElementHandler = start
@@ -258,6 +261,12 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     except (expat.ExpatError, UnicodeEncodeError) as e:
         # pyexpat encodes a str as UTF-8, which a lone surrogate fails.
         raise TreeXmlError(f"not well-formed XML: {e}") from e
+    finally:
+        # The handlers' closures hold the parser; dropping them breaks
+        # that cycle, so reference counting frees the parser and stack.
+        parser.StartElementHandler = None
+        parser.CharacterDataHandler = None
+        parser.EndElementHandler = None
     root_el = stack[0]
     if root_el.tag != "ecst":
         _fail(root_el, "expected root element <ecst>")
@@ -269,7 +278,8 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     if len(root_el.children) != 1:
         _fail(root_el, "<ecst> must contain exactly one <node>")
     if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        # Byte indices are unique, so min orders by document position.
+        raise TreeXmlError(min(failures)[1])
     root_node = root_el.children[0]
     if root_node.kind is not UniversalKind.COMPILATION_UNIT:
         # With no record, the one element inside <ecst> is the only <token>.

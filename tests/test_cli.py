@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from ecstmetrics.xmlio import (
 )
 from oracles import same_tree
 from test_reference_parity import LANGUAGES, PROGRAMS
+from test_xmlio import MINI_XML
 
 
 @pytest.fixture
@@ -229,6 +231,17 @@ class TestExitCodes:
         assert main(["measure", "bad.ecst.xml"]) == 5
         assert "MYSTERY" in capsys.readouterr().err
 
+    def test_token_after_the_last_line_is_5(self, workdir, capsys):
+        (workdir / "long.ecst.xml").write_text(LONG_TREE, encoding="utf-8")
+        assert main(["measure", "long.ecst.xml"]) == 5
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "long.ecst.xml: error: document violates tree invariants:"
+            " last token ends on line 50, after the last line 3\n"
+        )
+        assert captured.out == ""
+        assert not (workdir / "long.metrics.xml").exists()
+
     # Legal sources with a character XML 1.0 cannot carry in a comment.
     CONTROL_SOURCES = {
         "Bell.java": "class T {\n    // abc\x07\n    void m() { }\n}\n",
@@ -371,6 +384,46 @@ class TestExitCodes:
         assert captured.out == ""
         assert not any(p.name.startswith(f"{name}.") for p in workdir.iterdir())
 
+    @pytest.mark.parametrize(
+        "options,clash",
+        [
+            (["--metrics-dir", "o", "--tree-dir", "o"], "o/a.java.ecst.xml"),
+            (["--metrics-dir", "o"], "o/a.java.metrics.xml"),
+        ],
+    )
+    def test_run_never_overwrites_its_own_output_is_4(
+        self, workdir, capsys, options, clash
+    ):
+        for directory, body in (("d1", "void m() { }"), ("d2", "void n() { }")):
+            (workdir / directory).mkdir()
+            (workdir / directory / "a.java").write_text(
+                f"class A {{\n  {body}\n}}\n", encoding="utf-8"
+            )
+        assert main(["run", "d1/a.java", "d2/a.java", *options]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "d1/a.java -> o/a.java.metrics.xml\n"
+        assert captured.err == (
+            f"d2/a.java: error: cannot write {clash}: already written for d1/a.java\n"
+        )
+        # d1/a.java's outputs stay as they were written.
+        tree = parse_file("d1/a.java", "javaoo")
+        expected = {"a.java.metrics.xml": serialize_metrics(measure_tree(tree))}
+        if "--tree-dir" in options:
+            expected["a.java.ecst.xml"] = serialize_tree(tree)
+        assert {
+            p.name: p.read_text(encoding="utf-8") for p in (workdir / "o").iterdir()
+        } == expected
+
+    def test_run_writes_where_a_failed_source_wrote_nothing(self, workdir, capsys):
+        (workdir / "d1").mkdir()
+        (workdir / "d1" / "QuickSort.mod").write_text("MODULE B;\nEND\n", encoding="utf-8")
+        argv = ["run", "d1/QuickSort.mod", "QuickSort.mod", "--metrics-dir", "o"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "QuickSort.mod -> o/QuickSort.mod.metrics.xml\n"
+        assert captured.err.startswith("d1/QuickSort.mod:2:")
+        assert os.listdir(workdir / "o") == ["QuickSort.mod.metrics.xml"]
+
     def test_run_returns_worst_code(self, workdir, capsys):
         (workdir / "Broken.mod").write_text("MODULE B;\nEND\n", encoding="utf-8")
         code = main(["run", "QuickSort.mod", "Broken.mod", "--metrics-dir", "out"])
@@ -380,6 +433,18 @@ class TestExitCodes:
         assert not (workdir / "out" / "Broken.mod.metrics.xml").exists()
         capsys.readouterr()
 
+
+# A FUNCTION_DECL whose last token ends on line 50 of a 3-line file.
+LONG_TREE = (
+    '<ecst source="long.java" language="javaoo" totalLines="3">\n'
+    '  <node kind="COMPILATION_UNIT">\n'
+    '    <node kind="FUNCTION_DECL">\n'
+    '      <token type="identifier" line="1" col="1" endLine="1" endCol="1">m</token>\n'
+    '      <token type="punctuation" line="50" col="1" endLine="50" endCol="1">}</token>\n'
+    "    </node>\n"
+    "  </node>\n"
+    "</ecst>\n"
+)
 
 # A comment holding a character that tree XML cannot carry.
 CONTROL_COMMENTS = {"modula2": "(* \x07 *)", "javaoo": "// \x0c\n"}
@@ -543,6 +608,69 @@ class TestWholeOutputs:
         # run also writes its metrics, by default into the working directory.
         written = {out, "QuickSort.java.metrics.xml"} if argv[0] == "run" else {out}
         assert self._files(workdir) == sorted(set(files) | written)
+
+
+class TestNoCyclicGarbage:
+    """Every tree, expat parser and error a command builds is freed by
+    reference counting when the command returns, so with the cyclic
+    garbage collector off, a collection afterwards finds nothing."""
+
+    # Trees measure rejects with exit 5, through three paths of the reader.
+    BAD_TREES = {
+        "type.ecst.xml": MINI_XML.replace('type="keyword"', 'type="kw"'),
+        "cut.ecst.xml": MINI_XML[:-12],
+        "loose.ecst.xml": MINI_XML.replace(
+            '    <token type="keyword"',
+            '    <node kind="CONDITION"><token type="keyword"',
+        ).replace("PROCEDURE</token>", "PROCEDURE</token></node>"),
+    }
+
+    CASES = {
+        "run": (["run", "QuickSort.java", "Features.mod", "--tree-dir", "t"], 0),
+        "parse": (["parse", "QuickSort.mod"], 0),
+        "measure source": (["measure", "Features.java"], 0),
+        "measure tree": (["measure", "tree.ecst.xml"], 0),
+        "unknown token type": (["measure", "type.ecst.xml"], 5),
+        "not well-formed": (["measure", "cut.ecst.xml"], 5),
+        "invariant breach": (["measure", "loose.ecst.xml"], 5),
+        "lex error": (["parse", "Open.mod"], 3),
+        "parse error": (["measure", "Broken.java"], 3),
+        "unknown extension": (["parse", "notes.txt"], 2),
+        "missing file": (["run", "Ghost.mod"], 4),
+        "registry": (["run", "QuickSort.mod", "--registry", "fixture.xml"], 0),
+        "malformed registry": (["parse", "QuickSort.mod", "--registry", "bad.xml"], 4),
+        "languages.xml": (["run", "QuickSort.mod", "Features.java"], 0),
+    }
+
+    @pytest.fixture
+    def inputs(self, workdir, fixture_dir):
+        (workdir / "tree.ecst.xml").write_text(MINI_XML, encoding="utf-8")
+        for name, text in self.BAD_TREES.items():
+            (workdir / name).write_text(text, encoding="utf-8")
+        (workdir / "Open.mod").write_text("MODULE M;\n(* open\n", encoding="utf-8")
+        (workdir / "Broken.java").write_text("class T {\n  void m( }\n", encoding="utf-8")
+        (workdir / "notes.txt").write_text("hello\n", encoding="utf-8")
+        shutil.copy(fixture_dir / "languages.xml", workdir / "fixture.xml")
+        (workdir / "bad.xml").write_text("<languages>\n", encoding="utf-8")
+        return workdir
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_command_leaves_no_cyclic_garbage(self, inputs, case):
+        argv, code = self.CASES[case]
+        if case == "languages.xml":
+            shutil.copy(inputs / "fixture.xml", inputs / "languages.xml")
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == code
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            found = gc.collect()
+            leaked = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == 0, f"cyclic garbage by type: {leaked.most_common()}"
 
 
 class TestEntryPoint:

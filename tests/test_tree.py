@@ -231,9 +231,21 @@ class TestValidation:
         with pytest.raises(MalformedTreeError):
             validate_tree(tree)
 
+    def test_rejects_a_token_ending_after_the_last_line(self):
+        # A multi-line token on lines 2-3 of a 2-line tree; ending on the
+        # last line itself is allowed.
+        comment = EcstNode.concrete("(*\n*)", "comment", SourceSpan(2, 1, 3, 2))
+        tokens = [_tok("m", line=1), comment]
+        validate_tree(_tree([_unit(tokens)], total_lines=3))
+        with pytest.raises(MalformedTreeError) as info:
+            validate_tree(_tree([_unit(tokens)], total_lines=2))
+        assert str(info.value) == "last token ends on line 3, after the last line 2"
+
     def test_order_spans_lines_and_nesting(self):
         inner = _unit([_tok("f", line=2, col=1), _tok("g", line=3, col=1)])
-        tree = _tree([_tok("a", line=1, col=9), inner, _tok("z", line=3, col=2)])
+        tree = _tree(
+            [_tok("a", line=1, col=9), inner, _tok("z", line=3, col=2)], total_lines=3
+        )
         validate_tree(tree)
         tree = _tree([_tok("a", line=2, col=1), _unit([_tok("f", line=1, col=5)])])
         with pytest.raises(MalformedTreeError):

@@ -95,7 +95,7 @@ class TestRoundTrip:
     def test_multiline_span_with_smaller_end_col(self):
         doc = MINI_XML.replace(
             'col="11" endLine="1" endCol="11"', 'col="11" endLine="2" endCol="2"'
-        )
+        ).replace('totalLines="1"', 'totalLines="2"')
         tree = parse_tree_xml(doc)
         assert tree.root.children[0].children[1].span == SourceSpan(1, 11, 2, 2)
         assert serialize_tree(tree) == doc
