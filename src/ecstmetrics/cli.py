@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 
 from .errors import FrontendError, RegistryError, SourceIoError, TreeXmlError
@@ -41,12 +42,25 @@ def _load_registry(registry_path):
     return BUILTIN
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, text: str, src) -> None:
     """Replace path by a file holding text, or leave it as it was.
 
-    The text goes to a temporary file next to path, which then replaces
-    path in one rename, so a failed write never leaves a torn output.
+    An existing path must be a regular file other than src, the input
+    file: compared by device and inode, so any other name or link of src
+    matches.  The text goes to a temporary file next to path, which then
+    replaces path in one rename, so a failed write never leaves a torn
+    output.
     """
+    try:
+        target = os.stat(path)
+        is_input = os.path.samestat(target, os.stat(src))
+    except OSError:
+        pass  # nothing at path to keep; the write reports any fault
+    else:
+        if is_input:
+            raise SourceIoError(f"cannot write {path}: it is the input file")
+        if not stat.S_ISREG(target.st_mode):
+            raise SourceIoError(f"cannot write {path}: not a regular file")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
@@ -78,7 +92,7 @@ def _write_new(path, text: str, src, written: dict[str, str]) -> None:
     key = os.path.abspath(path)
     if key in written:
         raise SourceIoError(f"cannot write {path}: already written for {written[key]}")
-    _write_text(path, text)
+    _write_text(path, text, src)
     written[key] = src
 
 
@@ -93,7 +107,7 @@ def _cmd_parse(args) -> int:
     src = args.file
     out = args.out if args.out else src + TREE_SUFFIX
     try:
-        _write_text(out, serialize_tree(parse_file(src, detect(registry, src))))
+        _write_text(out, serialize_tree(parse_file(src, detect(registry, src))), src)
     except _HANDLED as e:
         _report_error(src, e)
         return e.exit_code
@@ -111,7 +125,7 @@ def _cmd_measure(args) -> int:
         else:
             tree = parse_file(src, detect(registry, src))
         report = measure_tree(tree, extended=args.extended_cc)
-        _write_text(out, serialize_metrics(report))
+        _write_text(out, serialize_metrics(report), src)
     except _HANDLED as e:
         _report_error(src, e)
         return e.exit_code

@@ -39,6 +39,8 @@ class BaseParser:
         self.comments = comments
         self.i = 0
         self.depth = 0  # nesting levels open at the cursor
+        # The labels _flat_until looks at: brackets and construct keywords.
+        self._marked = frozenset("()[]{}") | self._CONSTRUCTS
 
     # -- cursor primitives -------------------------------------------------
     # Each reads self.toks at self.i itself: no helper call per token.
@@ -163,31 +165,44 @@ class BaseParser:
     # -- shared construct helpers ------------------------------------------
 
     _CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
-    _CLOSERS = (")", "]", "}")
+    #: Keywords that open a construct with universal nodes; each parser
+    #: sets its own.  One inside a flat run would hide the construct.
+    _CONSTRUCTS: frozenset = frozenset()
+
+    def _opens_construct(self, j: int) -> bool:  # pragma: no cover - abstract
+        """Whether the _CONSTRUCTS keyword at toks[j] opens a construct."""
+        raise NotImplementedError
 
     def _flat_until(self, stops) -> list[EcstNode]:
         """Consume tokens up to a bracket-level-zero stop lexeme.
 
         A closing bracket must match the innermost opening one consumed
         here; one with none open stops the loop, so enclosing groups stay
-        balanced.  The stop token itself is not consumed.
+        balanced.  The stop token itself is not consumed.  A keyword
+        that opens a construct is a syntax error at any bracket level:
+        taken flat, its loops and branches would not count.
         """
-        toks, closer_of, all_closers = self.toks, self._CLOSER_OF, self._CLOSERS
+        toks, closer_of, marked = self.toks, self._CLOSER_OF, self._marked
         start = j = self.i
         closers: list[str] = []  # the closer each open bracket needs
         while j < len(toks):
             label = toks[j].label
             if not closers and label in stops:
                 break
-            if label in closer_of:
-                closers.append(closer_of[label])
-            elif label in all_closers:
-                if not closers:
+            if label in marked:  # one set test per plain token
+                if label in closer_of:
+                    closers.append(closer_of[label])
+                elif label in self._CONSTRUCTS:
+                    if self._opens_construct(j):
+                        self.i = j
+                        self._error(f"{label!r} inside a flat statement")
+                elif not closers:  # a closer with no opener here
                     break
-                if label != closers[-1]:
+                elif label != closers[-1]:
                     self.i = j
                     self._error(f"expected {closers[-1]!r}, found {label!r}")
-                closers.pop()
+                else:
+                    closers.pop()
             j += 1
         self.i = j
         return toks[start:j]

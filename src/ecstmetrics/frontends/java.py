@@ -21,6 +21,12 @@ DECL_KEYWORDS = frozenset(
 
 
 class JavaParser(BaseParser):
+    _CONSTRUCTS = frozenset({"if", "else", "while", "do", "for", "class"})
+
+    def _opens_construct(self, j: int) -> bool:
+        # After "." the keyword is a member name, as in the literal A.class.
+        return self.toks[j - 1].label != "."
+
     def parse_compilation_unit(self) -> EcstNode:
         kids: list[EcstNode] = []
         if self._peek() is None:

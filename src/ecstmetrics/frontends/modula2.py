@@ -21,6 +21,16 @@ SECTION_KEYWORDS = ("VAR", "CONST", "TYPE")
 
 
 class Modula2Parser(BaseParser):
+    _CONSTRUCTS = frozenset({"IF", "WHILE", "REPEAT", "FOR", "PROCEDURE", "MODULE"})
+
+    def _opens_construct(self, j: int) -> bool:
+        # PROCEDURE with no name after it is a procedure type, such as
+        # PROCEDURE (INTEGER): BOOLEAN in a declaration.
+        toks = self.toks
+        return toks[j].label != "PROCEDURE" or (
+            j + 1 < len(toks) and toks[j + 1].token_type == "identifier"
+        )
+
     def parse_compilation_unit(self) -> EcstNode:
         kids: list[EcstNode] = []
         if self._at("MODULE"):

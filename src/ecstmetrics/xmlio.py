@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, NoReturn
 from xml.parsers import expat
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import MalformedTreeError, SourceIoError, TreeXmlError
 from .tree import (
@@ -24,6 +23,26 @@ from .tree import (
 )
 
 # -- serialization ---------------------------------------------------------
+
+
+def escape(text: str) -> str:
+    """text with "&", "<" and ">" written as entities."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """text as a quoted attribute value, written as xml.sax.saxutils
+    writes it: escaped, with tab, newline and carriage return as
+    character references, in double quotes; in single quotes if it holds
+    a double quote and no single one; with &quot; if it holds both."""
+    text = (
+        escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    )
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def serialize_tree(tree: EcstTree) -> str:

@@ -7,6 +7,7 @@ import io
 import os
 import resource
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -384,6 +385,83 @@ class TestExitCodes:
         assert captured.out == ""
         assert not any(p.name.startswith(f"{name}.") for p in workdir.iterdir())
 
+    # command, its input, then the --out that names the same file
+    INPUT_AS_OUTPUT = [
+        ("parse", "a.java", "a.java"),
+        ("measure", "b.java", "./b.java"),
+        ("measure", "T.ecst.xml", "T.ecst.xml"),
+        ("parse", "a.java", "link.java"),
+        ("measure", "b.java", "hard.java"),
+    ]
+
+    @pytest.mark.parametrize("command,src,out", INPUT_AS_OUTPUT)
+    def test_out_naming_the_input_is_4(self, workdir, capsys, command, src, out):
+        for name in ("a.java", "b.java"):
+            (workdir / name).write_text("class A {\n  void m() { }\n}\n", encoding="utf-8")
+        (workdir / "T.ecst.xml").write_text(MINI_XML, encoding="utf-8")
+        os.symlink("a.java", workdir / "link.java")
+        os.link(workdir / "b.java", workdir / "hard.java")
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        assert main([command, src, "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"{src}: error: cannot write {out}: it is the input file\n"
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["parse", "measure"])
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_out_that_is_not_a_regular_file_is_4(self, workdir, capsys, command, kind):
+        target = workdir / "target"
+        if kind == "fifo":
+            os.mkfifo(target)
+        else:
+            target.mkdir()
+        before = sorted(os.listdir(workdir))
+        assert main([command, "QuickSort.java", "--out", "target"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "QuickSort.java: error: cannot write target: not a regular file\n"
+        )
+        assert captured.out == ""
+        assert sorted(os.listdir(workdir)) == before
+        mode = os.lstat(target).st_mode
+        assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISDIR(mode)
+
+    # Sources whose loop or branch keyword sits inside a flat statement,
+    # where it would not count; each is a syntax error at that keyword.
+    FLAT_CONSTRUCTS = {
+        "try.java": (
+            "class A {\n  void m() {\n"
+            "    try { if (a) { b(); } } catch (E e) { c(); } x = 1;\n  }\n}\n",
+            "3:11: error: 'if' inside a flat statement",
+        ),
+        "lambda.java": (
+            "class A {\n  void m() {\n"
+            "    Runnable r = () -> { if (a) { b(); } };\n  }\n}\n",
+            "3:26: error: 'if' inside a flat statement",
+        ),
+        "anon.java": (
+            "class A {\n  void m() {\n    Object o = new Object() {"
+            " int f() { while (x) { y(); } return 1; } };\n  }\n}\n",
+            "3:41: error: 'while' inside a flat statement",
+        ),
+        "W.mod": (
+            "MODULE W;\nPROCEDURE P;\nBEGIN\n  x := F(y) WHILE\nEND P;\nEND W.\n",
+            "4:13: error: 'WHILE' inside a flat statement",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["parse", "measure", "run"])
+    @pytest.mark.parametrize("name", sorted(FLAT_CONSTRUCTS))
+    def test_construct_inside_a_flat_statement_is_3(self, workdir, capsys, command, name):
+        source, error = self.FLAT_CONSTRUCTS[name]
+        (workdir / name).write_text(source, encoding="utf-8")
+        assert main([command, name]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"{name}:{error}\n"
+        assert captured.out == ""
+        assert not any(p.name.startswith(f"{name}.") for p in workdir.iterdir())
+
     @pytest.mark.parametrize(
         "options,clash",
         [
@@ -674,6 +752,27 @@ class TestNoCyclicGarbage:
 
 
 class TestEntryPoint:
+    def test_import_loads_no_network_modules(self):
+        # xml.sax.saxutils would pull in urllib.request and through it
+        # http.client, email, ssl and socket: megabytes and tens of
+        # milliseconds on every start of a command that uses none of them.
+        unused = ["xml.sax", "urllib.request", "http.client", "email", "ssl", "socket"]
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys\n"
+                "before = set(sys.modules)\n"
+                "import ecstmetrics.cli\n"
+                f"print(sorted((set(sys.modules) - before) & set({unused!r})))",
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_module_invocation(self, workdir):
         proc = _run_module(["run", "QuickSort.mod", "--table"], cwd=workdir)
         assert proc.returncode == 0, proc.stderr

@@ -163,6 +163,29 @@ class TestErrors:
         assert str(info.value) == message
         assert info.value.span[:2] == (3, col)
 
+    @pytest.mark.parametrize(
+        "statement,keyword,col",
+        [
+            ("try { if (a) { b(); } } catch (E e) { c(); }", "if", 7),
+            ("x = f(() -> { while (a) { } });", "while", 15),
+            ("r = () -> { for (;;) { } };", "for", 13),
+            ("final class L { void f() { } }", "class", 7),
+            ("x = y else z = 1;", "else", 7),
+        ],
+    )
+    def test_construct_inside_a_flat_statement(self, statement, keyword, col):
+        with pytest.raises(ParseError) as info:
+            parse_source(_wrap(statement), "javaoo")
+        assert str(info.value) == f"{keyword!r} inside a flat statement"
+        assert info.value.span[:2] == (3, col)
+
+    def test_class_literal_stays_flat(self):
+        tree = parse_source(_wrap("c = A.class; f(B.class, 1);"), "javaoo")
+        assert _kinds(tree) == {
+            UniversalKind.COMPILATION_UNIT: 1,
+            UniversalKind.FUNCTION_DECL: 1,
+        }
+
     def test_nested_brackets_of_each_kind(self):
         tree = parse_source(_wrap("a[f(x[0])] = g((b), {c});"), "javaoo")
         assert _kinds(tree)[UniversalKind.FUNCTION_DECL] == 1

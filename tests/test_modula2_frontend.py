@@ -188,6 +188,33 @@ class TestErrors:
         assert str(info.value) == message
         assert info.value.span[:2] == (4, col)
 
+    @pytest.mark.parametrize(
+        "statement,keyword,col",
+        [
+            ("x := F(y) WHILE", "WHILE", 11),
+            ("x := 1 IF a THEN y := 2 END;", "IF", 8),
+            ("F(REPEAT)", "REPEAT", 3),
+            ("x := y FOR", "FOR", 8),
+            ("x := 1 PROCEDURE Q;", "PROCEDURE", 8),
+            ("x := 1 MODULE Q;", "MODULE", 8),
+        ],
+    )
+    def test_construct_inside_a_flat_statement(self, statement, keyword, col):
+        with pytest.raises(ParseError) as info:
+            parse_source(_wrap(statement), "modula2")
+        assert str(info.value) == f"{keyword!r} inside a flat statement"
+        assert info.value.span[:2] == (4, col)
+
+    def test_procedure_types_stay_flat(self):
+        source = (
+            "MODULE T;\nTYPE F = PROCEDURE (INTEGER): BOOLEAN;\nVAR p: PROCEDURE;\n"
+            "PROCEDURE P(f: F; g: PROCEDURE (CHAR));\nBEGIN\nEND P;\nEND T.\n"
+        )
+        assert _kinds(parse_source(source, "modula2")) == {
+            UniversalKind.COMPILATION_UNIT: 1,
+            UniversalKind.FUNCTION_DECL: 1,
+        }
+
     def test_missing_then(self):
         with pytest.raises(ParseError) as info:
             parse_source(_wrap("IF a ; THEN x := 1 END;"), "modula2")

@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import random
+import re
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import generators
 from ecstmetrics import parse_source, xmlio
 from ecstmetrics.cli import main
 from ecstmetrics.errors import SourceIoError, TreeXmlError
+from ecstmetrics.frontends import _NOT_XML_CHAR
 from ecstmetrics.metrics import ElementMetrics, LocBundle, MetricsReport, measure_tree
 from ecstmetrics.tree import EcstNode, EcstTree, SourceSpan, UniversalKind
 from ecstmetrics.xmlio import (
+    escape,
     load_tree_file,
     parse_tree_xml,
+    quoteattr,
     serialize_metrics,
     serialize_tree,
 )
@@ -478,6 +485,49 @@ class TestWriterParity:
             for line, lexeme in enumerate(lexemes, start=2)
         ]
         assert serialize_tree(tree) == reference_serialize_tree(tree)
+
+
+    @given(
+        st.text(
+            st.sampled_from("\"'&<>\t\n\r ")
+            | st.characters(min_codepoint=ord("a"), max_codepoint=ord("z"))
+            | st.characters(min_codepoint=ord("A"), max_codepoint=ord("Z"))
+            | st.characters(min_codepoint=0x80)
+        )
+    )
+    def test_escape_and_quoteattr_match_saxutils(self, text):
+        assert escape(text) == saxutils.escape(text)
+        assert quoteattr(text) == saxutils.quoteattr(text)
+
+    def test_file_name_with_quotes_ampersand_and_tab(self):
+        name = "a\"b'c&d\te.java"
+        tree = parse_source(MARKUP_SOURCES["javaoo"], "javaoo", source_path=name)
+        doc = serialize_tree(tree)
+        assert doc == reference_serialize_tree(tree)
+        assert doc.startswith(f"<ecst source={saxutils.quoteattr(name)} ")
+        again = parse_tree_xml(doc)
+        assert same_tree(again, tree)
+        metrics = serialize_metrics(measure_tree(again))
+        assert metrics.startswith(
+            f"<metrics source={saxutils.quoteattr(name)}"
+            f" language={saxutils.quoteattr('javaoo')}>\n"
+        )
+        for row in measure_tree(again).elements:
+            assert (
+                f"  <element name={saxutils.quoteattr(row.name)}"
+                f" annotation={saxutils.quoteattr(row.annotation)} "
+            ) in metrics
+
+
+class TestXmlChars:
+    def test_not_xml_char_matches_the_negated_char_production(self):
+        # XML 1.0's Char production, negated: the set the explicit class
+        # in frontends must match on every code point.
+        negated = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+        every = "".join(map(chr, range(0x110000)))
+        found = [m.start() for m in _NOT_XML_CHAR.finditer(every)]
+        assert found == [m.start() for m in negated.finditer(every)]
+        assert len(found) == 9 + 2 + 18 + 2048 + 2
 
 
 class TestLoadTreeFile:
