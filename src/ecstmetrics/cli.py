@@ -116,11 +116,13 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    registry = _load_registry(args.registry)
     src = args.file
+    # A tree names its own language: only a source input reads the registry.
+    is_tree = src.endswith(TREE_SUFFIX)
+    registry = None if is_tree else _load_registry(args.registry)
     out = args.out if args.out else _metrics_out_path(src)
     try:
-        if src.endswith(TREE_SUFFIX):
+        if is_tree:
             tree = load_tree_file(src)
         else:
             tree = parse_file(src, detect(registry, src))

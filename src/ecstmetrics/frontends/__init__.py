@@ -1,12 +1,14 @@
-"""Language frontends: token stream to eCST."""
+"""Language frontends, source text to eCST: one module per language
+holds its parser, with its LexerSpec as SPEC.  FRONTENDS maps a
+language id to that parser class."""
 
 from __future__ import annotations
 
 import re
 
+from .. import scan as _scan
 from ..errors import LexError, SourceIoError, UnsupportedLanguageError
-from ..lexer import count_physical_lines, lex
-from ..tree import EcstTree, SourceSpan
+from ..tree import EcstNode, EcstTree, SourceSpan
 from .java import JavaParser
 from .modula2 import Modula2Parser
 
@@ -20,18 +22,50 @@ FRONTENDS = {
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
+def _frontend(language_id: str):
+    """The parser class, with its SPEC, for a language id."""
+    parser_cls = FRONTENDS.get(language_id)
+    if parser_cls is None:
+        raise UnsupportedLanguageError(f"no frontend for language {language_id!r}")
+    return parser_cls
+
+
+def _unix_newlines(source: str) -> str:
+    """The one line-break rule: "\\r\\n" and "\\r" are read as "\\n"."""
+    return source.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def lex(source: str, language_id: str) -> list[EcstNode]:
+    """Tokenize source text; comments kept, whitespace dropped.
+
+    Spans are 1-based and inclusive.  Raises LexError on unlexable
+    input and UnsupportedLanguageError for unknown language ids.
+    """
+    return _scan.scan(_unix_newlines(source), _frontend(language_id).SPEC)
+
+
+def count_physical_lines(source: str) -> int:
+    """Physical line count of a source text, at least 1.
+
+    A line ends at "\\n" once line breaks are read as lex reads them; a
+    final line break starts no new line.
+    """
+    text = _unix_newlines(source)
+    return text.count("\n") + (not text.endswith("\n"))
+
+
 def _check_xml_chars(source: str) -> None:
     """Raise LexError at the first character tree XML cannot store.
 
     Called once lex has accepted the source: the scanner rejects any
     such character outside a comment or string, so the first one in the
-    source is the one to report.  Its line and column count lines as the
-    lexer does, with "\\r\\n" and "\\r" read as "\\n".
+    source is the one to report.  Its line and column count lines as
+    lex does.
     """
     m = _NOT_XML_CHAR.search(source)
     if m is None:
         return
-    before = source[: m.start()].replace("\r\n", "\n").replace("\r", "\n")
+    before = _unix_newlines(source[: m.start()])
     line = before.count("\n") + 1
     col = len(before) - before.rfind("\n")
     raise LexError(
@@ -42,17 +76,14 @@ def _check_xml_chars(source: str) -> None:
 
 def parse_source(source: str, language_id: str, source_path: str = "<string>") -> EcstTree:
     """Lex and parse source text into an eCST."""
-    parser_cls = FRONTENDS.get(language_id)
-    if parser_cls is None:
-        raise UnsupportedLanguageError(f"no frontend for language {language_id!r}")
+    parser_cls = _frontend(language_id)
     bad = _NOT_XML_CHAR.search(source_path)
     if bad is not None:
         raise SourceIoError(
             f"character {bad.group()!r} in the file name cannot be stored in tree XML"
         )
-    tokens = lex(source, language_id)
+    parser = parser_cls(lex(source, language_id), language_id, source_path)
     _check_xml_chars(source)
-    parser = parser_cls(tokens, language_id, source_path)
     return parser.build_tree(count_physical_lines(source))
 
 
@@ -68,4 +99,4 @@ def parse_file(path, language_id: str) -> EcstTree:
     return parse_source(source, language_id, source_path=str(path))
 
 
-__all__ = ["FRONTENDS", "parse_source", "parse_file"]
+__all__ = ["FRONTENDS", "count_physical_lines", "lex", "parse_source", "parse_file"]

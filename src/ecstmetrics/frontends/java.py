@@ -1,4 +1,4 @@
-"""Java frontend.
+"""Java frontend: lexical rules (JavaParser.SPEC) and parser.
 
 Supported subset: classes with fields and (possibly static) methods,
 local declarations, assignment and call statements, return/break/
@@ -9,6 +9,7 @@ loops, and branches.
 
 from __future__ import annotations
 
+from ..scan import LexerSpec
 from ..tree import EcstNode, UniversalKind
 from .base import BaseParser
 
@@ -21,6 +22,25 @@ DECL_KEYWORDS = frozenset(
 
 
 class JavaParser(BaseParser):
+    SPEC = LexerSpec(
+        keywords=frozenset(
+            """class public private protected static final void int long short
+               byte char boolean float double if else while do for return new
+               break continue""".split()
+        ),
+        operator_words=frozenset(),
+        literal_words=frozenset({"true", "false", "null"}),
+        two_char_ops=frozenset(
+            {"==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%="}
+        ),
+        single_chars="+-*/%=<>!()[]{},;.",
+        punctuation=frozenset({"(", ")", "[", "]", "{", "}", ",", ";", "."}),
+        line_comment="//",
+        block_open="/*",
+        block_close="*/",
+        nested_blocks=False,
+        string_escapes=True,
+    )
     _CONSTRUCTS = frozenset({"if", "else", "while", "do", "for", "class"})
 
     def _opens_construct(self, j: int) -> bool:

@@ -1,4 +1,4 @@
-"""Modula-2 frontend.
+"""Modula-2 frontend: lexical rules (Modula2Parser.SPEC) and parser.
 
 Supported subset: MODULE header with imports, CONST/TYPE/VAR sections,
 nested PROCEDURE declarations, assignment and call statements, RETURN,
@@ -9,6 +9,7 @@ direct concrete child of the nearest enclosing construct.
 
 from __future__ import annotations
 
+from ..scan import LexerSpec
 from ..tree import EcstNode, UniversalKind
 from .base import BaseParser
 
@@ -21,6 +22,23 @@ SECTION_KEYWORDS = ("VAR", "CONST", "TYPE")
 
 
 class Modula2Parser(BaseParser):
+    SPEC = LexerSpec(
+        keywords=frozenset(
+            """MODULE BEGIN END PROCEDURE VAR CONST TYPE IF THEN ELSIF ELSE
+               WHILE DO REPEAT UNTIL FOR TO BY OF ARRAY RETURN IMPORT FROM
+               EXPORT""".split()
+        ),
+        operator_words=frozenset({"AND", "OR", "NOT", "DIV", "MOD"}),
+        literal_words=frozenset(),
+        two_char_ops=frozenset({":=", "<=", ">=", "<>", ".."}),
+        single_chars="+-*/=#<>&()[],;:.",
+        punctuation=frozenset({"(", ")", "[", "]", ",", ";", ":", "."}),
+        line_comment="",
+        block_open="(*",
+        block_close="*)",
+        nested_blocks=True,
+        string_escapes=False,
+    )
     _CONSTRUCTS = frozenset({"IF", "WHILE", "REPEAT", "FOR", "PROCEDURE", "MODULE"})
 
     def _opens_construct(self, j: int) -> bool:

@@ -27,10 +27,12 @@ def detect(registry: dict[str, str], path) -> str:
 def load_registry(path) -> dict[str, str]:
     """Load a registry XML document.
 
-    Malformed XML raises SourceIoError; schema problems (unknown
-    elements, missing attributes, duplicate extensions) raise
-    RegistryError.  A <language> needs both id and name; the name is
-    not used.  Duplicates are looked for once the whole document is read.
+    An <ext> may start with one dot, which is dropped.  Malformed XML
+    raises SourceIoError; schema problems (unknown elements, missing
+    attributes, an empty extension or one that holds a dot, duplicate
+    extensions) raise RegistryError.  A <language> needs both id and
+    name; the name is not used.  Duplicates are looked for once the
+    whole document is read.
     """
     try:
         with open(path, "rb") as f:
@@ -75,10 +77,16 @@ def load_registry(path) -> dict[str, str]:
         nonlocal depth
         depth -= 1
         if depth == 2:  # </ext>
-            ext = "".join(text).strip()
+            # One leading dot is dropped, as detect drops it from a path.
+            ext = "".join(text).strip().removeprefix(".")
             if not ext:
                 raise RegistryError(
                     f"empty <ext> element (line {parser.CurrentLineNumber})"
+                )
+            if "." in ext:
+                # detect reads only what follows a path's last dot
+                raise RegistryError(
+                    f"extension {ext!r} holds a dot (line {parser.CurrentLineNumber})"
                 )
             pairs.append((ext, language_id))
 

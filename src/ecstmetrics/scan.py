@@ -1,18 +1,20 @@
 """Scanning and token classification in one pass.
 
-One compiled pattern per LexerSpec splits the text into tokens; each
-match is classified by the spec and becomes a concrete EcstNode, the
-token the tree keeps, with a 1-based, inclusive SourceSpan.  Blanks
-ride with the match before them: every match takes the blanks after
-it, and a line break takes the next line's indentation, so the loop
-turns once per token and once per line.  The pattern matches only a
-block comment's opener; a str.find loop then finds the closer, because
-Modula-2 comments nest.
+A LexerSpec holds one language's lexical rules; each language's parser
+keeps its own as SPEC.  One compiled pattern per spec splits the text
+into tokens; each match is classified by the spec and becomes a concrete
+EcstNode, the token the tree keeps, with a 1-based, inclusive
+SourceSpan.  Blanks ride with the match before them: every match takes
+the blanks after it, and a line break takes the next line's indentation,
+so the loop turns once per token and once per line.  The pattern matches
+only a block comment's opener; a str.find loop then finds the closer,
+because Modula-2 comments nest.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import LexError
@@ -20,6 +22,23 @@ from .tree import EcstNode, SourceSpan
 
 #: The scanner implementation, named in benchmark reports.
 KERNEL = "python"
+
+
+@dataclass(frozen=True)
+class LexerSpec:
+    """Everything the scanner and classifier need for one language."""
+
+    keywords: frozenset
+    operator_words: frozenset  # word-shaped operators such as DIV or AND
+    literal_words: frozenset  # word-shaped literals such as true/false
+    two_char_ops: frozenset
+    single_chars: str
+    punctuation: frozenset  # symbol lexemes that are punctuation, not operators
+    line_comment: str
+    block_open: str
+    block_close: str
+    nested_blocks: bool
+    string_escapes: bool
 
 
 # Token type of every match group whose type does not depend on the lexeme.
@@ -103,9 +122,8 @@ def _error(message: str, line: int, col: int) -> LexError:
     return LexError(message, span=SourceSpan(line, col, line, col))
 
 
-def scan(text: str, spec) -> list[EcstNode]:
-    """Tokenize text by spec (a lexer.LexerSpec); comments kept,
-    whitespace dropped.
+def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
+    """Tokenize text by spec; comments kept, whitespace dropped.
 
     Newlines must already be normalized to "\\n".  Spans are 1-based and
     inclusive.  Raises LexError, whose span is the position of the

@@ -45,8 +45,7 @@ from ecstmetrics.errors import (
     TreeXmlError,
     UnsupportedLanguageError,
 )
-from ecstmetrics.frontends import FRONTENDS
-from ecstmetrics.lexer import LEXER_SPECS, count_physical_lines, lex
+from ecstmetrics.frontends import FRONTENDS, count_physical_lines, lex
 from ecstmetrics.metrics import (
     LOGICAL_OPERATORS,
     MEASURED_KINDS,
@@ -300,9 +299,10 @@ def reference_scan(
 
 def reference_lex(source, language_id):
     """Tokenize and classify source text the way the lexer must."""
-    spec = LEXER_SPECS.get(language_id)
-    if spec is None:
+    frontend = FRONTENDS.get(language_id)
+    if frontend is None:
         raise UnsupportedLanguageError(f"no lexer for language {language_id!r}")
+    spec = frontend.SPEC
     text = source.replace("\r\n", "\n").replace("\r", "\n")
     raw = reference_scan(
         text,

@@ -169,6 +169,25 @@ class TestRegistryResolution:
             ["measure", "QuickSort.java", "--registry", str(fixture_dir / "languages.xml")]
         ) == 0
 
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("registry", ["malformed languages.xml", "--registry missing.xml"])
+    def test_tree_input_reads_no_registry(self, workdir, capsys, registry, extended):
+        # A tree names its own language, so no registry fault touches it.
+        flags = ["--extended-cc"] if extended else []
+        assert main(["parse", "Features.java"]) == 0
+        assert main(["measure", "Features.java.ecst.xml", "--out", "plain.xml", *flags]) == 0
+        if registry.startswith("--"):
+            flags += registry.split()
+        else:
+            (workdir / "languages.xml").write_text("<languages><language", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["measure", "Features.java.ecst.xml", *flags]) == 0
+        assert capsys.readouterr() == (
+            "Features.java.ecst.xml -> Features.java.metrics.xml\n", ""
+        )
+        plain = (workdir / "plain.xml").read_text(encoding="utf-8")
+        assert (workdir / "Features.java.metrics.xml").read_text(encoding="utf-8") == plain
+
     def test_registered_but_unsupported_language(self, workdir, capsys):
         (workdir / "languages.xml").write_text(
             "<languages>\n"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ecstmetrics.errors import LexError, UnsupportedLanguageError
-from ecstmetrics.lexer import count_physical_lines, lex
+from ecstmetrics.frontends import count_physical_lines, lex
 
 
 def _types(tokens):

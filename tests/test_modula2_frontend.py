@@ -8,7 +8,7 @@ import pytest
 
 from ecstmetrics import parse_source
 from ecstmetrics.errors import ParseError
-from ecstmetrics.lexer import lex
+from ecstmetrics.frontends import lex
 from ecstmetrics.tree import UniversalKind, find_nodes, preorder
 from oracles import same_tree, subtree_span
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import generators
 from ecstmetrics import parse_source
 from ecstmetrics.errors import LexError, ParseError
-from ecstmetrics.lexer import lex
+from ecstmetrics.frontends import lex
 from ecstmetrics.metrics import measure_tree
 from ecstmetrics.tree import preorder, validate_tree, walk
 from ecstmetrics.xmlio import parse_tree_xml, serialize_tree

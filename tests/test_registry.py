@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pytest
 
+from ecstmetrics.cli import main
 from ecstmetrics.errors import RegistryError, SourceIoError, UnknownExtensionError
 from ecstmetrics.frontends.registry import BUILTIN, detect, load_registry
 
@@ -77,6 +81,20 @@ class TestLoadRegistry:
             '<language id="b" name="B"><ext>MOD</ext></language></languages>',
             "duplicate extension 'MOD' in registry",
         ),
+        # detect reads only what follows a path's last dot.
+        "dot in ext": (
+            '<languages>\n  <language id="a" name="A"><ext>tar.gz</ext></language>\n'
+            "</languages>",
+            "extension 'tar.gz' holds a dot (line 2)",
+        ),
+        "dot after the leading dot": (
+            '<languages><language id="a" name="A"><ext>..gz</ext></language></languages>',
+            "extension '.gz' holds a dot (line 1)",
+        ),
+        "lone dot": (
+            '<languages><language id="a" name="A"><ext> . </ext></language></languages>',
+            "empty <ext> element (line 1)",
+        ),
         # Duplicates are checked once the whole document is read.
         "duplicate, then unknown element": (
             '<languages><language id="a" name="A"><ext>x</ext></language>'
@@ -120,6 +138,55 @@ class TestLoadRegistry:
             "</languages>"
         )
         assert load_registry(path) == {"a": "a"}
+
+
+class TestLeadingDot:
+    """An <ext> may be written with the dot detect drops from a path."""
+
+    REGISTRY = (
+        '<languages><language id="javaoo" name="Java">'
+        "<ext>.java</ext><ext> .JV </ext></language></languages>"
+    )
+
+    def test_one_leading_dot_is_dropped(self, tmp_path):
+        path = tmp_path / "langs.xml"
+        path.write_text(self.REGISTRY)
+        registry = load_registry(path)
+        assert registry == {"java": "javaoo", "jv": "javaoo"}
+        assert detect(registry, "Q.java") == "javaoo"
+        assert detect(registry, "Q.Jv") == "javaoo"
+
+    def test_dotted_and_plain_ext_are_duplicates(self, tmp_path):
+        path = tmp_path / "langs.xml"
+        path.write_text(
+            '<languages><language id="a" name="A"><ext>.mod</ext><ext>mod</ext>'
+            "</language></languages>"
+        )
+        with pytest.raises(RegistryError, match="^duplicate extension 'mod' in registry$"):
+            load_registry(path)
+
+    def test_parse_with_a_dotted_ext(self, tmp_path, fixture_dir, monkeypatch, capsys):
+        shutil.copy(fixture_dir / "QuickSort.java", tmp_path / "Q.java")
+        (tmp_path / "r.xml").write_text(self.REGISTRY)
+        monkeypatch.chdir(tmp_path)
+        assert main(["parse", "Q.java", "--registry", "r.xml"]) == 0
+        assert capsys.readouterr().out == "Q.java -> Q.java.ecst.xml\n"
+
+    @pytest.mark.parametrize("command", ["parse", "measure", "run"])
+    def test_ext_holding_a_dot_is_4_against_the_registry(
+        self, tmp_path, fixture_dir, monkeypatch, capsys, command
+    ):
+        shutil.copy(fixture_dir / "QuickSort.mod", tmp_path / "Q.mod")
+        (tmp_path / "r.xml").write_text(
+            '<languages>\n  <language id="modula2" name="Modula-2">\n'
+            "    <ext>mod</ext><ext>tar.gz</ext>\n  </language>\n</languages>\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "Q.mod", "--registry", "r.xml"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "r.xml: error: extension 'tar.gz' holds a dot (line 3)\n"
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["Q.mod", "r.xml"]
 
 
 class TestDetection:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import generators
 import oracles
 from ecstmetrics.errors import LexError
-from ecstmetrics.lexer import lex
+from ecstmetrics.frontends import lex
 
 from conftest import CORPUS, FIXTURE_DIR
 

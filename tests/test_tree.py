@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ecstmetrics.errors import MalformedTreeError, TreeXmlError
-from ecstmetrics.lexer import lex
+from ecstmetrics.frontends import lex
 from ecstmetrics.tree import (
     EcstNode,
     EcstTree,
