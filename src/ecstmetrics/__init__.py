@@ -9,14 +9,7 @@ same algorithms serve every supported language.
 """
 
 from .frontends import parse_file, parse_source
-from .metrics import (
-    LocBundle,
-    MetricsReport,
-    cyclomatic_complexity,
-    decision_count,
-    loc_bundle,
-    measure_tree,
-)
+from .metrics import LocBundle, MetricsReport, measure_tree
 from .tree import EcstNode, EcstTree, SourceSpan, UniversalKind
 from .xmlio import parse_tree_xml, serialize_metrics, serialize_tree
 
@@ -32,9 +25,6 @@ __all__ = [
     "parse_source",
     "parse_file",
     "measure_tree",
-    "cyclomatic_complexity",
-    "decision_count",
-    "loc_bundle",
     "serialize_tree",
     "parse_tree_xml",
     "serialize_metrics",

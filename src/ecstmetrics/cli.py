@@ -216,7 +216,3 @@ def main(argv=None) -> int:
         # Registry problems surface before any per-file processing.
         _report_error(getattr(args, "registry", None) or "languages.xml", e)
         return e.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -59,7 +59,3 @@ class TreeXmlError(Exception):
 class MalformedTreeError(Exception):
     """A tree violates a structural invariant (e.g. a universal node
     without concrete descendants)."""
-
-
-class UnsupportedElementError(ValueError):
-    """Metric requested for a node kind it is not defined on."""

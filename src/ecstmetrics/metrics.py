@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedTreeError, UnsupportedElementError
+from .errors import MalformedTreeError
 from .tree import EcstNode, EcstTree, SourceSpan, UniversalKind, walk
 
 MEASURED_KINDS = (
@@ -49,17 +49,6 @@ class MetricsReport:
     totals: LocBundle
 
 
-def is_decision_point(node: EcstNode) -> bool:
-    """Loops and condition-bearing branches are decision points."""
-    if node.kind is UniversalKind.LOOP_STATEMENT:
-        return True
-    if node.kind is UniversalKind.BRANCH:
-        return any(
-            child.kind is UniversalKind.CONDITION for child in node.children
-        )
-    return False
-
-
 class _Lines:
     """Distinct lines covered by a stream of tokens in source order."""
 
@@ -86,6 +75,14 @@ class _Lines:
 
 
 def _name(node: EcstNode, first_identifier: list[EcstNode]) -> str:
+    """Report name of a measured element.
+
+    A unit is named by the last identifier among its direct children
+    before its first "(", ":" or ";" punctuation child, else by the first
+    identifier in its subtree (first_identifier, empty when it has none),
+    else "<anonymous>".  Loops are named by their keyword (DO-WHILE for
+    do-while), branch chains BRANCHING and branches IF/ELSIF/ELSE.
+    """
     if node.kind is UniversalKind.FUNCTION_DECL:
         previous = first_identifier
         for child in node.children:
@@ -112,15 +109,15 @@ def _name(node: EcstNode, first_identifier: list[EcstNode]) -> str:
 
 
 def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
-    """Rows of root and of every measured node below it, in preorder.
+    """The whole-file row of a tree's root, then the row of every
+    measured node below it, in preorder.
 
     One walk() over a valid tree: each value is a running count noted
     when a node is entered and read again when it is left, and its lines
     are those of its first and last token.  A unit's cc includes its
-    base complexity of 1.
+    base complexity of 1; loops and condition-bearing branches are the
+    decision points.
     """
-    if root.kind is None:
-        root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [root])
     rows: list = []
     tokens: list[EcstNode] = []
     identifiers: list[EcstNode] = []
@@ -147,7 +144,10 @@ def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
                 marks.append((len(rows), *counts, len(identifiers)))
                 rows.append(None)
             conditions += kind is UniversalKind.CONDITION
-            decisions += is_decision_point(node)
+            decisions += kind is UniversalKind.LOOP_STATEMENT or (
+                kind is UniversalKind.BRANCH
+                and any(c.kind is UniversalKind.CONDITION for c in node.children)
+            )
             continue
         conditions -= kind is UniversalKind.CONDITION
         if not reported:
@@ -173,43 +173,6 @@ def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
             end_line=end_line,
         )
     return rows
-
-
-def decision_count(node: EcstNode, extended: bool = False) -> int:
-    """Decision points in the subtree rooted at node, node included; with
-    extended, plus its logical operators that have a CONDITION ancestor."""
-    return _fold(node, extended)[0].cc - (node.kind is UniversalKind.FUNCTION_DECL)
-
-
-def cyclomatic_complexity(node: EcstNode, extended: bool = False) -> int:
-    """CC of a measured element.
-
-    Units get base complexity 1 plus their decision count; loop,
-    branch-statement, and branch rows carry the bare decision count.
-    """
-    if node.kind not in MEASURED_KINDS:
-        raise UnsupportedElementError(
-            f"cyclomatic complexity is not defined for {node.label!r}"
-        )
-    return _fold(node, extended)[0].cc
-
-
-def loc_bundle(node: EcstNode) -> LocBundle:
-    """Physical, source, and comment line counts of a subtree."""
-    row = _fold(node, False)[0]
-    return LocBundle(loc=row.loc, sloc=row.sloc, cloc=row.cloc)
-
-
-def element_name(node: EcstNode) -> str:
-    """Report name for a measured element.
-
-    A unit is named by the last identifier among its direct children
-    before its first "(", ":" or ";" punctuation child, else by its first
-    identifier, else "<anonymous>".  Loops are named by their keyword
-    (DO-WHILE for do-while), branch chains BRANCHING and branches
-    IF/ELSIF/ELSE.
-    """
-    return _fold(node, False)[0].name
 
 
 def measure_tree(tree: EcstTree, extended: bool = False) -> MetricsReport:

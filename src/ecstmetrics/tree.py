@@ -67,17 +67,9 @@ class EcstNode:
     span: SourceSpan | None = None
     children: list["EcstNode"] | tuple = ()
 
-    @property
-    def is_universal(self) -> bool:
-        return self.kind is not None
-
     @classmethod
     def universal(cls, kind: UniversalKind, children: list["EcstNode"]) -> "EcstNode":
         return cls(label=kind.value, kind=kind, children=children)
-
-    @classmethod
-    def concrete(cls, lexeme: str, token_type: str, span: SourceSpan) -> "EcstNode":
-        return cls(label=lexeme, token_type=token_type, span=span)
 
 
 @dataclass
@@ -88,16 +80,6 @@ class EcstTree:
     source_path: str
     language_id: str
     total_lines: int
-
-
-def preorder(tree_or_node: EcstTree | EcstNode) -> Iterator[EcstNode]:
-    """Depth-first, left-to-right traversal; parent before children."""
-    node = tree_or_node.root if isinstance(tree_or_node, EcstTree) else tree_or_node
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        stack.extend(reversed(current.children))
 
 
 def walk(root: EcstNode) -> Iterator[tuple[EcstNode, int, int | None]]:
@@ -126,11 +108,6 @@ def walk(root: EcstNode) -> Iterator[tuple[EcstNode, int, int | None]]:
             yield node, lo, count
 
 
-def find_nodes(tree_or_node: EcstTree | EcstNode, kind: UniversalKind) -> list[EcstNode]:
-    """All universal nodes of the given kind, in preorder."""
-    return [n for n in preorder(tree_or_node) if n.kind is kind]
-
-
 def validate_tree(tree: EcstTree) -> None:
     """Check the structural invariants; raise MalformedTreeError on breach.
 
@@ -140,9 +117,9 @@ def validate_tree(tree: EcstTree) -> None:
     children all being BRANCH, CONDITION placement, every FUNCTION_DECL
     containing an identifier token, and the last token ending on or
     before line total_lines.  The fields of each node and the root kind
-    are the builder's to get right: the frontends build nodes through
-    EcstNode.universal/concrete, and the XML reader checks every element
-    it reads.
+    are the builder's to get right: the scanner builds each token with
+    the EcstNode constructor, the parsers build universal nodes through
+    EcstNode.universal, and the XML reader checks every element it reads.
     """
     guarded = False  # inside a BRANCH or LOOP_STATEMENT
     identifiers = 0  # identifier tokens so far
@@ -166,7 +143,7 @@ def validate_tree(tree: EcstTree) -> None:
                 )
             if kind is UniversalKind.BRANCH_STATEMENT:
                 for child in node.children:
-                    if child.is_universal and child.kind is not UniversalKind.BRANCH:
+                    if child.kind is not None and child.kind is not UniversalKind.BRANCH:
                         raise MalformedTreeError(
                             "BRANCH_STATEMENT has a universal child "
                             f"of kind {child.kind.value}"

@@ -12,7 +12,9 @@ reference_parse_source, reference_measure_tree and subtree_span keep the
 subtree re-walking implementations the package used before its single
 ordered pass (tree.walk): comment placement by per-node token ranges,
 metrics read off each measured node's own subtree, and a node's span as
-the least and greatest position among its tokens.  Two rules differ
+the least and greatest position among its tokens.  They walk trees with
+this module's own preorder, not with the package's traversal; nodes_of
+finds the universal nodes of one kind with it.  Two rules differ
 from those earlier bodies on purpose, to match the current definitions:
 a unit is named from its direct children, and a logical operator counts
 once however many CONDITION nodes enclose it.
@@ -59,7 +61,6 @@ from ecstmetrics.tree import (
     EcstTree,
     SourceSpan,
     UniversalKind,
-    preorder,
     validate_tree,
     walk,
 )
@@ -301,7 +302,7 @@ def reference_lex(source, language_id):
     """Tokenize and classify source text the way the lexer must."""
     frontend = FRONTENDS.get(language_id)
     if frontend is None:
-        raise UnsupportedLanguageError(f"no lexer for language {language_id!r}")
+        raise UnsupportedLanguageError(f"no frontend for language {language_id!r}")
     spec = frontend.SPEC
     text = source.replace("\r\n", "\n").replace("\r", "\n")
     raw = reference_scan(
@@ -333,7 +334,7 @@ def reference_lex(source, language_id):
         else:
             token_type = "comment"
         tokens.append(
-            EcstNode.concrete(lexeme, token_type, SourceSpan(line, col, end_line, end_col))
+            EcstNode(lexeme, None, token_type, SourceSpan(line, col, end_line, end_col))
         )
     return tokens
 
@@ -358,7 +359,7 @@ def reference_attach_comments(parser, root):
         cached = ranges.get(id(node))
         if cached is not None:
             return cached
-        if not node.is_universal:
+        if node.kind is None:
             rng = (token_index[id(node.span)],) * 2
         else:
             child_ranges = [compute(c) for c in node.children]
@@ -551,6 +552,20 @@ def reference_measure_tree(tree):
 # -- trees -----------------------------------------------------------------
 
 
+def preorder(tree_or_node):
+    """Every node of a tree or subtree, parent before children."""
+    stack = [getattr(tree_or_node, "root", tree_or_node)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def nodes_of(tree_or_node, kind):
+    """The universal nodes of one kind, in preorder."""
+    return [n for n in preorder(tree_or_node) if n.kind is kind]
+
+
 def same_tree(a: EcstTree, b: EcstTree) -> bool:
     """Equal headers, and equal nodes (label, kind, token type, span) at
     equal places in the entry/exit order of tree.walk."""
@@ -642,7 +657,7 @@ def _build_node(el: _Open) -> EcstNode:
         )
         if span[:2] > span[2:]:
             _fail(el, f"invalid span: span start after end: {span}")
-        return EcstNode.concrete(text, token_type, span)
+        return EcstNode(text, None, token_type, span)
     _fail(el, f"unknown element <{el.tag}>")
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecstmetrics
 from ecstmetrics import cli, measure_tree, parse_file, parse_source
 from ecstmetrics.cli import main
 from ecstmetrics.errors import LexError, ParseError
@@ -791,6 +792,11 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_every_exported_name_resolves(self):
+        namespace = {}
+        exec("from ecstmetrics import *", namespace)
+        assert namespace.keys() - {"__builtins__"} == set(ecstmetrics.__all__)
 
     def test_module_invocation(self, workdir):
         proc = _run_module(["run", "QuickSort.mod", "--table"], cwd=workdir)

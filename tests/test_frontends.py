@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracles
 from ecstmetrics.errors import UnsupportedLanguageError
 from ecstmetrics.frontends import FRONTENDS, java, lex, modula2, parse_source
 from ecstmetrics.frontends.registry import BUILTIN
@@ -19,7 +20,7 @@ PARSER_KEYWORDS = {
 }
 
 
-@pytest.mark.parametrize("entry", [lex, parse_source])
+@pytest.mark.parametrize("entry", [lex, parse_source, oracles.reference_lex])
 def test_unknown_language_has_one_message(entry):
     with pytest.raises(UnsupportedLanguageError) as info:
         entry("x", "cobol")

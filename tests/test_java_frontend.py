@@ -9,8 +9,8 @@ import pytest
 from ecstmetrics import parse_source
 from ecstmetrics.errors import ParseError
 from ecstmetrics.frontends import lex
-from ecstmetrics.tree import UniversalKind, find_nodes, preorder
-from oracles import same_tree
+from ecstmetrics.tree import UniversalKind
+from oracles import nodes_of, preorder, same_tree
 
 
 def _wrap(statements: str) -> str:
@@ -18,13 +18,13 @@ def _wrap(statements: str) -> str:
 
 
 def _kinds(tree):
-    return Counter(n.kind for n in preorder(tree.root) if n.is_universal)
+    return Counter(n.kind for n in preorder(tree.root) if n.kind is not None)
 
 
 class TestStructure:
     def test_do_while_is_one_loop(self):
         tree = parse_source(_wrap("do { a++; } while (a < 10);"), "javaoo")
-        loops = find_nodes(tree, UniversalKind.LOOP_STATEMENT)
+        loops = nodes_of(tree, UniversalKind.LOOP_STATEMENT)
         assert len(loops) == 1
         labels = [c.label for c in loops[0].children]
         assert labels[0] == "do"
@@ -42,14 +42,14 @@ class TestStructure:
             ),
             "javaoo",
         )
-        chains = find_nodes(tree, UniversalKind.BRANCH_STATEMENT)
+        chains = nodes_of(tree, UniversalKind.BRANCH_STATEMENT)
         assert len(chains) == 1
         branches = chains[0].children
         assert all(b.kind is UniversalKind.BRANCH for b in branches)
         assert len(branches) == 3
         assert [c.label for c in branches[1].children[:2]] == ["else", "if"]
         with_condition = [
-            bool(find_nodes(b, UniversalKind.CONDITION)) for b in branches
+            bool(nodes_of(b, UniversalKind.CONDITION)) for b in branches
         ]
         assert with_condition == [True, True, False]
 
@@ -57,7 +57,7 @@ class TestStructure:
         tree = parse_source(
             _wrap("if (a > 0) if (a > 1) x(); else y();"), "javaoo"
         )
-        chains = find_nodes(tree, UniversalKind.BRANCH_STATEMENT)
+        chains = nodes_of(tree, UniversalKind.BRANCH_STATEMENT)
         assert len(chains) == 2
         outer, inner = chains
         assert len(outer.children) == 1
@@ -66,7 +66,7 @@ class TestStructure:
 
     def test_while_condition_keeps_parentheses(self):
         tree = parse_source(_wrap("while (a < 10) a++;"), "javaoo")
-        cond = find_nodes(tree, UniversalKind.CONDITION)[0]
+        cond = nodes_of(tree, UniversalKind.CONDITION)[0]
         assert cond.children[0].label == "("
         assert cond.children[-1].label == ")"
 
@@ -74,26 +74,26 @@ class TestStructure:
         tree = parse_source(
             _wrap("for (k = 0; k < n; k++) { a += k; }"), "javaoo"
         )
-        loop = find_nodes(tree, UniversalKind.LOOP_STATEMENT)[0]
-        cond = find_nodes(loop, UniversalKind.CONDITION)[0]
+        loop = nodes_of(tree, UniversalKind.LOOP_STATEMENT)[0]
+        cond = nodes_of(loop, UniversalKind.CONDITION)[0]
         assert [n.label for n in cond.children] == ["k", "<", "n"]
 
     def test_headless_for_has_no_condition(self):
         tree = parse_source(
             _wrap("for (;;) { if (a > 9) break; a++; }"), "javaoo"
         )
-        loop = find_nodes(tree, UniversalKind.LOOP_STATEMENT)[0]
+        loop = nodes_of(tree, UniversalKind.LOOP_STATEMENT)[0]
         direct = [c for c in loop.children if c.kind is UniversalKind.CONDITION]
         assert direct == []
         # the nested if still owns one
-        assert len(find_nodes(loop, UniversalKind.CONDITION)) == 1
+        assert len(nodes_of(loop, UniversalKind.CONDITION)) == 1
 
     def test_method_and_field_members(self):
         tree = parse_source(
             "class T {\n    static int limit = 10;\n    void go() { }\n}\n",
             "javaoo",
         )
-        units = find_nodes(tree, UniversalKind.FUNCTION_DECL)
+        units = nodes_of(tree, UniversalKind.FUNCTION_DECL)
         assert len(units) == 1
         idents = [n.label for n in preorder(units[0]) if n.token_type == "identifier"]
         assert idents[0] == "go"
@@ -113,7 +113,7 @@ class TestCommentAttachment:
 
     def test_method_body_comments(self, corpus):
         _, tree = corpus["QuickSort.java"]
-        unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
+        unit = nodes_of(tree, UniversalKind.FUNCTION_DECL)[0]
         direct = [
             c.span.start_line for c in unit.children if c.token_type == "comment"
         ]
@@ -121,7 +121,7 @@ class TestCommentAttachment:
 
     def test_swap_comment_sits_inside_branch(self, corpus):
         _, tree = corpus["QuickSort.java"]
-        branch = find_nodes(tree, UniversalKind.BRANCH)[0]
+        branch = nodes_of(tree, UniversalKind.BRANCH)[0]
         comments = [c for c in branch.children if c.token_type == "comment"]
         assert [c.span.start_line for c in comments] == [16]
 

@@ -14,17 +14,9 @@ import pytest
 import oracles
 from ecstmetrics import parse_source
 from ecstmetrics.cli import main
-from ecstmetrics.errors import MalformedTreeError, UnsupportedElementError
-from ecstmetrics.metrics import (
-    cyclomatic_complexity,
-    decision_count,
-    element_name,
-    is_decision_point,
-    loc_bundle,
-    measure_tree,
-    render_table,
-)
-from ecstmetrics.tree import EcstNode, EcstTree, SourceSpan, UniversalKind, find_nodes
+from ecstmetrics.errors import MalformedTreeError
+from ecstmetrics.metrics import measure_tree, render_table
+from ecstmetrics.tree import EcstNode, EcstTree, SourceSpan, UniversalKind
 from ecstmetrics.xmlio import parse_tree_xml
 
 # (name, annotation, cc, loc, sloc, cloc, startLine, endLine)
@@ -104,6 +96,18 @@ def _rows(report):
     ]
 
 
+def _of(tree, annotation, extended=False):
+    """The rows of one annotation, in preorder."""
+    rows = measure_tree(tree, extended).elements
+    return [r for r in rows if r.annotation == annotation]
+
+
+def _detached(node, extended=False):
+    """The rows of a node measured as the only child of a tree's root."""
+    root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [node])
+    return measure_tree(EcstTree(root, "T", "modula2", 1), extended).elements
+
+
 class TestFixtureValues:
     @pytest.mark.parametrize("name", sorted(EXPECTED_ROWS))
     def test_rows(self, corpus, name):
@@ -174,26 +178,22 @@ class TestAgainstLineOracle:
 class TestDecisionCounting:
     def test_hand_counted_subtrees(self, corpus):
         _, tree = corpus["QuickSort.mod"]
-        unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
-        assert decision_count(unit) == 6
-        repeat = find_nodes(tree, UniversalKind.LOOP_STATEMENT)[0]
-        assert decision_count(repeat) == 4
+        unit = _of(tree, "FUNCTION_DECL")[0]
+        assert unit.cc - 1 == 6
+        repeat = _of(tree, "LOOP_STATEMENT")[0]
+        assert repeat.cc == 4
 
     def test_else_branch_is_not_a_decision(self, corpus):
         _, tree = corpus["Features.mod"]
-        branches = find_nodes(tree, UniversalKind.BRANCH)
-        else_branch = branches[3]
-        assert else_branch.children[0].label == "ELSE"
-        assert not is_decision_point(else_branch)
-        assert cyclomatic_complexity(else_branch) == 0
+        else_branch = _of(tree, "BRANCH")[3]
+        assert else_branch.name == "ELSE"
+        assert else_branch.cc == 0
 
     def test_loops_are_decisions_even_without_condition(self):
         tree = parse_source(
             "class T { void m() { for (;;) { break; } } }", "javaoo"
         )
-        loop = find_nodes(tree, UniversalKind.LOOP_STATEMENT)[0]
-        assert is_decision_point(loop)
-        assert cyclomatic_complexity(loop) == 1
+        assert _of(tree, "LOOP_STATEMENT")[0].cc == 1
 
     def test_empty_body_function_is_one(self):
         for src, lang in [
@@ -201,18 +201,7 @@ class TestDecisionCounting:
             ("class T { void m() { } }", "javaoo"),
         ]:
             tree = parse_source(src, lang)
-            unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
-            assert cyclomatic_complexity(unit) == 1
-
-    def test_unsupported_kinds_raise(self, corpus):
-        _, tree = corpus["QuickSort.mod"]
-        with pytest.raises(UnsupportedElementError):
-            cyclomatic_complexity(tree.root)
-        condition = find_nodes(tree, UniversalKind.CONDITION)[0]
-        with pytest.raises(UnsupportedElementError):
-            cyclomatic_complexity(condition)
-        with pytest.raises(UnsupportedElementError):
-            cyclomatic_complexity(condition.children[0])
+            assert _of(tree, "FUNCTION_DECL")[0].cc == 1
 
     def test_universal_node_without_tokens_is_malformed(self):
         # A tree no frontend builds and validate_tree rejects: the fold
@@ -220,7 +209,7 @@ class TestDecisionCounting:
         unit = EcstNode.universal(
             UniversalKind.COMPILATION_UNIT,
             [
-                EcstNode.concrete("x", "identifier", SourceSpan(1, 1, 1, 1)),
+                EcstNode("x", None, "identifier", SourceSpan(1, 1, 1, 1)),
                 EcstNode.universal(UniversalKind.FUNCTION_DECL, []),
             ],
         )
@@ -234,24 +223,23 @@ class TestDecisionCounting:
         cond = EcstNode.universal(
             UniversalKind.CONDITION,
             [
-                EcstNode.concrete("a", "identifier", SourceSpan(1, 4, 1, 4)),
-                EcstNode.concrete("AND", "operator", SourceSpan(1, 6, 1, 8)),
-                EcstNode.concrete("'AND'", "literal", SourceSpan(1, 10, 1, 14)),
+                EcstNode("a", None, "identifier", SourceSpan(1, 4, 1, 4)),
+                EcstNode("AND", None, "operator", SourceSpan(1, 6, 1, 8)),
+                EcstNode("'AND'", None, "literal", SourceSpan(1, 10, 1, 14)),
             ],
         )
         branch = EcstNode.universal(
             UniversalKind.BRANCH,
-            [EcstNode.concrete("IF", "keyword", SourceSpan(1, 1, 1, 2)), cond],
+            [EcstNode("IF", None, "keyword", SourceSpan(1, 1, 1, 2)), cond],
         )
-        assert decision_count(branch) == 1
-        assert decision_count(branch, extended=True) == 2
+        assert [r.cc for r in _detached(branch)] == [1]
+        assert [r.cc for r in _detached(branch, extended=True)] == [2]
 
     def test_logical_operator_outside_condition_does_not_count(self):
         tree = parse_source(
             "class T { void m() { b = x && y; if (x || y) { } } }", "javaoo"
         )
-        unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
-        assert cyclomatic_complexity(unit, extended=True) == 3
+        assert _of(tree, "FUNCTION_DECL", extended=True)[0].cc == 3
 
     def test_nested_procedure_decisions_roll_up(self):
         src = (
@@ -267,10 +255,10 @@ class TestDecisionCounting:
             "END M.\n"
         )
         tree = parse_source(src, "modula2")
-        outer, inner = find_nodes(tree, UniversalKind.FUNCTION_DECL)
-        assert cyclomatic_complexity(inner) == 2
+        outer, inner = _of(tree, "FUNCTION_DECL")
+        assert inner.cc == 2
         # the subtree rule includes nested declarations
-        assert cyclomatic_complexity(outer) == 3
+        assert outer.cc == 3
 
 
 # A BRANCH whose CONDITION holds another BRANCH with "a && b": legal tree
@@ -344,20 +332,17 @@ class TestElementNames:
             "PROCEDURE Max(a, b: INTEGER): INTEGER; BEGIN RETURN a END Max;",
             "modula2",
         )
-        unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
-        assert element_name(unit) == "Max"
+        assert _of(tree, "FUNCTION_DECL")[0].name == "Max"
 
     def test_parameterless_function_uses_first_identifier(self):
         tree = parse_source("PROCEDURE Ping; BEGIN END Ping;", "modula2")
-        unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
-        assert element_name(unit) == "Ping"
+        assert _of(tree, "FUNCTION_DECL")[0].name == "Ping"
 
     def test_java_method_name_skips_modifiers_and_types(self):
         tree = parse_source(
             "class T { public static int twice(int x) { return x; } }", "javaoo"
         )
-        unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
-        assert element_name(unit) == "twice"
+        assert _of(tree, "FUNCTION_DECL")[0].name == "twice"
 
     def test_parameterless_unit_is_not_named_after_a_call(self):
         tree = parse_source(
@@ -375,45 +360,38 @@ class TestElementNames:
         unit = EcstNode.universal(
             UniversalKind.FUNCTION_DECL,
             [
-                EcstNode.concrete("(", "punctuation", SourceSpan(1, 1, 1, 1)),
-                EcstNode.concrete("x", "identifier", SourceSpan(1, 2, 1, 2)),
-                EcstNode.concrete(")", "punctuation", SourceSpan(1, 3, 1, 3)),
+                EcstNode("(", None, "punctuation", SourceSpan(1, 1, 1, 1)),
+                EcstNode("x", None, "identifier", SourceSpan(1, 2, 1, 2)),
+                EcstNode(")", None, "punctuation", SourceSpan(1, 3, 1, 3)),
             ],
         )
-        assert element_name(unit) == "x"
+        assert [r.name for r in _detached(unit)] == ["x"]
 
     def test_nameless_unit_is_anonymous(self):
         unit = EcstNode.universal(
             UniversalKind.FUNCTION_DECL,
-            [EcstNode.concrete("(", "punctuation", SourceSpan(1, 1, 1, 1))],
+            [EcstNode("(", None, "punctuation", SourceSpan(1, 1, 1, 1))],
         )
-        assert element_name(unit) == "<anonymous>"
+        assert [r.name for r in _detached(unit)] == ["<anonymous>"]
 
     def test_loop_annotation_comes_from_keyword(self, corpus):
         _, tree = corpus["Features.java"]
-        loops = find_nodes(tree, UniversalKind.LOOP_STATEMENT)
-        assert [element_name(n) for n in loops] == ["FOR", "FOR", "DO-WHILE"]
+        loops = _of(tree, "LOOP_STATEMENT")
+        assert [r.name for r in loops] == ["FOR", "FOR", "DO-WHILE"]
 
 
 class TestLocBundle:
     def test_bundle_matches_span_arithmetic(self, corpus):
+        # One row per FUNCTION_DECL, LOOP_STATEMENT, BRANCH_STATEMENT and BRANCH.
         for _, tree in corpus.values():
-            for kind in (
-                UniversalKind.FUNCTION_DECL,
-                UniversalKind.LOOP_STATEMENT,
-                UniversalKind.BRANCH_STATEMENT,
-                UniversalKind.BRANCH,
-            ):
-                for node in find_nodes(tree, kind):
-                    bundle = loc_bundle(node)
-                    assert 0 <= bundle.cloc <= bundle.loc
-                    assert 0 < bundle.sloc <= bundle.loc
+            for row in measure_tree(tree).elements:
+                assert 0 <= row.cloc <= row.loc
+                assert 0 < row.sloc <= row.loc
 
     def test_multiline_token_counts_every_line(self):
         src = "MODULE M;\n(* one\n   two *)\nEND M.\n"
         tree = parse_source(src, "modula2")
-        bundle = loc_bundle(tree.root)
-        assert bundle.cloc == 2
+        assert measure_tree(tree).totals.cloc == 2
 
 
 class TestRenderTable:

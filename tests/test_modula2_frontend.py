@@ -9,8 +9,8 @@ import pytest
 from ecstmetrics import parse_source
 from ecstmetrics.errors import ParseError
 from ecstmetrics.frontends import lex
-from ecstmetrics.tree import UniversalKind, find_nodes, preorder
-from oracles import same_tree, subtree_span
+from ecstmetrics.tree import UniversalKind
+from oracles import nodes_of, preorder, same_tree, subtree_span
 
 
 def _wrap(statements: str) -> str:
@@ -19,7 +19,7 @@ def _wrap(statements: str) -> str:
 
 def _kinds(tree):
     return Counter(
-        n.kind for n in preorder(tree.root) if n.is_universal
+        n.kind for n in preorder(tree.root) if n.kind is not None
     )
 
 
@@ -28,25 +28,25 @@ class TestStructure:
         tree = parse_source(
             _wrap("IF a > b THEN res := 1; ELSE res := 0; END;"), "modula2"
         )
-        chains = find_nodes(tree, UniversalKind.BRANCH_STATEMENT)
+        chains = nodes_of(tree, UniversalKind.BRANCH_STATEMENT)
         assert len(chains) == 1
-        branches = [c for c in chains[0].children if c.is_universal]
+        branches = [c for c in chains[0].children if c.kind is not None]
         assert [b.kind for b in branches] == [UniversalKind.BRANCH, UniversalKind.BRANCH]
-        first_conditions = find_nodes(branches[0], UniversalKind.CONDITION)
-        else_conditions = find_nodes(branches[1], UniversalKind.CONDITION)
+        first_conditions = nodes_of(branches[0], UniversalKind.CONDITION)
+        else_conditions = nodes_of(branches[1], UniversalKind.CONDITION)
         assert len(first_conditions) == 1
         assert len(else_conditions) == 0
 
     def test_minimal_procedure(self):
         tree = parse_source("PROCEDURE P; BEGIN END P;", "modula2")
-        units = find_nodes(tree, UniversalKind.FUNCTION_DECL)
+        units = nodes_of(tree, UniversalKind.FUNCTION_DECL)
         assert len(units) == 1
         idents = [n.label for n in preorder(units[0]) if n.token_type == "identifier"]
         assert "P" in idents
 
     def test_if_keyword_sits_inside_first_branch(self):
         tree = parse_source(_wrap("IF a > b THEN x := 1 END;"), "modula2")
-        chain = find_nodes(tree, UniversalKind.BRANCH_STATEMENT)[0]
+        chain = nodes_of(tree, UniversalKind.BRANCH_STATEMENT)[0]
         first = chain.children[0]
         assert first.kind is UniversalKind.BRANCH
         assert first.children[0].label == "IF"
@@ -64,34 +64,34 @@ class TestStructure:
             ),
             "modula2",
         )
-        chain = find_nodes(tree, UniversalKind.BRANCH_STATEMENT)[0]
-        branches = [c for c in chain.children if c.is_universal]
+        chain = nodes_of(tree, UniversalKind.BRANCH_STATEMENT)[0]
+        branches = [c for c in chain.children if c.kind is not None]
         assert len(branches) == 4
         heads = [b.children[0].label for b in branches]
         assert heads == ["IF", "ELSIF", "ELSIF", "ELSE"]
         with_condition = [
-            bool(find_nodes(b, UniversalKind.CONDITION)) for b in branches
+            bool(nodes_of(b, UniversalKind.CONDITION)) for b in branches
         ]
         assert with_condition == [True, True, True, False]
 
     def test_while_loop_shape(self):
         tree = parse_source(_wrap("WHILE a < b DO a := a + 1 END;"), "modula2")
-        loop = find_nodes(tree, UniversalKind.LOOP_STATEMENT)[0]
+        loop = nodes_of(tree, UniversalKind.LOOP_STATEMENT)[0]
         assert loop.children[0].label == "WHILE"
         assert loop.children[1].kind is UniversalKind.CONDITION
         assert loop.children[-1].label == "END"
 
     def test_separator_semicolon_stays_outside_constructs(self):
         tree = parse_source(_wrap("WHILE a DO b := 1 END;\nc := 2"), "modula2")
-        loop = find_nodes(tree, UniversalKind.LOOP_STATEMENT)[0]
+        loop = nodes_of(tree, UniversalKind.LOOP_STATEMENT)[0]
         assert loop.children[-1].label == "END"
-        unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
+        unit = nodes_of(tree, UniversalKind.FUNCTION_DECL)[0]
         loop_index = unit.children.index(loop)
         assert unit.children[loop_index + 1].label == ";"
 
     def test_repeat_until_single_loop(self):
         tree = parse_source(_wrap("REPEAT a := a - 1 UNTIL a = 0;"), "modula2")
-        loops = find_nodes(tree, UniversalKind.LOOP_STATEMENT)
+        loops = nodes_of(tree, UniversalKind.LOOP_STATEMENT)
         assert len(loops) == 1
         labels = [c.label for c in loops[0].children]
         assert labels[0] == "REPEAT"
@@ -102,14 +102,14 @@ class TestStructure:
         tree = parse_source(
             _wrap("FOR i := 1 TO n BY 2 DO x := x + i END;"), "modula2"
         )
-        loop = find_nodes(tree, UniversalKind.LOOP_STATEMENT)[0]
+        loop = nodes_of(tree, UniversalKind.LOOP_STATEMENT)[0]
         conditions = [c for c in loop.children if c.kind is UniversalKind.CONDITION]
         assert len(conditions) == 1
         assert [n.label for n in conditions[0].children] == ["n"]
 
     def test_nested_procedures(self, corpus):
         _, tree = corpus["Features.mod"]
-        units = find_nodes(tree, UniversalKind.FUNCTION_DECL)
+        units = nodes_of(tree, UniversalKind.FUNCTION_DECL)
         names = []
         for unit in units:
             for n in preorder(unit):
@@ -119,7 +119,7 @@ class TestStructure:
         assert names == ["Classify", "Tally", "Bump"]
         # Bump nests inside Tally
         tally = units[1]
-        assert find_nodes(tally, UniversalKind.FUNCTION_DECL) == [tally, units[2]]
+        assert nodes_of(tally, UniversalKind.FUNCTION_DECL) == [tally, units[2]]
 
     def test_quicksort_kind_counts(self, corpus):
         _, tree = corpus["QuickSort.mod"]
@@ -140,10 +140,10 @@ class TestCommentAttachment:
 
     def test_trailing_comment_does_not_stretch_loop(self, corpus):
         _, tree = corpus["QuickSort.mod"]
-        repeat = find_nodes(tree, UniversalKind.LOOP_STATEMENT)[0]
+        repeat = nodes_of(tree, UniversalKind.LOOP_STATEMENT)[0]
         span = subtree_span(repeat)
         assert (span.start_line, span.end_line) == (24, 38)
-        unit = find_nodes(tree, UniversalKind.FUNCTION_DECL)[0]
+        unit = nodes_of(tree, UniversalKind.FUNCTION_DECL)[0]
         unit_comment_lines = sorted(
             c.span.start_line for c in unit.children if c.token_type == "comment"
         )
@@ -151,7 +151,7 @@ class TestCommentAttachment:
 
     def test_interior_comment_attaches_inside_branch(self, corpus):
         _, tree = corpus["QuickSort.mod"]
-        branch = find_nodes(tree, UniversalKind.BRANCH)[0]
+        branch = nodes_of(tree, UniversalKind.BRANCH)[0]
         comments = [c for c in branch.children if c.token_type == "comment"]
         assert [c.span.start_line for c in comments] == [32]
 

@@ -11,9 +11,9 @@ from ecstmetrics import parse_source
 from ecstmetrics.errors import LexError, ParseError
 from ecstmetrics.frontends import lex
 from ecstmetrics.metrics import measure_tree
-from ecstmetrics.tree import preorder, validate_tree, walk
+from ecstmetrics.tree import validate_tree, walk
 from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
-from oracles import same_tree, subtree_span
+from oracles import preorder, same_tree, subtree_span
 from test_reference_parity import PROGRAMS
 
 LANGUAGES = ("modula2", "javaoo")

@@ -11,18 +11,16 @@ from ecstmetrics.tree import (
     EcstTree,
     SourceSpan,
     UniversalKind,
-    find_nodes,
-    preorder,
     validate_tree,
     walk,
 )
 from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
-from oracles import subtree_span
+from oracles import preorder, subtree_span
 
 
 def _tok(lexeme, token_type="identifier", line=1, col=1, end_col=None):
     end = end_col if end_col is not None else col + len(lexeme) - 1
-    return EcstNode.concrete(lexeme, token_type, SourceSpan(line, col, line, end))
+    return EcstNode(lexeme, None, token_type, SourceSpan(line, col, line, end))
 
 
 def _unit(children):
@@ -52,11 +50,11 @@ class TestSourceSpan:
         _rejected_on_reload(_tree([_tok("x", col=0, end_col=1)]), "'col' must be >= 1")
 
     def test_rejects_reversed_lines(self):
-        node = EcstNode.concrete("x", "identifier", SourceSpan(4, 1, 3, 1))
+        node = EcstNode("x", None, "identifier", SourceSpan(4, 1, 3, 1))
         _rejected_on_reload(_tree([node], total_lines=4), "span start after end")
 
     def test_rejects_reversed_cols_on_same_line(self):
-        node = EcstNode.concrete("x", "identifier", SourceSpan(2, 9, 2, 5))
+        node = EcstNode("x", None, "identifier", SourceSpan(2, 9, 2, 5))
         _rejected_on_reload(_tree([node], total_lines=2), "span start after end")
 
     def test_multiline_allows_smaller_end_col(self):
@@ -68,11 +66,11 @@ class TestNodeConstruction:
     def test_universal_label_matches_kind(self):
         node = EcstNode.universal(UniversalKind.LOOP_STATEMENT, [])
         assert node.label == "LOOP_STATEMENT"
-        assert node.is_universal
+        assert node.kind is UniversalKind.LOOP_STATEMENT
 
     def test_concrete_carries_token_fields(self):
         node = _tok("WHILE", "keyword")
-        assert not node.is_universal
+        assert node.kind is None
         assert node.token_type == "keyword"
         assert node.span.end_col == 5
 
@@ -81,24 +79,11 @@ class TestNodeConstruction:
         for name, (text, tree) in corpus.items():
             lexed = lex(text, tree.language_id)
             reloaded = parse_tree_xml(serialize_tree(tree))
-            tokens = [n for n in preorder(reloaded) if not n.is_universal]
+            tokens = [n for n in preorder(reloaded) if n.kind is None]
             assert len(tokens) == len(lexed), name
             for tok in lexed + tokens:
                 assert tok.children == ()
                 assert not hasattr(tok, "__dict__")
-
-
-class TestTraversal:
-    def test_preorder_order(self):
-        inner = _unit([_tok("f"), _tok("(", "punctuation", col=2), _tok(")", "punctuation", col=3)])
-        tree = _tree([_tok("MODULE", "keyword"), inner])
-        labels = [n.label for n in preorder(tree.root)]
-        assert labels == ["COMPILATION_UNIT", "MODULE", "FUNCTION_DECL", "f", "(", ")"]
-
-    def test_find_nodes(self):
-        inner = _unit([_tok("f")])
-        tree = _tree([inner])
-        assert find_nodes(tree.root, UniversalKind.FUNCTION_DECL) == [inner]
 
 
 class TestWalk:
@@ -234,7 +219,7 @@ class TestValidation:
     def test_rejects_a_token_ending_after_the_last_line(self):
         # A multi-line token on lines 2-3 of a 2-line tree; ending on the
         # last line itself is allowed.
-        comment = EcstNode.concrete("(*\n*)", "comment", SourceSpan(2, 1, 3, 2))
+        comment = EcstNode("(*\n*)", None, "comment", SourceSpan(2, 1, 3, 2))
         tokens = [_tok("m", line=1), comment]
         validate_tree(_tree([_unit(tokens)], total_lines=3))
         with pytest.raises(MalformedTreeError) as info:

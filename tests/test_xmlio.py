@@ -44,8 +44,8 @@ def _mini_tree() -> EcstTree:
     unit = EcstNode.universal(
         UniversalKind.FUNCTION_DECL,
         [
-            EcstNode.concrete("PROCEDURE", "keyword", SourceSpan(1, 1, 1, 9)),
-            EcstNode.concrete("P", "identifier", SourceSpan(1, 11, 1, 11)),
+            EcstNode("PROCEDURE", None, "keyword", SourceSpan(1, 1, 1, 9)),
+            EcstNode("P", None, "identifier", SourceSpan(1, 11, 1, 11)),
         ],
     )
     root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
@@ -71,7 +71,7 @@ class TestSerialize:
     def test_markup_characters_escaped(self):
         tree = _mini_tree()
         tree.root.children[0].children.append(
-            EcstNode.concrete("a<b&c", "operator", SourceSpan(1, 13, 1, 17))
+            EcstNode("a<b&c", None, "operator", SourceSpan(1, 13, 1, 17))
         )
         doc = serialize_tree(tree)
         assert "a&lt;b&amp;c" in doc
@@ -94,7 +94,7 @@ class TestRoundTrip:
     def test_escaped_lexemes_survive(self):
         tree = _mini_tree()
         tree.root.children[0].children.append(
-            EcstNode.concrete('"x<&>"', "literal", SourceSpan(1, 13, 1, 18))
+            EcstNode('"x<&>"', None, "literal", SourceSpan(1, 13, 1, 18))
         )
         again = parse_tree_xml(serialize_tree(tree))
         assert again.root.children[0].children[-1].label == '"x<&>"'
@@ -481,7 +481,7 @@ class TestWriterParity:
         lexemes = ["&&", "<=", ">=", '"a<b&c>"', "// x < y", "<>", "&", "(* a<b *)", "'\"'"]
         tree = _mini_tree()
         tree.root.children[0].children += [
-            EcstNode.concrete(lexeme, "literal", SourceSpan(line, 1, line, len(lexeme)))
+            EcstNode(lexeme, None, "literal", SourceSpan(line, 1, line, len(lexeme)))
             for line, lexeme in enumerate(lexemes, start=2)
         ]
         assert serialize_tree(tree) == reference_serialize_tree(tree)
