@@ -42,14 +42,16 @@ def _load_registry(registry_path):
     return BUILTIN
 
 
-def _write_text(path, text: str, src) -> None:
+def _write_text(path, text, src) -> None:
     """Replace path by a file holding text, or leave it as it was.
 
-    An existing path must be a regular file other than src, the input
-    file: compared by device and inode, so any other name or link of src
-    matches.  The text goes to a temporary file next to path, which then
-    replaces path in one rename, so a failed write never leaves a torn
-    output.
+    text is the str to write, or a function that writes it into the
+    open text file it is given, so that a large document can go out in
+    pieces.  An existing path must be a regular file other than src,
+    the input file: compared by device and inode, so any other name or
+    link of src matches.  The text goes to a temporary file next to
+    path, which then replaces path in one rename, so a failed write,
+    even one part-way through, never leaves a torn output.
     """
     try:
         target = os.stat(path)
@@ -64,7 +66,10 @@ def _write_text(path, text: str, src) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                text(handle)
         os.replace(tmp, path)
     except BaseException as e:
         # A failed write or rename must not leave the temporary file.
@@ -86,7 +91,7 @@ def _out_path(directory, source_path: str, suffix: str) -> str:
     return os.path.join(directory, os.path.basename(source_path) + suffix)
 
 
-def _write_new(path, text: str, src, written: dict[str, str]) -> None:
+def _write_new(path, text, src, written: dict[str, str]) -> None:
     """_write_text, unless this run already wrote path: written maps the
     absolute path of each output written so far to its source."""
     key = os.path.abspath(path)
@@ -107,7 +112,8 @@ def _cmd_parse(args) -> int:
     src = args.file
     out = args.out if args.out else src + TREE_SUFFIX
     try:
-        _write_text(out, serialize_tree(parse_file(src, detect(registry, src))), src)
+        tree = parse_file(src, detect(registry, src))
+        _write_text(out, lambda handle: serialize_tree(tree, handle), src)
     except _HANDLED as e:
         _report_error(src, e)
         return e.exit_code
@@ -139,13 +145,18 @@ def _cmd_measure(args) -> int:
 
 def _run_one(src, registry, args, written: dict[str, str]) -> int:
     try:
-        tree_xml = serialize_tree(parse_file(src, detect(registry, src)))
+        tree = parse_file(src, detect(registry, src))
+        # The reload step is part of the pipeline, not an option.  The
+        # parsed tree is freed first, so only one tree is held at a time.
         if args.tree_dir:
-            _write_new(
-                _out_path(args.tree_dir, src, TREE_SUFFIX), tree_xml, src, written
-            )
-        # The reload step is part of the pipeline, not an option.
-        reloaded = parse_tree_xml(tree_xml)
+            path = _out_path(args.tree_dir, src, TREE_SUFFIX)
+            _write_new(path, lambda handle: serialize_tree(tree, handle), src, written)
+            del tree
+            reloaded = load_tree_file(path)  # the bytes that were persisted
+        else:
+            tree_xml = serialize_tree(tree)
+            del tree
+            reloaded = parse_tree_xml(tree_xml)
         report = measure_tree(reloaded, extended=args.extended_cc)
         out = _out_path(args.metrics_dir, src, METRICS_SUFFIX)
         _write_new(out, serialize_metrics(report), src, written)

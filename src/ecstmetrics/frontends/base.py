@@ -39,8 +39,9 @@ class BaseParser:
         self.comments = comments
         self.i = 0
         self.depth = 0  # nesting levels open at the cursor
-        # The labels _flat_until looks at: brackets and construct keywords.
-        self._marked = frozenset("()[]{}") | self._CONSTRUCTS
+        # The labels _flat_until looks at: brackets, construct keywords
+        # and the statement separator.
+        self._marked = frozenset("()[]{};") | self._CONSTRUCTS
 
     # -- cursor primitives -------------------------------------------------
     # Each reads self.toks at self.i itself: no helper call per token.
@@ -180,7 +181,10 @@ class BaseParser:
         here; one with none open stops the loop, so enclosing groups stay
         balanced.  The stop token itself is not consumed.  A keyword
         that opens a construct is a syntax error at any bracket level:
-        taken flat, its loops and branches would not count.
+        taken flat, its loops and branches would not count.  So is a ";"
+        inside an open "{": there the braces hold statements, as in the
+        body of an anonymous class or a lambda, whose methods would get
+        no row.  An array initializer holds none.
         """
         toks, closer_of, marked = self.toks, self._CLOSER_OF, self._marked
         start = j = self.i
@@ -196,6 +200,10 @@ class BaseParser:
                     if self._opens_construct(j):
                         self.i = j
                         self._error(f"{label!r} inside a flat statement")
+                elif label == ";":
+                    if "}" in closers:
+                        self.i = j
+                        self._error("';' inside a flat statement")
                 elif not closers:  # a closer with no opener here
                     break
                 elif label != closers[-1]:

@@ -8,7 +8,7 @@ offending element and line.
 
 from __future__ import annotations
 
-from typing import NamedTuple, NoReturn
+from typing import BinaryIO, NamedTuple, NoReturn, TextIO
 from xml.parsers import expat
 
 from .errors import MalformedTreeError, SourceIoError, TreeXmlError
@@ -45,12 +45,24 @@ def quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
-def serialize_tree(tree: EcstTree) -> str:
+# Lines a streamed tree document holds before it writes them out as one
+# piece.  A larger piece saves few write calls but keeps more memory
+# alive beside the tree, which stays whole while it is written.
+_PIECE_LINES = 256
+
+
+def serialize_tree(tree: EcstTree, out: TextIO | None = None) -> str | None:
     """Render a tree as a deterministic eCST XML document, in one pass
     without recursion.  Token types and node kinds are bare words from
     closed vocabularies, so they are written without escaping; a lexeme
-    is escaped only when it holds "&", "<" or ">"."""
-    out = [
+    is escaped only when it holds "&", "<" or ">".
+
+    Without out, return the document.  With a text file out, write it
+    there in pieces of at least _PIECE_LINES lines, each cut after a
+    </node> line, and return None: no whole document or list of its
+    lines is ever held.
+    """
+    lines = [
         f"<ecst source={quoteattr(tree.source_path)}"
         f" language={quoteattr(tree.language_id)}"
         f' totalLines="{tree.total_lines}">\n'
@@ -63,7 +75,7 @@ def serialize_tree(tree: EcstTree) -> str:
             if "&" in label or "<" in label or ">" in label:
                 label = escape(label)
             span = node.span
-            out.append(
+            lines.append(
                 f'{indents[depth + 1]}<token type="{node.token_type}"'
                 f' line="{span[0]}" col="{span[1]}"'
                 f' endLine="{span[2]}" endCol="{span[3]}">{label}</token>\n'
@@ -72,12 +84,18 @@ def serialize_tree(tree: EcstTree) -> str:
             depth += 1
             if depth + 1 == len(indents):
                 indents.append(indents[-1] + "  ")
-            out.append(f'{indents[depth]}<node kind="{node.kind.value}">\n')
+            lines.append(f'{indents[depth]}<node kind="{node.kind.value}">\n')
         else:
-            out.append(f"{indents[depth]}</node>\n")
+            lines.append(f"{indents[depth]}</node>\n")
             depth -= 1
-    out.append("</ecst>\n")
-    return "".join(out)
+            if out is not None and len(lines) >= _PIECE_LINES:
+                out.write("".join(lines))
+                lines.clear()
+    lines.append("</ecst>\n")
+    if out is None:
+        return "".join(lines)
+    out.write("".join(lines))
+    return None
 
 
 def serialize_metrics(report) -> str:
@@ -104,6 +122,9 @@ def serialize_metrics(report) -> str:
 # -- parsing ---------------------------------------------------------------
 
 _KINDS = {kind.value: kind for kind in UniversalKind}
+# Each token type to the one string of its spelling that every reloaded
+# token shares; expat hands out a new string per attribute value.
+_TYPES = {token_type: token_type for token_type in TOKEN_TYPES}
 
 
 class _Open(NamedTuple):
@@ -174,8 +195,11 @@ def _word_failure(el: _Open) -> NoReturn:
     _fail(el, f"unknown element <{el.tag}>")
 
 
-def parse_tree_xml(data: bytes | str) -> EcstTree:
+def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
     """Parse an eCST XML document back into a tree.
+
+    data is the document as bytes or str, or a binary file, which expat
+    reads in pieces, so the whole document is never held at once.
 
     Nodes are built straight from the parser's events, without recursion.
     An open <token> with no child element lives in the handlers' locals,
@@ -224,15 +248,18 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
             attrs = token
             token = None
             try:
-                line = int(attrs["line"])
+                raw_line = attrs["line"]
+                line = int(raw_line)
                 col = int(attrs["col"])
-                end_line = int(attrs["endLine"])
+                raw_end = attrs["endLine"]
+                # Most tokens end on their first line: share its int.
+                end_line = line if raw_end == raw_line else int(raw_end)
                 end_col = int(attrs["endCol"])
             except (KeyError, ValueError):
                 line = 0
-            token_type = attrs.get("type")
+            token_type = _TYPES.get(attrs.get("type"))
             if (
-                token_type in TOKEN_TYPES
+                token_type is not None
                 and lexeme
                 and 0 < line <= end_line
                 and col > 0
@@ -276,7 +303,10 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
     parser.CharacterDataHandler = chars
     parser.EndElementHandler = end
     try:
-        parser.Parse(data, True)
+        if hasattr(data, "read"):
+            parser.ParseFile(data)
+        else:
+            parser.Parse(data, True)
     except (expat.ExpatError, UnicodeEncodeError) as e:
         # pyexpat encodes a str as UTF-8, which a lone surrogate fails.
         raise TreeXmlError(f"not well-formed XML: {e}") from e
@@ -313,10 +343,9 @@ def parse_tree_xml(data: bytes | str) -> EcstTree:
 
 
 def load_tree_file(path) -> EcstTree:
-    """Read and parse an eCST XML file."""
+    """Parse an eCST XML file, streaming it through parse_tree_xml."""
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            return parse_tree_xml(f)
     except OSError as e:
         raise SourceIoError(f"cannot read {path}: {e.strerror or e}") from e
-    return parse_tree_xml(data)

@@ -211,16 +211,18 @@ class _JavaEmitter(_Emitter):
         return f"{indent}{self._var()} = {self._expr()};"
 
 
-def generate(language_id: str, seed: int) -> GeneratedProgram:
-    """One reproducible random program with tracked per-unit counts."""
+def generate(language_id: str, seed: int, n_units: int | None = None) -> GeneratedProgram:
+    """One reproducible random program with tracked per-unit counts: of
+    one to three units as the seed picks, or of n_units."""
     if language_id == "modula2":
         emitter = _Modula2Emitter(seed)
     elif language_id == "javaoo":
         emitter = _JavaEmitter(seed)
     else:
         raise ValueError(f"no generator for language {language_id!r}")
-    rng = random.Random(seed * 7919 + 17)
-    return emitter.program(seed, n_units=rng.randint(1, 3))
+    if n_units is None:
+        n_units = random.Random(seed * 7919 + 17).randint(1, 3)
+    return emitter.program(seed, n_units=n_units)
 
 
 # -- tree XML mutations ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import io
 import os
@@ -11,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecstmetrics
+import generators
 from ecstmetrics import cli, measure_tree, parse_file, parse_source
 from ecstmetrics.cli import main
 from ecstmetrics.errors import LexError, ParseError
@@ -145,6 +148,24 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "parse_tree_xml", reload)
         assert main(["run", src]) == 0
+        assert alive == [0]
+
+    def test_parsed_tree_is_freed_before_the_reload_from_its_file(
+        self, workdir, monkeypatch
+    ):
+        src = str(workdir / "QuickSort.mod")  # a path no other tree carries
+        alive = []
+
+        def reload(path):
+            gc.collect()
+            alive.append(sum(
+                isinstance(o, EcstTree) and o.source_path == src
+                for o in gc.get_objects()
+            ))
+            return load_tree_file(path)
+
+        monkeypatch.setattr(cli, "load_tree_file", reload)
+        assert main(["run", src, "--tree-dir", "trees"]) == 0
         assert alive == [0]
 
 
@@ -447,8 +468,9 @@ class TestExitCodes:
         mode = os.lstat(target).st_mode
         assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISDIR(mode)
 
-    # Sources whose loop or branch keyword sits inside a flat statement,
-    # where it would not count; each is a syntax error at that keyword.
+    # Sources whose loop or branch keyword, or a statement's ";" inside
+    # braces, sits inside a flat statement, where it would not count;
+    # each is a syntax error at that token.
     FLAT_CONSTRUCTS = {
         "try.java": (
             "class A {\n  void m() {\n"
@@ -464,6 +486,15 @@ class TestExitCodes:
             "class A {\n  void m() {\n    Object o = new Object() {"
             " int f() { while (x) { y(); } return 1; } };\n  }\n}\n",
             "3:41: error: 'while' inside a flat statement",
+        ),
+        "anonsemi.java": (
+            "class A {\n  void m() {\n"
+            "    Runnable r = new Runnable() { public void run() { x = 1; } };\n  }\n}\n",
+            "3:60: error: ';' inside a flat statement",
+        ),
+        "lambdasemi.java": (
+            "class A {\n  void m() {\n    f(x -> { y = 2; });\n  }\n}\n",
+            "3:19: error: ';' inside a flat statement",
         ),
         "W.mod": (
             "MODULE W;\nPROCEDURE P;\nBEGIN\n  x := F(y) WHILE\nEND P;\nEND W.\n",
@@ -695,6 +726,52 @@ class TestWholeOutputs:
         assert self._files(workdir) == files
         assert proc.stderr == f"QuickSort.java: error: cannot write {out}: File too large\n"
 
+    # command, then the tree it writes for Big.java, a file of several pieces
+    STREAMED = {
+        "parse": (["parse", "Big.java"], "Big.java.ecst.xml"),
+        "run --tree-dir": (
+            ["run", "Big.java", "--tree-dir", "trees"],
+            os.path.join("trees", "Big.java.ecst.xml"),
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(STREAMED))
+    def test_write_failing_part_way_through_a_tree_keeps_the_previous_output(
+        self, workdir, monkeypatch, capsys, command
+    ):
+        argv, out = self.STREAMED[command]
+        source = generators.generate("javaoo", 3, n_units=6).source
+        (workdir / "Big.java").write_text(source, encoding="utf-8")
+        assert main(argv) == 0
+        previous = (workdir / out).read_bytes()
+        files = self._files(workdir)
+        capsys.readouterr()
+        written = []
+        real = cli.serialize_tree
+
+        class Full:
+            """A text file on a disk that fills after one piece."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, piece):
+                if written:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(piece)
+                return self.handle.write(piece)
+
+        monkeypatch.setattr(
+            cli, "serialize_tree", lambda tree, handle: real(tree, Full(handle))
+        )
+        assert _cyclic_garbage(argv) == 4
+        assert len(written) == 1 and len(written[0]) < len(previous)
+        assert capsys.readouterr() == (
+            "", f"Big.java: error: cannot write {out}: No space left on device\n"
+        )
+        assert (workdir / out).read_bytes() == previous
+        assert self._files(workdir) == files
+
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_successful_write_leaves_only_the_output(self, workdir, command):
         argv, out = self.COMMANDS[command]
@@ -757,18 +834,66 @@ class TestNoCyclicGarbage:
         argv, code = self.CASES[case]
         if case == "languages.xml":
             shutil.copy(inputs / "fixture.xml", inputs / "languages.xml")
-        gc.collect()
-        gc.disable()
-        try:
-            assert main(argv) == code
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            found = gc.collect()
-            leaked = Counter(type(o).__name__ for o in gc.garbage)
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
-        assert found == 0, f"cyclic garbage by type: {leaked.most_common()}"
+        assert _cyclic_garbage(argv) == code
+
+
+def _cyclic_garbage(argv) -> int:
+    """main(argv)'s exit code, after checking that a cyclic collection
+    with the collector off until then finds nothing."""
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        leaked = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert found == 0, f"cyclic garbage by type: {leaked.most_common()}"
+    return code
+
+
+def _traced(call) -> tuple[int, int]:
+    """Bytes that call() leaves allocated, and its peak, both above what
+    was allocated before it, as tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()  # kept alive while the current size is read
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current - base, peak - base
+
+
+class TestPeakMemory:
+    """A command holds one tree at a time: the parsed tree, or the tree
+    reloaded from its file, with the file written and read in pieces."""
+
+    # command -> (argv, highest peak as a multiple of the parsed tree)
+    COMMANDS = {
+        "parse": (["parse", "Big.mod"], 1.2),
+        "run --tree-dir": (
+            ["run", "Big.mod", "--tree-dir", "t", "--metrics-dir", "m"],
+            1.4,
+        ),
+        "measure TREE": (["measure", "Big.mod.ecst.xml"], 1.4),
+    }
+
+    def test_peak_is_one_tree(self, workdir):
+        source = generators.generate("modula2", 5, n_units=100).source
+        assert 190_000 < len(source) < 230_000
+        (workdir / "Big.mod").write_text(source, encoding="utf-8")
+        # Load what each command loads once, on a small file, before tracing.
+        for argv, _ in self.COMMANDS.values():
+            assert main([a.replace("Big", "QuickSort") for a in argv]) == 0
+        tree_size, _ = _traced(lambda: parse_file("Big.mod", "modula2"))
+        for name, (argv, limit) in self.COMMANDS.items():  # parse writes the tree
+            _, peak = _traced(lambda: main(argv))
+            assert peak / tree_size <= limit, name
 
 
 class TestEntryPoint:

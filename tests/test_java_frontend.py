@@ -179,6 +179,40 @@ class TestErrors:
         assert str(info.value) == f"{keyword!r} inside a flat statement"
         assert info.value.span[:2] == (3, col)
 
+    # A ";" inside braces of a flat statement: the statements of an
+    # anonymous class or a lambda body, whose methods would get no row.
+    @pytest.mark.parametrize(
+        "statement,col",
+        [
+            ("Runnable r = new Runnable() { public void run() { x = 1; } };", 56),
+            ("f(x -> { y = 2; });", 15),
+            ("g(new int[] { 1 }, () -> { return; });", 34),
+        ],
+    )
+    def test_statement_inside_braces_of_a_flat_statement(self, statement, col):
+        with pytest.raises(ParseError) as info:
+            parse_source(_wrap(statement), "javaoo")
+        assert str(info.value) == "';' inside a flat statement"
+        assert info.value.span[:2] == (3, col)
+
+    def test_anonymous_class_field_is_an_error(self):
+        source = "class A {\n  Runnable r = new Runnable() { void run() { x(); } };\n}\n"
+        with pytest.raises(ParseError) as info:
+            parse_source(source, "javaoo")
+        assert str(info.value) == "';' inside a flat statement"
+        assert info.value.span[:2] == (2, 49)
+
+    def test_array_initializers_stay_flat(self):
+        source = (
+            "class A {\n  int[] a = { 1, 2 };\n"
+            "  void m() {\n    int[][] b = {{1}, {2, 3}};\n    f(new int[] { 4 });\n  }\n}\n"
+        )
+        tree = parse_source(source, "javaoo")
+        assert _kinds(tree) == {
+            UniversalKind.COMPILATION_UNIT: 1,
+            UniversalKind.FUNCTION_DECL: 1,
+        }
+
     def test_class_literal_stays_flat(self):
         tree = parse_source(_wrap("c = A.class; f(B.class, 1);"), "javaoo")
         assert _kinds(tree) == {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 import re
 from xml.sax import saxutils
@@ -16,7 +17,14 @@ from ecstmetrics.cli import main
 from ecstmetrics.errors import SourceIoError, TreeXmlError
 from ecstmetrics.frontends import _NOT_XML_CHAR
 from ecstmetrics.metrics import ElementMetrics, LocBundle, MetricsReport, measure_tree
-from ecstmetrics.tree import EcstNode, EcstTree, SourceSpan, UniversalKind
+from ecstmetrics.tree import (
+    TOKEN_TYPES,
+    EcstNode,
+    EcstTree,
+    SourceSpan,
+    UniversalKind,
+    walk,
+)
 from ecstmetrics.xmlio import (
     escape,
     load_tree_file,
@@ -90,6 +98,14 @@ class TestRoundTrip:
             again = parse_tree_xml(doc)
             assert same_tree(again, tree)
             assert serialize_tree(again) == doc
+
+    def test_reloaded_token_types_are_the_vocabulary_strings(self, corpus):
+        for _, tree in corpus.values():
+            doc = serialize_tree(tree)
+            for data in (doc, doc.encode(), io.BytesIO(doc.encode())):
+                for node, _, _ in walk(parse_tree_xml(data).root):
+                    if node.kind is None:
+                        assert any(node.token_type is t for t in TOKEN_TYPES)
 
     def test_escaped_lexemes_survive(self):
         tree = _mini_tree()
@@ -402,7 +418,8 @@ def _outcome(read, doc):
 
 class TestReaderParity:
     """The reader against the one in oracles.py that checks every element
-    in full: same tree or same message, for str and bytes alike."""
+    in full: same tree or same message, for str, bytes and a binary file
+    alike."""
 
     def test_mutated_documents(self, corpus):
         bases = [MINI_XML, *(serialize_tree(tree) for _, tree in corpus.values())]
@@ -413,6 +430,8 @@ class TestReaderParity:
             for data in (doc, doc.encode()):
                 expected = _outcome(reference_parse_tree_xml, data)
                 assert _outcome(parse_tree_xml, data) == expected, doc
+            # A binary file, which expat reads in pieces, reads alike.
+            assert _outcome(parse_tree_xml, io.BytesIO(doc.encode())) == expected, doc
             accepted += not expected.startswith("error: ")
         # Both kinds of outcome occur.
         assert 50 < accepted < 500
@@ -429,6 +448,47 @@ class TestReaderParity:
         monkeypatch.setattr(xmlio, "_word_failure", fail)
         for doc in documents:
             parse_tree_xml(doc)
+
+
+class _Pieces(io.StringIO):
+    """A text file that keeps each piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+class TestStreamedWriter:
+    """serialize_tree into a text file writes exactly the document it
+    returns without one, in pieces of at least _PIECE_LINES lines that
+    each end after a </node> line."""
+
+    @staticmethod
+    def _pieces(tree) -> list[str]:
+        out = _Pieces()
+        assert serialize_tree(tree, out) is None
+        assert out.getvalue() == serialize_tree(tree)
+        for piece in out.pieces[:-1]:
+            assert piece.endswith("</node>\n")
+            assert piece.count("\n") >= xmlio._PIECE_LINES
+        return out.pieces
+
+    def test_fixtures(self, corpus):
+        for _, tree in corpus.values():
+            self._pieces(tree)
+
+    @pytest.mark.parametrize("language", ["modula2", "javaoo"])
+    def test_generated_programs(self, language):
+        for seed in range(200):
+            self._pieces(parse_source(generators.generate(language, seed).source, language))
+
+    def test_long_document_goes_out_in_pieces(self):
+        source = generators.generate("javaoo", 3, n_units=30).source
+        assert len(self._pieces(parse_source(source, "javaoo"))) > 10
 
 
 # Lexemes holding the characters XML text may need escaped: "&", "<" and
