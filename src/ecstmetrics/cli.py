@@ -146,17 +146,28 @@ def _cmd_measure(args) -> int:
 def _run_one(src, registry, args, written: dict[str, str]) -> int:
     try:
         tree = parse_file(src, detect(registry, src))
-        # The reload step is part of the pipeline, not an option.  The
+        # The reload step is part of the pipeline, not an option: the
+        # tree is always streamed to a file and read back from it.  The
         # parsed tree is freed first, so only one tree is held at a time.
-        if args.tree_dir:
+        if args.tree_dir is not None:
             path = _out_path(args.tree_dir, src, TREE_SUFFIX)
             _write_new(path, lambda handle: serialize_tree(tree, handle), src, written)
             del tree
             reloaded = load_tree_file(path)  # the bytes that were persisted
         else:
-            tree_xml = serialize_tree(tree)
-            del tree
-            reloaded = parse_tree_xml(tree_xml)
+            import tempfile  # only this path needs it; keeps start-up lean
+
+            try:
+                with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+                    serialize_tree(tree, spool)
+                    del tree
+                    spool.seek(0)
+                    # expat's ParseFile reads bytes, not the text wrapper
+                    reloaded = parse_tree_xml(spool.buffer)
+            except OSError as e:
+                raise SourceIoError(
+                    f"cannot use a temporary file: {e.strerror or e}"
+                ) from e
         report = measure_tree(reloaded, extended=args.extended_cc)
         out = _out_path(args.metrics_dir, src, METRICS_SUFFIX)
         _write_new(out, serialize_metrics(report), src, written)

@@ -217,6 +217,10 @@ def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
     token = None  # attributes of the open <token> with no child element
     token_line = token_order = 0
     lexeme = ""
+    # The last token's line text and its int, which the next token on
+    # that line shares; int() would build a new one above 256.
+    line_text = ""
+    line_int = 0
     new_tuple = tuple.__new__  # a SourceSpan without its Python-level __new__
 
     def start(tag, attrs):
@@ -243,13 +247,16 @@ def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
             stack[-1].text.append(text)
 
     def end(tag):
-        nonlocal token
+        nonlocal token, line_text, line_int
         if token is not None:
             attrs = token
             token = None
             try:
                 raw_line = attrs["line"]
-                line = int(raw_line)
+                if raw_line != line_text:
+                    line_int = int(raw_line)
+                    line_text = raw_line
+                line = line_int
                 col = int(attrs["col"])
                 raw_end = attrs["endLine"]
                 # Most tokens end on their first line: share its int.

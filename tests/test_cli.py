@@ -329,6 +329,9 @@ class TestExitCodes:
         [
             ("--metrics-dir", "afile/sub", "Not a directory"),
             ("--tree-dir", "afile", "File exists"),
+            # An empty name is a directory that cannot be made, not no option.
+            ("--metrics-dir", "", "No such file or directory"),
+            ("--tree-dir", "", "No such file or directory"),
         ],
     )
     def test_uncreatable_output_directory_is_4(
@@ -690,6 +693,21 @@ def _file_size_limit(limit: int):
     return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
 
 
+class _Full:
+    """A text file on a disk that fills after one piece: the first piece
+    written goes to written, and every later write fails."""
+
+    def __init__(self, handle, written: list):
+        self.handle = handle
+        self.written = written
+
+    def write(self, piece):
+        if self.written:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.written.append(piece)
+        return self.handle.write(piece)
+
+
 class TestWholeOutputs:
     """An output file is replaced whole or left as it was."""
 
@@ -748,21 +766,8 @@ class TestWholeOutputs:
         capsys.readouterr()
         written = []
         real = cli.serialize_tree
-
-        class Full:
-            """A text file on a disk that fills after one piece."""
-
-            def __init__(self, handle):
-                self.handle = handle
-
-            def write(self, piece):
-                if written:
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                written.append(piece)
-                return self.handle.write(piece)
-
         monkeypatch.setattr(
-            cli, "serialize_tree", lambda tree, handle: real(tree, Full(handle))
+            cli, "serialize_tree", lambda tree, handle: real(tree, _Full(handle, written))
         )
         assert _cyclic_garbage(argv) == 4
         assert len(written) == 1 and len(written[0]) < len(previous)
@@ -785,6 +790,98 @@ class TestWholeOutputs:
         assert self._files(workdir) == sorted(set(files) | written)
 
 
+class TestSpooledReload:
+    """run without --tree-dir streams each tree through an unnamed
+    temporary file and reloads it from there, as run --tree-dir does
+    from the tree file: the same outputs, and a fault in the temporary
+    file is exit 4 against the source, after which the run goes on."""
+
+    def _sources(self, root) -> list[str]:
+        """Fixtures, generator seeds 0-199 in both languages, and a
+        source for each failing exit code, written under root/src."""
+        src = root / "src"
+        src.mkdir()
+        names = sorted(p.name for p in root.iterdir() if p.suffix in (".mod", ".java"))
+        for name in names:
+            shutil.move(root / name, src / name)
+        for language, ext in EXTENSIONS.items():
+            for seed in range(200):
+                source = generators.generate(language, seed).source
+                (src / f"g{seed}{ext}").write_text(source, encoding="utf-8")
+                names.append(f"g{seed}{ext}")
+        failing = {
+            "Broken.java": "class T {\n  void m( }\n",
+            "Open.mod": "MODULE M;\n(* open\n",
+            "Bell.mod": "MODULE M;\n(* \x07 *)\nEND M.\n",
+            "notes.txt": "hello\n",
+        }
+        for name, text in failing.items():
+            (src / name).write_text(text, encoding="utf-8")
+        return [f"src/{name}" for name in [*names, *failing, "Ghost.mod"]]
+
+    def test_outputs_match_run_with_tree_dir(self, workdir, monkeypatch, capsys):
+        sources = self._sources(workdir)
+        spool_dir = workdir / "spool"
+        spool_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+        outcomes = []
+        for options in ([], ["--tree-dir", "t"]):
+            shutil.rmtree(workdir / "m", ignore_errors=True)
+            code = main(["run", *sources, "--metrics-dir", "m", "--table", *options])
+            metrics = {p.name: p.read_bytes() for p in (workdir / "m").iterdir()}
+            outcomes.append((code, capsys.readouterr(), metrics))
+        assert outcomes[0] == outcomes[1]
+        code, captured, metrics = outcomes[0]
+        assert code == 4 and len(metrics) == len(sources) - 5
+        assert captured.err.count("\n") == 5
+        assert os.listdir(spool_dir) == []
+
+    def test_unusable_temporary_directory_is_4(self, workdir, monkeypatch, capsys):
+        monkeypatch.setattr(tempfile, "tempdir", str(workdir / "missing"))
+        files = TestWholeOutputs._files(workdir)
+        assert _cyclic_garbage(["run", "QuickSort.mod", "Features.java"]) == 4
+        assert capsys.readouterr() == ("", "".join(
+            f"{name}: error: cannot use a temporary file: No such file or directory\n"
+            for name in ("QuickSort.mod", "Features.java")
+        ))
+        assert TestWholeOutputs._files(workdir) == files
+
+    def test_disk_filling_part_way_through_the_spool_is_4(
+        self, workdir, monkeypatch, capsys
+    ):
+        source = generators.generate("javaoo", 3, n_units=6).source
+        (workdir / "Big.java").write_text(source, encoding="utf-8")
+        written = []
+        real = cli.serialize_tree
+
+        def serialize(tree, handle):
+            if tree.source_path == "Big.java":
+                handle = _Full(handle, written)
+            real(tree, handle)
+
+        monkeypatch.setattr(cli, "serialize_tree", serialize)
+        assert _cyclic_garbage(["run", "Big.java", "QuickSort.mod"]) == 4
+        assert len(written) == 1
+        # The next file is still measured.
+        assert capsys.readouterr() == (
+            "QuickSort.mod -> ./QuickSort.mod.metrics.xml\n",
+            "Big.java: error: cannot use a temporary file: No space left on device\n",
+        )
+        assert not (workdir / "Big.java.metrics.xml").exists()
+
+    def test_read_fault_is_4(self, workdir, monkeypatch, capsys):
+        def reload(spool):
+            spool.read(100)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(cli, "parse_tree_xml", reload)
+        assert _cyclic_garbage(["run", "QuickSort.mod"]) == 4
+        assert capsys.readouterr() == (
+            "", "QuickSort.mod: error: cannot use a temporary file: Input/output error\n"
+        )
+        assert not (workdir / "QuickSort.mod.metrics.xml").exists()
+
+
 class TestNoCyclicGarbage:
     """Every tree, expat parser and error a command builds is freed by
     reference counting when the command returns, so with the cyclic
@@ -802,6 +899,7 @@ class TestNoCyclicGarbage:
 
     CASES = {
         "run": (["run", "QuickSort.java", "Features.mod", "--tree-dir", "t"], 0),
+        "run without --tree-dir": (["run", "QuickSort.java", "Features.mod"], 0),
         "parse": (["parse", "QuickSort.mod"], 0),
         "measure source": (["measure", "Features.java"], 0),
         "measure tree": (["measure", "tree.ecst.xml"], 0),
@@ -871,11 +969,13 @@ def _traced(call) -> tuple[int, int]:
 
 class TestPeakMemory:
     """A command holds one tree at a time: the parsed tree, or the tree
-    reloaded from its file, with the file written and read in pieces."""
+    reloaded from its file, with the file written and read in pieces.
+    run without --tree-dir streams through a temporary file alike."""
 
     # command -> (argv, highest peak as a multiple of the parsed tree)
     COMMANDS = {
         "parse": (["parse", "Big.mod"], 1.2),
+        "run": (["run", "Big.mod", "--metrics-dir", "m"], 1.4),
         "run --tree-dir": (
             ["run", "Big.mod", "--tree-dir", "t", "--metrics-dir", "m"],
             1.4,
@@ -917,6 +1017,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_import_loads_no_tempfile(self):
+        # Only run without --tree-dir spools a tree to a temporary file.
+        # site loads tempfile on some installs, so look without site.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import sys\n"
+                "import ecstmetrics.cli\n"
+                "print('tempfile' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_every_exported_name_resolves(self):
         namespace = {}

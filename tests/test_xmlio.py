@@ -107,6 +107,19 @@ class TestRoundTrip:
                     if node.kind is None:
                         assert any(node.token_type is t for t in TOKEN_TYPES)
 
+    def test_reloaded_tokens_share_line_ints(self):
+        # int() builds a new object for each value above 256; the scanner
+        # shares one per source line, and so does the reader.
+        source = generators.generate("modula2", 5, n_units=20).source
+        assert source.count("\n") > 256
+        tree = parse_source(source, "modula2")
+
+        def line_objects(t) -> int:
+            return len({id(n.span[0]) for n, _, _ in walk(t.root) if n.kind is None})
+
+        reloaded = parse_tree_xml(serialize_tree(tree))
+        assert line_objects(reloaded) <= line_objects(tree)
+
     def test_escaped_lexemes_survive(self):
         tree = _mini_tree()
         tree.root.children[0].children.append(
