@@ -2,16 +2,21 @@
 
 Serialization is hand-rolled so output is byte-deterministic: fixed
 attribute order, two-space indentation, no XML declaration, trailing
-newline.  Parsing uses expat and reports schema violations with the
+newline.  Parsing reads that form back one regular-expression match
+per element line; every other document, valid or not, goes to expat,
+which alone reports well-formedness and schema violations, with the
 offending element and line.
 """
 
 from __future__ import annotations
 
-from typing import BinaryIO, NamedTuple, NoReturn, TextIO
+import io
+import re
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, NoReturn, TextIO
 from xml.parsers import expat
 
 from .errors import MalformedTreeError, SourceIoError, TreeXmlError
+from .frontends import _NOT_XML_CHAR
 from .tree import (
     TOKEN_TYPES,
     EcstNode,
@@ -123,8 +128,12 @@ def serialize_metrics(report) -> str:
 
 _KINDS = {kind.value: kind for kind in UniversalKind}
 # Each token type to the one string of its spelling that every reloaded
-# token shares; expat hands out a new string per attribute value.
+# token shares; each reader gets a new string per attribute value.
 _TYPES = {token_type: token_type for token_type in TOKEN_TYPES}
+# The one form of an integer attribute: ASCII digits.  A line, a column
+# and totalLines must also be at least 1.
+_INT = "[0-9]+"
+_INT_FORM = re.compile(_INT)
 
 
 class _Open(NamedTuple):
@@ -143,13 +152,22 @@ def _fail(el: _Open, message: str):
     raise TreeXmlError(f"{message} (element <{el.tag}>, line {el.line})")
 
 
+def _ascii_int(raw: str) -> int:
+    """raw's value if it is an integer attribute's one form, _INT;
+    ValueError otherwise.  int() alone also takes "+5", " 5", "1_0" and
+    the digits of other scripts."""
+    if _INT_FORM.fullmatch(raw) is None:
+        raise ValueError(raw)
+    return int(raw)
+
+
 def _int_attr(el: _Open, name: str) -> int:
     """A positive integer attribute: a line, a column or totalLines."""
     raw = el.attrs.get(name)
     if raw is None:
         _fail(el, f"missing attribute {name!r}")
     try:
-        value = int(raw)
+        value = _ascii_int(raw)
     except ValueError:
         _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
     if value < 1:
@@ -195,11 +213,195 @@ def _word_failure(el: _Open) -> NoReturn:
     _fail(el, f"unknown element <{el.tag}>")
 
 
+# -- the line reader: serialize_tree's own form ---------------------------
+
+# Characters that the writer never leaves bare in text: markup, a
+# carriage return, which expat reads as a line break, and any character
+# outside XML 1.0's Char production, which expat rejects.
+_NOT_XML = _NOT_XML_CHAR.pattern[1:-1]
+_PLAIN = f"[^<&>\r{_NOT_XML}]*"
+# A non-empty lexeme, its line breaks kept, "&", "<" and ">" as entities.
+_LEXEME = f"(?!<)({_PLAIN}(?:&(?:amp|lt|gt);{_PLAIN})*)"
+# A header value that expat reads as it stands: no quote, markup or
+# whitespace that it would normalise.
+_VALUE = f'"([^"<&\t\n\r{_NOT_XML}]*)"'
+_HEADER = re.compile(
+    f'<ecst source={_VALUE} language={_VALUE} totalLines="({_INT})">\n'
+)
+_TOKEN_START = (
+    f'<token type="([a-z]+)" line="({_INT})" col="({_INT})"'
+    f' endLine="({_INT})" endCol="({_INT})">'
+)
+# One element line: its indent, then a token, a start tag or an end tag.
+_LINE = re.compile(
+    f'( *)(?:{_TOKEN_START}{_LEXEME}</token>|<node kind="([A-Z_]+)">|</node>)\n'
+)
+# The start of a token line whose lexeme goes on past the end of a piece.
+_OPEN_TOKEN = re.compile(f" *{_TOKEN_START}{_LEXEME}")
+
+# Bytes the line reader asks a binary file for at a time: small beside
+# any tree, and large enough that the costs of each piece do not show.
+_READ_BYTES = 1 << 14
+
+
+def _pieces(file: BinaryIO) -> Iterator[str]:
+    """A binary file's text in pieces, each cut after a line break, so
+    that no UTF-8 sequence is split; UnicodeDecodeError on one that is
+    not UTF-8."""
+    rest = b""
+    while chunk := file.read(_READ_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield (rest + chunk[:cut]).decode()
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest.decode()
+
+
+def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
+    """The tree of a document in serialize_tree's form, read with one
+    match of _LINE per element; None for any other document.
+
+    The form: the header line, one element per line at its depth's
+    indent, and "</ecst>\n" at the end.  Each token passes the same
+    guard as in the expat reader, and the tree passes validate_tree.  On
+    the first line this reader cannot take, or a rule that a token or
+    the tree breaks, it returns None: it never words a failure.  An
+    element line may run on from one piece into the next.
+    """
+    head = None
+    text = ""  # the current piece, after what the last one left unread
+    pos = 0  # where the unread text starts
+    top: list[EcstNode] = []  # the elements directly inside <ecst>
+    children = top  # the open <node>'s children
+    append = top.append
+    parents: list[list] = []  # the children list each open <node> is in
+    indent = 2  # spaces before the next token or start tag
+    # The last token's line text and its int, shared as in the expat reader.
+    line_text = ""
+    line_int = 0
+    new_tuple = tuple.__new__
+    try:
+        for piece in pieces:
+            if pos < len(text) and _OPEN_TOKEN.fullmatch(text, pos) is None:
+                return None
+            text = text[pos:] + piece
+            pos = 0
+            if head is None:
+                head = _HEADER.match(text)
+                if head is None:
+                    return None
+                pos = head.end()
+            m = None
+            for m in iter(_LINE.scanner(text, pos).match, None):
+                (spaces, token_type, raw_line, raw_col, raw_end, raw_end_col,
+                 lexeme, kind) = m.groups()
+                if token_type is not None:
+                    if raw_line != line_text:
+                        line_int = int(raw_line)
+                        line_text = raw_line
+                    line = line_int
+                    col = int(raw_col)
+                    end_line = line if raw_end == raw_line else int(raw_end)
+                    end_col = int(raw_end_col)
+                    token_type = _TYPES.get(token_type)
+                    if (
+                        len(spaces) != indent
+                        or token_type is None
+                        or not (
+                            0 < line <= end_line
+                            and col > 0
+                            and end_col > 0
+                            and (line < end_line or col <= end_col)
+                        )
+                    ):
+                        return None
+                    if "&" in lexeme:
+                        lexeme = (
+                            lexeme.replace("&lt;", "<")
+                            .replace("&gt;", ">")
+                            .replace("&amp;", "&")
+                        )
+                    append(
+                        EcstNode(
+                            lexeme,
+                            None,
+                            token_type,
+                            new_tuple(SourceSpan, (line, col, end_line, end_col)),
+                        )
+                    )
+                elif kind is not None:
+                    kind = _KINDS.get(kind)
+                    if kind is None or len(spaces) != indent:
+                        return None
+                    node = EcstNode(kind._value_, kind, None, None, [])
+                    append(node)
+                    parents.append(children)
+                    children = node.children
+                    append = children.append
+                    indent += 2
+                else:
+                    indent -= 2
+                    if not parents or len(spaces) != indent:
+                        return None
+                    children = parents.pop()
+                    append = children.append
+            if m is not None:
+                pos = m.end()
+        if head is None:
+            return None
+        source, language, total_lines = head.groups()
+        total_lines = int(total_lines)
+    except ValueError:  # a piece that is not UTF-8, or an int too long for int()
+        return None
+    if (
+        parents
+        or text[pos:] != "</ecst>\n"
+        or total_lines < 1
+        or len(top) != 1
+        or top[0].kind is not UniversalKind.COMPILATION_UNIT
+    ):
+        return None
+    tree = EcstTree(top[0], source, language, total_lines)
+    try:
+        validate_tree(tree)
+    except MalformedTreeError:
+        return None
+    return tree
+
+
+# -- parse_tree_xml: the line reader, else expat ---------------------------
+
+
 def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
     """Parse an eCST XML document back into a tree.
 
-    data is the document as bytes or str, or a binary file, which expat
-    reads in pieces, so the whole document is never held at once.
+    data is the document as bytes or str, or a binary file, which is
+    read in pieces, so the whole document is never held at once.
+
+    A document in the form serialize_tree writes is read by _read_lines,
+    one regular-expression match per element.  Any other document, and
+    a non-seekable file, is read by expat from its start: a valid one
+    gives the same tree, and expat's reader alone words each failure.
+    Raises TreeXmlError on any well-formedness or schema violation.
+    """
+    if not hasattr(data, "read"):
+        pieces = (data,) if isinstance(data, str) else _pieces(io.BytesIO(data))
+        tree = _read_lines(pieces)
+    elif data.seekable():
+        start = data.tell()
+        tree = _read_lines(_pieces(data))
+        if tree is None:
+            data.seek(start)
+    else:
+        tree = None
+    return tree if tree is not None else _parse_expat(data)
+
+
+def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
+    """parse_tree_xml through expat, for any document.
 
     Nodes are built straight from the parser's events, without recursion.
     An open <token> with no child element lives in the handlers' locals,
@@ -254,14 +456,14 @@ def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
             try:
                 raw_line = attrs["line"]
                 if raw_line != line_text:
-                    line_int = int(raw_line)
+                    line_int = _ascii_int(raw_line)
                     line_text = raw_line
                 line = line_int
-                col = int(attrs["col"])
+                col = _ascii_int(attrs["col"])
                 raw_end = attrs["endLine"]
                 # Most tokens end on their first line: share its int.
-                end_line = line if raw_end == raw_line else int(raw_end)
-                end_col = int(attrs["endCol"])
+                end_line = line if raw_end == raw_line else _ascii_int(raw_end)
+                end_col = _ascii_int(attrs["endCol"])
             except (KeyError, ValueError):
                 line = 0
             token_type = _TYPES.get(attrs.get("type"))

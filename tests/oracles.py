@@ -614,9 +614,13 @@ def _int_attr(el: _Open, name: str) -> int:
     raw = el.attrs.get(name)
     if raw is None:
         _fail(el, f"missing attribute {name!r}")
+    # ASCII digits only: int() alone also takes "+5", " 5", "1_0" and
+    # the digits of other scripts.
+    if not (raw.isascii() and raw.isdigit()):
+        _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
     try:
         value = int(raw)
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
     if value < 1:
         _fail(el, f"attribute {name!r} must be >= 1, got {value}")

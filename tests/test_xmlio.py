@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import random
 import re
@@ -204,6 +205,30 @@ class TestSchemaErrors:
             MINI_XML.replace('col="11"', 'col="x"'),
             "not an integer",
         )
+
+    @pytest.mark.parametrize("raw", ["\uff11", "\u0663", "1_0", "+5", " 5", "5 ", "-3", ""])
+    def test_integer_attributes_are_ascii_digits(self, raw):
+        # int() alone takes all but the last two of these.
+        for name, value in (("line", 1), ("col", 1), ("endLine", 1), ("endCol", 9)):
+            self._raises(
+                MINI_XML.replace(f' {name}="{value}"', f' {name}="{raw}"', 1),
+                f"attribute {name!r} is not an integer: {raw!r} (element <token>, line 4)",
+            )
+        self._raises(
+            MINI_XML.replace('totalLines="1"', f'totalLines="{raw}"'),
+            f"attribute 'totalLines' is not an integer: {raw!r} (element <ecst>, line 1)",
+        )
+
+    def test_full_width_digit_exits_5(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        doc = MINI_XML.replace('line="1" col="1"', 'line="\uff11" col="1"')
+        (tmp_path / "wide.ecst.xml").write_text(doc, encoding="utf-8")
+        assert main(["measure", "wide.ecst.xml"]) == 5
+        assert capsys.readouterr().err == (
+            "wide.ecst.xml: error: attribute 'line' is not an integer: '\uff11'"
+            " (element <token>, line 4)\n"
+        )
+        assert not (tmp_path / "wide.metrics.xml").exists()
 
     def test_zero_position_rejected(self):
         self._raises(
@@ -461,6 +486,216 @@ class TestReaderParity:
         monkeypatch.setattr(xmlio, "_word_failure", fail)
         for doc in documents:
             parse_tree_xml(doc)
+
+
+@pytest.fixture(scope="module")
+def writer_documents(corpus) -> list[str]:
+    """The fixtures and generator seeds 0-199 in both languages, as
+    serialize_tree writes them, each named as a source file."""
+    documents = [serialize_tree(tree) for _, tree in corpus.values()]
+    for language, ext in (("modula2", ".mod"), ("javaoo", ".java")):
+        for seed in range(200):
+            source = generators.generate(language, seed).source
+            tree = parse_source(source, language, source_path=f"g{seed}{ext}")
+            documents.append(serialize_tree(tree))
+    return documents
+
+
+def _as_inputs(doc: str) -> list:
+    """doc as a str, as bytes and as a binary file."""
+    return [doc, doc.encode(), io.BytesIO(doc.encode())]
+
+
+@pytest.fixture
+def expat_calls(monkeypatch) -> list:
+    """Counts the expat parsers made while a test runs."""
+    calls = []
+    real = xmlio.expat.ParserCreate
+
+    def create(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(xmlio.expat, "ParserCreate", create)
+    return calls
+
+
+class _Unseekable(io.RawIOBase):
+    """A binary stream that cannot seek, such as a pipe."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(buffer)
+
+
+class TestLineReader:
+    """parse_tree_xml reads serialize_tree's own form one line at a time
+    and hands every other document to expat from its start: the writer's
+    documents never reach expat, and the others give the tree or the
+    message of the reader in oracles.py."""
+
+    def test_writer_documents_never_reach_expat(self, writer_documents, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a document the writer wrote reached expat")
+
+        monkeypatch.setattr(xmlio.expat, "ParserCreate", fail)
+        for doc in writer_documents:
+            for data in _as_inputs(doc):
+                assert serialize_tree(parse_tree_xml(data)) == doc
+
+    def test_expat_reader_agrees_on_writer_documents(self, writer_documents, monkeypatch):
+        # The fallback reads the writer's documents to the same trees,
+        # each element passing its guard.
+        def fail(el):
+            raise AssertionError(f"<{el.tag}> at line {el.line} left the guard")
+
+        monkeypatch.setattr(xmlio, "_word_failure", fail)
+        for doc in writer_documents[::10]:
+            assert serialize_tree(xmlio._parse_expat(doc)) == doc
+
+    def test_tokens_share_line_ints(self, monkeypatch):
+        source = generators.generate("modula2", 5, n_units=20).source
+        tree = parse_source(source, "modula2", source_path="g.mod")
+        doc = serialize_tree(tree)
+        monkeypatch.setattr(xmlio.expat, "ParserCreate", None)
+        for data in _as_inputs(doc):
+            reloaded = parse_tree_xml(data)
+            lines = {n.span[0] for n, _, _ in walk(reloaded.root) if n.kind is None}
+            starts = {id(n.span[0]) for n, _, _ in walk(reloaded.root) if n.kind is None}
+            assert max(lines) > 256 and len(starts) == len(lines)
+
+    # Valid documents that serialize_tree would not write.
+    OTHER_FORMS = {
+        "re-indented": lambda doc: doc.replace("\n  ", "\n   "),
+        "not indented": lambda doc: re.sub("\n +", "\n", doc),
+        "reordered attributes": lambda doc: re.sub(
+            r'line="(\d+)" col="(\d+)"', r'col="\2" line="\1"', doc, count=1
+        ),
+        "character reference": lambda doc: doc.replace("&lt;", "&#60;", 1),
+        "XML declaration": lambda doc: '<?xml version="1.0" encoding="UTF-8"?>\n' + doc,
+        "byte order mark": lambda doc: "\ufeff" + doc,
+        "single-quoted header": lambda doc: doc.replace(
+            'source="Markup.java"', "source='Markup.java'"
+        ),
+        "header holding &amp;": lambda doc: doc.replace(
+            'source="Markup.java"', 'source="a&amp;b.java"'
+        ),
+        "comment after </ecst>": lambda doc: doc + "<!-- done -->\n",
+        "no final line break": lambda doc: doc[:-1],
+    }
+
+    @pytest.fixture(scope="class")
+    def markup_document(self):
+        tree = parse_source(MARKUP_SOURCES["javaoo"], "javaoo", source_path="Markup.java")
+        return serialize_tree(tree)
+
+    @pytest.mark.parametrize("form", sorted(OTHER_FORMS))
+    def test_other_valid_forms_reach_expat(self, markup_document, expat_calls, form):
+        doc = self.OTHER_FORMS[form](markup_document)
+        assert doc != markup_document
+        expected = _outcome(reference_parse_tree_xml, doc)
+        assert not expected.startswith("error: ")
+        expat_calls.clear()
+        for data in _as_inputs(doc):
+            assert _outcome(parse_tree_xml, data) == expected
+        assert len(expat_calls) == 3
+
+    # Lexemes the line reader must not take as they stand: expat reads
+    # them otherwise, or rejects them.
+    TRAPS = {
+        "carriage return": "a\rb",
+        "greater-than sign": "a>b",
+        "end of a CDATA section": "a]]>b",
+        "control character": "a\x01b",
+        "lone surrogate": "a\ud800b",
+        "non-character": "a\ufffeb",
+    }
+
+    @pytest.mark.parametrize("trap", sorted(TRAPS))
+    def test_lexeme_traps_reach_expat(self, expat_calls, trap):
+        doc = MINI_XML.replace(">P<", f">{self.TRAPS[trap]}<")
+        expected = _outcome(reference_parse_tree_xml, doc)
+        expat_calls.clear()
+        assert _outcome(parse_tree_xml, doc) == expected
+        assert len(expat_calls) == 1
+
+    def test_failed_tree_is_freed_before_expat_starts(self, monkeypatch):
+        source = generators.generate("modula2", 3, n_units=4).source
+        doc = serialize_tree(parse_source(source, "modula2", source_path="g.mod"))
+        doc = doc.replace("</ecst>\n", "</ecst >\n")  # valid, but not the writer's
+        alive = []
+        real = xmlio.expat.ParserCreate
+
+        def create(*args):
+            alive.append(sum(type(o) is EcstNode for o in gc.get_objects()))
+            return real(*args)
+
+        monkeypatch.setattr(xmlio.expat, "ParserCreate", create)
+        gc.collect()
+        before = sum(type(o) is EcstNode for o in gc.get_objects())
+        assert serialize_tree(parse_tree_xml(doc)) == doc.replace("</ecst >", "</ecst>")
+        assert alive == [before]
+
+
+class TestReadPieces:
+    """A binary file is read in pieces of _READ_BYTES, each cut after a
+    line break; an element may run on from one piece into the next."""
+
+    # A block comment over several lines, and lexemes of multi-byte
+    # UTF-8 characters.
+    SOURCE = (
+        "MODULE M;\n(* \u00e9t\u00e9\n   \u20ac & < >\n\U0001d11e *)\n"
+        "PROCEDURE P;\nBEGIN\n  s := '\u00e9\u20ac\U0001d11e';\nEND P;\nEND M.\n"
+    )
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13, 64])
+    def test_lexemes_across_a_cut(self, monkeypatch, size):
+        doc = serialize_tree(parse_source(self.SOURCE, "modula2", source_path="M.mod"))
+        assert "\n   \u20ac &amp; &lt; &gt;\n" in doc
+
+        def fail(*args):
+            raise AssertionError("the document reached expat")
+
+        monkeypatch.setattr(xmlio, "_READ_BYTES", size)
+        monkeypatch.setattr(xmlio.expat, "ParserCreate", fail)
+        assert serialize_tree(parse_tree_xml(io.BytesIO(doc.encode()))) == doc
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "last", ["</ecst>\n<x/>\n", "</ecsx>\n", "</ecst>\n\n", "</ecst>", "</ecst>\n\x00"]
+    )
+    def test_fallback_on_the_last_line(self, monkeypatch, expat_calls, size, last):
+        doc = MINI_XML.replace("</ecst>\n", last)
+        expected = _outcome(reference_parse_tree_xml, doc.encode())
+        expat_calls.clear()
+        monkeypatch.setattr(xmlio, "_READ_BYTES", size)
+        assert _outcome(parse_tree_xml, io.BytesIO(doc.encode())) == expected
+        assert len(expat_calls) == 1
+
+    def test_file_read_from_its_position(self):
+        data = io.BytesIO(b"junk" + MINI_XML.encode())
+        data.seek(4)
+        assert serialize_tree(parse_tree_xml(data)) == MINI_XML
+        bad = MINI_XML.replace("</ecst>", "</ecsx>").encode()
+        data = io.BytesIO(b"junk" + bad)
+        data.seek(4)
+        assert _outcome(parse_tree_xml, data) == _outcome(reference_parse_tree_xml, bad)
+
+    @pytest.mark.parametrize(
+        "doc", [MINI_XML, MINI_XML.replace("</ecst>", "</ecsx>"), MINI_XML + "<!-- -->"]
+    )
+    def test_unseekable_stream_goes_to_expat(self, expat_calls, doc):
+        stream = io.BufferedReader(_Unseekable(doc.encode()))
+        assert not stream.seekable()
+        expected = _outcome(reference_parse_tree_xml, doc.encode())
+        expat_calls.clear()
+        assert _outcome(parse_tree_xml, stream) == expected
+        assert len(expat_calls) == 1
 
 
 class _Pieces(io.StringIO):
