@@ -162,7 +162,7 @@ def _run_one(src, registry, args, written: dict[str, str]) -> int:
                     serialize_tree(tree, spool)
                     del tree
                     spool.seek(0)
-                    # expat's ParseFile reads bytes, not the text wrapper
+                    # parse_tree_xml takes a binary file, not the text wrapper
                     reloaded = parse_tree_xml(spool.buffer)
             except OSError as e:
                 raise SourceIoError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import re
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, NoReturn, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 from xml.parsers import expat
 
 from .errors import MalformedTreeError, SourceIoError, TreeXmlError
@@ -133,51 +133,52 @@ _TYPES = {token_type: token_type for token_type in TOKEN_TYPES}
 # The one form of an integer attribute: ASCII digits.  A line, a column
 # and totalLines must also be at least 1.
 _INT = "[0-9]+"
-_INT_FORM = re.compile(_INT)
 
 
 class _Open(NamedTuple):
-    """An element whose end tag has not been read yet, other than a
-    <token> with no child element."""
+    """An element whose end tag has not been read yet."""
 
     tag: str
     attrs: dict
     line: int
     order: int  # position in document order
     children: list  # built child nodes; None for one that failed its checks
-    text: list  # the non-blank character data chunks
+    text: list  # the character data chunks
 
 
 def _fail(el: _Open, message: str):
     raise TreeXmlError(f"{message} (element <{el.tag}>, line {el.line})")
 
 
-def _ascii_int(raw: str) -> int:
-    """raw's value if it is an integer attribute's one form, _INT;
-    ValueError otherwise.  int() alone also takes "+5", " 5", "1_0" and
-    the digits of other scripts."""
-    if _INT_FORM.fullmatch(raw) is None:
-        raise ValueError(raw)
-    return int(raw)
+def _int_attr(el: _Open, name: str, ints: dict) -> int:
+    """A positive integer attribute: a line, a column or totalLines.
 
-
-def _int_attr(el: _Open, name: str) -> int:
-    """A positive integer attribute: a line, a column or totalLines."""
+    ints maps each value text already read in the document to its int,
+    which every later equal value shares; int() would build a new one
+    above 256.
+    """
     raw = el.attrs.get(name)
     if raw is None:
         _fail(el, f"missing attribute {name!r}")
+    value = ints.get(raw)
+    if value is not None:
+        return value
+    # ASCII digits only: int() alone also takes "+5", " 5", "1_0" and
+    # the digits of other scripts.
+    if not (raw.isascii() and raw.isdigit()):
+        _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
     try:
-        value = _ascii_int(raw)
-    except ValueError:
+        value = int(raw)
+    except ValueError:  # more digits than int() converts
         _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
     if value < 1:
         _fail(el, f"attribute {name!r} must be >= 1, got {value}")
+    ints[raw] = value
     return value
 
 
-def _word_failure(el: _Open) -> NoReturn:
-    """Raise the TreeXmlError for an element below <ecst> that failed
-    parse_tree_xml's guard, which builds every valid element itself.
+def _build_node(el: _Open, ints: dict) -> EcstNode:
+    """The node for an element below <ecst>, its children already built.
 
     Checks the rules about the element's own fields in the order that
     decides which message a failing element gets; validate_tree checks
@@ -187,29 +188,34 @@ def _word_failure(el: _Open) -> NoReturn:
         kind_raw = el.attrs.get("kind")
         if kind_raw is None:
             _fail(el, "missing attribute 'kind'")
-        if kind_raw not in _KINDS:
+        kind = _KINDS.get(kind_raw)
+        if kind is None:
             _fail(el, f"unknown universal kind {kind_raw!r}")
-        # The guard passes a <node> with a known kind and no text.
-        _fail(el, "unexpected text content in <node>")
+        if "".join(el.text).strip():
+            _fail(el, "unexpected text content in <node>")
+        # _value_ is kind.value without the enum property's call
+        return EcstNode(kind._value_, kind, None, None, el.children)
     if el.tag == "token":
-        token_type = el.attrs.get("type")
-        if token_type is None:
+        type_raw = el.attrs.get("type")
+        if type_raw is None:
             _fail(el, "missing attribute 'type'")
-        if token_type not in TOKEN_TYPES:
-            _fail(el, f"unknown token type {token_type!r}")
+        token_type = _TYPES.get(type_raw)
+        if token_type is None:
+            _fail(el, f"unknown token type {type_raw!r}")
         if el.children:
             _fail(el, "<token> must not contain elements")
-        if not "".join(el.text):
+        lexeme = "".join(el.text)
+        if not lexeme:
             _fail(el, "empty <token> lexeme")
         span = SourceSpan(
-            _int_attr(el, "line"),
-            _int_attr(el, "col"),
-            _int_attr(el, "endLine"),
-            _int_attr(el, "endCol"),
+            _int_attr(el, "line", ints),
+            _int_attr(el, "col", ints),
+            _int_attr(el, "endLine", ints),
+            _int_attr(el, "endCol", ints),
         )
-        # The guard passes a well-typed, non-empty <token> with this span
-        # unless the span starts after its end.
-        _fail(el, f"invalid span: span start after end: {span}")
+        if span[:2] > span[2:]:
+            _fail(el, f"invalid span: span start after end: {span}")
+        return EcstNode(lexeme, None, token_type, span)
     _fail(el, f"unknown element <{el.tag}>")
 
 
@@ -266,7 +272,7 @@ def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
 
     The form: the header line, one element per line at its depth's
     indent, and "</ecst>\n" at the end.  Each token passes the same
-    guard as in the expat reader, and the tree passes validate_tree.  On
+    rules as in _build_node, and the tree passes validate_tree.  On
     the first line this reader cannot take, or a rule that a token or
     the tree breaks, it returns None: it never words a failure.  An
     element line may run on from one piece into the next.
@@ -279,7 +285,8 @@ def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
     append = top.append
     parents: list[list] = []  # the children list each open <node> is in
     indent = 2  # spaces before the next token or start tag
-    # The last token's line text and its int, shared as in the expat reader.
+    # The last token's line text and its int, which the next token on
+    # that line shares; int() would build a new one above 256.
     line_text = ""
     line_int = 0
     new_tuple = tuple.__new__
@@ -403,10 +410,9 @@ def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
 def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
     """parse_tree_xml through expat, for any document.
 
-    Nodes are built straight from the parser's events, without recursion.
-    An open <token> with no child element lives in the handlers' locals,
-    not in a record, and each element that passes one guard at its end
-    tag is built in place; one that fails it goes to _word_failure.
+    Nodes are built straight from the parser's events, without recursion:
+    each element is one _Open record from its start tag, and at its end
+    tag _build_node checks it and builds its node.
     Raises TreeXmlError on any well-formedness or schema violation; of
     several schema violations, the one of the <ecst> element comes first,
     then the first failing element in document order.
@@ -416,97 +422,30 @@ def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
     stack: list[_Open] = []  # open elements; the <ecst> element stays
     top: list[_Open] = []  # records directly inside <ecst>
     failures: list = []  # (order, message) per failing element
-    token = None  # attributes of the open <token> with no child element
-    token_line = token_order = 0
-    lexeme = ""
-    # The last token's line text and its int, which the next token on
-    # that line shares; int() would build a new one above 256.
-    line_text = ""
-    line_int = 0
-    new_tuple = tuple.__new__  # a SourceSpan without its Python-level __new__
+    ints: dict = {}  # integer attribute text -> its shared int
 
     def start(tag, attrs):
-        nonlocal token, token_line, token_order, lexeme
-        if token is not None:  # an element inside a <token>
-            stack.append(_Open("token", token, token_line, token_order, [], []))
-            token = None
-        if tag == "token" and stack:  # not the root element
-            token = attrs
-            token_line = parser.CurrentLineNumber
-            token_order = parser.CurrentByteIndex
-            lexeme = ""
-        else:
-            line = parser.CurrentLineNumber
-            stack.append(_Open(tag, attrs, line, parser.CurrentByteIndex, [], []))
+        line = parser.CurrentLineNumber
+        stack.append(_Open(tag, attrs, line, parser.CurrentByteIndex, [], []))
 
     def chars(text):
-        nonlocal lexeme
-        if token is not None:
-            lexeme += text
-        elif not text.isspace():
-            # A <node> rejects only non-blank text, and a <token> record
-            # (the root, or one holding an element) fails before its lexeme.
-            stack[-1].text.append(text)
+        stack[-1].text.append(text)
 
     def end(tag):
-        nonlocal token, line_text, line_int
-        if token is not None:
-            attrs = token
-            token = None
-            try:
-                raw_line = attrs["line"]
-                if raw_line != line_text:
-                    line_int = _ascii_int(raw_line)
-                    line_text = raw_line
-                line = line_int
-                col = _ascii_int(attrs["col"])
-                raw_end = attrs["endLine"]
-                # Most tokens end on their first line: share its int.
-                end_line = line if raw_end == raw_line else _ascii_int(raw_end)
-                end_col = _ascii_int(attrs["endCol"])
-            except (KeyError, ValueError):
-                line = 0
-            token_type = _TYPES.get(attrs.get("type"))
-            if (
-                token_type is not None
-                and lexeme
-                and 0 < line <= end_line
-                and col > 0
-                and end_col > 0
-                and (line < end_line or col <= end_col)
-            ):
-                stack[-1].children.append(
-                    EcstNode(
-                        lexeme,
-                        None,
-                        token_type,
-                        new_tuple(SourceSpan, (line, col, end_line, end_col)),
-                    )
-                )
-                return
-            el = _Open("token", attrs, token_line, token_order, [], [lexeme])
-        else:
-            if len(stack) == 1:
-                return
-            el = stack.pop()
-            if len(stack) == 1:
-                top.append(el)
-            if el.tag == "node" and not el.text:
-                kind = _KINDS.get(el.attrs.get("kind"))
-                if kind is not None:
-                    # _value_ is kind.value without the enum property's call
-                    stack[-1].children.append(
-                        EcstNode(kind._value_, kind, None, None, el.children)
-                    )
-                    return
+        if len(stack) == 1:
+            return
+        el = stack.pop()
+        if len(stack) == 1:
+            top.append(el)
         try:
-            _word_failure(el)
+            node = _build_node(el, ints)
         except TreeXmlError as e:
             # The message, not the error: its traceback holds this frame,
             # whose cells hold failures, and that cycle would keep the
             # whole tree alive until the cyclic garbage collector runs.
             failures.append((el.order, e.args[0]))
-        stack[-1].children.append(None)
+            node = None
+        stack[-1].children.append(node)
 
     parser.StartElementHandler = start
     parser.CharacterDataHandler = chars
@@ -532,7 +471,7 @@ def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
     language = root_el.attrs.get("language")
     if source is None or language is None:
         _fail(root_el, "<ecst> requires source and language attributes")
-    total_lines = _int_attr(root_el, "totalLines")
+    total_lines = _int_attr(root_el, "totalLines", ints)
     if len(root_el.children) != 1:
         _fail(root_el, "<ecst> must contain exactly one <node>")
     if failures:
@@ -540,9 +479,7 @@ def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
         raise TreeXmlError(min(failures)[1])
     root_node = root_el.children[0]
     if root_node.kind is not UniversalKind.COMPILATION_UNIT:
-        # With no record, the one element inside <ecst> is the only <token>.
-        el = top[0] if top else _Open("token", {}, token_line, token_order, [], [])
-        _fail(el, "top-level <node> must be COMPILATION_UNIT")
+        _fail(top[0], "top-level <node> must be COMPILATION_UNIT")
     tree = EcstTree(root_node, source, language, total_lines)
     try:
         validate_tree(tree)
