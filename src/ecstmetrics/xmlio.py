@@ -3,9 +3,10 @@
 Serialization is hand-rolled so output is byte-deterministic: fixed
 attribute order, two-space indentation, no XML declaration, trailing
 newline.  Parsing reads that form back one regular-expression match
-per element line; every other document, valid or not, goes to expat,
-which alone reports well-formedness and schema violations, with the
-offending element and line.
+per element line, in pieces that each end at an element's end; every
+other document, valid or not, goes to expat, which alone reports
+well-formedness and element violations, with the offending element and
+line.  Either reader's tree is then validated in one place.
 """
 
 from __future__ import annotations
@@ -163,9 +164,9 @@ def _int_attr(el: _Open, name: str, ints: dict) -> int:
     value = ints.get(raw)
     if value is not None:
         return value
-    # ASCII digits only: int() alone also takes "+5", " 5", "1_0" and
-    # the digits of other scripts.
-    if not (raw.isascii() and raw.isdigit()):
+    # ASCII digits only, as _INT says: int() alone also takes "+5", " 5",
+    # "1_0" and the digits of other scripts.
+    if re.fullmatch(_INT, raw) is None:
         _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
     try:
         value = int(raw)
@@ -238,12 +239,12 @@ _TOKEN_START = (
     f'<token type="([a-z]+)" line="({_INT})" col="({_INT})"'
     f' endLine="({_INT})" endCol="({_INT})">'
 )
-# One element line: its indent, then a token, a start tag or an end tag.
+# One element line: a token, a start tag or an end tag, after any run of
+# spaces.  The spaces are blank text between elements, which neither
+# reader keeps.
 _LINE = re.compile(
-    f'( *)(?:{_TOKEN_START}{_LEXEME}</token>|<node kind="([A-Z_]+)">|</node>)\n'
+    f' *(?:{_TOKEN_START}{_LEXEME}</token>|<node kind="([A-Z_]+)">|</node>)\n'
 )
-# The start of a token line whose lexeme goes on past the end of a piece.
-_OPEN_TOKEN = re.compile(f" *{_TOKEN_START}{_LEXEME}")
 
 # Bytes the line reader asks a binary file for at a time: small beside
 # any tree, and large enough that the costs of each piece do not show.
@@ -251,50 +252,50 @@ _READ_BYTES = 1 << 14
 
 
 def _pieces(file: BinaryIO) -> Iterator[str]:
-    """A binary file's text in pieces, each cut after a line break, so
-    that no UTF-8 sequence is split; UnicodeDecodeError on one that is
-    not UTF-8."""
-    rest = b""
+    """A binary file's text in pieces, each cut after the last ">\n"
+    read so far; UnicodeDecodeError on text that is not UTF-8.  In
+    serialize_tree's form that pair only ends an element, as text and
+    header values hold ">" only as "&gt;": no element runs across a cut.
+    """
+    parts: list[bytes] = []  # what was read since the last cut
     while chunk := file.read(_READ_BYTES):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            yield (rest + chunk[:cut]).decode()
-            rest = chunk[cut:]
+        cut = chunk.rfind(b">\n") + 2
+        if cut > 1:
+            parts.append(chunk[:cut])
+            yield b"".join(parts).decode()
+            parts = [chunk[cut:]]
         else:
-            rest += chunk
-    if rest:
-        yield rest.decode()
+            parts.append(chunk)
+    if tail := b"".join(parts):
+        yield tail.decode()
 
 
 def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
     """The tree of a document in serialize_tree's form, read with one
     match of _LINE per element; None for any other document.
 
-    The form: the header line, one element per line at its depth's
-    indent, and "</ecst>\n" at the end.  Each token passes the same
-    rules as in _build_node, and the tree passes validate_tree.  On
-    the first line this reader cannot take, or a rule that a token or
-    the tree breaks, it returns None: it never words a failure.  An
-    element line may run on from one piece into the next.
+    The form: the header line, one element per line after any run of
+    spaces, and "</ecst>\n" at the end.  Each piece is read to its end,
+    apart from that last line.  Each token passes the same rules as in
+    _build_node.  On the first piece this reader cannot read to its end,
+    or a rule that a token breaks, it returns None: it never words a
+    failure.  The tree is not validated here; parse_tree_xml does that.
     """
     head = None
-    text = ""  # the current piece, after what the last one left unread
-    pos = 0  # where the unread text starts
+    rest = ""  # what the last piece left unread
     top: list[EcstNode] = []  # the elements directly inside <ecst>
     children = top  # the open <node>'s children
     append = top.append
     parents: list[list] = []  # the children list each open <node> is in
-    indent = 2  # spaces before the next token or start tag
     # The last token's line text and its int, which the next token on
     # that line shares; int() would build a new one above 256.
     line_text = ""
     line_int = 0
     new_tuple = tuple.__new__
     try:
-        for piece in pieces:
-            if pos < len(text) and _OPEN_TOKEN.fullmatch(text, pos) is None:
+        for text in pieces:
+            if rest:
                 return None
-            text = text[pos:] + piece
             pos = 0
             if head is None:
                 head = _HEADER.match(text)
@@ -303,8 +304,8 @@ def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
                 pos = head.end()
             m = None
             for m in iter(_LINE.scanner(text, pos).match, None):
-                (spaces, token_type, raw_line, raw_col, raw_end, raw_end_col,
-                 lexeme, kind) = m.groups()
+                (token_type, raw_line, raw_col, raw_end, raw_end_col, lexeme,
+                 kind) = m.groups()
                 if token_type is not None:
                     if raw_line != line_text:
                         line_int = int(raw_line)
@@ -314,15 +315,11 @@ def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
                     end_line = line if raw_end == raw_line else int(raw_end)
                     end_col = int(raw_end_col)
                     token_type = _TYPES.get(token_type)
-                    if (
-                        len(spaces) != indent
-                        or token_type is None
-                        or not (
-                            0 < line <= end_line
-                            and col > 0
-                            and end_col > 0
-                            and (line < end_line or col <= end_col)
-                        )
+                    if token_type is None or not (
+                        0 < line <= end_line
+                        and col > 0
+                        and end_col > 0
+                        and (line < end_line or col <= end_col)
                     ):
                         return None
                     if "&" in lexeme:
@@ -341,22 +338,21 @@ def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
                     )
                 elif kind is not None:
                     kind = _KINDS.get(kind)
-                    if kind is None or len(spaces) != indent:
+                    if kind is None:
                         return None
                     node = EcstNode(kind._value_, kind, None, None, [])
                     append(node)
                     parents.append(children)
                     children = node.children
                     append = children.append
-                    indent += 2
-                else:
-                    indent -= 2
-                    if not parents or len(spaces) != indent:
-                        return None
+                elif parents:
                     children = parents.pop()
                     append = children.append
+                else:
+                    return None
             if m is not None:
                 pos = m.end()
+            rest = text[pos:]
         if head is None:
             return None
         source, language, total_lines = head.groups()
@@ -365,18 +361,13 @@ def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
         return None
     if (
         parents
-        or text[pos:] != "</ecst>\n"
+        or rest != "</ecst>\n"
         or total_lines < 1
         or len(top) != 1
         or top[0].kind is not UniversalKind.COMPILATION_UNIT
     ):
         return None
-    tree = EcstTree(top[0], source, language, total_lines)
-    try:
-        validate_tree(tree)
-    except MalformedTreeError:
-        return None
-    return tree
+    return EcstTree(top[0], source, language, total_lines)
 
 
 # -- parse_tree_xml: the line reader, else expat ---------------------------
@@ -391,7 +382,8 @@ def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
     A document in the form serialize_tree writes is read by _read_lines,
     one regular-expression match per element.  Any other document, and
     a non-seekable file, is read by expat from its start: a valid one
-    gives the same tree, and expat's reader alone words each failure.
+    gives the same tree, and expat's reader alone words the other faults.
+    Either reader's tree is validated here, so its faults are worded once.
     Raises TreeXmlError on any well-formedness or schema violation.
     """
     if not hasattr(data, "read"):
@@ -404,7 +396,13 @@ def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
             data.seek(start)
     else:
         tree = None
-    return tree if tree is not None else _parse_expat(data)
+    if tree is None:
+        tree = _parse_expat(data)
+    try:
+        validate_tree(tree)
+    except MalformedTreeError as e:
+        raise TreeXmlError(f"document violates tree invariants: {e}") from e
+    return tree
 
 
 def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
@@ -412,10 +410,11 @@ def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
 
     Nodes are built straight from the parser's events, without recursion:
     each element is one _Open record from its start tag, and at its end
-    tag _build_node checks it and builds its node.
-    Raises TreeXmlError on any well-formedness or schema violation; of
-    several schema violations, the one of the <ecst> element comes first,
-    then the first failing element in document order.
+    tag _build_node checks it and builds its node.  The tree is not
+    validated here; parse_tree_xml does that.
+    Raises TreeXmlError on any well-formedness or element violation; of
+    several element violations, the one of the <ecst> element comes
+    first, then the first failing element in document order.
     """
     parser = expat.ParserCreate()
     parser.buffer_text = True
@@ -480,12 +479,7 @@ def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
     root_node = root_el.children[0]
     if root_node.kind is not UniversalKind.COMPILATION_UNIT:
         _fail(top[0], "top-level <node> must be COMPILATION_UNIT")
-    tree = EcstTree(root_node, source, language, total_lines)
-    try:
-        validate_tree(tree)
-    except MalformedTreeError as e:
-        raise TreeXmlError(f"document violates tree invariants: {e}") from e
-    return tree
+    return EcstTree(root_node, source, language, total_lines)
 
 
 def load_tree_file(path) -> EcstTree:

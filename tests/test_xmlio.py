@@ -6,6 +6,7 @@ import gc
 import io
 import random
 import re
+import time
 from xml.sax import saxutils
 
 import pytest
@@ -459,7 +460,7 @@ class TestReaderParity:
     in full: same tree or same message, for str, bytes and a binary file
     alike."""
 
-    def test_mutated_documents(self, corpus):
+    def test_mutated_documents(self, corpus, monkeypatch):
         bases = [MINI_XML, *(serialize_tree(tree) for _, tree in corpus.values())]
         rng = random.Random(20261018)
         accepted = 0
@@ -468,9 +469,11 @@ class TestReaderParity:
             for data in (doc, doc.encode()):
                 expected = _outcome(reference_parse_tree_xml, data)
                 assert _outcome(parse_tree_xml, data) == expected, doc
-                # Expat alone, which parse_tree_xml spares a valid
-                # document in the writer's form.
-                assert _outcome(xmlio._parse_expat, data) == expected, doc
+                # Expat alone, which parse_tree_xml spares a document in
+                # the writer's form, and then the one validation.
+                with monkeypatch.context() as patch:
+                    patch.setattr(xmlio, "_read_lines", lambda pieces: None)
+                    assert _outcome(parse_tree_xml, data) == expected, doc
             # A binary file, which expat reads in pieces, reads alike.
             assert _outcome(parse_tree_xml, io.BytesIO(doc.encode())) == expected, doc
             accepted += not expected.startswith("error: ")
@@ -556,8 +559,6 @@ class TestLineReader:
 
     # Valid documents that serialize_tree would not write.
     OTHER_FORMS = {
-        "re-indented": lambda doc: doc.replace("\n  ", "\n   "),
-        "not indented": lambda doc: re.sub("\n +", "\n", doc),
         "reordered attributes": lambda doc: re.sub(
             r'line="(\d+)" col="(\d+)"', r'col="\2" line="\1"', doc, count=1
         ),
@@ -589,6 +590,48 @@ class TestLineReader:
         for data in _as_inputs(doc):
             assert _outcome(parse_tree_xml, data) == expected
         assert len(expat_calls) == 3
+
+    # The writer's documents with other blank text between elements,
+    # which neither reader keeps.
+    BLANK_FORMS = {
+        "re-indented": lambda doc: doc.replace("\n  ", "\n   "),
+        "not indented": lambda doc: re.sub("\n +", "\n", doc),
+    }
+
+    @pytest.mark.parametrize("form", sorted(BLANK_FORMS))
+    def test_indentation_is_not_read(self, markup_document, expat_calls, form):
+        doc = self.BLANK_FORMS[form](markup_document)
+        assert doc != markup_document
+        expected = _outcome(reference_parse_tree_xml, doc)
+        assert not expected.startswith("error: ")
+        expat_calls.clear()
+        for data in _as_inputs(doc):
+            assert _outcome(parse_tree_xml, data) == expected
+        assert expat_calls == []
+
+    # Documents in the writer's form whose tree breaks an invariant.
+    INVARIANT_FAULTS = {
+        "two swapped tokens": lambda doc: re.sub(
+            "(  +<token.*\n)(  +<token.*\n)", r"\2\1", doc
+        ),
+        "last token after totalLines": lambda doc: doc.replace(
+            'line="1" col="11" endLine="1"', 'line="2" col="11" endLine="2"'
+        ),
+        "CONDITION outside any BRANCH or LOOP_STATEMENT": lambda doc: doc.replace(
+            "FUNCTION_DECL", "CONDITION"
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(INVARIANT_FAULTS))
+    def test_invariant_faults_never_reach_expat(self, expat_calls, fault):
+        doc = self.INVARIANT_FAULTS[fault](MINI_XML)
+        assert doc != MINI_XML
+        expected = _outcome(reference_parse_tree_xml, doc)
+        assert expected.startswith("error: document violates tree invariants: ")
+        expat_calls.clear()
+        for data in _as_inputs(doc):
+            assert _outcome(parse_tree_xml, data) == expected
+        assert expat_calls == []
 
     # Lexemes the line reader must not take as they stand: expat reads
     # them otherwise, or rejects them.
@@ -628,8 +671,9 @@ class TestLineReader:
 
 
 class TestReadPieces:
-    """A binary file is read in pieces of _READ_BYTES, each cut after a
-    line break; an element may run on from one piece into the next."""
+    """A binary file is read in pieces of _READ_BYTES, each cut after the
+    last ">" and line break read: the end of an element, in the writer's
+    form.  A piece the line reader cannot read to its end goes to expat."""
 
     # A block comment over several lines, and lexemes of multi-byte
     # UTF-8 characters.
@@ -648,6 +692,23 @@ class TestReadPieces:
 
         monkeypatch.setattr(xmlio, "_READ_BYTES", size)
         monkeypatch.setattr(xmlio.expat, "ParserCreate", fail)
+        assert serialize_tree(parse_tree_xml(io.BytesIO(doc.encode()))) == doc
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13, 64])
+    def test_cut_inside_a_token(self, monkeypatch, size):
+        # A lexeme that starts with a line break puts ">\n" inside its
+        # <token>, so a piece may end there.
+        unit = EcstNode.universal(
+            UniversalKind.FUNCTION_DECL,
+            [
+                EcstNode("PROCEDURE", None, "keyword", SourceSpan(1, 1, 1, 9)),
+                EcstNode("\nP", None, "identifier", SourceSpan(1, 10, 2, 1)),
+            ],
+        )
+        root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
+        doc = serialize_tree(EcstTree(root, "Mini.mod", "modula2", 2))
+        assert 'endCol="1">\nP</token>' in doc
+        monkeypatch.setattr(xmlio, "_READ_BYTES", size)
         assert serialize_tree(parse_tree_xml(io.BytesIO(doc.encode()))) == doc
 
     @pytest.mark.parametrize("size", [1, 7, 64])
@@ -681,6 +742,45 @@ class TestReadPieces:
         expat_calls.clear()
         assert _outcome(parse_tree_xml, stream) == expected
         assert len(expat_calls) == 1
+
+
+def _best_of_3(read, data) -> float:
+    """The shortest of three timed reads of data."""
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        read(data)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+class TestLinearCost:
+    """The line reader costs time linear in the document, however long
+    one element or one stretch without a cut: it stays within a small
+    factor of expat alone on the same bytes."""
+
+    def _check(self, data: bytes):
+        expected = _outcome(reference_parse_tree_xml, data)
+        assert not expected.startswith("error: ")
+        assert _outcome(parse_tree_xml, data) == expected
+        assert _best_of_3(parse_tree_xml, data) <= 4 * _best_of_3(
+            xmlio._parse_expat, data
+        )
+
+    def test_one_long_comment(self):
+        body = "".join(f"   line {n} of one comment\n" for n in range(20000))
+        source = f"MODULE M;\n(*\n{body}*)\nEND M.\n"
+        doc = serialize_tree(parse_source(source, "modula2", source_path="M.mod"))
+        assert doc.count("\n") > 20000
+        self._check(doc.encode())
+
+    def test_one_line_document(self, monkeypatch):
+        source = generators.generate("javaoo", 1, n_units=17).source
+        doc = serialize_tree(parse_source(source, "javaoo", source_path="g.java"))
+        data = re.sub(r">\n *<", "><", doc).encode()
+        assert len(data) > 750_000 and data.count(b"\n") == 1
+        monkeypatch.setattr(xmlio, "_READ_BYTES", 16)
+        self._check(data)
 
 
 class _Pieces(io.StringIO):
