@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import stat
 import sys
@@ -227,8 +228,13 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    # No command builds a reference cycle, so a cyclic collection during
+    # one could free nothing: the collector stays off until main returns
+    # or raises, and is then left as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = _PARSER.parse_args(argv)
         if args.command == "parse":
             return _cmd_parse(args)
         if args.command == "measure":
@@ -238,3 +244,6 @@ def main(argv=None) -> int:
         # Registry problems surface before any per-file processing.
         _report_error(getattr(args, "registry", None) or "languages.xml", e)
         return e.exit_code
+    finally:
+        if collecting:
+            gc.enable()

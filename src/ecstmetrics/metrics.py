@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedTreeError
-from .tree import EcstNode, EcstTree, SourceSpan, UniversalKind, walk
+from .tree import EcstNode, EcstTree, UniversalKind, walk
 
 MEASURED_KINDS = (
     UniversalKind.FUNCTION_DECL,
@@ -47,31 +47,6 @@ class MetricsReport:
     language_id: str
     elements: list[ElementMetrics]
     totals: LocBundle
-
-
-class _Lines:
-    """Distinct lines covered by a stream of tokens in source order."""
-
-    def __init__(self):
-        self.count = 0  # distinct lines covered so far
-        self.last = 0  # the last of them
-        self.starts: list[int] = []  # first line of each token so far
-
-    def add(self, span: SourceSpan) -> None:
-        # A token may start on the line the previous one ended on.
-        self.count += span.end_line - max(span.start_line - 1, self.last)
-        self.last = span.end_line
-        self.starts.append(span.start_line)
-
-    def mark(self) -> tuple[int, int, int]:
-        return self.count, self.last, len(self.starts)
-
-    def since(self, mark: tuple[int, int, int]) -> int:
-        """Distinct lines covered by the tokens added after mark()."""
-        count, last, tokens = mark
-        if tokens == len(self.starts):
-            return 0
-        return self.count - count + (self.starts[tokens] == last)
 
 
 def _name(node: EcstNode, first_identifier: list[EcstNode]) -> str:
@@ -121,8 +96,8 @@ def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
     rows: list = []
     tokens: list[EcstNode] = []
     identifiers: list[EcstNode] = []
-    code = _Lines()
-    comment = _Lines()
+    sloc = sloc_last = cloc = cloc_last = 0  # distinct lines so far, the last one
+    sloc_starts, cloc_starts = [], []  # first line of each token so far
     decisions = 0  # decision points entered so far
     operators = 0  # logical operators so far that have a CONDITION ancestor
     conditions = 0  # open CONDITION nodes
@@ -131,17 +106,28 @@ def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
         kind = node.kind
         if kind is None:
             tokens.append(node)
-            (comment if node.token_type == "comment" else code).add(node.span)
-            if node.token_type == "identifier":
+            line, _, end, _ = node.span
+            token_type = node.token_type
+            # A token may start on the line the previous one ended on.
+            if token_type == "comment":
+                cloc += end - (cloc_last if cloc_last >= line else line - 1)
+                cloc_last = end
+                cloc_starts.append(line)
+                continue
+            sloc += end - (sloc_last if sloc_last >= line else line - 1)
+            sloc_last = end
+            sloc_starts.append(line)
+            if token_type == "identifier":
                 identifiers.append(node)
-            elif conditions and node.token_type == "operator":
+            elif conditions and token_type == "operator":
                 operators += node.label in LOGICAL_OPERATORS
             continue
         reported = node is root or kind in MEASURED_KINDS
         if hi is None:
             if reported:
-                counts = (decisions, operators, code.mark(), comment.mark())
-                marks.append((len(rows), *counts, len(identifiers)))
+                marks.append((len(rows), decisions, operators, len(identifiers),
+                              sloc, sloc_last, len(sloc_starts),
+                              cloc, cloc_last, len(cloc_starts)))
                 rows.append(None)
             conditions += kind is UniversalKind.CONDITION
             decisions += kind is UniversalKind.LOOP_STATEMENT or (
@@ -152,7 +138,8 @@ def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
         conditions -= kind is UniversalKind.CONDITION
         if not reported:
             continue
-        row, decisions_in, operators_in, code_in, comment_in, named = marks.pop()
+        (row, decisions_in, operators_in, named,
+         sloc_in, sloc_last_in, sloc_n, cloc_in, cloc_last_in, cloc_n) = marks.pop()
         if hi == lo:
             raise MalformedTreeError(
                 f"universal node {node.label!r} has no concrete descendants"
@@ -162,13 +149,14 @@ def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
             cc += operators - operators_in
         start_line = tokens[lo].span.start_line
         end_line = tokens[hi - 1].span.end_line
+        # A node's first token may start on the line last counted before it.
         rows[row] = ElementMetrics(
             name=_name(node, identifiers[named : named + 1]),
             annotation=kind.value,
             cc=cc,
             loc=end_line - start_line + 1,
-            sloc=code.since(code_in),
-            cloc=comment.since(comment_in),
+            sloc=sloc - sloc_in + (sloc_starts[sloc_n : sloc_n + 1] == [sloc_last_in]),
+            cloc=cloc - cloc_in + (cloc_starts[cloc_n : cloc_n + 1] == [cloc_last_in]),
             start_line=start_line,
             end_line=end_line,
         )

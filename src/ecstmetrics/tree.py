@@ -124,10 +124,20 @@ def validate_tree(tree: EcstTree) -> None:
     guarded = False  # inside a BRANCH or LOOP_STATEMENT
     identifiers = 0  # identifier tokens so far
     entries: list[tuple[bool, int]] = []  # both, at each open node's entry
-    previous_end = (0, 0)
+    end_line = end_col = 0  # where the previous token ends
     for node, lo, hi in walk(tree.root):
         kind = node.kind
-        if hi is not None and kind is not None:
+        if kind is None:
+            start_line, start_col, next_line, next_col = node.span
+            if start_line <= end_line and (start_line < end_line or start_col <= end_col):
+                raise MalformedTreeError(
+                    f"token {node.label!r} at {start_line}:{start_col} "
+                    "does not start after the previous token ends"
+                )
+            end_line, end_col = next_line, next_col
+            if node.token_type == "identifier":
+                identifiers += 1
+        elif hi is not None:
             guarded, before = entries.pop()
             if hi == lo:
                 raise MalformedTreeError(
@@ -135,8 +145,7 @@ def validate_tree(tree: EcstTree) -> None:
                 )
             if kind is UniversalKind.FUNCTION_DECL and identifiers == before:
                 raise MalformedTreeError("FUNCTION_DECL without an identifier token")
-            continue
-        if kind is not None:
+        else:
             if kind is UniversalKind.CONDITION and not guarded:
                 raise MalformedTreeError(
                     "CONDITION node outside any BRANCH or LOOP_STATEMENT"
@@ -150,17 +159,8 @@ def validate_tree(tree: EcstTree) -> None:
                         )
             entries.append((guarded, identifiers))
             guarded |= kind in (UniversalKind.BRANCH, UniversalKind.LOOP_STATEMENT)
-            continue
-        span = node.span
-        if (span.start_line, span.start_col) <= previous_end:
-            raise MalformedTreeError(
-                f"token {node.label!r} at {span.start_line}:{span.start_col} "
-                "does not start after the previous token ends"
-            )
-        previous_end = (span.end_line, span.end_col)
-        identifiers += node.token_type == "identifier"
-    if previous_end[0] > tree.total_lines:
+    if end_line > tree.total_lines:
         raise MalformedTreeError(
-            f"last token ends on line {previous_end[0]}, "
+            f"last token ends on line {end_line}, "
             f"after the last line {tree.total_lines}"
         )

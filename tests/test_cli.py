@@ -885,7 +885,11 @@ class TestSpooledReload:
 class TestNoCyclicGarbage:
     """Every tree, expat parser and error a command builds is freed by
     reference counting when the command returns, so with the cyclic
-    garbage collector off, a collection afterwards finds nothing."""
+    garbage collector off, a collection afterwards finds nothing.
+
+    argparse's usage error is left out: main(["bogus"]) leaves a small
+    cycle of argparse's own objects (a HelpFormatter and its _Sections),
+    which a collection after main returns frees."""
 
     # Trees measure rejects with exit 5, through three paths of the reader.
     BAD_TREES = {
@@ -900,6 +904,20 @@ class TestNoCyclicGarbage:
     CASES = {
         "run": (["run", "QuickSort.java", "Features.mod", "--tree-dir", "t"], 0),
         "run without --tree-dir": (["run", "QuickSort.java", "Features.mod"], 0),
+        "run with a failure between": (
+            ["run", "QuickSort.java", "Open.mod", "Features.mod", "--tree-dir", "t"],
+            3,
+        ),
+        "run writes a tree twice": (
+            ["run", "QuickSort.java", "QuickSort.java", "--tree-dir", "t"],
+            4,
+        ),
+        "run --extended-cc --table": (
+            ["run", "Features.mod", "--extended-cc", "--table"],
+            0,
+        ),
+        "measure --table": (["measure", "Features.java", "--table"], 0),
+        "write error": (["measure", "Features.java", "--out", "nodir/x.xml"], 4),
         "parse": (["parse", "QuickSort.mod"], 0),
         "measure source": (["measure", "Features.java"], 0),
         "measure tree": (["measure", "tree.ecst.xml"], 0),
@@ -933,6 +951,67 @@ class TestNoCyclicGarbage:
         if case == "languages.xml":
             shutil.copy(inputs / "fixture.xml", inputs / "languages.xml")
         assert _cyclic_garbage(argv) == code
+
+
+class TestCollectorState:
+    """main runs a command with the cyclic collector off, and leaves the
+    collector on or off as it found it, however the command ends."""
+
+    ENDS = {
+        "exit 0": (["run", "QuickSort.java", "--tree-dir", "t"], 0),
+        "handled failure": (["parse", "Open.mod"], 3),
+        "usage error": (["bogus"], SystemExit),
+        "unexpected exception": (["parse", "QuickSort.mod"], RuntimeError),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+    @pytest.mark.parametrize("case", sorted(ENDS))
+    def test_main_restores_the_collector(self, workdir, monkeypatch, case, enabled):
+        (workdir / "Open.mod").write_text("MODULE M;\n(* open\n", encoding="utf-8")
+        if case == "unexpected exception":
+            monkeypatch.setattr(cli, "_cmd_parse", _fail_unexpectedly)
+        argv, end = self.ENDS[case]
+        was = gc.isenabled()
+        try:
+            _set_collector(enabled)
+            if isinstance(end, int):
+                assert main(argv) == end
+            else:
+                with pytest.raises(end):
+                    main(argv)
+            assert gc.isenabled() is enabled
+        finally:
+            _set_collector(was)
+
+    def test_no_collection_runs_during_a_command(self, workdir):
+        source = generators.generate("modula2", 5, n_units=100).source
+        (workdir / "Big.mod").write_text(source, encoding="utf-8")
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(hook)
+        try:
+            assert main(["run", "Big.mod", "--metrics-dir", "m"]) == 0
+        finally:
+            gc.callbacks.remove(hook)
+            _set_collector(was)
+        assert starts == []
+
+
+def _fail_unexpectedly(args):
+    raise RuntimeError("unexpected")
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 def _cyclic_garbage(argv) -> int:

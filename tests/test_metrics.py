@@ -153,16 +153,86 @@ class TestAgainstLineOracle:
     )
     def test_sloc_cloc_match_line_classifier(self, corpus, name, language):
         text, tree = corpus[name]
-        code, comment = oracles.classify_lines(text, language)
-        report = measure_tree(tree)
-        assert report.totals.loc == oracles.line_count(text)
-        assert report.totals.sloc == len(code)
-        assert report.totals.cloc == len(comment)
-        for row in report.elements:
-            window = range(row.start_line, row.end_line + 1)
-            assert row.loc == row.end_line - row.start_line + 1
-            assert row.sloc == sum(1 for n in window if n in code)
-            assert row.cloc == sum(1 for n in window if n in comment)
+        _assert_rows_match_line_oracle(text, tree, language)
+
+    # Sources where a node's first code or comment token starts on the
+    # line the count had last reached before the node: the line is the
+    # node's, and counted once in the file.  A comment outside a node on
+    # the node's first or last line is not the node's (CLOC counts the
+    # node's own comment tokens), while the oracle reads whole lines, so
+    # each comment that shares a line with a node's end lies inside it.
+    SHARED_LINES = {
+        "java statement then loop": (
+            "class A {\n"
+            "  int m(int n) {\n"
+            "    int i = 0; while (i < n) {\n"
+            "      i++; } if (i > 2) { i = 0;\n"
+            "    } else { i = 1; } return i;\n"
+            "  }\n"
+            "}\n",
+            "javaoo",
+        ),
+        "java two comments on a line": (
+            "class A {\n"
+            "  /* one */ /* two */\n"
+            "  void m() { /* a */ int x = 1; // b\n"
+            "    if (x > 0) /* c */ /* d */ { x = 2; } // e\n"
+            "  }\n"
+            "}\n",
+            "javaoo",
+        ),
+        "java block comment ends on code": (
+            "class A {\n"
+            "  void m(boolean b) {\n"
+            "    /* first\n"
+            "       second */ while (b) { /* z */ b = false;\n"
+            "      if (b) { /* y\n"
+            "       */ b = true; } }\n"
+            "  }\n"
+            "}\n",
+            "javaoo",
+        ),
+        "modula2 statement then loop": (
+            "MODULE M;\n"
+            "VAR i: INTEGER;\n"
+            "PROCEDURE P;\n"
+            "BEGIN\n"
+            "  i := 0; WHILE i < 3 DO\n"
+            "    i := i + 1 END; IF i > 2 THEN i := 0\n"
+            "  ELSE i := 1 END\n"
+            "END P;\n"
+            "END M.\n",
+            "modula2",
+        ),
+        "modula2 two comments on a line": (
+            "MODULE M;\n"
+            "(* one *) (* two *)\n"
+            "PROCEDURE P; (* a *) (* b *)\n"
+            "BEGIN\n"
+            "  IF TRUE THEN (* c *) (* d *) P END (* e *)\n"
+            "END P;\n"
+            "END M.\n",
+            "modula2",
+        ),
+        "modula2 block comment ends on code": (
+            "MODULE M;\n"
+            "VAR i: INTEGER;\n"
+            "PROCEDURE P;\n"
+            "BEGIN\n"
+            "  (* first\n"
+            "     second *) WHILE i < 3 DO (* z *) i := i + 1;\n"
+            "    IF i > 2 THEN (* y\n"
+            "     *) i := 0 END END\n"
+            "END P;\n"
+            "END M.\n",
+            "modula2",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHARED_LINES))
+    def test_shared_lines_match_line_classifier(self, case):
+        text, language = self.SHARED_LINES[case]
+        _assert_rows_match_line_oracle(text, parse_source(text, language), language)
 
     def test_file_loc_counts_line_feeds_only(self):
         # A next-line character in a comment and a line separator in a
@@ -173,6 +243,19 @@ class TestAgainstLineOracle:
         report = measure_tree(parse_source(text, "javaoo"))
         assert report.totals.loc == 4
         assert oracles.line_count(text) == 4
+
+
+def _assert_rows_match_line_oracle(text, tree, language) -> None:
+    code, comment = oracles.classify_lines(text, language)
+    report = measure_tree(tree)
+    assert report.totals.loc == oracles.line_count(text)
+    assert report.totals.sloc == len(code)
+    assert report.totals.cloc == len(comment)
+    for row in report.elements:
+        window = range(row.start_line, row.end_line + 1)
+        assert row.loc == row.end_line - row.start_line + 1
+        assert row.sloc == sum(1 for n in window if n in code)
+        assert row.cloc == sum(1 for n in window if n in comment)
 
 
 class TestDecisionCounting:
