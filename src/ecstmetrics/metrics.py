@@ -87,25 +87,54 @@ def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
     """The whole-file row of a tree's root, then the row of every
     measured node below it, in preorder.
 
-    One walk() over a valid tree: each value is a running count noted
-    when a node is entered and read again when it is left, and its lines
-    are those of its first and last token.  A unit's cc includes its
-    base complexity of 1; loops and condition-bearing branches are the
-    decision points.
+    One walk() over a valid tree, whose tokens are in source order: each
+    value is a running count noted at a node's entry and read again at
+    its exit, and its lines run from its first token's start line to the
+    last line counted at its exit.  cc counts the loops and the branches
+    with a CONDITION, plus a unit's base complexity of 1.
     """
     rows: list = []
-    tokens: list[EcstNode] = []
     identifiers: list[EcstNode] = []
     sloc = sloc_last = cloc = cloc_last = 0  # distinct lines so far, the last one
     sloc_starts, cloc_starts = [], []  # first line of each token so far
     decisions = 0  # decision points entered so far
     operators = 0  # logical operators so far that have a CONDITION ancestor
     conditions = 0  # open CONDITION nodes
-    marks: list[tuple] = []  # per open reported node: its row and the counts
-    for node, lo, hi in walk(root):
-        kind = node.kind
-        if kind is None:
-            tokens.append(node)
+    # Per open universal node: the node, and for a reported one its row
+    # and the counts at its entry (None for any other).
+    marks: list[tuple] = []
+    for node in walk(root):
+        if node is None:
+            node, mark = marks.pop()
+            kind = node.kind
+            conditions -= kind is UniversalKind.CONDITION
+            if mark is None:
+                continue
+            (row, decisions_in, operators_in, named,
+             sloc_in, sloc_last_in, sloc_n, cloc_in, cloc_last_in, cloc_n) = mark
+            first_code = sloc_starts[sloc_n : sloc_n + 1]
+            first_comment = cloc_starts[cloc_n : cloc_n + 1]
+            if not (first_code or first_comment):
+                raise MalformedTreeError(
+                    f"universal node {node.label!r} has no concrete descendants"
+                )
+            cc = decisions - decisions_in + (kind is UniversalKind.FUNCTION_DECL)
+            if extended:
+                cc += operators - operators_in
+            start_line = min(first_code + first_comment)
+            end_line = max(sloc_last, cloc_last)
+            # A node's first token may start on the line last counted before it.
+            rows[row] = ElementMetrics(
+                name=_name(node, identifiers[named : named + 1]),
+                annotation=kind.value,
+                cc=cc,
+                loc=end_line - start_line + 1,
+                sloc=sloc - sloc_in + (first_code == [sloc_last_in]),
+                cloc=cloc - cloc_in + (first_comment == [cloc_last_in]),
+                start_line=start_line,
+                end_line=end_line,
+            )
+        elif node.kind is None:
             line, _, end, _ = node.span
             token_type = node.token_type
             # A token may start on the line the previous one ended on.
@@ -121,45 +150,20 @@ def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
                 identifiers.append(node)
             elif conditions and token_type == "operator":
                 operators += node.label in LOGICAL_OPERATORS
-            continue
-        reported = node is root or kind in MEASURED_KINDS
-        if hi is None:
-            if reported:
-                marks.append((len(rows), decisions, operators, len(identifiers),
-                              sloc, sloc_last, len(sloc_starts),
-                              cloc, cloc_last, len(cloc_starts)))
+        else:
+            kind = node.kind
+            if node is root or kind in MEASURED_KINDS:
+                marks.append((node, (len(rows), decisions, operators, len(identifiers),
+                                     sloc, sloc_last, len(sloc_starts),
+                                     cloc, cloc_last, len(cloc_starts))))
                 rows.append(None)
+            else:
+                marks.append((node, None))
             conditions += kind is UniversalKind.CONDITION
             decisions += kind is UniversalKind.LOOP_STATEMENT or (
                 kind is UniversalKind.BRANCH
                 and any(c.kind is UniversalKind.CONDITION for c in node.children)
             )
-            continue
-        conditions -= kind is UniversalKind.CONDITION
-        if not reported:
-            continue
-        (row, decisions_in, operators_in, named,
-         sloc_in, sloc_last_in, sloc_n, cloc_in, cloc_last_in, cloc_n) = marks.pop()
-        if hi == lo:
-            raise MalformedTreeError(
-                f"universal node {node.label!r} has no concrete descendants"
-            )
-        cc = decisions - decisions_in + (kind is UniversalKind.FUNCTION_DECL)
-        if extended:
-            cc += operators - operators_in
-        start_line = tokens[lo].span.start_line
-        end_line = tokens[hi - 1].span.end_line
-        # A node's first token may start on the line last counted before it.
-        rows[row] = ElementMetrics(
-            name=_name(node, identifiers[named : named + 1]),
-            annotation=kind.value,
-            cc=cc,
-            loc=end_line - start_line + 1,
-            sloc=sloc - sloc_in + (sloc_starts[sloc_n : sloc_n + 1] == [sloc_last_in]),
-            cloc=cloc - cloc_in + (cloc_starts[cloc_n : cloc_n + 1] == [cloc_last_in]),
-            start_line=start_line,
-            end_line=end_line,
-        )
     return rows
 
 

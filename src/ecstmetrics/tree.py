@@ -82,30 +82,25 @@ class EcstTree:
     total_lines: int
 
 
-def walk(root: EcstNode) -> Iterator[tuple[EcstNode, int, int | None]]:
-    """Preorder pass with exit markers below a universal root, iterative.
+def walk(root: EcstNode) -> Iterator[EcstNode | None]:
+    """Preorder pass from a universal root, without recursion.
 
-    Tokens are numbered 0, 1, 2, ... in preorder.  A universal node is
-    reported on entry as (node, lo, None) and on exit as (node, lo, hi),
-    where [lo, hi) numbers its subtree's tokens: in a valid tree, its
-    whole extent.  A token is reported once, as (node, i, i + 1).
+    Yields each node itself, parent before children, and None once after
+    the last descendant of each universal node, the root's None last.  A
+    token is yielded once; an empty universal node is followed directly
+    by its None.
     """
-    yield root, 0, None
-    count = 0
-    stack = [(root, 0, iter(root.children))]
+    yield root
+    stack = [iter(root.children)]
     while stack:
-        node, lo, children = stack[-1]
-        for child in children:
-            if child.kind is None:
-                yield child, count, count + 1
-                count += 1
-            else:
-                yield child, count, None
-                stack.append((child, count, iter(child.children)))
+        for child in stack[-1]:
+            yield child
+            if child.kind is not None:
+                stack.append(iter(child.children))
                 break
         else:
             stack.pop()
-            yield node, lo, count
+            yield None
 
 
 def validate_tree(tree: EcstTree) -> None:
@@ -120,14 +115,25 @@ def validate_tree(tree: EcstTree) -> None:
     are the builder's to get right: the scanner builds each token with
     the EcstNode constructor, the parsers build universal nodes through
     EcstNode.universal, and the XML reader checks every element it reads.
+
+    One walk(): a node's checks at its exit compare counts with its entry.
     """
     guarded = False  # inside a BRANCH or LOOP_STATEMENT
-    identifiers = 0  # identifier tokens so far
-    entries: list[tuple[bool, int]] = []  # both, at each open node's entry
+    tokens = identifiers = 0  # tokens and identifier tokens so far
+    # Per open universal node: the node, guarded, tokens and identifiers
+    # at its entry.
+    entries: list[tuple[EcstNode, bool, int, int]] = []
     end_line = end_col = 0  # where the previous token ends
-    for node, lo, hi in walk(tree.root):
-        kind = node.kind
-        if kind is None:
+    for node in walk(tree.root):
+        if node is None:
+            node, guarded, tokens_in, named_in = entries.pop()
+            if tokens == tokens_in:
+                raise MalformedTreeError(
+                    f"universal node {node.label!r} has no concrete descendants"
+                )
+            if node.kind is UniversalKind.FUNCTION_DECL and identifiers == named_in:
+                raise MalformedTreeError("FUNCTION_DECL without an identifier token")
+        elif node.kind is None:
             start_line, start_col, next_line, next_col = node.span
             if start_line <= end_line and (start_line < end_line or start_col <= end_col):
                 raise MalformedTreeError(
@@ -135,17 +141,11 @@ def validate_tree(tree: EcstTree) -> None:
                     "does not start after the previous token ends"
                 )
             end_line, end_col = next_line, next_col
+            tokens += 1
             if node.token_type == "identifier":
                 identifiers += 1
-        elif hi is not None:
-            guarded, before = entries.pop()
-            if hi == lo:
-                raise MalformedTreeError(
-                    f"universal node {node.label!r} has no concrete descendants"
-                )
-            if kind is UniversalKind.FUNCTION_DECL and identifiers == before:
-                raise MalformedTreeError("FUNCTION_DECL without an identifier token")
         else:
+            kind = node.kind
             if kind is UniversalKind.CONDITION and not guarded:
                 raise MalformedTreeError(
                     "CONDITION node outside any BRANCH or LOOP_STATEMENT"
@@ -157,7 +157,7 @@ def validate_tree(tree: EcstTree) -> None:
                             "BRANCH_STATEMENT has a universal child "
                             f"of kind {child.kind.value}"
                         )
-            entries.append((guarded, identifiers))
+            entries.append((node, guarded, tokens, identifiers))
             guarded |= kind in (UniversalKind.BRANCH, UniversalKind.LOOP_STATEMENT)
     if end_line > tree.total_lines:
         raise MalformedTreeError(

@@ -75,8 +75,14 @@ def serialize_tree(tree: EcstTree, out: TextIO | None = None) -> str | None:
     ]
     indents = ["", "  "]  # indents[d]: d levels, built once per depth
     depth = 0  # open <node> elements, each one level of indent
-    for node, _, hi in walk(tree.root):
-        if node.kind is None:
+    for node in walk(tree.root):
+        if node is None:
+            lines.append(f"{indents[depth]}</node>\n")
+            depth -= 1
+            if out is not None and len(lines) >= _PIECE_LINES:
+                out.write("".join(lines))
+                lines.clear()
+        elif node.kind is None:
             label = node.label
             if "&" in label or "<" in label or ">" in label:
                 label = escape(label)
@@ -86,17 +92,11 @@ def serialize_tree(tree: EcstTree, out: TextIO | None = None) -> str | None:
                 f' line="{span[0]}" col="{span[1]}"'
                 f' endLine="{span[2]}" endCol="{span[3]}">{label}</token>\n'
             )
-        elif hi is None:
+        else:
             depth += 1
             if depth + 1 == len(indents):
                 indents.append(indents[-1] + "  ")
             lines.append(f'{indents[depth]}<node kind="{node.kind.value}">\n')
-        else:
-            lines.append(f"{indents[depth]}</node>\n")
-            depth -= 1
-            if out is not None and len(lines) >= _PIECE_LINES:
-                out.write("".join(lines))
-                lines.clear()
     lines.append("</ecst>\n")
     if out is None:
         return "".join(lines)

@@ -3,6 +3,8 @@
 The line oracles deliberately avoid the package's scanner and tree
 machinery: they walk the raw text with a small state machine so metric
 values can be checked against a second, unrelated implementation.
+comment_lines_inside applies the one rule for an element's comment
+lines to their comments: those inside the element's subtree_span.
 
 reference_lex is the character-loop scanner and classifier the package
 used before its single-pass regex scanner; the lexer must agree with it
@@ -12,12 +14,13 @@ reference_parse_source, reference_measure_tree and subtree_span keep the
 subtree re-walking implementations the package used before its single
 ordered pass (tree.walk): comment placement by per-node token ranges,
 metrics read off each measured node's own subtree, and a node's span as
-the least and greatest position among its tokens.  They walk trees with
-this module's own preorder, not with the package's traversal; nodes_of
-finds the universal nodes of one kind with it.  Two rules differ
-from those earlier bodies on purpose, to match the current definitions:
-a unit is named from its direct children, and a logical operator counts
-once however many CONDITION nodes enclose it.
+the least and greatest position among its tokens.  Every oracle here
+walks trees with this module's own preorder or its own stack, never
+with the package's traversal; nodes_of finds the universal nodes of one
+kind with it.  Two rules differ from those earlier bodies on purpose,
+to match the current definitions: a unit is named from its direct
+children, and a logical operator counts once however many CONDITION
+nodes enclose it.
 
 reference_parse_tree_xml is the XML reader the package used before its
 reader built valid elements in the handlers themselves: a record per
@@ -26,11 +29,12 @@ its tree or its TreeXmlError message on every document.
 
 reference_serialize_tree is the tree writer the package used before it
 escaped only the lexemes that hold markup characters: every lexeme
-escaped, each indent built per line.  The writer must give the same
-bytes for every tree.
+escaped, each indent built per line, here with its own explicit stack.
+The writer must give the same bytes for every tree.
 
-same_tree compares two trees field by field without recursion;
-EcstNode itself compares by identity.
+same_tree compares two trees' preorder sequences field by field, with
+each node's number of children, without recursion; EcstNode itself
+compares by identity.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from ecstmetrics.tree import (
     SourceSpan,
     UniversalKind,
     validate_tree,
-    walk,
 )
 
 
@@ -75,7 +78,9 @@ def line_count(text: str) -> int:
 
 
 def classify_lines(text: str, language_id: str):
-    """Return (code_lines, comment_lines) as sets of 1-based numbers.
+    """Return (code_lines, comment_lines, comments): two sets of 1-based
+    line numbers and each comment's (line, col) start and end positions,
+    1-based and inclusive, in source order.
 
     A line is a code line when it holds any non-whitespace character
     outside comments, and a comment line when a comment covers it,
@@ -97,7 +102,9 @@ def classify_lines(text: str, language_id: str):
 
     code: set[int] = set()
     comment: set[int] = set()
+    comments: list[tuple[tuple[int, int], tuple[int, int]]] = []
     line = 1
+    line_start = 0  # offset of the current line's first character
     i = 0
     n = len(text)
     while i < n:
@@ -105,14 +112,17 @@ def classify_lines(text: str, language_id: str):
         if c == "\n":
             line += 1
             i += 1
+            line_start = i
             continue
         if c in " \t":
             i += 1
             continue
+        start = (line, i - line_start + 1)
         if line_comment is not None and text.startswith(line_comment, i):
             comment.add(line)
             while i < n and text[i] != "\n":
                 i += 1
+            comments.append((start, (line, i - line_start)))
             continue
         if text.startswith(block_open, i):
             depth = 1
@@ -123,6 +133,7 @@ def classify_lines(text: str, language_id: str):
                 if text[i] == "\n":
                     line += 1
                     i += 1
+                    line_start = i
                     continue
                 if nested and text.startswith(block_open, i):
                     depth += 1
@@ -133,6 +144,7 @@ def classify_lines(text: str, language_id: str):
                     i += len(block_close)
                     continue
                 i += 1
+            comments.append((start, (line, i - line_start)))
             continue
         if c in "'\"":
             code.add(line)
@@ -145,7 +157,7 @@ def classify_lines(text: str, language_id: str):
             continue
         code.add(line)
         i += 1
-    return code, comment
+    return code, comment, comments
 
 
 WORD = 0
@@ -443,6 +455,19 @@ def subtree_span(node):
     return SourceSpan(first.start_line, first.start_col, last.end_line, last.end_col)
 
 
+def comment_lines_inside(comments, node) -> int:
+    """An element's CLOC by the subtree rule: the lines covered by the
+    comments (classify_lines' positions) that start inside the node's
+    subtree_span.  A comment outside the node on its first or last line
+    is not counted."""
+    span = subtree_span(node)
+    lines = set()
+    for start, end in comments:
+        if span[:2] <= start <= span[2:]:
+            lines.update(range(start[0], end[0] + 1))
+    return len(lines)
+
+
 def _is_decision_point(node):
     if node.kind is UniversalKind.LOOP_STATEMENT:
         return True
@@ -567,21 +592,17 @@ def nodes_of(tree_or_node, kind):
 
 
 def same_tree(a: EcstTree, b: EcstTree) -> bool:
-    """Equal headers, and equal nodes (label, kind, token type, span) at
-    equal places in the entry/exit order of tree.walk."""
+    """Equal headers, and equal nodes (label, kind, token type, span,
+    number of children) at equal places in preorder."""
     if (a.source_path, a.language_id, a.total_lines) != (
         b.source_path,
         b.language_id,
         b.total_lines,
     ):
         return False
-    for step_a, step_b in itertools.zip_longest(walk(a.root), walk(b.root)):
-        if step_a is None or step_b is None:
-            return False
-        (node_a, lo_a, hi_a), (node_b, lo_b, hi_b) = step_a, step_b
-        if (lo_a, hi_a) != (lo_b, hi_b) or fields(node_a) != fields(node_b):
-            return False
-    return True
+    shapes_a = ((fields(n), len(n.children)) for n in preorder(a))
+    shapes_b = ((fields(n), len(n.children)) for n in preorder(b))
+    return all(x == y for x, y in itertools.zip_longest(shapes_a, shapes_b))
 
 
 def fields(node: EcstNode) -> tuple:
@@ -742,21 +763,26 @@ def reference_serialize_tree(tree: EcstTree) -> str:
         f" language={quoteattr(tree.language_id)}"
         f' totalLines="{tree.total_lines}">\n'
     ]
-    depth = 0  # open <node> elements, each one level of indent
-    for node, _, hi in walk(tree.root):
-        if node.kind is None:
-            span = node.span
-            out.append(
-                f"{'  ' * (depth + 1)}<token type=\"{node.token_type}\""
-                f' line="{span.start_line}" col="{span.start_col}"'
-                f' endLine="{span.end_line}" endCol="{span.end_col}"'
-                f">{escape(node.label)}</token>\n"
-            )
-        elif hi is None:
-            depth += 1
-            out.append(f"{'  ' * depth}<node kind=\"{node.kind.value}\">\n")
+    # Per open <node> element, its children not yet written.
+    stack = [iter([tree.root])]
+    while stack:
+        depth = len(stack) - 1  # open <node> elements, each one level of indent
+        for node in stack[-1]:
+            if node.kind is None:
+                span = node.span
+                out.append(
+                    f"{'  ' * (depth + 1)}<token type=\"{node.token_type}\""
+                    f' line="{span.start_line}" col="{span.start_col}"'
+                    f' endLine="{span.end_line}" endCol="{span.end_col}"'
+                    f">{escape(node.label)}</token>\n"
+                )
+            else:
+                out.append(f"{'  ' * (depth + 1)}<node kind=\"{node.kind.value}\">\n")
+                stack.append(iter(node.children))
+                break
         else:
-            out.append(f"{'  ' * depth}</node>\n")
-            depth -= 1
+            stack.pop()
+            if stack:
+                out.append(f"{'  ' * depth}</node>\n")
     out.append("</ecst>\n")
     return "".join(out)

@@ -21,6 +21,7 @@ import generators
 import oracles
 from ecstmetrics import measure_tree, parse_file, parse_source
 from ecstmetrics.cli import main as cli_main
+from ecstmetrics.metrics import MEASURED_KINDS
 from ecstmetrics.tree import UniversalKind
 from ecstmetrics.xmlio import parse_tree_xml, serialize_metrics, serialize_tree
 
@@ -142,19 +143,22 @@ def test_criterion_4_loc_columns_match_line_oracle():
     def body():
         for name, language in CORPUS:
             text = _fixture(name)
-            code, comment = oracles.classify_lines(text, language)
-            report = measure_tree(parse_file(os.path.join(FIXTURES, name), language))
+            code, comment, comments = oracles.classify_lines(text, language)
+            tree = parse_file(os.path.join(FIXTURES, name), language)
+            report = measure_tree(tree)
+            nodes = [n for n in oracles.preorder(tree) if n.kind in MEASURED_KINDS]
             assert report.totals.loc == oracles.line_count(text), name
             assert report.totals.sloc == len(code), name
             assert report.totals.cloc == len(comment), name
-            for row in report.elements:
+            for row, node in zip(report.elements, nodes, strict=True):
                 label = f"{name}:{row.name}@{row.start_line}"
                 assert row.loc == row.end_line - row.start_line + 1, label
                 assert row.start_line in code or row.start_line in comment, label
                 assert row.end_line in code or row.end_line in comment, label
                 window = range(row.start_line, row.end_line + 1)
                 assert row.sloc == sum(1 for n in window if n in code), label
-                assert row.cloc == sum(1 for n in window if n in comment), label
+                cloc = oracles.comment_lines_inside(comments, node)
+                assert row.cloc == cloc, label
 
     ok, detail = _check(body)
     _report(4, "Element and file line counts match an independent oracle", ok, detail)

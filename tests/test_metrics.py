@@ -15,7 +15,7 @@ import oracles
 from ecstmetrics import parse_source
 from ecstmetrics.cli import main
 from ecstmetrics.errors import MalformedTreeError
-from ecstmetrics.metrics import measure_tree, render_table
+from ecstmetrics.metrics import MEASURED_KINDS, measure_tree, render_table
 from ecstmetrics.tree import EcstNode, EcstTree, SourceSpan, UniversalKind
 from ecstmetrics.xmlio import parse_tree_xml
 
@@ -158,10 +158,26 @@ class TestAgainstLineOracle:
     # Sources where a node's first code or comment token starts on the
     # line the count had last reached before the node: the line is the
     # node's, and counted once in the file.  A comment outside a node on
-    # the node's first or last line is not the node's (CLOC counts the
-    # node's own comment tokens), while the oracle reads whole lines, so
-    # each comment that shares a line with a node's end lies inside it.
+    # the node's first or last line is not the node's: CLOC counts the
+    # lines of the comments inside the node.
     SHARED_LINES = {
+        "java comment ends where a branch starts": (
+            "class A {\n"
+            "  void m(boolean b) {\n"
+            "    /* y\n"
+            "     */ if (b) { b = true; }\n"
+            "  }\n"
+            "}\n",
+            "javaoo",
+        ),
+        "java comment after a branch": (
+            "class A {\n"
+            "  void m(boolean b) {\n"
+            "    if (b) { b = true; } // t\n"
+            "  }\n"
+            "}\n",
+            "javaoo",
+        ),
         "java statement then loop": (
             "class A {\n"
             "  int m(int n) {\n"
@@ -246,16 +262,19 @@ class TestAgainstLineOracle:
 
 
 def _assert_rows_match_line_oracle(text, tree, language) -> None:
-    code, comment = oracles.classify_lines(text, language)
+    code, comment, comments = oracles.classify_lines(text, language)
     report = measure_tree(tree)
     assert report.totals.loc == oracles.line_count(text)
     assert report.totals.sloc == len(code)
     assert report.totals.cloc == len(comment)
-    for row in report.elements:
+    nodes = [n for n in oracles.preorder(tree) if n.kind in MEASURED_KINDS]
+    for row, node in zip(report.elements, nodes, strict=True):
+        span = oracles.subtree_span(node)
+        assert (row.start_line, row.end_line) == (span.start_line, span.end_line)
         window = range(row.start_line, row.end_line + 1)
         assert row.loc == row.end_line - row.start_line + 1
         assert row.sloc == sum(1 for n in window if n in code)
-        assert row.cloc == sum(1 for n in window if n in comment)
+        assert row.cloc == oracles.comment_lines_inside(comments, node)
 
 
 class TestDecisionCounting:

@@ -94,13 +94,13 @@ def test_measurement_bounds(language, seed):
 
 def _language_independent_view(language, seed):
     """What the paper claims no language changes: the universal skeleton
-    (kind and entry/exit) and the (annotation, cc) columns, plain and
-    extended."""
+    (each universal node's kind on entry, None on exit) and the
+    (annotation, cc) columns, plain and extended."""
     tree = parse_source(generators.generate(language, seed).source, language)
     skeleton = [
-        (node.kind, hi is not None)
-        for node, _, hi in walk(tree.root)
-        if node.kind is not None
+        None if node is None else node.kind
+        for node in walk(tree.root)
+        if node is None or node.kind is not None
     ]
     columns = [
         [(row.annotation, row.cc) for row in measure_tree(tree, extended=ext).elements]

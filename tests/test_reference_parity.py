@@ -10,11 +10,18 @@ from hypothesis import strategies as st
 import generators
 import oracles
 from conftest import CORPUS, FIXTURE_DIR
-from ecstmetrics import parse_source
+from ecstmetrics import parse_source, xmlio
 from ecstmetrics.errors import LexError, ParseError
 from ecstmetrics.metrics import measure_tree
-from ecstmetrics.tree import walk
-from ecstmetrics.xmlio import serialize_tree
+from ecstmetrics.tree import (
+    EcstNode,
+    EcstTree,
+    SourceSpan,
+    UniversalKind,
+    validate_tree,
+    walk,
+)
+from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
 
 LANGUAGES = ("modula2", "javaoo")
 SEEDS = range(200)
@@ -128,18 +135,17 @@ def _comment_places(tree, expected):
     """Each comment's place, its index counted as in the expected one."""
     open_nodes = []
     places = []
-    for node, _, hi in walk(tree.root):
-        if node.kind is None:
-            if node.token_type == "comment":
-                parent = open_nodes[-1]
-                index = parent.children.index(node)
-                if expected[len(places)][2] < 0:
-                    index -= len(parent.children)
-                places.append((parent.label, len(open_nodes) - 1, index))
-        elif hi is None:
-            open_nodes.append(node)
-        else:
+    for node in walk(tree.root):
+        if node is None:
             open_nodes.pop()
+        elif node.kind is not None:
+            open_nodes.append(node)
+        elif node.token_type == "comment":
+            parent = open_nodes[-1]
+            index = parent.children.index(node)
+            if expected[len(places)][2] < 0:
+                index -= len(parent.children)
+            places.append((parent.label, len(open_nodes) - 1, index))
     return places
 
 
@@ -150,3 +156,65 @@ def test_comment_shapes_match_reference(language, shape):
     _assert_same(source, language)
     expected = PLACES[shape]
     assert _comment_places(parse_source(source, language), expected) == expected
+
+
+def _comment_edged_tree():
+    """A FUNCTION_DECL that starts with a two-line comment, around a
+    LOOP_STATEMENT that starts with a comment and ends with a two-line
+    one.  No frontend places comments so, but the tree is valid."""
+
+    def tok(label, token_type, *span):
+        return EcstNode(label, None, token_type, SourceSpan(*span))
+
+    loop = EcstNode.universal(
+        UniversalKind.LOOP_STATEMENT,
+        [
+            tok("// c", "comment", 4, 3, 4, 6),
+            tok("while", "keyword", 5, 3, 5, 7),
+            tok("/* d\n */", "comment", 5, 9, 6, 3),
+        ],
+    )
+    unit = EcstNode.universal(
+        UniversalKind.FUNCTION_DECL,
+        [
+            tok("/* a\n   b */", "comment", 1, 1, 2, 7),
+            tok("void", "keyword", 3, 1, 3, 4),
+            tok("P", "identifier", 3, 6, 3, 6),
+            loop,
+            tok("// e", "comment", 7, 1, 7, 4),
+        ],
+    )
+    root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
+    return EcstTree(root, "Edged.java", "javaoo", 7)
+
+
+def test_comment_edged_nodes_match_reference(monkeypatch):
+    # A node's first or last line may be a comment's: its rows span from
+    # the first comment's start to the last comment's end.
+    tree = _comment_edged_tree()
+    validate_tree(tree)
+    doc = serialize_tree(tree)
+    with monkeypatch.context() as patch:
+        patch.setattr(xmlio.expat, "ParserCreate", None)
+        by_lines = parse_tree_xml(doc)
+    parsers = []
+    real = xmlio.expat.ParserCreate
+
+    def create(*args):
+        parsers.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(xmlio.expat, "ParserCreate", create)
+    by_expat = parse_tree_xml(doc.replace('"', "'"))  # the line reader declines
+    assert len(parsers) == 1
+    for reloaded in (by_lines, by_expat):
+        assert oracles.same_tree(reloaded, tree)
+    for t in (tree, by_lines, by_expat):
+        expected = oracles.reference_measure_tree(t)
+        for extended in (False, True):
+            assert measure_tree(t, extended) == expected[extended]
+    rows = [
+        (r.name, r.cc, r.loc, r.sloc, r.cloc, r.start_line, r.end_line)
+        for r in measure_tree(tree).elements
+    ]
+    assert rows == [("P", 2, 7, 2, 6, 1, 7), ("WHILE", 1, 3, 1, 3, 4, 6)]

@@ -87,32 +87,44 @@ class TestNodeConstruction:
 
 
 class TestWalk:
-    def test_token_ranges_with_exit_markers(self):
+    def test_nodes_in_preorder_with_exit_markers(self):
         inner = _unit([_tok("f", col=3), _tok("(", "punctuation", col=4)])
         tree = _tree([_tok("a"), inner, _tok(";", "punctuation", col=5)])
-        events = [(n.label, lo, hi) for n, lo, hi in walk(tree.root)]
-        assert events == [
-            ("COMPILATION_UNIT", 0, None),
-            ("a", 0, 1),
-            ("FUNCTION_DECL", 1, None),
-            ("f", 1, 2),
-            ("(", 2, 3),
-            ("FUNCTION_DECL", 1, 3),
-            (";", 3, 4),
-            ("COMPILATION_UNIT", 0, 4),
+        events = list(walk(tree.root))
+        assert [None if n is None else n.label for n in events] == [
+            "COMPILATION_UNIT",
+            "a",
+            "FUNCTION_DECL",
+            "f",
+            "(",
+            None,
+            ";",
+            None,
         ]
+        assert events[2] is inner and events[3] is inner.children[0]
 
-    def test_empty_universal_has_empty_range(self):
+    def test_empty_universal_is_followed_by_its_exit(self):
         cond = EcstNode.universal(UniversalKind.CONDITION, [])
-        events = [(n.label, lo, hi) for n, lo, hi in walk(cond)]
-        assert events == [("CONDITION", 0, None), ("CONDITION", 0, 0)]
+        assert list(walk(cond)) == [cond, None]
+        loop = EcstNode.universal(UniversalKind.LOOP_STATEMENT, [cond, _tok("x")])
+        labels = [None if n is None else n.label for n in walk(loop)]
+        assert labels == ["LOOP_STATEMENT", "CONDITION", None, "x", None]
 
     def test_deep_nesting_needs_no_recursion(self):
         node = _tok("x")
         for _ in range(5000):
             node = EcstNode.universal(UniversalKind.LOOP_STATEMENT, [node])
-        *_, (last, lo, hi) = walk(node)
-        assert (last, lo, hi) == (node, 0, 1)
+        events = list(walk(node))
+        assert events[0] is node and events[5000].label == "x"
+        assert events[5001:] == [None] * 5000
+
+    def test_one_item_per_node_and_one_exit_per_universal_node(self, corpus):
+        for name, (_, tree) in corpus.items():
+            nodes = list(preorder(tree))
+            universal = sum(n.kind is not None for n in nodes)
+            events = list(walk(tree.root))
+            assert len(events) == len(nodes) + universal, name
+            assert [n for n in events if n is not None] == nodes, name
 
 
 class TestSubtreeSpan:

@@ -105,8 +105,8 @@ class TestRoundTrip:
         for _, tree in corpus.values():
             doc = serialize_tree(tree)
             for data in (doc, doc.encode(), io.BytesIO(doc.encode())):
-                for node, _, _ in walk(parse_tree_xml(data).root):
-                    if node.kind is None:
+                for node in walk(parse_tree_xml(data).root):
+                    if node is not None and node.kind is None:
                         assert any(node.token_type is t for t in TOKEN_TYPES)
 
     def test_reloaded_tokens_share_line_ints(self):
@@ -117,7 +117,8 @@ class TestRoundTrip:
         tree = parse_source(source, "modula2")
 
         def line_objects(t) -> int:
-            return len({id(n.span[0]) for n, _, _ in walk(t.root) if n.kind is None})
+            tokens = [n for n in walk(t.root) if n is not None and n.kind is None]
+            return len({id(n.span[0]) for n in tokens})
 
         reloaded = parse_tree_xml(serialize_tree(tree))
         assert line_objects(reloaded) <= line_objects(tree)
@@ -553,8 +554,9 @@ class TestLineReader:
         monkeypatch.setattr(xmlio.expat, "ParserCreate", None)
         for data in _as_inputs(doc):
             reloaded = parse_tree_xml(data)
-            lines = {n.span[0] for n, _, _ in walk(reloaded.root) if n.kind is None}
-            starts = {id(n.span[0]) for n, _, _ in walk(reloaded.root) if n.kind is None}
+            tokens = [n for n in walk(reloaded.root) if n is not None and n.kind is None]
+            lines = {n.span[0] for n in tokens}
+            starts = {id(n.span[0]) for n in tokens}
             assert max(lines) > 256 and len(starts) == len(lines)
 
     # Valid documents that serialize_tree would not write.
