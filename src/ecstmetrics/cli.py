@@ -15,9 +15,12 @@ import stat
 import sys
 
 from .errors import FrontendError, RegistryError, SourceIoError, TreeXmlError
+from .errors import MalformedTreeError
 from .frontends import parse_file
 from .frontends.registry import BUILTIN, detect, load_registry
-from .metrics import measure_tree, render_table
+from .metrics import _fold, _report, measure_tree, render_table
+from .tree import _checked
+from .xmlio import _line_events, _pieces
 from .xmlio import load_tree_file, parse_tree_xml, serialize_metrics, serialize_tree
 
 TREE_SUFFIX = ".ecst.xml"
@@ -122,6 +125,27 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def _measure_tree_file(src, extended: bool):
+    """The report of the tree file src, folded as the file is read, with
+    no tree built.  A document the line reader declines or whose events
+    break an invariant, and a file that cannot seek, is read from its
+    start by parse_tree_xml and measured as a tree: that path alone
+    words a fault."""
+    try:
+        with open(src, "rb") as f:
+            if f.seekable():
+                events = _line_events(_pieces(f))
+                try:
+                    head = next(events)
+                    return _report(*head, _fold(_checked(events, head[2]), extended))
+                except (ValueError, MalformedTreeError):
+                    f.seek(0)
+            tree = parse_tree_xml(f)
+    except OSError as e:
+        raise SourceIoError(f"cannot read {src}: {e.strerror or e}") from e
+    return measure_tree(tree, extended=extended)
+
+
 def _cmd_measure(args) -> int:
     src = args.file
     # A tree names its own language: only a source input reads the registry.
@@ -130,10 +154,10 @@ def _cmd_measure(args) -> int:
     out = args.out if args.out else _metrics_out_path(src)
     try:
         if is_tree:
-            tree = load_tree_file(src)
+            report = _measure_tree_file(src, args.extended_cc)
         else:
             tree = parse_file(src, detect(registry, src))
-        report = measure_tree(tree, extended=args.extended_cc)
+            report = measure_tree(tree, extended=args.extended_cc)
         _write_text(out, serialize_metrics(report), src)
     except _HANDLED as e:
         _report_error(src, e)

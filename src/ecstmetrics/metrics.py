@@ -7,6 +7,7 @@ no language-specific lexeme ever influences a metric value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import MalformedTreeError
 from .tree import EcstNode, EcstTree, UniversalKind, walk
@@ -49,71 +50,80 @@ class MetricsReport:
     totals: LocBundle
 
 
-def _name(node: EcstNode, first_identifier: list[EcstNode]) -> str:
-    """Report name of a measured element.
+# Each kind that its direct child tokens name, and its name until one
+# does (a unit with no identifier is "<anonymous>"); a BRANCH_STATEMENT,
+# which none names, is BRANCHING.
+_UNNAMED = {
+    UniversalKind.FUNCTION_DECL: None,
+    UniversalKind.LOOP_STATEMENT: "LOOP",
+    UniversalKind.BRANCH: "BRANCH",
+}
+# The fields of a reported node's mark that are set after its entry.
+_FIRST_CODE, _FIRST_COMMENT, _NAME, _DECIDED = range(8, 12)
 
-    A unit is named by the last identifier among its direct children
-    before its first "(", ":" or ";" punctuation child, else by the first
-    identifier in its subtree (first_identifier, empty when it has none),
-    else "<anonymous>".  Loops are named by their keyword (DO-WHILE for
-    do-while), branch chains BRANCHING and branches IF/ELSIF/ELSE.
+
+def _named(mark: list, token_type: str, label: str) -> bool:
+    """Name an element by a direct child token, in mark[_NAME]; True once
+    no later child can change the name.  A unit takes its last identifier
+    before its first "(", ":" or ";", else its first identifier; loops and
+    branches take their first keyword (DO-WHILE, and ELSIF for else-if).
     """
-    if node.kind is UniversalKind.FUNCTION_DECL:
-        previous = first_identifier
-        for child in node.children:
-            if child.token_type == "punctuation" and child.label in ("(", ":", ";"):
-                break
-            if child.token_type == "identifier":
-                previous = [child]
-        return previous[0].label if previous else "<anonymous>"
-    if node.kind is UniversalKind.BRANCH_STATEMENT:
-        return "BRANCHING"
-    keywords = [
-        child.label for child in node.children if child.token_type == "keyword"
-    ]
-    if node.kind is UniversalKind.LOOP_STATEMENT:
-        head = keywords[0].upper() if keywords else "LOOP"
-        return "DO-WHILE" if head == "DO" else head
+    kind = mark[0]
+    if kind is UniversalKind.FUNCTION_DECL:
+        if token_type == "identifier":
+            mark[_NAME] = label
+        return token_type == "punctuation" and label in ("(", ":", ";")
+    if token_type != "keyword":
+        return False
+    head = label.upper()
+    if kind is UniversalKind.LOOP_STATEMENT:
+        mark[_NAME] = "DO-WHILE" if head == "DO" else head
+        return True
     # BRANCH: an else-if pair reads as ELSIF
-    if not keywords:
-        return "BRANCH"
-    head = keywords[0].upper()
-    if head == "ELSE" and len(keywords) > 1 and keywords[1].upper() == "IF":
-        return "ELSIF"
-    return head
+    if mark[_NAME] == "ELSE":
+        if head == "IF":
+            mark[_NAME] = "ELSIF"
+        return True
+    mark[_NAME] = head
+    return head != "ELSE"
 
 
-def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
-    """The whole-file row of a tree's root, then the row of every
-    measured node below it, in preorder.
+def _fold(events: Iterable[EcstNode | None], extended: bool) -> list[ElementMetrics]:
+    """The whole-file row of the first node of events, then the row of
+    every measured node inside it, in preorder.
 
-    One walk() over a valid tree, whose tokens are in source order: each
-    value is a running count noted at a node's entry and read again at
-    its exit, and its lines run from its first token's start line to the
-    last line counted at its exit.  cc counts the loops and the branches
-    with a CONDITION, plus a unit's base complexity of 1.
+    events are walk()'s over a valid tree, or of their shape: a token is
+    read only while current and no node's children are read, so one node
+    may stand for every token.  Each value is a running count noted at a
+    node's entry and read at its exit, and its lines run from its first
+    token's start line to the last line counted at its exit.  cc counts
+    the loops and the branches with a CONDITION, plus 1 for a unit.
     """
     rows: list = []
-    identifiers: list[EcstNode] = []
     sloc = sloc_last = cloc = cloc_last = 0  # distinct lines so far, the last one
-    sloc_starts, cloc_starts = [], []  # first line of each token so far
-    decisions = 0  # decision points entered so far
+    decisions = 0  # decision points so far: a loop at entry, a branch at exit
     operators = 0  # logical operators so far that have a CONDITION ancestor
     conditions = 0  # open CONDITION nodes
-    # Per open universal node: the node, and for a reported one its row
-    # and the counts at its entry (None for any other).
+    # Of what follows its entry, a reported node's mark keeps only the
+    # start lines of the first code and comment token, its name, and
+    # whether a CONDITION child makes it a decision.  Marks of the nodes
+    # entered since the last code token, the last comment token and, for
+    # units, the last identifier:
+    code_waiting, comment_waiting, unnamed = [], [], []
+    naming = None  # the innermost open node's mark while its tokens may name it
+    # Per open universal node: the node, its mark (None unless reported)
+    # and naming at its entry.
     marks: list[tuple] = []
-    for node in walk(root):
+    for node in events:
         if node is None:
-            node, mark = marks.pop()
+            node, mark, naming = marks.pop()
             kind = node.kind
             conditions -= kind is UniversalKind.CONDITION
             if mark is None:
                 continue
-            (row, decisions_in, operators_in, named,
-             sloc_in, sloc_last_in, sloc_n, cloc_in, cloc_last_in, cloc_n) = mark
-            first_code = sloc_starts[sloc_n : sloc_n + 1]
-            first_comment = cloc_starts[cloc_n : cloc_n + 1]
+            (_, row, decisions_in, operators_in, sloc_in, sloc_last_in, cloc_in,
+             cloc_last_in, first_code, first_comment, name, decided) = mark
+            decisions += decided
             if not (first_code or first_comment):
                 raise MalformedTreeError(
                     f"universal node {node.label!r} has no concrete descendants"
@@ -121,16 +131,16 @@ def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
             cc = decisions - decisions_in + (kind is UniversalKind.FUNCTION_DECL)
             if extended:
                 cc += operators - operators_in
-            start_line = min(first_code + first_comment)
+            start_line = min(first_code or first_comment, first_comment or first_code)
             end_line = max(sloc_last, cloc_last)
             # A node's first token may start on the line last counted before it.
             rows[row] = ElementMetrics(
-                name=_name(node, identifiers[named : named + 1]),
+                name="<anonymous>" if name is None else name,
                 annotation=kind.value,
                 cc=cc,
                 loc=end_line - start_line + 1,
-                sloc=sloc - sloc_in + (first_code == [sloc_last_in]),
-                cloc=cloc - cloc_in + (first_comment == [cloc_last_in]),
+                sloc=sloc - sloc_in + (0 < first_code == sloc_last_in),
+                cloc=cloc - cloc_in + (0 < first_comment == cloc_last_in),
                 start_line=start_line,
                 end_line=end_line,
             )
@@ -139,43 +149,61 @@ def _fold(root: EcstNode, extended: bool) -> list[ElementMetrics]:
             token_type = node.token_type
             # A token may start on the line the previous one ended on.
             if token_type == "comment":
+                if comment_waiting:
+                    for mark in comment_waiting:
+                        mark[_FIRST_COMMENT] = line
+                    comment_waiting.clear()
                 cloc += end - (cloc_last if cloc_last >= line else line - 1)
                 cloc_last = end
-                cloc_starts.append(line)
                 continue
+            if code_waiting:
+                for mark in code_waiting:
+                    mark[_FIRST_CODE] = line
+                code_waiting.clear()
             sloc += end - (sloc_last if sloc_last >= line else line - 1)
             sloc_last = end
-            sloc_starts.append(line)
             if token_type == "identifier":
-                identifiers.append(node)
+                if unnamed:
+                    for mark in unnamed:
+                        mark[_NAME] = node.label
+                    unnamed.clear()
             elif conditions and token_type == "operator":
                 operators += node.label in LOGICAL_OPERATORS
+            if naming is not None and _named(naming, token_type, node.label):
+                naming = None
         else:
             kind = node.kind
-            if node is root or kind in MEASURED_KINDS:
-                marks.append((node, (len(rows), decisions, operators, len(identifiers),
-                                     sloc, sloc_last, len(sloc_starts),
-                                     cloc, cloc_last, len(cloc_starts))))
+            if kind is UniversalKind.CONDITION:
+                conditions += 1
+                if marks and marks[-1][0].kind is UniversalKind.BRANCH:
+                    marks[-1][1][_DECIDED] = True  # counted at the BRANCH's exit
+            if kind in MEASURED_KINDS or not marks:
+                mark = [kind, len(rows), decisions, operators, sloc, sloc_last,
+                        cloc, cloc_last, 0, 0, _UNNAMED.get(kind, "BRANCHING"), False]
                 rows.append(None)
+                code_waiting.append(mark)
+                comment_waiting.append(mark)
+                if kind is UniversalKind.FUNCTION_DECL:
+                    unnamed.append(mark)
             else:
-                marks.append((node, None))
-            conditions += kind is UniversalKind.CONDITION
-            decisions += kind is UniversalKind.LOOP_STATEMENT or (
-                kind is UniversalKind.BRANCH
-                and any(c.kind is UniversalKind.CONDITION for c in node.children)
-            )
+                mark = None
+            marks.append((node, mark, naming))
+            naming = mark if kind in _UNNAMED else None
+            decisions += kind is UniversalKind.LOOP_STATEMENT
     return rows
 
 
 def measure_tree(tree: EcstTree, extended: bool = False) -> MetricsReport:
     """Per-element metrics in preorder plus file-level totals."""
-    whole, *rows = _fold(tree.root, extended)
-    return MetricsReport(
-        source_path=tree.source_path,
-        language_id=tree.language_id,
-        elements=rows,
-        totals=LocBundle(loc=tree.total_lines, sloc=whole.sloc, cloc=whole.cloc),
-    )
+    rows = _fold(walk(tree.root), extended)
+    return _report(tree.source_path, tree.language_id, tree.total_lines, rows)
+
+
+def _report(source_path, language_id, total_lines: int, rows: list) -> MetricsReport:
+    """The report of _fold's rows for a file of total_lines lines."""
+    whole, *elements = rows
+    totals = LocBundle(loc=total_lines, sloc=whole.sloc, cloc=whole.cloc)
+    return MetricsReport(source_path, language_id, elements, totals)
 
 
 def render_table(report: MetricsReport) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedTreeError
 
@@ -115,8 +115,16 @@ def validate_tree(tree: EcstTree) -> None:
     are the builder's to get right: the scanner builds each token with
     the EcstNode constructor, the parsers build universal nodes through
     EcstNode.universal, and the XML reader checks every element it reads.
+    """
+    for _ in _checked(walk(tree.root), tree.total_lines):
+        pass
 
-    One walk(): a node's checks at its exit compare counts with its entry.
+
+def _checked(events: Iterable, total_lines: int) -> Iterator[EcstNode | None]:
+    """events, of walk()'s shape, each passed on once validate_tree's
+    rules hold up to it; MalformedTreeError at the first breach.  No
+    node's children are read, so a BRANCH_STATEMENT's universal children
+    are checked at each child's entry; a token is read only while current.
     """
     guarded = False  # inside a BRANCH or LOOP_STATEMENT
     tokens = identifiers = 0  # tokens and identifier tokens so far
@@ -124,14 +132,14 @@ def validate_tree(tree: EcstTree) -> None:
     # at its entry.
     entries: list[tuple[EcstNode, bool, int, int]] = []
     end_line = end_col = 0  # where the previous token ends
-    for node in walk(tree.root):
+    for node in events:
         if node is None:
-            node, guarded, tokens_in, named_in = entries.pop()
+            opened, guarded, tokens_in, named_in = entries.pop()
             if tokens == tokens_in:
                 raise MalformedTreeError(
-                    f"universal node {node.label!r} has no concrete descendants"
+                    f"universal node {opened.label!r} has no concrete descendants"
                 )
-            if node.kind is UniversalKind.FUNCTION_DECL and identifiers == named_in:
+            if opened.kind is UniversalKind.FUNCTION_DECL and identifiers == named_in:
                 raise MalformedTreeError("FUNCTION_DECL without an identifier token")
         elif node.kind is None:
             start_line, start_col, next_line, next_col = node.span
@@ -146,21 +154,20 @@ def validate_tree(tree: EcstTree) -> None:
                 identifiers += 1
         else:
             kind = node.kind
+            if kind is not UniversalKind.BRANCH and entries:
+                if entries[-1][0].kind is UniversalKind.BRANCH_STATEMENT:
+                    raise MalformedTreeError(
+                        f"BRANCH_STATEMENT has a universal child of kind {kind.value}"
+                    )
             if kind is UniversalKind.CONDITION and not guarded:
                 raise MalformedTreeError(
                     "CONDITION node outside any BRANCH or LOOP_STATEMENT"
                 )
-            if kind is UniversalKind.BRANCH_STATEMENT:
-                for child in node.children:
-                    if child.kind is not None and child.kind is not UniversalKind.BRANCH:
-                        raise MalformedTreeError(
-                            "BRANCH_STATEMENT has a universal child "
-                            f"of kind {child.kind.value}"
-                        )
             entries.append((node, guarded, tokens, identifiers))
             guarded |= kind in (UniversalKind.BRANCH, UniversalKind.LOOP_STATEMENT)
-    if end_line > tree.total_lines:
+        yield node
+    if end_line > total_lines:
         raise MalformedTreeError(
             f"last token ends on line {end_line}, "
-            f"after the last line {tree.total_lines}"
+            f"after the last line {total_lines}"
         )

@@ -6,7 +6,8 @@ newline.  Parsing reads that form back one regular-expression match
 per element line, in pieces that each end at an element's end; every
 other document, valid or not, goes to expat, which alone reports
 well-formedness and element violations, with the offending element and
-line.  Either reader's tree is then validated in one place.
+line.  Either reader's tree is then validated in one place.  The line
+reader yields tree.walk()'s events, which measure folds with no tree.
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ def serialize_metrics(report) -> str:
 # -- parsing ---------------------------------------------------------------
 
 _KINDS = {kind.value: kind for kind in UniversalKind}
+# Each kind's one childless node, which the line reader yields for every
+# <node> of that kind.
+_NODES = {kind.value: EcstNode(kind._value_, kind) for kind in UniversalKind}
 # Each token type to the one string of its spelling that every reloaded
 # token shares; each reader gets a new string per attribute value.
 _TYPES = {token_type: token_type for token_type in TOKEN_TYPES}
@@ -270,104 +274,120 @@ def _pieces(file: BinaryIO) -> Iterator[str]:
         yield tail.decode()
 
 
-def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
-    """The tree of a document in serialize_tree's form, read with one
-    match of _LINE per element; None for any other document.
+def _line_events(pieces: Iterable[str]) -> Iterator:
+    """The header of a document in serialize_tree's form, then its
+    events in walk()'s shape, read with one match of _LINE per element.
 
     The form: the header line, one element per line after any run of
-    spaces, and "</ecst>\n" at the end.  Each piece is read to its end,
-    apart from that last line.  Each token passes the same rules as in
-    _build_node.  On the first piece this reader cannot read to its end,
-    or a rule that a token breaks, it returns None: it never words a
-    failure.  The tree is not validated here; parse_tree_xml does that.
+    spaces, one COMPILATION_UNIT <node> holding all others, and
+    "</ecst>\n" at the end; each token passes the rules of _build_node.
+    Yields the header's (source, language, totalLines), then a shared
+    childless node per <node> kind, one token node whose fields (a plain
+    tuple span) each token overwrites, and None per </node>.  Raises
+    ValueError at the first line or piece outside the form or UTF-8.
     """
+    token = EcstNode("")
     head = None
     rest = ""  # what the last piece left unread
-    top: list[EcstNode] = []  # the elements directly inside <ecst>
-    children = top  # the open <node>'s children
-    append = top.append
-    parents: list[list] = []  # the children list each open <node> is in
+    depth = 0  # open <node> elements
+    rooted = False  # the COMPILATION_UNIT <node> has started
     # The last token's line text and its int, which the next token on
     # that line shares; int() would build a new one above 256.
     line_text = ""
     line_int = 0
+    for text in pieces:
+        if rest:
+            raise ValueError("a piece not read to its end")
+        pos = 0
+        if head is None:
+            head = _HEADER.match(text)
+            if head is None:
+                raise ValueError("no header")
+            source, language, total_lines = head.groups()
+            total_lines = int(total_lines)
+            if total_lines < 1:
+                raise ValueError("no lines")
+            yield source, language, total_lines
+            pos = head.end()
+        m = None
+        for m in iter(_LINE.scanner(text, pos).match, None):
+            (token_type, raw_line, raw_col, raw_end, raw_end_col, lexeme,
+             kind) = m.groups()
+            if token_type is not None:
+                if raw_line != line_text:
+                    line_int = int(raw_line)
+                    line_text = raw_line
+                line = line_int
+                col = int(raw_col)
+                end_line = line if raw_end == raw_line else int(raw_end)
+                end_col = int(raw_end_col)
+                token_type = _TYPES.get(token_type)
+                if not depth or token_type is None or not (
+                    0 < line <= end_line
+                    and col > 0
+                    and end_col > 0
+                    and (line < end_line or col <= end_col)
+                ):
+                    raise ValueError("a token outside the form")
+                if "&" in lexeme:
+                    lexeme = (
+                        lexeme.replace("&lt;", "<")
+                        .replace("&gt;", ">")
+                        .replace("&amp;", "&")
+                    )
+                token.label = lexeme
+                token.token_type = token_type
+                token.span = (line, col, end_line, end_col)
+                yield token
+            elif kind is not None:
+                node = _NODES.get(kind)
+                if node is None or not depth and (
+                    rooted or node.kind is not UniversalKind.COMPILATION_UNIT
+                ):
+                    raise ValueError("a <node> outside the form")
+                rooted = True
+                depth += 1
+                yield node
+            elif depth:
+                depth -= 1
+                yield None
+            else:
+                raise ValueError("an unmatched </node>")
+        if m is not None:
+            pos = m.end()
+        rest = text[pos:]
+    if not rooted or depth or rest != "</ecst>\n":
+        raise ValueError("an unfinished document")
+
+
+def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
+    """The tree of a document in serialize_tree's form, built from
+    _line_events; None for any other document.  The tree is not
+    validated here; parse_tree_xml does that."""
+    events = _line_events(pieces)
+    top: list[EcstNode] = []  # the COMPILATION_UNIT node, once read
+    children = top  # the open <node>'s children
+    append = top.append
+    parents: list[list] = []  # the children list each open <node> is in
     new_tuple = tuple.__new__
     try:
-        for text in pieces:
-            if rest:
-                return None
-            pos = 0
-            if head is None:
-                head = _HEADER.match(text)
-                if head is None:
-                    return None
-                pos = head.end()
-            m = None
-            for m in iter(_LINE.scanner(text, pos).match, None):
-                (token_type, raw_line, raw_col, raw_end, raw_end_col, lexeme,
-                 kind) = m.groups()
-                if token_type is not None:
-                    if raw_line != line_text:
-                        line_int = int(raw_line)
-                        line_text = raw_line
-                    line = line_int
-                    col = int(raw_col)
-                    end_line = line if raw_end == raw_line else int(raw_end)
-                    end_col = int(raw_end_col)
-                    token_type = _TYPES.get(token_type)
-                    if token_type is None or not (
-                        0 < line <= end_line
-                        and col > 0
-                        and end_col > 0
-                        and (line < end_line or col <= end_col)
-                    ):
-                        return None
-                    if "&" in lexeme:
-                        lexeme = (
-                            lexeme.replace("&lt;", "<")
-                            .replace("&gt;", ">")
-                            .replace("&amp;", "&")
-                        )
-                    append(
-                        EcstNode(
-                            lexeme,
-                            None,
-                            token_type,
-                            new_tuple(SourceSpan, (line, col, end_line, end_col)),
-                        )
-                    )
-                elif kind is not None:
-                    kind = _KINDS.get(kind)
-                    if kind is None:
-                        return None
-                    node = EcstNode(kind._value_, kind, None, None, [])
-                    append(node)
-                    parents.append(children)
-                    children = node.children
-                    append = children.append
-                elif parents:
-                    children = parents.pop()
-                    append = children.append
-                else:
-                    return None
-            if m is not None:
-                pos = m.end()
-            rest = text[pos:]
-        if head is None:
-            return None
-        source, language, total_lines = head.groups()
-        total_lines = int(total_lines)
-    except ValueError:  # a piece that is not UTF-8, or an int too long for int()
+        head = next(events)
+        for node in events:
+            if node is None:
+                children = parents.pop()
+                append = children.append
+            elif node.kind is None:
+                span = new_tuple(SourceSpan, node.span)
+                append(EcstNode(node.label, None, node.token_type, span))
+            else:
+                node = EcstNode(node.label, node.kind, None, None, [])
+                append(node)
+                parents.append(children)
+                children = node.children
+                append = children.append
+    except ValueError:  # a document not in the form, or not UTF-8
         return None
-    if (
-        parents
-        or rest != "</ecst>\n"
-        or total_lines < 1
-        or len(top) != 1
-        or top[0].kind is not UniversalKind.COMPILATION_UNIT
-    ):
-        return None
-    return EcstTree(top[0], source, language, total_lines)
+    return EcstTree(top[0], *head)
 
 
 # -- parse_tree_xml: the line reader, else expat ---------------------------

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import gc
 import io
 import os
+import random
 import resource
 import shutil
 import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -22,10 +25,11 @@ from hypothesis import strategies as st
 
 import ecstmetrics
 import generators
-from ecstmetrics import cli, measure_tree, parse_file, parse_source
+from ecstmetrics import cli, measure_tree, parse_file, parse_source, xmlio
 from ecstmetrics.cli import main
-from ecstmetrics.errors import LexError, ParseError
+from ecstmetrics.errors import LexError, ParseError, TreeXmlError
 from ecstmetrics.frontends.base import MAX_NESTING
+from ecstmetrics.metrics import render_table
 from ecstmetrics.tree import EcstTree, SourceSpan
 from ecstmetrics.xmlio import (
     load_tree_file,
@@ -35,7 +39,7 @@ from ecstmetrics.xmlio import (
 )
 from oracles import same_tree
 from test_reference_parity import LANGUAGES, PROGRAMS
-from test_xmlio import MINI_XML
+from test_xmlio import MINI_XML, writer_documents  # noqa: F401 (a fixture)
 
 
 @pytest.fixture
@@ -104,6 +108,200 @@ class TestMeasureCommand:
         assert main(["measure", "Features.mod", "--extended-cc", "--out", "e.xml"]) == 0
         text = (workdir / "e.xml").read_text(encoding="utf-8")
         assert 'name="Classify" annotation="FUNCTION_DECL" cc="6"' in text
+
+
+def _measure_outcome(argv) -> tuple:
+    """main(argv)'s exit code, standard output and error, and the bytes
+    of the metrics file it names with --out (None when there is none)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    path = Path(argv[argv.index("--out") + 1])
+    written = path.read_bytes() if path.exists() else None
+    with contextlib.suppress(FileNotFoundError):
+        path.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def _tree_path_outcomes(src: str, out: str, flag_sets: list) -> list[tuple]:
+    """What measure prints and writes for the tree file src with --out
+    out and each list of flags, as _measure_outcome gives it, worked out
+    from measure_tree(load_tree_file(src)) without the command."""
+    try:
+        tree = load_tree_file(src)
+    except TreeXmlError as e:
+        return [(5, "", f"{src}: error: {e}\n", None)] * len(flag_sets)
+    outcomes = []
+    for flags in flag_sets:
+        report = measure_tree(tree, extended="--extended-cc" in flags)
+        printed = (render_table(report) if "--table" in flags else "") + f"{src} -> {out}\n"
+        outcomes.append((0, printed, "", serialize_metrics(report).encode()))
+    return outcomes
+
+
+class TestStreamedMeasure:
+    """measure on a tree file folds the document as it is read, with no
+    tree built; what it prints and writes is that of the tree path,
+    measure_tree(load_tree_file(src)), for every document."""
+
+    FLAG_SETS = [[], ["--extended-cc"], ["--table"]]
+
+    def test_writer_documents_match_the_tree_path(self, workdir, writer_documents):
+        for doc in writer_documents:
+            (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
+            expected = _tree_path_outcomes("x.ecst.xml", "m.xml", self.FLAG_SETS)
+            for flags, outcome in zip(self.FLAG_SETS, expected):
+                assert outcome[0] == 0
+                argv = ["measure", "x.ecst.xml", *flags, "--out", "m.xml"]
+                assert _measure_outcome(argv) == outcome, flags
+
+    def test_mutated_documents_match_the_tree_path(self, workdir, writer_documents):
+        # The 40 smallest, since most mutants go to expat after the fold.
+        bases = sorted(writer_documents, key=len)[:40]
+        rng = random.Random(20261019)
+        kinds = Counter()
+        flags = ["--extended-cc", "--table"]
+        for _ in range(1200):
+            doc = generators.mutate_tree_document(rng.choice(bases), rng)
+            (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
+            [expected] = _tree_path_outcomes("x.ecst.xml", "m.xml", [flags])
+            argv = ["measure", "x.ecst.xml", *flags, "--out", "m.xml"]
+            assert _measure_outcome(argv) == expected, doc
+            code, _, err, _ = expected
+            kinds[code and ("invariant" if "tree invariants" in err else "element")] += 1
+        # Reports, element faults and invariant faults all occur.
+        assert kinds[0] > 50 and kinds["element"] > 500 and kinds["invariant"] > 10
+
+    def test_writer_document_builds_no_tree(self, workdir, writer_documents, monkeypatch):
+        built = Counter()
+
+        def counting(name, real):
+            def build(*args):
+                built[name] += 1
+                return real(*args)
+
+            return build
+
+        def fail(*args):
+            raise AssertionError("the tree path ran")
+
+        monkeypatch.setattr(xmlio.expat, "ParserCreate", fail)
+        monkeypatch.setattr(cli, "parse_tree_xml", fail)
+        monkeypatch.setattr(cli, "measure_tree", fail)
+        monkeypatch.setattr(xmlio, "EcstTree", counting("tree", xmlio.EcstTree))
+        monkeypatch.setattr(xmlio, "EcstNode", counting("node", xmlio.EcstNode))
+        for doc in writer_documents[:40]:
+            (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
+            assert main(["measure", "x.ecst.xml", "--extended-cc"]) == 0
+        # One token node per document stands for all of its tokens.
+        assert built == {"node": 40}
+
+    # Documents in the writer's form whose tree breaks an invariant, with
+    # the message of the tree path.
+    INVARIANT_FAULTS = {
+        "two swapped tokens": (
+            lambda doc: doc.replace(
+                'line="1" col="1" endLine="1" endCol="9">PROCEDURE',
+                'line="1" col="13" endLine="1" endCol="21">PROCEDURE',
+            ),
+            "token 'P' at 1:11 does not start after the previous token ends",
+        ),
+        "last token after totalLines": (
+            lambda doc: doc.replace(
+                'line="1" col="11" endLine="1"', 'line="2" col="11" endLine="2"'
+            ),
+            "last token ends on line 2, after the last line 1",
+        ),
+        "CONDITION outside any BRANCH or LOOP_STATEMENT": (
+            lambda doc: doc.replace("FUNCTION_DECL", "CONDITION"),
+            "CONDITION node outside any BRANCH or LOOP_STATEMENT",
+        ),
+        "FUNCTION_DECL without an identifier": (
+            lambda doc: doc.replace('"identifier"', '"keyword"'),
+            "FUNCTION_DECL without an identifier token",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(INVARIANT_FAULTS))
+    def test_invariant_fault_gives_the_tree_path_message(self, workdir, fault):
+        edit, message = self.INVARIANT_FAULTS[fault]
+        (workdir / "x.ecst.xml").write_text(edit(MINI_XML), encoding="utf-8")
+        argv = ["measure", "x.ecst.xml", "--out", "m.xml"]
+        err = f"x.ecst.xml: error: document violates tree invariants: {message}\n"
+        assert _measure_outcome(argv) == (5, "", err, None)
+        assert _tree_path_outcomes("x.ecst.xml", "m.xml", [[]]) == [(5, "", err, None)]
+
+    # Documents one element line away from the writer's form, which the
+    # line reader declines part-way or at the end.
+    FORM_FAULTS = {
+        "token before the root": lambda doc: doc.replace(
+            '  <node kind="COMPILATION_UNIT">', '  <token type="keyword" line="1"'
+            ' col="1" endLine="1" endCol="1">A</token>\n  <node kind="COMPILATION_UNIT">'
+        ),
+        "second root": lambda doc: doc.replace(
+            "</ecst>", '<node kind="COMPILATION_UNIT">\n</node>\n</ecst>'
+        ),
+        "root of another kind": lambda doc: doc.replace(
+            "COMPILATION_UNIT", "BRANCH_STATEMENT"
+        ),
+        "unclosed root": lambda doc: doc.replace("  </node>\n</ecst>", "</ecst>"),
+        "end tag after the root": lambda doc: doc.replace("</ecst>", "</node>\n</ecst>"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FORM_FAULTS))
+    def test_form_fault_gives_the_tree_path_message(self, workdir, fault):
+        doc = self.FORM_FAULTS[fault](MINI_XML)
+        assert doc != MINI_XML
+        (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
+        [expected] = _tree_path_outcomes("x.ecst.xml", "m.xml", [[]])
+        assert expected[0] == 5
+        assert _measure_outcome(["measure", "x.ecst.xml", "--out", "m.xml"]) == expected
+
+    def test_fifo_matches_a_regular_file(self, workdir, writer_documents):
+        docs = [writer_documents[5], MINI_XML.replace("FUNCTION_DECL", "CONDITION")]
+        for doc in docs:
+            (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
+            argv = ["measure", "x.ecst.xml", "--table", "--out", "m.xml"]
+            expected = _measure_outcome(argv)
+            (workdir / "x.ecst.xml").unlink()
+            os.mkfifo(workdir / "x.ecst.xml")
+            writer = threading.Thread(
+                target=(workdir / "x.ecst.xml").write_text, args=(doc,), daemon=True
+            )
+            writer.start()
+            assert _measure_outcome(argv) == expected
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            (workdir / "x.ecst.xml").unlink()
+        assert expected[0] == 5
+
+    def test_empty_branch_before_a_loop_in_a_branch_statement(self, workdir):
+        # At a BRANCH_STATEMENT's entry its later children are not yet
+        # read: the empty BRANCH, the first fault in document order, is
+        # reported, not the LOOP_STATEMENT among its universal children.
+        doc = (
+            '<ecst source="x" language="javaoo" totalLines="1">\n'
+            '  <node kind="COMPILATION_UNIT">\n'
+            '    <node kind="BRANCH_STATEMENT">\n'
+            '      <node kind="BRANCH">\n'
+            "      </node>\n"
+            '      <node kind="LOOP_STATEMENT">\n'
+            '        <token type="keyword" line="1" col="1" endLine="1" endCol="5">while</token>\n'
+            "      </node>\n"
+            "    </node>\n"
+            "  </node>\n"
+            "</ecst>\n"
+        )
+        message = (
+            "document violates tree invariants: "
+            "universal node 'BRANCH' has no concrete descendants"
+        )
+        with pytest.raises(TreeXmlError) as raised:
+            parse_tree_xml(doc)
+        assert str(raised.value) == message
+        (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
+        argv = ["measure", "x.ecst.xml", "--out", "m.xml"]
+        assert _measure_outcome(argv) == (5, "", f"x.ecst.xml: error: {message}\n", None)
 
 
 class TestRunCommand:
@@ -891,8 +1089,11 @@ class TestNoCyclicGarbage:
     cycle of argparse's own objects (a HelpFormatter and its _Sections),
     which a collection after main returns frees."""
 
-    # Trees measure rejects with exit 5, through three paths of the reader.
+    # Trees measure rejects with exit 5, through four paths of the reader,
+    # and one that the line reader declines only at its end.
     BAD_TREES = {
+        "fold.ecst.xml": MINI_XML.replace("FUNCTION_DECL", "CONDITION"),
+        "late.ecst.xml": MINI_XML + "<!-- done -->\n",
         "type.ecst.xml": MINI_XML.replace('type="keyword"', 'type="kw"'),
         "cut.ecst.xml": MINI_XML[:-12],
         "loose.ecst.xml": MINI_XML.replace(
@@ -924,6 +1125,8 @@ class TestNoCyclicGarbage:
         "unknown token type": (["measure", "type.ecst.xml"], 5),
         "not well-formed": (["measure", "cut.ecst.xml"], 5),
         "invariant breach": (["measure", "loose.ecst.xml"], 5),
+        "invariant breach while folded": (["measure", "fold.ecst.xml"], 5),
+        "declined after folding": (["measure", "late.ecst.xml"], 0),
         "lex error": (["parse", "Open.mod"], 3),
         "parse error": (["measure", "Broken.java"], 3),
         "unknown extension": (["parse", "notes.txt"], 2),
@@ -1059,7 +1262,7 @@ class TestPeakMemory:
             ["run", "Big.mod", "--tree-dir", "t", "--metrics-dir", "m"],
             1.4,
         ),
-        "measure TREE": (["measure", "Big.mod.ecst.xml"], 1.4),
+        "measure TREE": (["measure", "Big.mod.ecst.xml"], 0.3),
     }
 
     def test_peak_is_one_tree(self, workdir):

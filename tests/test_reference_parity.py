@@ -11,6 +11,7 @@ import generators
 import oracles
 from conftest import CORPUS, FIXTURE_DIR
 from ecstmetrics import parse_source, xmlio
+from ecstmetrics.cli import main
 from ecstmetrics.errors import LexError, ParseError
 from ecstmetrics.metrics import measure_tree
 from ecstmetrics.tree import (
@@ -21,7 +22,7 @@ from ecstmetrics.tree import (
     validate_tree,
     walk,
 )
-from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
+from ecstmetrics.xmlio import parse_tree_xml, serialize_metrics, serialize_tree
 
 LANGUAGES = ("modula2", "javaoo")
 SEEDS = range(200)
@@ -218,3 +219,71 @@ def test_comment_edged_nodes_match_reference(monkeypatch):
         for r in measure_tree(tree).elements
     ]
     assert rows == [("P", 2, 7, 2, 6, 1, 7), ("WHILE", 1, 3, 1, 3, 4, 6)]
+
+
+def _unusual_tree():
+    """A valid tree in shapes no frontend builds: a unit whose only
+    identifier follows its "(", a branch with two CONDITIONs whose second
+    direct keyword, after them, makes it an else-if, an else branch whose
+    only other keyword is inside its CONDITION, a branch and a loop with
+    no keyword, and a logical operator inside a condition."""
+
+    def tok(label, token_type, line, col):
+        return EcstNode(label, None, token_type, SourceSpan(line, col, line, col + len(label) - 1))
+
+    def node(kind, *children):
+        return EcstNode.universal(kind, list(children))
+
+    elsif = node(
+        UniversalKind.BRANCH,
+        tok("else", "keyword", 2, 1),
+        node(UniversalKind.CONDITION, tok("not", "keyword", 2, 6), tok("a", "identifier", 2, 10)),
+        node(
+            UniversalKind.CONDITION,
+            tok("b", "identifier", 2, 12),
+            tok("&&", "operator", 2, 14),
+            tok("c", "identifier", 2, 17),
+        ),
+        tok("if", "keyword", 2, 19),
+    )
+    unit = node(
+        UniversalKind.FUNCTION_DECL,
+        tok("void", "keyword", 1, 1),
+        tok("(", "punctuation", 1, 6),
+        tok("q", "identifier", 1, 7),
+        tok(")", "punctuation", 1, 8),
+        node(
+            UniversalKind.BRANCH_STATEMENT,
+            elsif,
+            node(
+                UniversalKind.BRANCH,
+                tok("else", "keyword", 3, 1),
+                node(UniversalKind.CONDITION, tok("if", "keyword", 3, 6)),
+            ),
+            node(UniversalKind.BRANCH, tok("z", "identifier", 4, 1)),
+        ),
+        node(
+            UniversalKind.LOOP_STATEMENT,
+            node(UniversalKind.CONDITION, tok("d", "identifier", 5, 1)),
+        ),
+    )
+    root = node(UniversalKind.COMPILATION_UNIT, unit)
+    return EcstTree(root, "Odd.java", "javaoo", 5)
+
+
+def test_unusual_names_and_decisions_match_reference(tmp_path, capsys):
+    tree = _unusual_tree()
+    validate_tree(tree)
+    expected = oracles.reference_measure_tree(tree)
+    rows = [(r.name, r.cc) for r in expected[True].elements]
+    assert rows == [
+        ("q", 5), ("BRANCHING", 3), ("ELSIF", 2), ("ELSE", 1), ("BRANCH", 0), ("LOOP", 1)
+    ]
+    path = tmp_path / "Odd.java.ecst.xml"
+    path.write_text(serialize_tree(tree), encoding="utf-8")
+    out = tmp_path / "m.xml"
+    for extended, flags in ((False, []), (True, ["--extended-cc"])):
+        assert measure_tree(tree, extended) == expected[extended]
+        # measure folds the file as it reads it, with no tree built
+        assert main(["measure", str(path), *flags, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == serialize_metrics(expected[extended])

@@ -194,6 +194,22 @@ class TestValidation:
         with pytest.raises(MalformedTreeError):
             validate_tree(tree)
 
+    def test_branch_statement_children_are_checked_at_their_entry(self):
+        # A CONDITION right inside a BRANCH_STATEMENT is worded as the
+        # chain's child before its own place is checked; an empty BRANCH
+        # before a LOOP_STATEMENT is the first fault in document order.
+        cond = EcstNode.universal(UniversalKind.CONDITION, [_tok("x")])
+        chain = EcstNode.universal(UniversalKind.BRANCH_STATEMENT, [cond])
+        with pytest.raises(MalformedTreeError) as info:
+            validate_tree(_tree([chain]))
+        assert str(info.value) == "BRANCH_STATEMENT has a universal child of kind CONDITION"
+        empty = EcstNode.universal(UniversalKind.BRANCH, [])
+        loop = EcstNode.universal(UniversalKind.LOOP_STATEMENT, [_tok("WHILE", "keyword")])
+        chain = EcstNode.universal(UniversalKind.BRANCH_STATEMENT, [empty, loop])
+        with pytest.raises(MalformedTreeError) as info:
+            validate_tree(_tree([chain]))
+        assert str(info.value) == "universal node 'BRANCH' has no concrete descendants"
+
     def test_rejects_function_without_identifier(self):
         unit = _unit([_tok("BEGIN", "keyword")])
         tree = _tree([unit])
