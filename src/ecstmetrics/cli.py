@@ -20,7 +20,7 @@ from .frontends import parse_file
 from .frontends.registry import BUILTIN, detect, load_registry
 from .metrics import _fold, _report, measure_tree, render_table
 from .tree import _checked
-from .xmlio import _line_events, _pieces
+from .xmlio import _invariant_fault, _line_events, _parse_expat, _pieces, _validated
 from .xmlio import load_tree_file, parse_tree_xml, serialize_metrics, serialize_tree
 
 TREE_SUFFIX = ".ecst.xml"
@@ -127,10 +127,9 @@ def _cmd_parse(args) -> int:
 
 def _measure_tree_file(src, extended: bool):
     """The report of the tree file src, folded as the file is read, with
-    no tree built.  A document the line reader declines or whose events
-    break an invariant, and a file that cannot seek, is read from its
-    start by parse_tree_xml and measured as a tree: that path alone
-    words a fault."""
+    no tree built.  The line reader reads each document at most once: one
+    it declines, and a file that cannot seek, is read from its start by
+    expat, which words its faults, and measured as a tree."""
     try:
         with open(src, "rb") as f:
             if f.seekable():
@@ -138,9 +137,17 @@ def _measure_tree_file(src, extended: bool):
                 try:
                     head = next(events)
                     return _report(*head, _fold(_checked(events, head[2]), extended))
-                except (ValueError, MalformedTreeError):
-                    f.seek(0)
-            tree = parse_tree_xml(f)
+                except MalformedTreeError as e:
+                    # The document's first fault, unless the line reader
+                    # declines what follows: expat ranks element faults first.
+                    with contextlib.suppress(ValueError):
+                        for _ in events:
+                            pass
+                        raise _invariant_fault(e) from e
+                except ValueError:  # not in the writer's form, or not UTF-8
+                    pass
+                f.seek(0)
+            tree = _validated(_parse_expat(f))
     except OSError as e:
         raise SourceIoError(f"cannot read {src}: {e.strerror or e}") from e
     return measure_tree(tree, extended=extended)

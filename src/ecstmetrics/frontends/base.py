@@ -97,7 +97,7 @@ class BaseParser:
         tok = self._peek()
         if tok is None and self.toks:
             tok = self.toks[-1]
-        span = tok.span if tok is not None else SourceSpan(1, 1, 1, 1)
+        span = SourceSpan(*tok.span) if tok is not None else SourceSpan(1, 1, 1, 1)
         raise ParseError(f"{message}", span=span)
 
     # -- tree assembly -----------------------------------------------------
@@ -138,15 +138,19 @@ class BaseParser:
         c = 0
         due = comments[0][0]  # tokens before the next comment to place
         seen = 0  # real tokens walked so far
-        stack = [[root, 0]]  # open nodes with the index of their next child
+        # Open nodes: the node, the index of its next child, and its new
+        # children list from its first comment on (None before), so each
+        # node's list is built once instead of shifted per comment.
+        stack = [[root, 0, None]]
         while c < inside:
-            node, k = frame = stack[-1]
+            node, k, out = frame = stack[-1]
             children = node.children
             # Step through this node's children until one is universal.
             while k < len(children):
                 if seen == due:
-                    children.insert(k, comments[c][1])
-                    k += 1
+                    if out is None:
+                        out = frame[2] = children[:k]
+                    out.append(comments[c][1])
                     c += 1
                     if c == inside:
                         break
@@ -154,13 +158,23 @@ class BaseParser:
                     continue
                 child = children[k]
                 k += 1
+                if out is not None:
+                    out.append(child)
                 if child.kind is not None:
-                    frame[1] = k
-                    stack.append([child, 0])
+                    stack.append([child, 0, None])
                     break
                 seen += 1
             else:
                 stack.pop()
+                if out is not None:
+                    node.children = out
+                continue
+            frame[1] = k
+        # The nodes still open keep the children the walk did not reach.
+        for node, k, out in stack:
+            if out is not None:
+                out.extend(node.children[k:])
+                node.children = out
         root.children.extend(comment for _, comment in comments[c:])
 
     # -- shared construct helpers ------------------------------------------

@@ -3,12 +3,13 @@
 A LexerSpec holds one language's lexical rules; each language's parser
 keeps its own as SPEC.  One compiled pattern per spec splits the text
 into tokens; each match is classified by the spec and becomes a concrete
-EcstNode, the token the tree keeps, with a 1-based, inclusive
-SourceSpan.  Blanks ride with the match before them: every match takes
-the blanks after it, and a line break takes the next line's indentation,
-so the loop turns once per token and once per line.  The pattern matches
-only a block comment's opener; a str.find loop then finds the closer,
-because Modula-2 comments nest.
+EcstNode, the token the tree keeps, whose span is the plain 1-based,
+inclusive tuple (line, col, end_line, end_col); only a LexError's span
+is a SourceSpan.  Blanks ride with the match before them: every match
+takes the blanks after it, and a line break takes the next line's
+indentation, so the loop turns once per token and once per line.  The
+pattern matches only a block comment's opener; a str.find loop then
+finds the closer, because Modula-2 comments nest.
 """
 
 from __future__ import annotations
@@ -125,15 +126,15 @@ def _error(message: str, line: int, col: int) -> LexError:
 def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
     """Tokenize text by spec; comments kept, whitespace dropped.
 
-    Newlines must already be normalized to "\\n".  Spans are 1-based and
-    inclusive.  Raises LexError, whose span is the position of the
+    Newlines must already be normalized to "\\n".  Each token's span is
+    the plain tuple (line, col, end_line, end_col), 1-based and
+    inclusive.  Raises LexError, whose SourceSpan is the position of the
     offending character or of the opener of an unterminated literal or
     comment.
     """
     match, word_types, symbol_types = _compile(spec)
     tokens = []
     append = tokens.append
-    new_tuple = tuple.__new__  # a SourceSpan without its Python-level __new__
     pos = 0
     line = 1
     line_start = 0  # offset of the current line's first character
@@ -165,7 +166,7 @@ def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
             if breaks:
                 line += breaks
                 line_start = text.rfind("\n", pos, end) + 1
-            span = new_tuple(SourceSpan, (start_line, col, line, end - line_start))
+            span = (start_line, col, line, end - line_start)
             append(EcstNode(text[pos:end], None, "comment", span))
             pos = end
             continue
@@ -177,7 +178,7 @@ def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
         else:
             lexeme = m[kind]
             token_type = _GROUP_TYPES[kind]
-        span = new_tuple(SourceSpan, (line, col, line, col + len(lexeme) - 1))
+        span = (line, col, line, col + len(lexeme) - 1)
         append(EcstNode(lexeme, None, token_type, span))
         pos = m.end()
     return tokens

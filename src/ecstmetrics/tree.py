@@ -40,8 +40,10 @@ TOKEN_TYPES = frozenset(
 class SourceSpan(NamedTuple):
     """1-based inclusive line/column range in the physical source text.
 
-    Not checked here: the scanner builds valid spans and the XML reader
-    checks the ones it reads.
+    The span of every LexError and ParseError.  A token's own span is
+    the plain tuple of the same four fields, in this order, which
+    SourceSpan(*node.span) names.  Not checked here: the scanner builds
+    valid spans and the XML readers check the ones they read.
     """
 
     start_line: int
@@ -57,14 +59,16 @@ class EcstNode:
     label holds the source lexeme for concrete nodes and the canonical
     kind spelling for universal nodes.  The scanner makes the concrete
     nodes and the parser places each of them once in the tree.  A token
-    is a leaf: its children are the shared empty tuple.  Nodes compare by
-    identity; comparing their fields would recurse through the children.
+    is a leaf: its children are the shared empty tuple.  Its span is the
+    plain tuple (start_line, start_col, end_line, end_col), read by
+    position; a universal node has none.  Nodes compare by identity;
+    comparing their fields would recurse through the children.
     """
 
     label: str
     kind: UniversalKind | None = None
     token_type: str | None = None
-    span: SourceSpan | None = None
+    span: tuple[int, int, int, int] | None = None
     children: list["EcstNode"] | tuple = ()
 
     @classmethod

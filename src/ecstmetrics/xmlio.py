@@ -212,14 +212,14 @@ def _build_node(el: _Open, ints: dict) -> EcstNode:
         lexeme = "".join(el.text)
         if not lexeme:
             _fail(el, "empty <token> lexeme")
-        span = SourceSpan(
+        span = (
             _int_attr(el, "line", ints),
             _int_attr(el, "col", ints),
             _int_attr(el, "endLine", ints),
             _int_attr(el, "endCol", ints),
         )
         if span[:2] > span[2:]:
-            _fail(el, f"invalid span: span start after end: {span}")
+            _fail(el, f"invalid span: span start after end: {SourceSpan(*span)}")
         return EcstNode(lexeme, None, token_type, span)
     _fail(el, f"unknown element <{el.tag}>")
 
@@ -363,13 +363,12 @@ def _line_events(pieces: Iterable[str]) -> Iterator:
 def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
     """The tree of a document in serialize_tree's form, built from
     _line_events; None for any other document.  The tree is not
-    validated here; parse_tree_xml does that."""
+    validated here; _validated does that."""
     events = _line_events(pieces)
     top: list[EcstNode] = []  # the COMPILATION_UNIT node, once read
     children = top  # the open <node>'s children
     append = top.append
     parents: list[list] = []  # the children list each open <node> is in
-    new_tuple = tuple.__new__
     try:
         head = next(events)
         for node in events:
@@ -377,8 +376,8 @@ def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
                 children = parents.pop()
                 append = children.append
             elif node.kind is None:
-                span = new_tuple(SourceSpan, node.span)
-                append(EcstNode(node.label, None, node.token_type, span))
+                # each token's span is a new tuple, which the tree keeps
+                append(EcstNode(node.label, None, node.token_type, node.span))
             else:
                 node = EcstNode(node.label, node.kind, None, None, [])
                 append(node)
@@ -403,8 +402,9 @@ def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
     one regular-expression match per element.  Any other document, and
     a non-seekable file, is read by expat from its start: a valid one
     gives the same tree, and expat's reader alone words the other faults.
-    Either reader's tree is validated here, so its faults are worded once.
-    Raises TreeXmlError on any well-formedness or schema violation.
+    Either reader's tree goes through _validated, so its faults are
+    worded once.  Raises TreeXmlError on any well-formedness or schema
+    violation.
     """
     if not hasattr(data, "read"):
         pieces = (data,) if isinstance(data, str) else _pieces(io.BytesIO(data))
@@ -418,11 +418,22 @@ def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
         tree = None
     if tree is None:
         tree = _parse_expat(data)
+    return _validated(tree)
+
+
+def _validated(tree: EcstTree) -> EcstTree:
+    """tree, once validate_tree passes it; else its first invariant fault
+    as _invariant_fault words it."""
     try:
         validate_tree(tree)
     except MalformedTreeError as e:
-        raise TreeXmlError(f"document violates tree invariants: {e}") from e
+        raise _invariant_fault(e) from e
     return tree
+
+
+def _invariant_fault(fault: MalformedTreeError) -> TreeXmlError:
+    """The error of a document whose tree breaks an invariant."""
+    return TreeXmlError(f"document violates tree invariants: {fault}")
 
 
 def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
@@ -431,7 +442,7 @@ def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
     Nodes are built straight from the parser's events, without recursion:
     each element is one _Open record from its start tag, and at its end
     tag _build_node checks it and builds its node.  The tree is not
-    validated here; parse_tree_xml does that.
+    validated here; _validated does that.
     Raises TreeXmlError on any well-formedness or element violation; of
     several element violations, the one of the <ecst> element comes
     first, then the first failing element in document order.

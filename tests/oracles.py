@@ -345,9 +345,7 @@ def reference_lex(source, language_id):
             token_type = "punctuation" if lexeme in spec.punctuation else "operator"
         else:
             token_type = "comment"
-        tokens.append(
-            EcstNode(lexeme, None, token_type, SourceSpan(line, col, end_line, end_col))
-        )
+        tokens.append(EcstNode(lexeme, None, token_type, (line, col, end_line, end_col)))
     return tokens
 
 
@@ -363,7 +361,7 @@ def reference_attach_comments(parser, root):
     if not parser.comments:
         return
     # A concrete node is the token itself, so it shares the token's
-    # SourceSpan object.
+    # span tuple.
     token_index = {id(tok.span): i for i, tok in enumerate(parser.toks)}
     ranges = {}
 
@@ -438,21 +436,16 @@ def subtree_span(node):
     for n in preorder(node):
         if n.span is None:
             continue
-        if first is None or (n.span.start_line, n.span.start_col) < (
-            first.start_line,
-            first.start_col,
-        ):
-            first = n.span
-        if last is None or (n.span.end_line, n.span.end_col) > (
-            last.end_line,
-            last.end_col,
-        ):
-            last = n.span
+        start_line, start_col, end_line, end_col = n.span
+        if first is None or (start_line, start_col) < first:
+            first = (start_line, start_col)
+        if last is None or (end_line, end_col) > last:
+            last = (end_line, end_col)
     if first is None:
         raise MalformedTreeError(
             f"universal node {node.label!r} has no concrete descendants"
         )
-    return SourceSpan(first.start_line, first.start_col, last.end_line, last.end_col)
+    return SourceSpan(*first, *last)
 
 
 def comment_lines_inside(comments, node) -> int:
@@ -495,7 +488,8 @@ def _loc_bundle(node):
         if n.span is None:
             continue
         target = comment_lines if n.token_type == "comment" else code_lines
-        target.update(range(n.span.start_line, n.span.end_line + 1))
+        start_line, _, end_line, _ = n.span
+        target.update(range(start_line, end_line + 1))
     return LocBundle(
         loc=span.end_line - span.start_line + 1,
         sloc=len(code_lines),
@@ -674,14 +668,14 @@ def _build_node(el: _Open) -> EcstNode:
             _fail(el, "<token> must not contain elements")
         if not text:
             _fail(el, "empty <token> lexeme")
-        span = SourceSpan(
+        span = (
             _int_attr(el, "line"),
             _int_attr(el, "col"),
             _int_attr(el, "endLine"),
             _int_attr(el, "endCol"),
         )
         if span[:2] > span[2:]:
-            _fail(el, f"invalid span: span start after end: {span}")
+            _fail(el, f"invalid span: span start after end: {SourceSpan(*span)}")
         return EcstNode(text, None, token_type, span)
     _fail(el, f"unknown element <{el.tag}>")
 
@@ -769,11 +763,11 @@ def reference_serialize_tree(tree: EcstTree) -> str:
         depth = len(stack) - 1  # open <node> elements, each one level of indent
         for node in stack[-1]:
             if node.kind is None:
-                span = node.span
+                line, col, end_line, end_col = node.span
                 out.append(
                     f"{'  ' * (depth + 1)}<token type=\"{node.token_type}\""
-                    f' line="{span.start_line}" col="{span.start_col}"'
-                    f' endLine="{span.end_line}" endCol="{span.end_col}"'
+                    f' line="{line}" col="{col}"'
+                    f' endLine="{end_line}" endCol="{end_col}"'
                     f">{escape(node.label)}</token>\n"
                 )
             else:

@@ -257,6 +257,45 @@ class TestStreamedMeasure:
         assert expected[0] == 5
         assert _measure_outcome(["measure", "x.ecst.xml", "--out", "m.xml"]) == expected
 
+    # Documents the line reader declines only after folding part or all
+    # of them, with and without an invariant fault before the decline.
+    LATE_DECLINES = {
+        "comment after the end": lambda doc: doc + "<!-- done -->\n",
+        "misspelt end tag": lambda doc: doc.replace("</ecst>", "</ecsx>"),
+        "invariant fault, then a comment": lambda doc: (
+            doc.replace("FUNCTION_DECL", "CONDITION") + "<!-- done -->\n"
+        ),
+        "invariant fault, then a misspelt end tag": lambda doc: (
+            doc.replace("FUNCTION_DECL", "CONDITION").replace("</ecst>", "</ecsx>")
+        ),
+        "invariant fault in the writer's form": lambda doc: (
+            doc.replace("FUNCTION_DECL", "CONDITION")
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(LATE_DECLINES))
+    def test_each_document_is_read_once_by_the_line_reader(
+        self, workdir, writer_documents, monkeypatch, fault
+    ):
+        read = []
+        line_events = xmlio._line_events
+
+        def counted(pieces):
+            read.append(pieces)
+            return line_events(pieces)
+
+        argv = ["measure", "x.ecst.xml", "--table", "--out", "m.xml"]
+        for doc in (MINI_XML, writer_documents[5]):
+            doc = self.LATE_DECLINES[fault](doc)
+            (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
+            [expected] = _tree_path_outcomes("x.ecst.xml", "m.xml", [["--table"]])
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "_line_events", counted)
+                patched.setattr(xmlio, "_line_events", counted)
+                read.clear()
+                assert _measure_outcome(argv) == expected
+            assert len(read) == 1
+
     def test_fifo_matches_a_regular_file(self, workdir, writer_documents):
         docs = [writer_documents[5], MINI_XML.replace("FUNCTION_DECL", "CONDITION")]
         for doc in docs:
@@ -433,6 +472,16 @@ class TestExitCodes:
         assert err.startswith("Broken.java:2:")
         assert ": error:" in err
         assert not (workdir / "Broken.java.metrics.xml").exists()
+
+    def test_parse_error_at_end_of_input_is_3_with_position(self, workdir, capsys):
+        # The error names the last token's position, as a SourceSpan.
+        (workdir / "Cut.java").write_text("class T {\n  void m() {\n", encoding="utf-8")
+        (workdir / "Cut.mod").write_text("MODULE M;\nBEGIN\n", encoding="utf-8")
+        assert main(["run", "Cut.java", "Cut.mod"]) == 3
+        assert capsys.readouterr().err == (
+            "Cut.java:2:12: error: expected '}', found end of input\n"
+            "Cut.mod:2:1: error: expected 'END', found end of input\n"
+        )
 
     def test_lex_error_is_3(self, workdir, capsys):
         src = workdir / "Open.mod"

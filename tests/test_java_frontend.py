@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ecstmetrics import parse_source
 from ecstmetrics.errors import ParseError
 from ecstmetrics.frontends import lex
+from ecstmetrics.frontends.java import JavaParser
 from ecstmetrics.tree import UniversalKind
 from oracles import nodes_of, preorder, same_tree
 
@@ -109,21 +111,36 @@ class TestCommentAttachment:
         _, tree = corpus["QuickSort.java"]
         first = tree.root.children[0]
         assert first.token_type == "comment"
-        assert first.span.start_line == 1
+        start_line, _, _, _ = first.span
+        assert start_line == 1
 
     def test_method_body_comments(self, corpus):
         _, tree = corpus["QuickSort.java"]
         unit = nodes_of(tree, UniversalKind.FUNCTION_DECL)[0]
-        direct = [
-            c.span.start_line for c in unit.children if c.token_type == "comment"
-        ]
-        assert direct == [8, 25]
+        comments = [c for c in unit.children if c.token_type == "comment"]
+        assert [line for line, _, _, _ in (c.span for c in comments)] == [8, 25]
 
     def test_swap_comment_sits_inside_branch(self, corpus):
         _, tree = corpus["QuickSort.java"]
         branch = nodes_of(tree, UniversalKind.BRANCH)[0]
         comments = [c for c in branch.children if c.token_type == "comment"]
-        assert [c.span.start_line for c in comments] == [16]
+        assert [line for line, _, _, _ in (c.span for c in comments)] == [16]
+
+    def test_attachment_is_linear_in_a_flat_body(self):
+        # Every comment of one flat body goes into the same children
+        # list: inserting them one at a time would cost n * comments.
+        def best_of_3(n: int) -> float:
+            tokens = lex(_wrap("x = x + i; // c\n" * n), "javaoo")
+            best = float("inf")
+            for _ in range(3):
+                parser = JavaParser(tokens, "javaoo", "T.java")
+                root = parser.parse_compilation_unit()
+                started = time.perf_counter()
+                parser._attach_comments(root)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        assert best_of_3(20_000) < 8 * best_of_3(5_000)
 
 
 class TestInvariants:

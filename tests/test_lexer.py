@@ -48,8 +48,8 @@ class TestModula2Lexing:
         tokens = lex("x := 1; (* note\nspans lines *)\ny := 2;", "modula2")
         comments = [t for t in tokens if t.token_type == "comment"]
         assert len(comments) == 1
-        assert comments[0].span.start_line == 1
-        assert comments[0].span.end_line == 2
+        start_line, _, end_line, _ = comments[0].span
+        assert (start_line, end_line) == (1, 2)
 
     def test_string_literal(self):
         tokens = lex("s := 'hi';", "modula2")
@@ -98,14 +98,13 @@ class TestLexerContract:
 
     def test_spans_are_one_based_inclusive(self):
         tokens = lex("ab cd", "modula2")
-        assert tokens[0].span.start_col == 1
-        assert tokens[0].span.end_col == 2
-        assert tokens[1].span.start_col == 4
-        assert tokens[1].span.end_col == 5
+        cols = [(col, end_col) for _, col, _, end_col in (t.span for t in tokens)]
+        assert cols == [(1, 2), (4, 5)]
 
     def test_crlf_normalized(self):
         tokens = lex("a\r\nb", "modula2")
-        assert tokens[1].span.start_line == 2
+        start_line, _, _, _ = tokens[1].span
+        assert start_line == 2
 
     def test_unknown_language(self):
         with pytest.raises(UnsupportedLanguageError):

@@ -133,10 +133,8 @@ class TestStructure:
 class TestCommentAttachment:
     def test_leading_comment_attaches_to_root(self, corpus):
         text, tree = corpus["QuickSort.mod"]
-        root_comments = [
-            c.span.start_line for c in tree.root.children if c.token_type == "comment"
-        ]
-        assert root_comments == [3]
+        comments = [c for c in tree.root.children if c.token_type == "comment"]
+        assert [line for line, _, _, _ in (c.span for c in comments)] == [3]
 
     def test_trailing_comment_does_not_stretch_loop(self, corpus):
         _, tree = corpus["QuickSort.mod"]
@@ -144,16 +142,14 @@ class TestCommentAttachment:
         span = subtree_span(repeat)
         assert (span.start_line, span.end_line) == (24, 38)
         unit = nodes_of(tree, UniversalKind.FUNCTION_DECL)[0]
-        unit_comment_lines = sorted(
-            c.span.start_line for c in unit.children if c.token_type == "comment"
-        )
-        assert unit_comment_lines == [20, 39]
+        comments = [c for c in unit.children if c.token_type == "comment"]
+        assert sorted(line for line, _, _, _ in (c.span for c in comments)) == [20, 39]
 
     def test_interior_comment_attaches_inside_branch(self, corpus):
         _, tree = corpus["QuickSort.mod"]
         branch = nodes_of(tree, UniversalKind.BRANCH)[0]
         comments = [c for c in branch.children if c.token_type == "comment"]
-        assert [c.span.start_line for c in comments] == [32]
+        assert [line for line, _, _, _ in (c.span for c in comments)] == [32]
 
 
 class TestInvariants:

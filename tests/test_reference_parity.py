@@ -39,6 +39,7 @@ def _assert_same(source, language):
         with pytest.raises(type(error)) as info:
             oracles.reference_parse_source(source, language)
         assert str(info.value) == str(error)
+        assert type(error.span) is SourceSpan
         return
     reference = oracles.reference_parse_source(source, language)
     assert serialize_tree(tree) == serialize_tree(reference)
@@ -165,7 +166,7 @@ def _comment_edged_tree():
     one.  No frontend places comments so, but the tree is valid."""
 
     def tok(label, token_type, *span):
-        return EcstNode(label, None, token_type, SourceSpan(*span))
+        return EcstNode(label, None, token_type, span)
 
     loop = EcstNode.universal(
         UniversalKind.LOOP_STATEMENT,
@@ -229,7 +230,7 @@ def _unusual_tree():
     no keyword, and a logical operator inside a condition."""
 
     def tok(label, token_type, line, col):
-        return EcstNode(label, None, token_type, SourceSpan(line, col, line, col + len(label) - 1))
+        return EcstNode(label, None, token_type, (line, col, line, col + len(label) - 1))
 
     def node(kind, *children):
         return EcstNode.universal(kind, list(children))

@@ -30,8 +30,8 @@ def _lexemes(tokens):
 
 
 def _positions(token):
-    span = token.span
-    return (span.start_line, span.start_col, span.end_line, span.end_col)
+    line, col, end_line, end_col = token.span
+    return (line, col, end_line, end_col)
 
 
 def _error(text, language):

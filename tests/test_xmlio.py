@@ -23,7 +23,6 @@ from ecstmetrics.tree import (
     TOKEN_TYPES,
     EcstNode,
     EcstTree,
-    SourceSpan,
     UniversalKind,
     walk,
 )
@@ -54,8 +53,8 @@ def _mini_tree() -> EcstTree:
     unit = EcstNode.universal(
         UniversalKind.FUNCTION_DECL,
         [
-            EcstNode("PROCEDURE", None, "keyword", SourceSpan(1, 1, 1, 9)),
-            EcstNode("P", None, "identifier", SourceSpan(1, 11, 1, 11)),
+            EcstNode("PROCEDURE", None, "keyword", (1, 1, 1, 9)),
+            EcstNode("P", None, "identifier", (1, 11, 1, 11)),
         ],
     )
     root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
@@ -81,7 +80,7 @@ class TestSerialize:
     def test_markup_characters_escaped(self):
         tree = _mini_tree()
         tree.root.children[0].children.append(
-            EcstNode("a<b&c", None, "operator", SourceSpan(1, 13, 1, 17))
+            EcstNode("a<b&c", None, "operator", (1, 13, 1, 17))
         )
         doc = serialize_tree(tree)
         assert "a&lt;b&amp;c" in doc
@@ -126,7 +125,7 @@ class TestRoundTrip:
     def test_escaped_lexemes_survive(self):
         tree = _mini_tree()
         tree.root.children[0].children.append(
-            EcstNode('"x<&>"', None, "literal", SourceSpan(1, 13, 1, 18))
+            EcstNode('"x<&>"', None, "literal", (1, 13, 1, 18))
         )
         again = parse_tree_xml(serialize_tree(tree))
         assert again.root.children[0].children[-1].label == '"x<&>"'
@@ -136,7 +135,7 @@ class TestRoundTrip:
             'col="11" endLine="1" endCol="11"', 'col="11" endLine="2" endCol="2"'
         ).replace('totalLines="1"', 'totalLines="2"')
         tree = parse_tree_xml(doc)
-        assert tree.root.children[0].children[1].span == SourceSpan(1, 11, 2, 2)
+        assert tree.root.children[0].children[1].span == (1, 11, 2, 2)
         assert serialize_tree(tree) == doc
 
     def test_bytes_and_str_inputs_agree(self):
@@ -160,6 +159,31 @@ class TestRoundTrip:
         assert token.label == "\u00e9"
         token = parse_tree_xml(doc.encode("latin-1")).root.children[0].children[1]
         assert token.label == "\u00e9"
+
+
+class TestSpanType:
+    """A token's span is the plain tuple (line, col, end_line, end_col)
+    in every tree, whichever builds it."""
+
+    @staticmethod
+    def _spans(tree: EcstTree) -> list:
+        spans = [n.span for n in walk(tree.root) if n is not None and n.kind is None]
+        for span in spans:
+            assert type(span) is tuple and len(span) == 4
+            assert all(type(value) is int for value in span)
+        return spans
+
+    def test_parsed_and_both_readers_trees_agree(self, corpus):
+        trees = [tree for _, tree in corpus.values()]
+        for language in ("modula2", "javaoo"):
+            for seed in range(20):
+                source = generators.generate(language, seed).source
+                trees.append(parse_source(source, language, source_path=f"g{seed}"))
+        for tree in trees:
+            doc = serialize_tree(tree)
+            parsed = self._spans(tree)
+            assert self._spans(xmlio._read_lines((doc,))) == parsed
+            assert self._spans(xmlio._parse_expat(doc)) == parsed
 
 
 class TestSchemaErrors:
@@ -703,8 +727,8 @@ class TestReadPieces:
         unit = EcstNode.universal(
             UniversalKind.FUNCTION_DECL,
             [
-                EcstNode("PROCEDURE", None, "keyword", SourceSpan(1, 1, 1, 9)),
-                EcstNode("\nP", None, "identifier", SourceSpan(1, 10, 2, 1)),
+                EcstNode("PROCEDURE", None, "keyword", (1, 1, 1, 9)),
+                EcstNode("\nP", None, "identifier", (1, 10, 2, 1)),
             ],
         )
         root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
@@ -876,7 +900,7 @@ class TestWriterParity:
         lexemes = ["&&", "<=", ">=", '"a<b&c>"', "// x < y", "<>", "&", "(* a<b *)", "'\"'"]
         tree = _mini_tree()
         tree.root.children[0].children += [
-            EcstNode(lexeme, None, "literal", SourceSpan(line, 1, line, len(lexeme)))
+            EcstNode(lexeme, None, "literal", (line, 1, line, len(lexeme)))
             for line, lexeme in enumerate(lexemes, start=2)
         ]
         assert serialize_tree(tree) == reference_serialize_tree(tree)
