@@ -20,7 +20,7 @@ from .frontends import parse_file
 from .frontends.registry import BUILTIN, detect, load_registry
 from .metrics import _fold, _report, measure_tree, render_table
 from .tree import _checked
-from .xmlio import _invariant_fault, _line_events, _parse_expat, _pieces, _validated
+from .xmlio import _line_events, _parse_expat, _pieces, _validated
 from .xmlio import load_tree_file, parse_tree_xml, serialize_metrics, serialize_tree
 
 TREE_SUFFIX = ".ecst.xml"
@@ -128,8 +128,9 @@ def _cmd_parse(args) -> int:
 def _measure_tree_file(src, extended: bool):
     """The report of the tree file src, folded as the file is read, with
     no tree built.  The line reader reads each document at most once: one
-    it declines, and a file that cannot seek, is read from its start by
-    expat, which words its faults, and measured as a tree."""
+    it declines or whose events break an invariant, and a file that
+    cannot seek, is read from its start by expat and measured as a tree:
+    that path alone words a fault."""
     try:
         with open(src, "rb") as f:
             if f.seekable():
@@ -137,16 +138,10 @@ def _measure_tree_file(src, extended: bool):
                 try:
                     head = next(events)
                     return _report(*head, _fold(_checked(events, head[2]), extended))
-                except MalformedTreeError as e:
-                    # The document's first fault, unless the line reader
-                    # declines what follows: expat ranks element faults first.
-                    with contextlib.suppress(ValueError):
-                        for _ in events:
-                            pass
-                        raise _invariant_fault(e) from e
-                except ValueError:  # not in the writer's form, or not UTF-8
-                    pass
-                f.seek(0)
+                except (ValueError, MalformedTreeError):
+                    # not in the writer's form, not UTF-8, or a fault that
+                    # expat words, ranking element faults first
+                    f.seek(0)
             tree = _validated(_parse_expat(f))
     except OSError as e:
         raise SourceIoError(f"cannot read {src}: {e.strerror or e}") from e

@@ -422,18 +422,13 @@ def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
 
 
 def _validated(tree: EcstTree) -> EcstTree:
-    """tree, once validate_tree passes it; else its first invariant fault
-    as _invariant_fault words it."""
+    """tree, once validate_tree passes it; else TreeXmlError wording its
+    first invariant fault."""
     try:
         validate_tree(tree)
     except MalformedTreeError as e:
-        raise _invariant_fault(e) from e
+        raise TreeXmlError(f"document violates tree invariants: {e}") from e
     return tree
-
-
-def _invariant_fault(fault: MalformedTreeError) -> TreeXmlError:
-    """The error of a document whose tree breaks an invariant."""
-    return TreeXmlError(f"document violates tree invariants: {fault}")
 
 
 def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 
 import pytest
@@ -128,19 +127,64 @@ class TestCommentAttachment:
 
     def test_attachment_is_linear_in_a_flat_body(self):
         # Every comment of one flat body goes into the same children
-        # list: inserting them one at a time would cost n * comments.
-        def best_of_3(n: int) -> float:
-            tokens = lex(_wrap("x = x + i; // c\n" * n), "javaoo")
-            best = float("inf")
-            for _ in range(3):
-                parser = JavaParser(tokens, "javaoo", "T.java")
-                root = parser.parse_compilation_unit()
-                started = time.perf_counter()
-                parser._attach_comments(root)
-                best = min(best, time.perf_counter() - started)
-            return best
+        # list: inserting them one at a time would move n * comments
+        # elements.  Building each touched list once moves each of its
+        # elements once.
+        n = 2_000
+        parser = JavaParser(lex(_wrap("x = x + i; // c\n" * n), "javaoo"), "javaoo", "T.java")
+        root = parser.parse_compilation_unit()
+        for node in preorder(root):
+            if node.kind is not None:
+                node.children = _MoveCountingList(node.children)
+        _MoveCountingList.moved = 0
+        parser._attach_comments(root)
+        lists = [node.children for node in preorder(root) if node.kind is not None]
+        assert sum(c.token_type == "comment" for c in preorder(root)) == n
+        assert _MoveCountingList.moved <= sum(map(len, lists))
 
-        assert best_of_3(20_000) < 8 * best_of_3(5_000)
+
+class _MoveCountingList(list):
+    """A children list that counts the elements each of its operations
+    writes or shifts; a slice of it is another such list."""
+
+    moved = 0
+
+    @classmethod
+    def _count(cls, elements: int) -> None:
+        cls.moved += elements
+
+    def insert(self, index, item):
+        start = min(max(index + len(self) if index < 0 else index, 0), len(self))
+        self._count(len(self) - start + 1)
+        super().insert(index, item)
+
+    def append(self, item):
+        self._count(1)
+        super().append(item)
+
+    def extend(self, items):
+        items = list(items)
+        self._count(len(items))
+        super().extend(items)
+
+    def pop(self, index=-1):
+        self._count(len(self) - (index % len(self)) if self else 0)
+        return super().pop(index)
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        if isinstance(index, slice):
+            self._count(len(got))
+            return _MoveCountingList(got)
+        return got
+
+    def __setitem__(self, index, value):
+        self._count(len(self) if isinstance(index, slice) else 1)
+        super().__setitem__(index, value)
+
+    def __delitem__(self, index):
+        self._count(len(self))
+        super().__delitem__(index)
 
 
 class TestInvariants:
