@@ -97,8 +97,10 @@ class BaseParser:
         tok = self._peek()
         if tok is None and self.toks:
             tok = self.toks[-1]
-        span = SourceSpan(*tok.span) if tok is not None else SourceSpan(1, 1, 1, 1)
-        raise ParseError(f"{message}", span=span)
+        if tok is None:
+            raise ParseError(message, span=SourceSpan(1, 1, 1, 1))
+        span = SourceSpan(tok.start_line, tok.start_col, tok.end_line, tok.end_col)
+        raise ParseError(message, span=span)
 
     # -- tree assembly -----------------------------------------------------
 

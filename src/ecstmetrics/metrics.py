@@ -145,7 +145,8 @@ def _fold(events: Iterable[EcstNode | None], extended: bool) -> list[ElementMetr
                 end_line=end_line,
             )
         elif node.kind is None:
-            line, _, end, _ = node.span
+            line = node.start_line
+            end = node.end_line
             token_type = node.token_type
             # A token may start on the line the previous one ended on.
             if token_type == "comment":

@@ -3,13 +3,13 @@
 A LexerSpec holds one language's lexical rules; each language's parser
 keeps its own as SPEC.  One compiled pattern per spec splits the text
 into tokens; each match is classified by the spec and becomes a concrete
-EcstNode, the token the tree keeps, whose span is the plain 1-based,
-inclusive tuple (line, col, end_line, end_col); only a LexError's span
-is a SourceSpan.  Blanks ride with the match before them: every match
-takes the blanks after it, and a line break takes the next line's
-indentation, so the loop turns once per token and once per line.  The
-pattern matches only a block comment's opener; a str.find loop then
-finds the closer, because Modula-2 comments nest.
+EcstNode, the token the tree keeps, with its 1-based, inclusive
+position in four int slots; only a LexError's span is a SourceSpan.
+Blanks ride with the match before them: every match takes the blanks
+after it, and a line break takes the next line's indentation, so the
+loop turns once per token and once per line.  The pattern matches only
+a block comment's opener; a str.find loop then finds the closer,
+because Modula-2 comments nest.
 """
 
 from __future__ import annotations
@@ -126,11 +126,11 @@ def _error(message: str, line: int, col: int) -> LexError:
 def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
     """Tokenize text by spec; comments kept, whitespace dropped.
 
-    Newlines must already be normalized to "\\n".  Each token's span is
-    the plain tuple (line, col, end_line, end_col), 1-based and
-    inclusive.  Raises LexError, whose SourceSpan is the position of the
-    offending character or of the opener of an unterminated literal or
-    comment.
+    Newlines must already be normalized to "\\n".  Each token's
+    position is its start_line, start_col, end_line and end_col, 1-based
+    and inclusive.  Raises LexError, whose SourceSpan is the position of
+    the offending character or of the opener of an unterminated literal
+    or comment.
     """
     match, word_types, symbol_types = _compile(spec)
     tokens = []
@@ -166,8 +166,8 @@ def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
             if breaks:
                 line += breaks
                 line_start = text.rfind("\n", pos, end) + 1
-            span = (start_line, col, line, end - line_start)
-            append(EcstNode(text[pos:end], None, "comment", span))
+            append(EcstNode(text[pos:end], None, "comment",
+                            start_line, col, line, end - line_start))
             pos = end
             continue
         elif kind == "space":
@@ -178,7 +178,7 @@ def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
         else:
             lexeme = m[kind]
             token_type = _GROUP_TYPES[kind]
-        span = (line, col, line, col + len(lexeme) - 1)
-        append(EcstNode(lexeme, None, token_type, span))
+        append(EcstNode(lexeme, None, token_type,
+                        line, col, line, col + len(lexeme) - 1))
         pos = m.end()
     return tokens

@@ -40,10 +40,10 @@ TOKEN_TYPES = frozenset(
 class SourceSpan(NamedTuple):
     """1-based inclusive line/column range in the physical source text.
 
-    The span of every LexError and ParseError.  A token's own span is
-    the plain tuple of the same four fields, in this order, which
-    SourceSpan(*node.span) names.  Not checked here: the scanner builds
-    valid spans and the XML readers check the ones they read.
+    The span of every LexError and ParseError.  A token keeps the same
+    four fields as int slots of its own EcstNode.  Not checked here: the
+    scanner builds valid positions and the XML readers check the ones
+    they read.
     """
 
     start_line: int
@@ -59,21 +59,32 @@ class EcstNode:
     label holds the source lexeme for concrete nodes and the canonical
     kind spelling for universal nodes.  The scanner makes the concrete
     nodes and the parser places each of them once in the tree.  A token
-    is a leaf: its children are the shared empty tuple.  Its span is the
-    plain tuple (start_line, start_col, end_line, end_col), read by
-    position; a universal node has none.  Nodes compare by identity;
+    is a leaf: its children are the shared empty tuple.  Its position is
+    four int slots, 1-based and inclusive, named as SourceSpan names
+    them; a universal node has none.  Nodes compare by identity;
     comparing their fields would recurse through the children.
     """
 
     label: str
     kind: UniversalKind | None = None
     token_type: str | None = None
-    span: tuple[int, int, int, int] | None = None
+    start_line: int | None = None
+    start_col: int | None = None
+    end_line: int | None = None
+    end_col: int | None = None
     children: list["EcstNode"] | tuple = ()
+
+    @property
+    def span(self) -> tuple[int, int, int, int] | None:
+        """(start_line, start_col, end_line, end_col), built on each read;
+        None for a universal node."""
+        if self.start_line is None:
+            return None
+        return self.start_line, self.start_col, self.end_line, self.end_col
 
     @classmethod
     def universal(cls, kind: UniversalKind, children: list["EcstNode"]) -> "EcstNode":
-        return cls(label=kind.value, kind=kind, children=children)
+        return cls(kind.value, kind, children=children)
 
 
 @dataclass
@@ -146,13 +157,15 @@ def _checked(events: Iterable, total_lines: int) -> Iterator[EcstNode | None]:
             if opened.kind is UniversalKind.FUNCTION_DECL and identifiers == named_in:
                 raise MalformedTreeError("FUNCTION_DECL without an identifier token")
         elif node.kind is None:
-            start_line, start_col, next_line, next_col = node.span
+            start_line = node.start_line
+            start_col = node.start_col
             if start_line <= end_line and (start_line < end_line or start_col <= end_col):
                 raise MalformedTreeError(
                     f"token {node.label!r} at {start_line}:{start_col} "
                     "does not start after the previous token ends"
                 )
-            end_line, end_col = next_line, next_col
+            end_line = node.end_line
+            end_col = node.end_col
             tokens += 1
             if node.token_type == "identifier":
                 identifiers += 1

@@ -87,11 +87,10 @@ def serialize_tree(tree: EcstTree, out: TextIO | None = None) -> str | None:
             label = node.label
             if "&" in label or "<" in label or ">" in label:
                 label = escape(label)
-            span = node.span
             lines.append(
                 f'{indents[depth + 1]}<token type="{node.token_type}"'
-                f' line="{span[0]}" col="{span[1]}"'
-                f' endLine="{span[2]}" endCol="{span[3]}">{label}</token>\n'
+                f' line="{node.start_line}" col="{node.start_col}"'
+                f' endLine="{node.end_line}" endCol="{node.end_col}">{label}</token>\n'
             )
         else:
             depth += 1
@@ -199,7 +198,7 @@ def _build_node(el: _Open, ints: dict) -> EcstNode:
         if "".join(el.text).strip():
             _fail(el, "unexpected text content in <node>")
         # _value_ is kind.value without the enum property's call
-        return EcstNode(kind._value_, kind, None, None, el.children)
+        return EcstNode(kind._value_, kind, children=el.children)
     if el.tag == "token":
         type_raw = el.attrs.get("type")
         if type_raw is None:
@@ -212,15 +211,14 @@ def _build_node(el: _Open, ints: dict) -> EcstNode:
         lexeme = "".join(el.text)
         if not lexeme:
             _fail(el, "empty <token> lexeme")
-        span = (
-            _int_attr(el, "line", ints),
-            _int_attr(el, "col", ints),
-            _int_attr(el, "endLine", ints),
-            _int_attr(el, "endCol", ints),
-        )
-        if span[:2] > span[2:]:
-            _fail(el, f"invalid span: span start after end: {SourceSpan(*span)}")
-        return EcstNode(lexeme, None, token_type, span)
+        line = _int_attr(el, "line", ints)
+        col = _int_attr(el, "col", ints)
+        end_line = _int_attr(el, "endLine", ints)
+        end_col = _int_attr(el, "endCol", ints)
+        if line > end_line or line == end_line and col > end_col:
+            span = SourceSpan(line, col, end_line, end_col)
+            _fail(el, f"invalid span: span start after end: {span}")
+        return EcstNode(lexeme, None, token_type, line, col, end_line, end_col)
     _fail(el, f"unknown element <{el.tag}>")
 
 
@@ -282,9 +280,10 @@ def _line_events(pieces: Iterable[str]) -> Iterator:
     spaces, one COMPILATION_UNIT <node> holding all others, and
     "</ecst>\n" at the end; each token passes the rules of _build_node.
     Yields the header's (source, language, totalLines), then a shared
-    childless node per <node> kind, one token node whose fields (a plain
-    tuple span) each token overwrites, and None per </node>.  Raises
-    ValueError at the first line or piece outside the form or UTF-8.
+    childless node per <node> kind, one token node whose fields, its
+    four position slots among them, each token overwrites, and None per
+    </node>.  Raises ValueError at the first line or piece outside the
+    form or UTF-8.
     """
     token = EcstNode("")
     head = None
@@ -337,7 +336,10 @@ def _line_events(pieces: Iterable[str]) -> Iterator:
                     )
                 token.label = lexeme
                 token.token_type = token_type
-                token.span = (line, col, end_line, end_col)
+                token.start_line = line
+                token.start_col = col
+                token.end_line = end_line
+                token.end_col = end_col
                 yield token
             elif kind is not None:
                 node = _NODES.get(kind)
@@ -376,10 +378,10 @@ def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
                 children = parents.pop()
                 append = children.append
             elif node.kind is None:
-                # each token's span is a new tuple, which the tree keeps
-                append(EcstNode(node.label, None, node.token_type, node.span))
+                append(EcstNode(node.label, None, node.token_type, node.start_line,
+                                node.start_col, node.end_line, node.end_col))
             else:
-                node = EcstNode(node.label, node.kind, None, None, [])
+                node = EcstNode(node.label, node.kind, children=[])
                 append(node)
                 parents.append(children)
                 children = node.children

@@ -345,7 +345,7 @@ def reference_lex(source, language_id):
             token_type = "punctuation" if lexeme in spec.punctuation else "operator"
         else:
             token_type = "comment"
-        tokens.append(EcstNode(lexeme, None, token_type, (line, col, end_line, end_col)))
+        tokens.append(EcstNode(lexeme, None, token_type, line, col, end_line, end_col))
     return tokens
 
 
@@ -360,9 +360,8 @@ def reference_attach_comments(parser, root):
     """
     if not parser.comments:
         return
-    # A concrete node is the token itself, so it shares the token's
-    # span tuple.
-    token_index = {id(tok.span): i for i, tok in enumerate(parser.toks)}
+    # A concrete node is the token itself.
+    token_index = {id(tok): i for i, tok in enumerate(parser.toks)}
     ranges = {}
 
     def compute(node):
@@ -370,7 +369,7 @@ def reference_attach_comments(parser, root):
         if cached is not None:
             return cached
         if node.kind is None:
-            rng = (token_index[id(node.span)],) * 2
+            rng = (token_index[id(node)],) * 2
         else:
             child_ranges = [compute(c) for c in node.children]
             rng = (
@@ -676,7 +675,7 @@ def _build_node(el: _Open) -> EcstNode:
         )
         if span[:2] > span[2:]:
             _fail(el, f"invalid span: span start after end: {SourceSpan(*span)}")
-        return EcstNode(text, None, token_type, span)
+        return EcstNode(text, None, token_type, *span)
     _fail(el, f"unknown element <{el.tag}>")
 
 

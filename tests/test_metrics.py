@@ -311,7 +311,7 @@ class TestDecisionCounting:
         unit = EcstNode.universal(
             UniversalKind.COMPILATION_UNIT,
             [
-                EcstNode("x", None, "identifier", (1, 1, 1, 1)),
+                EcstNode("x", None, "identifier", 1, 1, 1, 1),
                 EcstNode.universal(UniversalKind.FUNCTION_DECL, []),
             ],
         )
@@ -325,14 +325,14 @@ class TestDecisionCounting:
         cond = EcstNode.universal(
             UniversalKind.CONDITION,
             [
-                EcstNode("a", None, "identifier", (1, 4, 1, 4)),
-                EcstNode("AND", None, "operator", (1, 6, 1, 8)),
-                EcstNode("'AND'", None, "literal", (1, 10, 1, 14)),
+                EcstNode("a", None, "identifier", 1, 4, 1, 4),
+                EcstNode("AND", None, "operator", 1, 6, 1, 8),
+                EcstNode("'AND'", None, "literal", 1, 10, 1, 14),
             ],
         )
         branch = EcstNode.universal(
             UniversalKind.BRANCH,
-            [EcstNode("IF", None, "keyword", (1, 1, 1, 2)), cond],
+            [EcstNode("IF", None, "keyword", 1, 1, 1, 2), cond],
         )
         assert [r.cc for r in _detached(branch)] == [1]
         assert [r.cc for r in _detached(branch, extended=True)] == [2]
@@ -462,9 +462,9 @@ class TestElementNames:
         unit = EcstNode.universal(
             UniversalKind.FUNCTION_DECL,
             [
-                EcstNode("(", None, "punctuation", (1, 1, 1, 1)),
-                EcstNode("x", None, "identifier", (1, 2, 1, 2)),
-                EcstNode(")", None, "punctuation", (1, 3, 1, 3)),
+                EcstNode("(", None, "punctuation", 1, 1, 1, 1),
+                EcstNode("x", None, "identifier", 1, 2, 1, 2),
+                EcstNode(")", None, "punctuation", 1, 3, 1, 3),
             ],
         )
         assert [r.name for r in _detached(unit)] == ["x"]
@@ -472,7 +472,7 @@ class TestElementNames:
     def test_nameless_unit_is_anonymous(self):
         unit = EcstNode.universal(
             UniversalKind.FUNCTION_DECL,
-            [EcstNode("(", None, "punctuation", (1, 1, 1, 1))],
+            [EcstNode("(", None, "punctuation", 1, 1, 1, 1)],
         )
         assert [r.name for r in _detached(unit)] == ["<anonymous>"]
 

@@ -166,7 +166,7 @@ def _comment_edged_tree():
     one.  No frontend places comments so, but the tree is valid."""
 
     def tok(label, token_type, *span):
-        return EcstNode(label, None, token_type, span)
+        return EcstNode(label, None, token_type, *span)
 
     loop = EcstNode.universal(
         UniversalKind.LOOP_STATEMENT,
@@ -230,7 +230,7 @@ def _unusual_tree():
     no keyword, and a logical operator inside a condition."""
 
     def tok(label, token_type, line, col):
-        return EcstNode(label, None, token_type, (line, col, line, col + len(label) - 1))
+        return EcstNode(label, None, token_type, line, col, line, col + len(label) - 1)
 
     def node(kind, *children):
         return EcstNode.universal(kind, list(children))

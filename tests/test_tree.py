@@ -20,7 +20,7 @@ from oracles import preorder, subtree_span
 
 def _tok(lexeme, token_type="identifier", line=1, col=1, end_col=None):
     end = end_col if end_col is not None else col + len(lexeme) - 1
-    return EcstNode(lexeme, None, token_type, (line, col, line, end))
+    return EcstNode(lexeme, None, token_type, line, col, line, end)
 
 
 def _unit(children):
@@ -50,11 +50,11 @@ class TestSourceSpan:
         _rejected_on_reload(_tree([_tok("x", col=0, end_col=1)]), "'col' must be >= 1")
 
     def test_rejects_reversed_lines(self):
-        node = EcstNode("x", None, "identifier", (4, 1, 3, 1))
+        node = EcstNode("x", None, "identifier", 4, 1, 3, 1)
         _rejected_on_reload(_tree([node], total_lines=4), "span start after end")
 
     def test_rejects_reversed_cols_on_same_line(self):
-        node = EcstNode("x", None, "identifier", (2, 9, 2, 5))
+        node = EcstNode("x", None, "identifier", 2, 9, 2, 5)
         _rejected_on_reload(_tree([node], total_lines=2), "span start after end")
 
     def test_multiline_allows_smaller_end_col(self):
@@ -235,7 +235,7 @@ class TestValidation:
             validate_tree(tree)
 
     def test_rejects_bad_token_type(self):
-        node = EcstNode(label="x", token_type="mystery", span=(1, 1, 1, 1))
+        node = EcstNode("x", None, "mystery", 1, 1, 1, 1)
         _rejected_on_reload(_tree([node]), "unknown token type 'mystery'")
 
     def test_rejects_concrete_with_children(self):
@@ -265,7 +265,7 @@ class TestValidation:
     def test_rejects_a_token_ending_after_the_last_line(self):
         # A multi-line token on lines 2-3 of a 2-line tree; ending on the
         # last line itself is allowed.
-        comment = EcstNode("(*\n*)", None, "comment", (2, 1, 3, 2))
+        comment = EcstNode("(*\n*)", None, "comment", 2, 1, 3, 2)
         tokens = [_tok("m", line=1), comment]
         validate_tree(_tree([_unit(tokens)], total_lines=3))
         with pytest.raises(MalformedTreeError) as info:

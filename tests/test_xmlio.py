@@ -53,8 +53,8 @@ def _mini_tree() -> EcstTree:
     unit = EcstNode.universal(
         UniversalKind.FUNCTION_DECL,
         [
-            EcstNode("PROCEDURE", None, "keyword", (1, 1, 1, 9)),
-            EcstNode("P", None, "identifier", (1, 11, 1, 11)),
+            EcstNode("PROCEDURE", None, "keyword", 1, 1, 1, 9),
+            EcstNode("P", None, "identifier", 1, 11, 1, 11),
         ],
     )
     root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
@@ -80,7 +80,7 @@ class TestSerialize:
     def test_markup_characters_escaped(self):
         tree = _mini_tree()
         tree.root.children[0].children.append(
-            EcstNode("a<b&c", None, "operator", (1, 13, 1, 17))
+            EcstNode("a<b&c", None, "operator", 1, 13, 1, 17)
         )
         doc = serialize_tree(tree)
         assert "a&lt;b&amp;c" in doc
@@ -125,7 +125,7 @@ class TestRoundTrip:
     def test_escaped_lexemes_survive(self):
         tree = _mini_tree()
         tree.root.children[0].children.append(
-            EcstNode('"x<&>"', None, "literal", (1, 13, 1, 18))
+            EcstNode('"x<&>"', None, "literal", 1, 13, 1, 18)
         )
         again = parse_tree_xml(serialize_tree(tree))
         assert again.root.children[0].children[-1].label == '"x<&>"'
@@ -162,15 +162,27 @@ class TestRoundTrip:
 
 
 class TestSpanType:
-    """A token's span is the plain tuple (line, col, end_line, end_col)
-    in every tree, whichever builds it."""
+    """A token keeps its position as four int slots in every tree,
+    whichever builds it, and its span is the plain tuple of them."""
 
     @staticmethod
     def _spans(tree: EcstTree) -> list:
-        spans = [n.span for n in walk(tree.root) if n is not None and n.kind is None]
-        for span in spans:
-            assert type(span) is tuple and len(span) == 4
-            assert all(type(value) is int for value in span)
+        spans = []
+        for node in walk(tree.root):
+            if node is None:
+                continue
+            if node.kind is not None:
+                assert node.span is None
+                continue
+            slots = (node.start_line, node.start_col, node.end_line, node.end_col)
+            assert all(type(value) is int for value in slots)
+            span = node.span
+            assert type(span) is tuple and span == slots
+            # No span tuple is kept: the only tuple a token refers to is
+            # the shared empty children.
+            tuples = [r for r in gc.get_referents(node) if type(r) is tuple]
+            assert tuples == [()] and tuples[0] is node.children
+            spans.append(span)
         return spans
 
     def test_parsed_and_both_readers_trees_agree(self, corpus):
@@ -727,8 +739,8 @@ class TestReadPieces:
         unit = EcstNode.universal(
             UniversalKind.FUNCTION_DECL,
             [
-                EcstNode("PROCEDURE", None, "keyword", (1, 1, 1, 9)),
-                EcstNode("\nP", None, "identifier", (1, 10, 2, 1)),
+                EcstNode("PROCEDURE", None, "keyword", 1, 1, 1, 9),
+                EcstNode("\nP", None, "identifier", 1, 10, 2, 1),
             ],
         )
         root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
@@ -900,7 +912,7 @@ class TestWriterParity:
         lexemes = ["&&", "<=", ">=", '"a<b&c>"', "// x < y", "<>", "&", "(* a<b *)", "'\"'"]
         tree = _mini_tree()
         tree.root.children[0].children += [
-            EcstNode(lexeme, None, "literal", (line, 1, line, len(lexeme)))
+            EcstNode(lexeme, None, "literal", line, 1, line, len(lexeme))
             for line, lexeme in enumerate(lexemes, start=2)
         ]
         assert serialize_tree(tree) == reference_serialize_tree(tree)
