@@ -8,7 +8,7 @@ spans their own tokens define.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..tree import EcstNode, EcstTree, SourceSpan
+from ..tree import EcstNode, EcstTree, SourceSpan, walk
 
 #: Deepest nesting a source may have.  Each method or procedure and each
 #: statement opens one level, so a loop or branch counts once with its
@@ -125,59 +125,44 @@ class BaseParser:
         Each comment sits between real tokens p-1 and p.  It becomes a
         child of the deepest node covering both, just before the child
         holding token p, so a trailing comment never widens the span of
-        the construct it follows.  One preorder walk merges the comments
-        in: that node is the one the walk next steps down from after
-        token p-1.  The walk places the comments before the last token
-        and ends with the last of them; comments after the last token go
-        to the root.
+        the construct it follows.  In walk()'s events: the comment goes
+        into the innermost open node, just before the first non-None
+        event after token p-1; the Nones in between close every node
+        that ends with p-1.  One pass over walk() builds each universal
+        node a new children list by appends and gives it the list at the
+        node's None; comments after the last token go to the root.
         """
-        comments = self.comments
-        if not comments:
+        if not self.comments:
             return
-        inside = len(comments)  # comments before the last token
-        while inside and comments[inside - 1][0] == len(self.toks):
-            inside -= 1
-        c = 0
-        due = comments[0][0]  # tokens before the next comment to place
+        pending = iter(self.comments)
+        due, comment = next(pending)  # real tokens before it, the comment
         seen = 0  # real tokens walked so far
-        # Open nodes: the node, the index of its next child, and its new
-        # children list from its first comment on (None before), so each
-        # node's list is built once instead of shifted per comment.
-        stack = [[root, 0, None]]
-        while c < inside:
-            node, k, out = frame = stack[-1]
-            children = node.children
-            # Step through this node's children until one is universal.
-            while k < len(children):
-                if seen == due:
-                    if out is None:
-                        out = frame[2] = children[:k]
-                    out.append(comments[c][1])
-                    c += 1
-                    if c == inside:
-                        break
-                    due = comments[c][0]
-                    continue
-                child = children[k]
-                k += 1
-                if out is not None:
-                    out.append(child)
-                if child.kind is not None:
-                    stack.append([child, 0, None])
-                    break
+        events = walk(root)
+        next(events)  # the root
+        opened, out = root, []  # the innermost open node and its new list
+        append = out.append
+        # (node, new list) per open node around the innermost; the root's
+        # None pops the root back, so the trailing comments go to it.
+        stack = [(root, out)]
+        for node in events:
+            if node is None:
+                opened.children = out
+                opened, out = stack.pop()
+                append = out.append
+                continue
+            while seen == due:
+                append(comment)
+                due, comment = next(pending, (-1, None))
+            append(node)
+            if node.kind is None:
                 seen += 1
             else:
-                stack.pop()
-                if out is not None:
-                    node.children = out
-                continue
-            frame[1] = k
-        # The nodes still open keep the children the walk did not reach.
-        for node, k, out in stack:
-            if out is not None:
-                out.extend(node.children[k:])
-                node.children = out
-        root.children.extend(comment for _, comment in comments[c:])
+                stack.append((opened, out))
+                opened, out = node, []
+                append = out.append
+        while seen == due:  # after the last token, into the root
+            append(comment)
+            due, comment = next(pending, (-1, None))
 
     # -- shared construct helpers ------------------------------------------
 

@@ -127,9 +127,11 @@ class TestCommentAttachment:
 
     def test_attachment_is_linear_in_a_flat_body(self):
         # Every comment of one flat body goes into the same children
-        # list: inserting them one at a time would move n * comments
-        # elements.  Building each touched list once moves each of its
-        # elements once.
+        # list: inserting them one at a time into the parser's list would
+        # move n * comments elements.  Attachment reads the parser's
+        # lists only through walk() and builds each new list by appends,
+        # so it moves none of their elements; the bound guards against
+        # inserting into them in place.
         n = 2_000
         parser = JavaParser(lex(_wrap("x = x + i; // c\n" * n), "javaoo"), "javaoo", "T.java")
         root = parser.parse_compilation_unit()

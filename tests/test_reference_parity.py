@@ -117,11 +117,29 @@ BODIES = {
     "javaoo": "class A {\n  void m() {\n    while (a) {\n"
     "      if (b > c@) { x = 1; }\n    }\n  }\n}\n",
 }
+
+
+def _around_branch(body, before="", after=""):
+    """body with text just before and just after the loop body's
+    branching statement, the one on the line that holds "@"."""
+    start = body.rindex("\n", 0, body.index("@")) + 1
+    end = body.index("\n", start)
+    branch = body[start:end].replace("@", "")
+    return f"{body[:start]}{before} {branch} {after}{body[end:]}"
+
+
 SHAPES = {
     "no comments": lambda body, c: body.replace("@", ""),
     "before the first token": lambda body, c: f"{c[0]}\n{c[1]} " + body.replace("@", ""),
     "after the last token": lambda body, c: body.replace("@", "") + f"{c[0]} {c[1]}",
     "inside the deepest construct": lambda body, c: body.replace("@", f" {c[0]} "),
+    # Next after the comment, two nodes open: the branching statement
+    # and its first branch.  It goes before both, into the loop.
+    "before the loop body's branch": lambda body, c: _around_branch(body, before=c[0]),
+    # Between the branching statement's last token and the comment, one
+    # node closes in Modula-2 (after END) and two in Java (after "}").
+    "after the loop body's branch": lambda body, c: _around_branch(body, after=c[0]),
+    "around the loop body's branch": lambda body, c: _around_branch(body, c[0], c[0]),
 }
 # (parent kind, parent depth, index among the parent's children) per
 # comment; a negative index counts from the end.
@@ -130,6 +148,9 @@ PLACES = {
     "before the first token": [("COMPILATION_UNIT", 0, 0), ("COMPILATION_UNIT", 0, 1)],
     "after the last token": [("COMPILATION_UNIT", 0, -2), ("COMPILATION_UNIT", 0, -1)],
     "inside the deepest construct": [("CONDITION", 5, -2)],
+    "before the loop body's branch": [("LOOP_STATEMENT", 2, -3)],
+    "after the loop body's branch": [("LOOP_STATEMENT", 2, -2)],
+    "around the loop body's branch": [("LOOP_STATEMENT", 2, -4), ("LOOP_STATEMENT", 2, -2)],
 }
 
 
