@@ -15,13 +15,11 @@ import stat
 import sys
 
 from .errors import FrontendError, RegistryError, SourceIoError, TreeXmlError
-from .errors import MalformedTreeError
 from .frontends import parse_file
 from .frontends.registry import BUILTIN, detect, load_registry
 from .metrics import _fold, _report, measure_tree, render_table
 from .tree import _checked
-from .xmlio import _line_events, _parse_expat, _pieces, _validated
-from .xmlio import load_tree_file, parse_tree_xml, serialize_metrics, serialize_tree
+from .xmlio import _read, load_tree_file, parse_tree_xml, serialize_metrics, serialize_tree
 
 TREE_SUFFIX = ".ecst.xml"
 METRICS_SUFFIX = ".metrics.xml"
@@ -126,26 +124,14 @@ def _cmd_parse(args) -> int:
 
 
 def _measure_tree_file(src, extended: bool):
-    """The report of the tree file src, folded as the file is read, with
-    no tree built.  The line reader reads each document at most once: one
-    it declines or whose events break an invariant, and a file that
-    cannot seek, is read from its start by expat and measured as a tree:
-    that path alone words a fault."""
+    """The report of the tree file src, folded as it is read: no tree."""
     try:
         with open(src, "rb") as f:
-            if f.seekable():
-                events = _line_events(_pieces(f))
-                try:
-                    head = next(events)
-                    return _report(*head, _fold(_checked(events, head[2]), extended))
-                except (ValueError, MalformedTreeError):
-                    # not in the writer's form, not UTF-8, or a fault that
-                    # expat words, ranking element faults first
-                    f.seek(0)
-            tree = _validated(_parse_expat(f))
+            return _read(f, lambda head, events: _report(
+                *head, _fold(_checked(events, head[2]), extended)
+            ))
     except OSError as e:
         raise SourceIoError(f"cannot read {src}: {e.strerror or e}") from e
-    return measure_tree(tree, extended=extended)
 
 
 def _cmd_measure(args) -> int:

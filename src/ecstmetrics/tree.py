@@ -129,7 +129,7 @@ def validate_tree(tree: EcstTree) -> None:
     before line total_lines.  The fields of each node and the root kind
     are the builder's to get right: the scanner builds each token with
     the EcstNode constructor, the parsers build universal nodes through
-    EcstNode.universal, and the XML reader checks every element it reads.
+    EcstNode.universal, and both XML readers yield only checked elements.
     """
     for _ in _checked(walk(tree.root), tree.total_lines):
         pass

@@ -2,19 +2,21 @@
 
 Serialization is hand-rolled so output is byte-deterministic: fixed
 attribute order, two-space indentation, no XML declaration, trailing
-newline.  Parsing reads that form back one regular-expression match
-per element line, in pieces that each end at an element's end; every
-other document, valid or not, goes to expat, which alone reports
-well-formedness and element violations, with the offending element and
-line.  Either reader's tree is then validated in one place.  The line
-reader yields tree.walk()'s events, which measure folds with no tree.
+newline.  Parsing reads a document as tree.walk()'s events from one of
+two sources: the line reader reads that form, one regular-expression
+match per element line, in pieces that each end at an element's end;
+expat reads every other document, valid or not, and alone words faults
+of well-formedness and of an element, with the element and its line.
+One function chooses the source and ranks the faults for both
+parse_tree_xml, which builds a tree from the events in one place, and
+measure, which folds them with no tree.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 from xml.parsers import expat
 
 from .errors import MalformedTreeError, SourceIoError, TreeXmlError
@@ -127,8 +129,7 @@ def serialize_metrics(report) -> str:
 
 # -- parsing ---------------------------------------------------------------
 
-_KINDS = {kind.value: kind for kind in UniversalKind}
-# Each kind's one childless node, which the line reader yields for every
+# Each kind's one childless node, which both readers yield for every
 # <node> of that kind.
 _NODES = {kind.value: EcstNode(kind._value_, kind) for kind in UniversalKind}
 # Each token type to the one string of its spelling that every reloaded
@@ -137,89 +138,17 @@ _TYPES = {token_type: token_type for token_type in TOKEN_TYPES}
 # The one form of an integer attribute: ASCII digits.  A line, a column
 # and totalLines must also be at least 1.
 _INT = "[0-9]+"
+# Each reference that escape and quoteattr write, and its character.
+_REFS = {
+    "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
+    "&#9;": "\t", "&#10;": "\n", "&#13;": "\r",
+}
+_REF = re.compile("|".join(_REFS))
 
 
-class _Open(NamedTuple):
-    """An element whose end tag has not been read yet."""
-
-    tag: str
-    attrs: dict
-    line: int
-    order: int  # position in document order
-    children: list  # built child nodes; None for one that failed its checks
-    text: list  # the character data chunks
-
-
-def _fail(el: _Open, message: str):
-    raise TreeXmlError(f"{message} (element <{el.tag}>, line {el.line})")
-
-
-def _int_attr(el: _Open, name: str, ints: dict) -> int:
-    """A positive integer attribute: a line, a column or totalLines.
-
-    ints maps each value text already read in the document to its int,
-    which every later equal value shares; int() would build a new one
-    above 256.
-    """
-    raw = el.attrs.get(name)
-    if raw is None:
-        _fail(el, f"missing attribute {name!r}")
-    value = ints.get(raw)
-    if value is not None:
-        return value
-    # ASCII digits only, as _INT says: int() alone also takes "+5", " 5",
-    # "1_0" and the digits of other scripts.
-    if re.fullmatch(_INT, raw) is None:
-        _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
-    try:
-        value = int(raw)
-    except ValueError:  # more digits than int() converts
-        _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
-    if value < 1:
-        _fail(el, f"attribute {name!r} must be >= 1, got {value}")
-    ints[raw] = value
-    return value
-
-
-def _build_node(el: _Open, ints: dict) -> EcstNode:
-    """The node for an element below <ecst>, its children already built.
-
-    Checks the rules about the element's own fields in the order that
-    decides which message a failing element gets; validate_tree checks
-    the rules that span elements.
-    """
-    if el.tag == "node":
-        kind_raw = el.attrs.get("kind")
-        if kind_raw is None:
-            _fail(el, "missing attribute 'kind'")
-        kind = _KINDS.get(kind_raw)
-        if kind is None:
-            _fail(el, f"unknown universal kind {kind_raw!r}")
-        if "".join(el.text).strip():
-            _fail(el, "unexpected text content in <node>")
-        # _value_ is kind.value without the enum property's call
-        return EcstNode(kind._value_, kind, children=el.children)
-    if el.tag == "token":
-        type_raw = el.attrs.get("type")
-        if type_raw is None:
-            _fail(el, "missing attribute 'type'")
-        token_type = _TYPES.get(type_raw)
-        if token_type is None:
-            _fail(el, f"unknown token type {type_raw!r}")
-        if el.children:
-            _fail(el, "<token> must not contain elements")
-        lexeme = "".join(el.text)
-        if not lexeme:
-            _fail(el, "empty <token> lexeme")
-        line = _int_attr(el, "line", ints)
-        col = _int_attr(el, "col", ints)
-        end_line = _int_attr(el, "endLine", ints)
-        end_col = _int_attr(el, "endCol", ints)
-        if line > end_line or line == end_line and col > end_col:
-            span = SourceSpan(line, col, end_line, end_col)
-            _fail(el, f"invalid span: span start after end: {span}")
-        return EcstNode(lexeme, None, token_type, line, col, end_line, end_col)
-    _fail(el, f"unknown element <{el.tag}>")
+def _unescape(text: str) -> str:
+    """text with each reference of _REFS replaced by its character."""
+    return _REF.sub(lambda ref: _REFS[ref[0]], text)
 
 
 # -- the line reader: serialize_tree's own form ---------------------------
@@ -231,11 +160,14 @@ _NOT_XML = _NOT_XML_CHAR.pattern[1:-1]
 _PLAIN = f"[^<&>\r{_NOT_XML}]*"
 # A non-empty lexeme, its line breaks kept, "&", "<" and ">" as entities.
 _LEXEME = f"(?!<)({_PLAIN}(?:&(?:amp|lt|gt);{_PLAIN})*)"
-# A header value that expat reads as it stands: no quote, markup or
-# whitespace that it would normalise.
-_VALUE = f'"([^"<&\t\n\r{_NOT_XML}]*)"'
+# A header value as quoteattr writes it, quotes included: no markup, and
+# whitespace that expat would normalise only as a reference.
+_VALUE = "|".join(
+    f"{quote}(?:[^{quote}<&>\t\n\r{_NOT_XML}]|{'|'.join(_REFS)})*{quote}"
+    for quote in "\"'"
+)
 _HEADER = re.compile(
-    f'<ecst source={_VALUE} language={_VALUE} totalLines="({_INT})">\n'
+    f'<ecst source=({_VALUE}) language=({_VALUE}) totalLines="([1-9][0-9]*)">\n'
 )
 _TOKEN_START = (
     f'<token type="([a-z]+)" line="({_INT})" col="({_INT})"'
@@ -278,7 +210,7 @@ def _line_events(pieces: Iterable[str]) -> Iterator:
 
     The form: the header line, one element per line after any run of
     spaces, one COMPILATION_UNIT <node> holding all others, and
-    "</ecst>\n" at the end; each token passes the rules of _build_node.
+    "</ecst>\n" at the end; each token passes the rules of _expat_events.
     Yields the header's (source, language, totalLines), then a shared
     childless node per <node> kind, one token node whose fields, its
     four position slots among them, each token overwrites, and None per
@@ -303,10 +235,7 @@ def _line_events(pieces: Iterable[str]) -> Iterator:
             if head is None:
                 raise ValueError("no header")
             source, language, total_lines = head.groups()
-            total_lines = int(total_lines)
-            if total_lines < 1:
-                raise ValueError("no lines")
-            yield source, language, total_lines
+            yield _unescape(source[1:-1]), _unescape(language[1:-1]), int(total_lines)
             pos = head.end()
         m = None
         for m in iter(_LINE.scanner(text, pos).match, None):
@@ -329,11 +258,7 @@ def _line_events(pieces: Iterable[str]) -> Iterator:
                 ):
                     raise ValueError("a token outside the form")
                 if "&" in lexeme:
-                    lexeme = (
-                        lexeme.replace("&lt;", "<")
-                        .replace("&gt;", ">")
-                        .replace("&amp;", "&")
-                    )
+                    lexeme = _unescape(lexeme)
                 token.label = lexeme
                 token.token_type = token_type
                 token.start_line = line
@@ -362,152 +287,236 @@ def _line_events(pieces: Iterable[str]) -> Iterator:
         raise ValueError("an unfinished document")
 
 
-def _read_lines(pieces: Iterable[str]) -> EcstTree | None:
-    """The tree of a document in serialize_tree's form, built from
-    _line_events; None for any other document.  The tree is not
-    validated here; _validated does that."""
-    events = _line_events(pieces)
-    top: list[EcstNode] = []  # the COMPILATION_UNIT node, once read
-    children = top  # the open <node>'s children
-    append = top.append
-    parents: list[list] = []  # the children list each open <node> is in
-    try:
-        head = next(events)
-        for node in events:
-            if node is None:
-                children = parents.pop()
-                append = children.append
-            elif node.kind is None:
-                append(EcstNode(node.label, None, node.token_type, node.start_line,
-                                node.start_col, node.end_line, node.end_col))
-            else:
-                node = EcstNode(node.label, node.kind, children=[])
-                append(node)
-                parents.append(children)
-                children = node.children
-                append = children.append
-    except ValueError:  # a document not in the form, or not UTF-8
-        return None
-    return EcstTree(top[0], *head)
+# -- the expat reader: every other document -------------------------------
 
 
-# -- parse_tree_xml: the line reader, else expat ---------------------------
+def _fail(el: tuple, message: str):
+    """TreeXmlError for el, an element's (tag, attributes, line)."""
+    raise TreeXmlError(f"{message} (element <{el[0]}>, line {el[2]})")
 
 
-def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
-    """Parse an eCST XML document back into a tree.
+def _int_attr(el: tuple, name: str, ints: dict) -> int:
+    """A positive integer attribute: a line, a column or totalLines.
 
-    data is the document as bytes or str, or a binary file, which is
-    read in pieces, so the whole document is never held at once.
-
-    A document in the form serialize_tree writes is read by _read_lines,
-    one regular-expression match per element.  Any other document, and
-    a non-seekable file, is read by expat from its start: a valid one
-    gives the same tree, and expat's reader alone words the other faults.
-    Either reader's tree goes through _validated, so its faults are
-    worded once.  Raises TreeXmlError on any well-formedness or schema
-    violation.
+    ints maps each value text already read in the document to its int,
+    which every later equal value shares; int() would build a new one
+    above 256.
     """
-    if not hasattr(data, "read"):
-        pieces = (data,) if isinstance(data, str) else _pieces(io.BytesIO(data))
-        tree = _read_lines(pieces)
-    elif data.seekable():
-        start = data.tell()
-        tree = _read_lines(_pieces(data))
-        if tree is None:
-            data.seek(start)
-    else:
-        tree = None
-    if tree is None:
-        tree = _parse_expat(data)
-    return _validated(tree)
-
-
-def _validated(tree: EcstTree) -> EcstTree:
-    """tree, once validate_tree passes it; else TreeXmlError wording its
-    first invariant fault."""
+    raw = el[1].get(name)
+    if raw is None:
+        _fail(el, f"missing attribute {name!r}")
+    value = ints.get(raw)
+    if value is not None:
+        return value
+    # ASCII digits only, as _INT says: int() alone also takes "+5", " 5",
+    # "1_0" and the digits of other scripts.
+    if re.fullmatch(_INT, raw) is None:
+        _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
     try:
-        validate_tree(tree)
-    except MalformedTreeError as e:
-        raise TreeXmlError(f"document violates tree invariants: {e}") from e
-    return tree
+        value = int(raw)
+    except ValueError:  # more digits than int() converts
+        _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
+    if value < 1:
+        _fail(el, f"attribute {name!r} must be >= 1, got {value}")
+    ints[raw] = value
+    return value
 
 
-def _parse_expat(data: bytes | str | BinaryIO) -> EcstTree:
-    """parse_tree_xml through expat, for any document.
+def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
+    """The events of any document in _line_events' shape, read by expat
+    in pieces of _READ_BYTES: the header's (source, language,
+    totalLines), a shared node per <node>, a new node per <token> and
+    None per </node>.  A str is read as its characters, whatever
+    encoding its declaration names.
 
-    Nodes are built straight from the parser's events, without recursion:
-    each element is one _Open record from its start tag, and at its end
-    tag _build_node checks it and builds its node.  The tree is not
-    validated here; _validated does that.
-    Raises TreeXmlError on any well-formedness or element violation; of
-    several element violations, the one of the <ecst> element comes
-    first, then the first failing element in document order.
+    Each element rule is checked at the first handler that can see it:
+    the root's fields and a <node>'s kind and place at its start tag, a
+    <token>'s fields at its end tag, and text in a <node> at the next
+    tag, as expat hands buffered text over at the end of a piece but
+    not before a fault.  Raises TreeXmlError at the first fault of
+    well-formedness or of an element, in reading order.
     """
-    parser = expat.ParserCreate()
+    parser = expat.ParserCreate("utf-8" if isinstance(data, str) else None)
     parser.buffer_text = True
-    stack: list[_Open] = []  # open elements; the <ecst> element stays
-    top: list[_Open] = []  # records directly inside <ecst>
-    failures: list = []  # (order, message) per failing element
+    events: list = []  # what the piece being read produced
+    opened: list[tuple] = []  # (tag, attributes, line) per open element
+    text: list[str] = []  # the open <token>'s character data
     ints: dict = {}  # integer attribute text -> its shared int
+    stray = None  # the open <node>, once it holds text that is not blank
+    rooted = False  # the top-level <node> has started
 
     def start(tag, attrs):
-        line = parser.CurrentLineNumber
-        stack.append(_Open(tag, attrs, line, parser.CurrentByteIndex, [], []))
+        nonlocal rooted
+        el = (tag, attrs, parser.CurrentLineNumber)
+        if stray:
+            _fail(stray, "unexpected text content in <node>")
+        if not opened:
+            if tag != "ecst":
+                _fail(el, "expected root element <ecst>")
+            head = attrs.get("source"), attrs.get("language")
+            if None in head:
+                _fail(el, "<ecst> requires source and language attributes")
+            events.append((*head, _int_attr(el, "totalLines", ints)))
+        elif opened[-1][0] == "token":
+            _fail(opened[-1], "<token> must not contain elements")
+        elif len(opened) == 1 and (rooted or tag != "node"):
+            _fail(opened[0], "<ecst> must contain exactly one <node>")
+        elif tag == "node":
+            kind = attrs.get("kind")
+            if kind is None:
+                _fail(el, "missing attribute 'kind'")
+            node = _NODES.get(kind)
+            if node is None:
+                _fail(el, f"unknown universal kind {kind!r}")
+            if len(opened) == 1:
+                if node.kind is not UniversalKind.COMPILATION_UNIT:
+                    _fail(el, "top-level <node> must be COMPILATION_UNIT")
+                rooted = True
+            events.append(node)
+        elif tag != "token":
+            _fail(el, f"unknown element <{tag}>")
+        opened.append(el)
 
-    def chars(text):
-        stack[-1].text.append(text)
+    def chars(data):
+        nonlocal stray
+        el = opened[-1]
+        if el[0] == "token":
+            text.append(data)
+        elif el[0] == "node" and data.strip():
+            stray = el
 
     def end(tag):
-        if len(stack) == 1:
-            return
-        el = stack.pop()
-        if len(stack) == 1:
-            top.append(el)
-        try:
-            node = _build_node(el, ints)
-        except TreeXmlError as e:
-            # The message, not the error: its traceback holds this frame,
-            # whose cells hold failures, and that cycle would keep the
-            # whole tree alive until the cyclic garbage collector runs.
-            failures.append((el.order, e.args[0]))
-            node = None
-        stack[-1].children.append(node)
+        if stray:
+            _fail(stray, "unexpected text content in <node>")
+        el = opened.pop()
+        if tag == "node":
+            events.append(None)
+        elif tag == "token":
+            type_raw = el[1].get("type")
+            if type_raw is None:
+                _fail(el, "missing attribute 'type'")
+            token_type = _TYPES.get(type_raw)
+            if token_type is None:
+                _fail(el, f"unknown token type {type_raw!r}")
+            lexeme = "".join(text)
+            text.clear()
+            if not lexeme:
+                _fail(el, "empty <token> lexeme")
+            line = _int_attr(el, "line", ints)
+            col = _int_attr(el, "col", ints)
+            end_line = _int_attr(el, "endLine", ints)
+            end_col = _int_attr(el, "endCol", ints)
+            if line > end_line or line == end_line and col > end_col:
+                span = SourceSpan(line, col, end_line, end_col)
+                _fail(el, f"invalid span: span start after end: {span}")
+            events.append(EcstNode(lexeme, None, token_type, line, col, end_line, end_col))
+        elif not rooted:
+            _fail(el, "<ecst> must contain exactly one <node>")
 
     parser.StartElementHandler = start
     parser.CharacterDataHandler = chars
     parser.EndElementHandler = end
     try:
-        if hasattr(data, "read"):
-            parser.ParseFile(data)
-        else:
-            parser.Parse(data, True)
+        if not hasattr(data, "read"):
+            data = io.BytesIO(data.encode() if isinstance(data, str) else data)
+        while piece := data.read(_READ_BYTES):
+            parser.Parse(piece, False)
+            yield from events
+            events.clear()
+        parser.Parse(b"", True)
+        yield from events
     except (expat.ExpatError, UnicodeEncodeError) as e:
-        # pyexpat encodes a str as UTF-8, which a lone surrogate fails.
+        # A str holding a lone surrogate has no UTF-8 form.
         raise TreeXmlError(f"not well-formed XML: {e}") from e
     finally:
         # The handlers' closures hold the parser; dropping them breaks
-        # that cycle, so reference counting frees the parser and stack.
+        # that cycle, so reference counting frees the parser.
         parser.StartElementHandler = None
         parser.CharacterDataHandler = None
         parser.EndElementHandler = None
-    root_el = stack[0]
-    if root_el.tag != "ecst":
-        _fail(root_el, "expected root element <ecst>")
-    source = root_el.attrs.get("source")
-    language = root_el.attrs.get("language")
-    if source is None or language is None:
-        _fail(root_el, "<ecst> requires source and language attributes")
-    total_lines = _int_attr(root_el, "totalLines", ints)
-    if len(root_el.children) != 1:
-        _fail(root_el, "<ecst> must contain exactly one <node>")
-    if failures:
-        # Byte indices are unique, so min orders by document position.
-        raise TreeXmlError(min(failures)[1])
-    root_node = root_el.children[0]
-    if root_node.kind is not UniversalKind.COMPILATION_UNIT:
-        _fail(top[0], "top-level <node> must be COMPILATION_UNIT")
-    return EcstTree(root_node, source, language, total_lines)
+
+
+# -- parse_tree_xml: one builder over the source _read chooses ------------
+
+
+def _tree(head: tuple, events: Iterable) -> EcstTree:
+    """The tree of a header's (source, language, totalLines) and the
+    events of either reader after it, once validate_tree passes it.  Each
+    node is built anew: a reader yields one node for many."""
+    top: list[EcstNode] = []  # the COMPILATION_UNIT node, once read
+    children = top  # the open <node>'s children
+    append = top.append
+    parents: list[list] = []  # the children list each open <node> is in
+    for node in events:
+        if node is None:
+            children = parents.pop()
+            append = children.append
+        elif node.kind is None:
+            append(EcstNode(node.label, None, node.token_type, node.start_line,
+                            node.start_col, node.end_line, node.end_col))
+        else:
+            node = EcstNode(node.label, node.kind, children=[])
+            append(node)
+            parents.append(children)
+            children = node.children
+            append = children.append
+    tree = EcstTree(top[0], *head)
+    validate_tree(tree)
+    return tree
+
+
+def _read(data: bytes | str | BinaryIO, consume):
+    """consume(head, events) over the document data, bytes, a str or a
+    binary file read from its position: the header and events of the
+    line reader, or of expat from the start once the line reader
+    declines the document.  A binary file that cannot seek, such as a
+    pipe, goes to expat at once.
+
+    The first fault of well-formedness or of an element, in reading
+    order, is raised as TreeXmlError.  An invariant fault, which consume
+    raises as MalformedTreeError, is raised only once the rest of the
+    events are read, so any fault of an element outranks it.
+    """
+    if isinstance(data, str):
+        pieces = (data,)
+    elif not hasattr(data, "read"):
+        pieces = _pieces(io.BytesIO(data))
+    elif data.seekable():
+        start = data.tell()
+        pieces = _pieces(data)
+    else:
+        return _consumed(_expat_events(data), consume)
+    try:
+        return _consumed(_line_events(pieces), consume)
+    except ValueError:  # not in the writer's form, or not UTF-8
+        pass
+    # Expat starts once the except block has freed what the line reader built.
+    if hasattr(data, "read"):
+        data.seek(start)
+    return _consumed(_expat_events(data), consume)
+
+
+def _consumed(events: Iterator, consume):
+    """consume(head, events) for one reader's header and events, by the
+    fault rule of _read."""
+    head = next(events)
+    try:
+        return consume(head, events)
+    except MalformedTreeError as e:
+        for _ in events:  # a later fault of an element, or a decline, wins
+            pass
+        raise TreeXmlError(f"document violates tree invariants: {e}") from e
+
+
+def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
+    """Parse an eCST XML document back into a validated tree.
+
+    data is the document as bytes or str, or a binary file, which is
+    read in pieces, so the whole document is never held at once.  The
+    tree is built by _tree from the events _read chooses; raises
+    TreeXmlError on any fault, as _read ranks them.
+    """
+    return _read(data, _tree)
 
 
 def load_tree_file(path) -> EcstTree:

@@ -22,10 +22,12 @@ to match the current definitions: a unit is named from its direct
 children, and a logical operator counts once however many CONDITION
 nodes enclose it.
 
-reference_parse_tree_xml is the XML reader the package used before its
-reader built valid elements in the handlers themselves: a record per
-element and every check run on every element.  The reader must give
-its tree or its TreeXmlError message on every document.
+reference_parse_tree_xml reads a whole document in one call of expat
+into a record per element, with its own check of every rule about an
+element, each in the handler of the first event that shows its fault,
+and then validates the tree it built.  The reader, which reads a
+document in pieces and builds it from events, must give its tree or
+its TreeXmlError message on every document.
 
 reference_serialize_tree is the tree writer the package used before it
 escaped only the lexemes that hold markup characters: every lexeme
@@ -614,9 +616,8 @@ class _Open(NamedTuple):
     tag: str
     attrs: dict
     line: int
-    order: int  # position in document order
-    children: list  # built child nodes; None for one that failed its checks
-    text: list
+    children: list  # built child nodes
+    text: list  # the character data chunks not yet checked or used
 
 
 def _fail(el: _Open, message: str):
@@ -641,77 +642,97 @@ def _int_attr(el: _Open, name: str) -> int:
     return value
 
 
-def _build_node(el: _Open) -> EcstNode:
-    """The node for an element below <ecst>, its children already built.
-
-    Checks every rule about the element's own fields; validate_tree
-    checks the rules that span elements.
-    """
-    text = "".join(el.text)
+def _check_start(el: _Open, parent: _Open | None) -> None:
+    """The rules an element's start tag shows: the root's fields, its
+    place, and a <node>'s kind."""
+    if parent is None:
+        if el.tag != "ecst":
+            _fail(el, "expected root element <ecst>")
+        if el.attrs.get("source") is None or el.attrs.get("language") is None:
+            _fail(el, "<ecst> requires source and language attributes")
+        _int_attr(el, "totalLines")
+        return
+    if parent.tag == "token":
+        _fail(parent, "<token> must not contain elements")
+    if parent.tag == "ecst" and (parent.children or el.tag != "node"):
+        _fail(parent, "<ecst> must contain exactly one <node>")
     if el.tag == "node":
         kind_raw = el.attrs.get("kind")
         if kind_raw is None:
             _fail(el, "missing attribute 'kind'")
         if kind_raw not in _KIND_VALUES:
             _fail(el, f"unknown universal kind {kind_raw!r}")
-        if text.strip():
-            _fail(el, "unexpected text content in <node>")
-        return EcstNode.universal(UniversalKind(kind_raw), el.children)
-    if el.tag == "token":
-        token_type = el.attrs.get("type")
-        if token_type is None:
-            _fail(el, "missing attribute 'type'")
-        if token_type not in TOKEN_TYPES:
-            _fail(el, f"unknown token type {token_type!r}")
-        if el.children:
-            _fail(el, "<token> must not contain elements")
-        if not text:
-            _fail(el, "empty <token> lexeme")
-        span = (
-            _int_attr(el, "line"),
-            _int_attr(el, "col"),
-            _int_attr(el, "endLine"),
-            _int_attr(el, "endCol"),
-        )
-        if span[:2] > span[2:]:
-            _fail(el, f"invalid span: span start after end: {SourceSpan(*span)}")
-        return EcstNode(text, None, token_type, *span)
-    _fail(el, f"unknown element <{el.tag}>")
+        if parent.tag == "ecst" and kind_raw != "COMPILATION_UNIT":
+            _fail(el, "top-level <node> must be COMPILATION_UNIT")
+    elif el.tag != "token":
+        _fail(el, f"unknown element <{el.tag}>")
+
+
+def _build_node(el: _Open) -> EcstNode:
+    """The node for an element below <ecst> at its end tag, its children
+    already built, once the rules about a token's fields hold."""
+    if el.tag == "node":
+        return EcstNode.universal(UniversalKind(el.attrs["kind"]), el.children)
+    text = "".join(el.text)
+    token_type = el.attrs.get("type")
+    if token_type is None:
+        _fail(el, "missing attribute 'type'")
+    if token_type not in TOKEN_TYPES:
+        _fail(el, f"unknown token type {token_type!r}")
+    if not text:
+        _fail(el, "empty <token> lexeme")
+    span = (
+        _int_attr(el, "line"),
+        _int_attr(el, "col"),
+        _int_attr(el, "endLine"),
+        _int_attr(el, "endCol"),
+    )
+    if span[:2] > span[2:]:
+        _fail(el, f"invalid span: span start after end: {SourceSpan(*span)}")
+    return EcstNode(text, None, token_type, *span)
 
 
 def reference_parse_tree_xml(data: bytes | str) -> EcstTree:
-    """Parse an eCST XML document back into a tree.
+    """Parse an eCST XML document back into a tree, the whole document
+    in one call of expat.
 
     Nodes are built straight from the parser's events, without recursion.
-    Raises TreeXmlError on any well-formedness or schema violation; of
-    several schema violations, the one of the <ecst> element comes first,
-    then the first failing element in document order.
+    Each element rule is checked in the handler of the first event that
+    shows its fault, and the first fault ends the parse: the root's
+    fields, an element's place and a <node>'s kind at its start tag, a
+    <token>'s fields at its end tag, and text in a <node> at the next
+    start or end tag.  Raises TreeXmlError on the first fault of
+    well-formedness or of an element, in document order; then on the
+    first fault of validate_tree.
     """
     parser = expat.ParserCreate()
     parser.buffer_text = True
     stack: list[_Open] = []  # open elements; the <ecst> element stays
-    top: list[_Open] = []  # elements directly inside <ecst>
-    failures: list = []  # (order, error) per failing element
+
+    def check_text():
+        # Blank text between a <node>'s children is dropped once checked.
+        if stack and stack[-1].tag == "node":
+            if "".join(stack[-1].text).strip():
+                _fail(stack[-1], "unexpected text content in <node>")
+            stack[-1].text.clear()
 
     def start(tag, attrs):
-        line = parser.CurrentLineNumber
-        stack.append(_Open(tag, attrs, line, parser.CurrentByteIndex, [], []))
+        check_text()
+        el = _Open(tag, attrs, parser.CurrentLineNumber, [], [])
+        _check_start(el, stack[-1] if stack else None)
+        stack.append(el)
 
     def chars(text):
         stack[-1].text.append(text)
 
     def end(tag):
+        check_text()
         if len(stack) == 1:
+            if not stack[0].children:
+                _fail(stack[0], "<ecst> must contain exactly one <node>")
             return
         el = stack.pop()
-        if len(stack) == 1:
-            top.append(el)
-        try:
-            node = _build_node(el)
-        except TreeXmlError as e:
-            node = None
-            failures.append((el.order, e))
-        stack[-1].children.append(node)
+        stack[-1].children.append(_build_node(el))
 
     parser.StartElementHandler = start
     parser.CharacterDataHandler = chars
@@ -722,21 +743,12 @@ def reference_parse_tree_xml(data: bytes | str) -> EcstTree:
         # pyexpat encodes a str as UTF-8, which a lone surrogate fails.
         raise TreeXmlError(f"not well-formed XML: {e}") from e
     root_el = stack[0]
-    if root_el.tag != "ecst":
-        _fail(root_el, "expected root element <ecst>")
-    source = root_el.attrs.get("source")
-    language = root_el.attrs.get("language")
-    if source is None or language is None:
-        _fail(root_el, "<ecst> requires source and language attributes")
-    total_lines = _int_attr(root_el, "totalLines")
-    if len(root_el.children) != 1:
-        _fail(root_el, "<ecst> must contain exactly one <node>")
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    root_node = root_el.children[0]
-    if root_node.kind is not UniversalKind.COMPILATION_UNIT:
-        _fail(top[0], "top-level <node> must be COMPILATION_UNIT")
-    tree = EcstTree(root_node, source, language, total_lines)
+    tree = EcstTree(
+        root_el.children[0],
+        root_el.attrs["source"],
+        root_el.attrs["language"],
+        int(root_el.attrs["totalLines"]),
+    )
     try:
         validate_tree(tree)
     except MalformedTreeError as e:

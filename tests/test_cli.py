@@ -39,6 +39,7 @@ from ecstmetrics.xmlio import (
 )
 from oracles import same_tree
 from test_reference_parity import LANGUAGES, PROGRAMS
+import test_xmlio
 from test_xmlio import MINI_XML, writer_documents  # noqa: F401 (a fixture)
 
 
@@ -139,6 +140,33 @@ def _tree_path_outcomes(src: str, out: str, flag_sets: list) -> list[tuple]:
     return outcomes
 
 
+def _decline(pieces):
+    """A line reader that declines every document."""
+    raise ValueError("declined")
+
+
+@contextlib.contextmanager
+def _fifo(path: Path, text: str):
+    """path, for the length of the block, a named pipe that a thread
+    writes text into; the regular file there is put back after."""
+    path.unlink()
+
+    def write():
+        with contextlib.suppress(BrokenPipeError):  # a reader that stops early
+            path.write_text(text, encoding="utf-8")
+
+    os.mkfifo(path)
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield
+    finally:
+        writer.join(timeout=10)
+        path.unlink()
+        path.write_text(text, encoding="utf-8")
+    assert not writer.is_alive()
+
+
 class TestStreamedMeasure:
     """measure on a tree file folds the document as it is read, with no
     tree built; what it prints and writes is that of the tree path,
@@ -155,18 +183,26 @@ class TestStreamedMeasure:
                 argv = ["measure", "x.ecst.xml", *flags, "--out", "m.xml"]
                 assert _measure_outcome(argv) == outcome, flags
 
-    def test_mutated_documents_match_the_tree_path(self, workdir, writer_documents):
+    def test_mutated_documents_match_the_tree_path(
+        self, workdir, writer_documents, monkeypatch
+    ):
         # The 40 smallest, since most mutants go to expat after the fold.
         bases = sorted(writer_documents, key=len)[:40]
         rng = random.Random(20261019)
         kinds = Counter()
         flags = ["--extended-cc", "--table"]
+        argv = ["measure", "x.ecst.xml", *flags, "--out", "m.xml"]
         for _ in range(1200):
             doc = generators.mutate_tree_document(rng.choice(bases), rng)
             (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
             [expected] = _tree_path_outcomes("x.ecst.xml", "m.xml", [flags])
-            argv = ["measure", "x.ecst.xml", *flags, "--out", "m.xml"]
             assert _measure_outcome(argv) == expected, doc
+            # Expat alone, and a named pipe, which goes to expat at once.
+            with monkeypatch.context() as patched:
+                patched.setattr(xmlio, "_line_events", _decline)
+                assert _measure_outcome(argv) == expected, doc
+            with _fifo(workdir / "x.ecst.xml", doc):
+                assert _measure_outcome(argv) == expected, doc
             code, _, err, _ = expected
             kinds[code and ("invariant" if "tree invariants" in err else "element")] += 1
         # Reports, element faults and invariant faults all occur.
@@ -195,6 +231,34 @@ class TestStreamedMeasure:
             assert main(["measure", "x.ecst.xml", "--extended-cc"]) == 0
         # One token node per document stands for all of its tokens.
         assert built == {"node": 40}
+
+    def test_no_document_builds_a_tree(self, workdir, writer_documents, monkeypatch):
+        # Valid documents in other forms, which expat reads, or with
+        # other blank text, and a named pipe, which expat reads at once.
+        source = test_xmlio.MARKUP_SOURCES["javaoo"]
+        markup = serialize_tree(parse_source(source, "javaoo", source_path="Markup.java"))
+        forms = test_xmlio.TestLineReader
+        docs = [form(markup) for form in (*forms.OTHER_FORMS.values(), *forms.BLANK_FORMS.values())]
+        built = []
+
+        def fail(*args):
+            raise AssertionError("the tree path ran")
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        real = xmlio.EcstTree
+        monkeypatch.setattr(cli, "parse_tree_xml", fail)
+        monkeypatch.setattr(cli, "measure_tree", fail)
+        monkeypatch.setattr(xmlio, "EcstTree", counted)
+        argv = ["measure", "x.ecst.xml", "--extended-cc", "--out", "m.xml"]
+        for doc in docs:
+            (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
+            assert main(argv) == 0
+        with _fifo(workdir / "x.ecst.xml", writer_documents[5]):
+            assert main(argv) == 0
+        assert built == []
 
     # Documents in the writer's form whose tree breaks an invariant, with
     # the message of the tree path.
@@ -290,7 +354,6 @@ class TestStreamedMeasure:
             (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
             [expected] = _tree_path_outcomes("x.ecst.xml", "m.xml", [["--table"]])
             with monkeypatch.context() as patched:
-                patched.setattr(cli, "_line_events", counted)
                 patched.setattr(xmlio, "_line_events", counted)
                 read.clear()
                 assert _measure_outcome(argv) == expected
@@ -302,16 +365,8 @@ class TestStreamedMeasure:
             (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
             argv = ["measure", "x.ecst.xml", "--table", "--out", "m.xml"]
             expected = _measure_outcome(argv)
-            (workdir / "x.ecst.xml").unlink()
-            os.mkfifo(workdir / "x.ecst.xml")
-            writer = threading.Thread(
-                target=(workdir / "x.ecst.xml").write_text, args=(doc,), daemon=True
-            )
-            writer.start()
-            assert _measure_outcome(argv) == expected
-            writer.join(timeout=10)
-            assert not writer.is_alive()
-            (workdir / "x.ecst.xml").unlink()
+            with _fifo(workdir / "x.ecst.xml", doc):
+                assert _measure_outcome(argv) == expected
         assert expected[0] == 5
 
     def test_empty_branch_before_a_loop_in_a_branch_statement(self, workdir):

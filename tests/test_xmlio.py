@@ -161,6 +161,11 @@ class TestRoundTrip:
         assert token.label == "\u00e9"
 
 
+def _built(events) -> EcstTree:
+    """The tree xmlio._tree builds from one reader's header and events."""
+    return xmlio._tree(next(events), events)
+
+
 class TestSpanType:
     """A token keeps its position as four int slots in every tree,
     whichever builds it, and its span is the plain tuple of them."""
@@ -194,8 +199,8 @@ class TestSpanType:
         for tree in trees:
             doc = serialize_tree(tree)
             parsed = self._spans(tree)
-            assert self._spans(xmlio._read_lines((doc,))) == parsed
-            assert self._spans(xmlio._parse_expat(doc)) == parsed
+            assert self._spans(_built(xmlio._line_events((doc,)))) == parsed
+            assert self._spans(_built(xmlio._expat_events(doc))) == parsed
 
 
 class TestSchemaErrors:
@@ -388,24 +393,28 @@ class TestSchemaErrors:
 
 
 class TestErrorOrder:
-    """Of several schema violations, the first element in document order
-    is reported, even when its own check can only run at its end tag."""
+    """Of several faults of well-formedness or of an element, the first
+    in reading order is reported: each rule at the first tag that shows
+    its fault, a token's fields at its end tag."""
 
     def test_token_reported_before_its_child(self):
+        # The child's start tag shows the token's fault first.
         doc = MINI_XML.replace(">P</token>", "><widget/>P</token>")
-        with pytest.raises(TreeXmlError, match="must not contain elements"):
+        with pytest.raises(TreeXmlError, match="must not contain elements.*line 5"):
             parse_tree_xml(doc)
 
-    def test_node_text_reported_before_a_later_child(self):
+    def test_token_fields_reported_before_node_text_after_them(self):
+        # The wibble token ends on line 5; the stray text after it shows
+        # only at the </node> of line 6.
         doc = MINI_XML.replace('type="identifier"', 'type="wibble"').replace(
             "    </node>\n  </node>", "    stray</node>\n  </node>"
         )
-        with pytest.raises(TreeXmlError, match="unexpected text content.*line 3"):
+        with pytest.raises(TreeXmlError, match="unknown token type 'wibble'.*line 5"):
             parse_tree_xml(doc)
 
-    def test_not_well_formed_wins(self):
+    def test_element_fault_before_a_later_well_formedness_fault(self):
         doc = MINI_XML.replace('kind="FUNCTION_DECL"', 'kind="WIDGET"') + "<x>"
-        with pytest.raises(TreeXmlError, match="not well-formed"):
+        with pytest.raises(TreeXmlError, match="unknown universal kind 'WIDGET'.*line 3"):
             parse_tree_xml(doc)
 
 
@@ -484,6 +493,11 @@ class TestDeepDocument:
         assert not same_tree(first, changed)
 
 
+def _decline(pieces):
+    """A line reader that declines every document."""
+    raise ValueError("declined")
+
+
 def _outcome(read, doc):
     """The rewritten tree, or the TreeXmlError message."""
     try:
@@ -507,9 +521,9 @@ class TestReaderParity:
                 expected = _outcome(reference_parse_tree_xml, data)
                 assert _outcome(parse_tree_xml, data) == expected, doc
                 # Expat alone, which parse_tree_xml spares a document in
-                # the writer's form, and then the one validation.
+                # the writer's form.
                 with monkeypatch.context() as patch:
-                    patch.setattr(xmlio, "_read_lines", lambda pieces: None)
+                    patch.setattr(xmlio, "_line_events", _decline)
                     assert _outcome(parse_tree_xml, data) == expected, doc
             # A binary file, which expat reads in pieces, reads alike.
             assert _outcome(parse_tree_xml, io.BytesIO(doc.encode())) == expected, doc
@@ -518,16 +532,26 @@ class TestReaderParity:
         assert 50 < accepted < 500
 
 
+# Source paths whose header value quoteattr escapes or quotes otherwise:
+# parse_source's default, markup, quotes, and whitespace that expat
+# would normalise unless written as a reference.
+ESCAPED_PATHS = ["<string>", "r&d.mod", 'a"b.mod', 'it\'s "x".mod', "a\tb", "a\nb", "a\rb"]
+
+
 @pytest.fixture(scope="module")
 def writer_documents(corpus) -> list[str]:
     """The fixtures and generator seeds 0-199 in both languages, as
-    serialize_tree writes them, each named as a source file."""
+    serialize_tree writes them, each named as a source file; then seeds
+    0-6 of Modula-2 named by ESCAPED_PATHS."""
     documents = [serialize_tree(tree) for _, tree in corpus.values()]
     for language, ext in (("modula2", ".mod"), ("javaoo", ".java")):
         for seed in range(200):
             source = generators.generate(language, seed).source
             tree = parse_source(source, language, source_path=f"g{seed}{ext}")
             documents.append(serialize_tree(tree))
+    for seed, path in enumerate(ESCAPED_PATHS):
+        source = generators.generate("modula2", seed).source
+        documents.append(serialize_tree(parse_source(source, "modula2", source_path=path)))
     return documents
 
 
@@ -569,7 +593,23 @@ class TestLineReader:
     documents never reach expat, and the others give the tree or the
     message of the reader in oracles.py."""
 
-    def test_writer_documents_never_reach_expat(self, writer_documents, monkeypatch):
+    # Header values in the other quotes, or with a reference, as
+    # quoteattr writes some values; the line reader reads them too.
+    HEADER_FORMS = {
+        "single-quoted header": lambda doc: doc.replace(
+            'source="Markup.java"', "source='Markup.java'"
+        ),
+        "header holding &amp;": lambda doc: doc.replace(
+            'source="Markup.java"', 'source="a&amp;b.java"'
+        ),
+    }
+
+    def test_writer_documents_never_reach_expat(
+        self, writer_documents, markup_document, monkeypatch
+    ):
+        headers = [form(markup_document) for form in self.HEADER_FORMS.values()]
+        expected = [_outcome(reference_parse_tree_xml, doc) for doc in headers]
+
         def fail(*args):
             raise AssertionError("a document the writer wrote reached expat")
 
@@ -577,11 +617,15 @@ class TestLineReader:
         for doc in writer_documents:
             for data in _as_inputs(doc):
                 assert serialize_tree(parse_tree_xml(data)) == doc
+        for doc, outcome in zip(headers, expected):
+            assert not outcome.startswith("error: ")
+            for data in _as_inputs(doc):
+                assert _outcome(parse_tree_xml, data) == outcome
 
     def test_expat_reader_agrees_on_writer_documents(self, writer_documents):
         # The fallback reads the writer's documents to the same trees.
         for doc in writer_documents[::10]:
-            assert serialize_tree(xmlio._parse_expat(doc)) == doc
+            assert serialize_tree(_built(xmlio._expat_events(doc))) == doc
 
     def test_tokens_share_line_ints(self, monkeypatch):
         source = generators.generate("modula2", 5, n_units=20).source
@@ -603,12 +647,6 @@ class TestLineReader:
         "character reference": lambda doc: doc.replace("&lt;", "&#60;", 1),
         "XML declaration": lambda doc: '<?xml version="1.0" encoding="UTF-8"?>\n' + doc,
         "byte order mark": lambda doc: "\ufeff" + doc,
-        "single-quoted header": lambda doc: doc.replace(
-            'source="Markup.java"', "source='Markup.java'"
-        ),
-        "header holding &amp;": lambda doc: doc.replace(
-            'source="Markup.java"', 'source="a&amp;b.java"'
-        ),
         "comment after </ecst>": lambda doc: doc + "<!-- done -->\n",
         "no final line break": lambda doc: doc[:-1],
     }
@@ -782,6 +820,12 @@ class TestReadPieces:
         assert len(expat_calls) == 1
 
 
+def _expat_alone(data) -> None:
+    """Every event of data from the expat source."""
+    for _ in xmlio._expat_events(data):
+        pass
+
+
 def _best_of_3(read, data) -> float:
     """The shortest of three timed reads of data."""
     best = float("inf")
@@ -801,9 +845,7 @@ class TestLinearCost:
         expected = _outcome(reference_parse_tree_xml, data)
         assert not expected.startswith("error: ")
         assert _outcome(parse_tree_xml, data) == expected
-        assert _best_of_3(parse_tree_xml, data) <= 4 * _best_of_3(
-            xmlio._parse_expat, data
-        )
+        assert _best_of_3(parse_tree_xml, data) <= 4 * _best_of_3(_expat_alone, data)
 
     def test_one_long_comment(self):
         body = "".join(f"   line {n} of one comment\n" for n in range(20000))
