@@ -140,11 +140,6 @@ def _tree_path_outcomes(src: str, out: str, flag_sets: list) -> list[tuple]:
     return outcomes
 
 
-def _decline(pieces):
-    """A line reader that declines every document."""
-    raise ValueError("declined")
-
-
 @contextlib.contextmanager
 def _fifo(path: Path, text: str):
     """path, for the length of the block, a named pipe that a thread
@@ -199,7 +194,7 @@ class TestStreamedMeasure:
             assert _measure_outcome(argv) == expected, doc
             # Expat alone, and a named pipe, which goes to expat at once.
             with monkeypatch.context() as patched:
-                patched.setattr(xmlio, "_line_events", _decline)
+                patched.setattr(xmlio, "_line_events", test_xmlio._decline)
                 assert _measure_outcome(argv) == expected, doc
             with _fifo(workdir / "x.ecst.xml", doc):
                 assert _measure_outcome(argv) == expected, doc
@@ -237,28 +232,21 @@ class TestStreamedMeasure:
         # other blank text, and a named pipe, which expat reads at once.
         source = test_xmlio.MARKUP_SOURCES["javaoo"]
         markup = serialize_tree(parse_source(source, "javaoo", source_path="Markup.java"))
-        forms = test_xmlio.TestLineReader
-        docs = [form(markup) for form in (*forms.OTHER_FORMS.values(), *forms.BLANK_FORMS.values())]
-        built = []
+        forms = {**test_xmlio.TestLineReader.OTHER_FORMS, **test_xmlio.TestLineReader.BLANK_FORMS}
+        docs = [form(markup) for form in forms.values()]
 
-        def fail(*args):
-            raise AssertionError("the tree path ran")
+        def fail(*args, **kwargs):
+            raise AssertionError("a tree was built")
 
-        def counted(*args):
-            built.append(args)
-            return real(*args)
-
-        real = xmlio.EcstTree
         monkeypatch.setattr(cli, "parse_tree_xml", fail)
         monkeypatch.setattr(cli, "measure_tree", fail)
-        monkeypatch.setattr(xmlio, "EcstTree", counted)
+        monkeypatch.setattr(xmlio, "EcstTree", fail)
         argv = ["measure", "x.ecst.xml", "--extended-cc", "--out", "m.xml"]
         for doc in docs:
             (workdir / "x.ecst.xml").write_text(doc, encoding="utf-8")
             assert main(argv) == 0
         with _fifo(workdir / "x.ecst.xml", writer_documents[5]):
             assert main(argv) == 0
-        assert built == []
 
     # Documents in the writer's form whose tree breaks an invariant, with
     # the message of the tree path.
