@@ -44,16 +44,15 @@ def _load_registry(registry_path):
     return BUILTIN
 
 
-def _write_text(path, text, src) -> None:
-    """Replace path by a file holding text, or leave it as it was.
-
-    text is the str to write, or a function that writes it into the
-    open text file it is given, so that a large document can go out in
-    pieces.  An existing path must be a regular file other than src,
-    the input file: compared by device and inode, so any other name or
-    link of src matches.  The text goes to a temporary file next to
-    path, which then replaces path in one rename, so a failed write,
-    even one part-way through, never leaves a torn output.
+def _write_text(path, write, src) -> None:
+    """Replace path by a file holding the text write(handle) writes into
+    the open text file it is given, so that a large document can go out
+    in pieces, or leave it as it was.  An existing path must be a regular
+    file other than src, the input file: compared by device and inode,
+    so any other name or link of src matches.  The text goes to a
+    temporary file next to path, which then replaces path in one rename,
+    so a failed write, even one part-way through, never leaves a torn
+    output.
     """
     try:
         target = os.stat(path)
@@ -68,10 +67,7 @@ def _write_text(path, text, src) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            if isinstance(text, str):
-                handle.write(text)
-            else:
-                text(handle)
+            write(handle)
         os.replace(tmp, path)
     except BaseException as e:
         # A failed write or rename must not leave the temporary file.
@@ -93,13 +89,13 @@ def _out_path(directory, source_path: str, suffix: str) -> str:
     return os.path.join(directory, os.path.basename(source_path) + suffix)
 
 
-def _write_new(path, text, src, written: dict[str, str]) -> None:
+def _write_new(path, write, src, written: dict[str, str]) -> None:
     """_write_text, unless this run already wrote path: written maps the
     absolute path of each output written so far to its source."""
     key = os.path.abspath(path)
     if key in written:
         raise SourceIoError(f"cannot write {path}: already written for {written[key]}")
-    _write_text(path, text, src)
+    _write_text(path, write, src)
     written[key] = src
 
 
@@ -146,7 +142,8 @@ def _cmd_measure(args) -> int:
         else:
             tree = parse_file(src, detect(registry, src))
             report = measure_tree(tree, extended=args.extended_cc)
-        _write_text(out, serialize_metrics(report), src)
+            del tree  # the report is written with no tree held
+        _write_text(out, lambda handle: serialize_metrics(report, handle), src)
     except _HANDLED as e:
         _report_error(src, e)
         return e.exit_code
@@ -182,8 +179,9 @@ def _run_one(src, registry, args, written: dict[str, str]) -> int:
                     f"cannot use a temporary file: {e.strerror or e}"
                 ) from e
         report = measure_tree(reloaded, extended=args.extended_cc)
+        del reloaded  # the report is written with no tree held
         out = _out_path(args.metrics_dir, src, METRICS_SUFFIX)
-        _write_new(out, serialize_metrics(report), src, written)
+        _write_new(out, lambda handle: serialize_metrics(report, handle), src, written)
     except _HANDLED as e:
         _report_error(src, e)
         return e.exit_code

@@ -9,7 +9,8 @@ Blanks ride with the match before them: every match takes the blanks
 after it, and a line break takes the next line's indentation, so the
 loop turns once per token and once per line.  The pattern matches only
 a block comment's opener; a str.find loop then finds the closer,
-because Modula-2 comments nest.
+because Modula-2 comments nest.  Tokens of one word, symbol or literal
+share one str, found through the same tables that give its type.
 """
 
 from __future__ import annotations
@@ -40,14 +41,6 @@ class LexerSpec:
     block_close: str
     nested_blocks: bool
     string_escapes: bool
-
-
-# Token type of every match group whose type does not depend on the lexeme.
-_GROUP_TYPES = {
-    "number": "literal",
-    "string": "literal",
-    "line_comment": "comment",
-}
 
 
 def _string(quote: str, escapes: bool) -> str:
@@ -84,12 +77,14 @@ def _compile(spec):
         r"(?P<space>[ \t\r]+)",
     ]
 
-    # later updates win: a keyword beats an operator word beats a literal word
-    word_types = dict.fromkeys(spec.literal_words, "literal")
-    word_types.update(dict.fromkeys(spec.operator_words, "operator"))
-    word_types.update(dict.fromkeys(spec.keywords, "keyword"))
+    # Each table maps a lexeme to (its one str, its type), so every token
+    # of that lexeme shares the str.  Later updates win: a keyword beats
+    # an operator word beats a literal word.
+    word_types = {word: (word, "literal") for word in spec.literal_words}
+    word_types.update({word: (word, "operator") for word in spec.operator_words})
+    word_types.update({word: (word, "keyword") for word in spec.keywords})
     symbol_types = {
-        symbol: "punctuation" if symbol in spec.punctuation else "operator"
+        symbol: (symbol, "punctuation" if symbol in spec.punctuation else "operator")
         for symbol in (*spec.two_char_ops, *spec.single_chars)
     }
     pattern = "(?:" + "|".join(groups) + r")[ \t\r]*"
@@ -133,6 +128,10 @@ def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
     or comment.
     """
     match, word_types, symbol_types = _compile(spec)
+    # The word table, which takes each new identifier, number and string
+    # literal at its first token; a comment is seldom repeated and keeps
+    # its own str.
+    labels = dict(word_types)
     tokens = []
     append = tokens.append
     pos = 0
@@ -147,10 +146,12 @@ def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
         kind = m.lastgroup
         if kind == "word":
             lexeme = m[kind]
-            token_type = word_types.get(lexeme, "identifier")
+            entry = labels.get(lexeme)
+            if entry is None:
+                entry = labels[lexeme] = (lexeme, "identifier")
+            lexeme, token_type = entry
         elif kind == "symbol":
-            lexeme = m[kind]
-            token_type = symbol_types[lexeme]
+            lexeme, token_type = symbol_types[m[kind]]
         elif kind == "newline":
             line += 1
             line_start = pos + 1
@@ -175,9 +176,15 @@ def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
             continue
         elif kind == "quote":
             raise _error("unterminated string literal", line, col)
-        else:
+        elif kind == "line_comment":
             lexeme = m[kind]
-            token_type = _GROUP_TYPES[kind]
+            token_type = "comment"
+        else:  # a number or a string literal
+            lexeme = m[kind]
+            entry = labels.get(lexeme)
+            if entry is None:
+                entry = labels[lexeme] = (lexeme, "literal")
+            lexeme, token_type = entry
         append(EcstNode(lexeme, None, token_type,
                         line, col, line, col + len(lexeme) - 1))
         pos = m.end()

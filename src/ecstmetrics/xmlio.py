@@ -106,25 +106,36 @@ def serialize_tree(tree: EcstTree, out: TextIO | None = None) -> str | None:
     return None
 
 
-def serialize_metrics(report) -> str:
-    """Render a metrics report as a deterministic XML document."""
-    out = [
+def serialize_metrics(report, out: TextIO | None = None) -> str | None:
+    """Render a metrics report as a deterministic XML document.
+
+    Without out, return the document.  With a text file out, write it
+    there in pieces of _PIECE_LINES lines and return None, as
+    serialize_tree does.
+    """
+    lines = [
         f"<metrics source={quoteattr(report.source_path)}"
         f" language={quoteattr(report.language_id)}>\n"
     ]
     for row in report.elements:
-        out.append(
+        lines.append(
             f"  <element name={quoteattr(row.name)}"
             f" annotation={quoteattr(row.annotation)}"
             f' cc="{row.cc}" loc="{row.loc}" sloc="{row.sloc}" cloc="{row.cloc}"'
             f' startLine="{row.start_line}" endLine="{row.end_line}"/>\n'
         )
+        if out is not None and len(lines) == _PIECE_LINES:
+            out.write("".join(lines))
+            lines.clear()
     totals = report.totals
-    out.append(
+    lines.append(
         f'  <totals loc="{totals.loc}" sloc="{totals.sloc}" cloc="{totals.cloc}"/>\n'
     )
-    out.append("</metrics>\n")
-    return "".join(out)
+    lines.append("</metrics>\n")
+    if out is None:
+        return "".join(lines)
+    out.write("".join(lines))
+    return None
 
 
 # -- parsing ---------------------------------------------------------------
@@ -417,16 +428,18 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
     parser.CharacterDataHandler = chars
     parser.EndElementHandler = end
     try:
+        if isinstance(data, str):
+            # A lone surrogate keeps its place, for expat to reject there.
+            data = data.encode("utf-8", "surrogatepass")
         if not hasattr(data, "read"):
-            data = io.BytesIO(data.encode() if isinstance(data, str) else data)
+            data = io.BytesIO(data)
         while piece := data.read(_READ_BYTES):
             parser.Parse(piece, False)
             yield from events
             events.clear()
         parser.Parse(b"", True)
         yield from events
-    except (expat.ExpatError, UnicodeEncodeError) as e:
-        # A str holding a lone surrogate has no UTF-8 form.
+    except expat.ExpatError as e:
         raise TreeXmlError(f"not well-formed XML: {e}") from e
     finally:
         # The handlers' closures hold the parser; dropping them breaks
@@ -442,7 +455,10 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
 def _tree(head: tuple, events: Iterable) -> EcstTree:
     """The tree of a header's (source, language, totalLines) and the
     events of either reader after it, once validate_tree passes it.  Each
-    node is built anew: a reader yields one node for many."""
+    node is built anew: a reader yields one node for many.  Tokens of
+    one lexeme share one str, as the scanner's tokens do; each reader
+    gets a new str per lexeme it reads."""
+    labels: dict[str, str] = {}  # each lexeme read so far -> its first str
     top: list[EcstNode] = []  # the COMPILATION_UNIT node, once read
     children = top  # the open <node>'s children
     append = top.append
@@ -452,8 +468,10 @@ def _tree(head: tuple, events: Iterable) -> EcstTree:
             children = parents.pop()
             append = children.append
         elif node.kind is None:
-            append(EcstNode(node.label, None, node.token_type, node.start_line,
-                            node.start_col, node.end_line, node.end_col))
+            label = node.label
+            append(EcstNode(labels.setdefault(label, label), None, node.token_type,
+                            node.start_line, node.start_col, node.end_line,
+                            node.end_col))
         else:
             node = EcstNode(node.label, node.kind, children=[])
             append(node)

@@ -705,7 +705,12 @@ def reference_parse_tree_xml(data: bytes | str) -> EcstTree:
     well-formedness or of an element, in document order; then on the
     first fault of validate_tree.
     """
-    parser = expat.ParserCreate()
+    if isinstance(data, str):
+        # Read as its characters, a lone surrogate kept in its place.
+        parser = expat.ParserCreate("utf-8")
+        data = data.encode("utf-8", "surrogatepass")
+    else:
+        parser = expat.ParserCreate()
     parser.buffer_text = True
     stack: list[_Open] = []  # open elements; the <ecst> element stays
 
@@ -739,8 +744,7 @@ def reference_parse_tree_xml(data: bytes | str) -> EcstTree:
     parser.EndElementHandler = end
     try:
         parser.Parse(data, True)
-    except (expat.ExpatError, UnicodeEncodeError) as e:
-        # pyexpat encodes a str as UTF-8, which a lone surrogate fails.
+    except expat.ExpatError as e:
         raise TreeXmlError(f"not well-formed XML: {e}") from e
     root_el = stack[0]
     tree = EcstTree(

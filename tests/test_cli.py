@@ -1344,17 +1344,19 @@ def _traced(call) -> tuple[int, int]:
 class TestPeakMemory:
     """A command holds one tree at a time: the parsed tree, or the tree
     reloaded from its file, with the file written and read in pieces.
-    run without --tree-dir streams through a temporary file alike."""
+    run without --tree-dir streams through a temporary file alike.  The
+    metrics go out in pieces too, once no tree is held."""
 
     # command -> (argv, highest peak as a multiple of the parsed tree)
     COMMANDS = {
         "parse": (["parse", "Big.mod"], 1.2),
-        "run": (["run", "Big.mod", "--metrics-dir", "m"], 1.4),
+        "run": (["run", "Big.mod", "--metrics-dir", "m"], 1.2),
         "run --tree-dir": (
             ["run", "Big.mod", "--tree-dir", "t", "--metrics-dir", "m"],
-            1.4,
+            1.2,
         ),
-        "measure TREE": (["measure", "Big.mod.ecst.xml"], 0.3),
+        "measure TREE": (["measure", "Big.mod.ecst.xml"], 0.2),
+        "measure SOURCE": (["measure", "Big.mod"], 1.2),
     }
 
     def test_peak_is_one_tree(self, workdir):

@@ -368,13 +368,22 @@ class TestSchemaErrors:
             parse_tree_xml("")
 
     def test_lone_surrogate_in_a_str(self):
-        # A str with a lone surrogate has no UTF-8 form for expat to read.
+        # A lone surrogate has no UTF-8 form: expat reads its three bytes
+        # as a token that is not well-formed, where it stands.
         self._raises(
             MINI_XML.replace(">P<", ">\ud800<"),
-            "not well-formed XML",
-            "'\\ud800'",
-            "surrogates not allowed",
+            "not well-formed XML: not well-formed (invalid token): line 5, column 73",
         )
+
+    def test_lone_surrogate_reads_as_its_bytes(self):
+        for doc in (
+            MINI_XML.replace(">P<", ">\ud800<"),
+            MINI_XML.replace('source="Mini.mod"', 'source="\udfff.mod"'),
+            MINI_XML.replace("FUNCTION_DECL", "WIDGET").replace(">P<", ">\ud800<"),
+        ):
+            data = doc.encode("utf-8", "surrogatepass")
+            assert _outcome(parse_tree_xml, doc) == _outcome(parse_tree_xml, data)
+            assert _outcome(parse_tree_xml, doc).startswith("error: ")
 
     def test_invariant_violation_is_wrapped(self):
         # BRANCH_STATEMENT holding a non-BRANCH universal child
@@ -414,6 +423,12 @@ class TestErrorOrder:
 
     def test_element_fault_before_a_later_well_formedness_fault(self):
         doc = MINI_XML.replace('kind="FUNCTION_DECL"', 'kind="WIDGET"') + "<x>"
+        with pytest.raises(TreeXmlError, match="unknown universal kind 'WIDGET'.*line 3"):
+            parse_tree_xml(doc)
+
+    def test_element_fault_before_a_later_lone_surrogate(self):
+        doc = MINI_XML.replace('kind="FUNCTION_DECL"', 'kind="WIDGET"')
+        doc = doc.replace(">P<", ">\ud800<")
         with pytest.raises(TreeXmlError, match="unknown universal kind 'WIDGET'.*line 3"):
             parse_tree_xml(doc)
 
@@ -504,6 +519,42 @@ def _outcome(read, doc):
         return serialize_tree(read(doc))
     except TreeXmlError as e:
         return f"error: {e}"
+
+
+class TestSharedLabels:
+    """Every tree holds one str per distinct lexeme: two tokens other
+    than comments with equal labels hold the same str object, in the
+    parsed tree and in the tree reloaded by either reader."""
+
+    @staticmethod
+    def _check(tree):
+        first: dict[str, str] = {}
+        for node in walk(tree.root):
+            if node is not None and node.kind is None and node.token_type != "comment":
+                assert first.setdefault(node.label, node.label) is node.label, node.label
+
+    @pytest.fixture
+    def trees(self, corpus) -> list[EcstTree]:
+        trees = [tree for _, tree in corpus.values()]
+        for language in ("modula2", "javaoo"):
+            for seed in range(4):
+                source = generators.generate(language, seed, n_units=8).source
+                trees.append(parse_source(source, language))
+        return trees
+
+    def test_parsed_trees(self, trees):
+        for tree in trees:
+            self._check(tree)
+
+    def test_trees_reloaded_by_the_line_reader(self, trees, expat_calls):
+        for tree in trees:
+            self._check(parse_tree_xml(serialize_tree(tree)))
+        assert not expat_calls
+
+    def test_trees_reloaded_by_expat(self, trees, monkeypatch):
+        monkeypatch.setattr(xmlio, "_line_events", _decline)
+        for tree in trees:
+            self._check(parse_tree_xml(serialize_tree(tree)))
 
 
 class TestReaderParity:
@@ -1042,6 +1093,16 @@ class TestSerializeMetrics:
             '  <totals loc="1" sloc="1" cloc="0"/>\n'
             "</metrics>\n"
         )
+
+    @pytest.mark.parametrize("rows", [0, 1, xmlio._PIECE_LINES, 3 * xmlio._PIECE_LINES])
+    def test_streamed_report_is_the_returned_document(self, rows):
+        row = ElementMetrics("P<1>", "FUNCTION_DECL", 2, 3, 2, 1, 4, 6)
+        report = MetricsReport("a&b.mod", "modula2", [row] * rows, LocBundle(9, 7, 2))
+        out = _Pieces()
+        assert serialize_metrics(report, out) is None
+        assert out.getvalue() == serialize_metrics(report)
+        # A report longer than one piece goes out in more than one write.
+        assert (len(out.pieces) > 1) == (rows >= xmlio._PIECE_LINES)
 
     def test_name_attribute_is_quoted(self):
         report = MetricsReport(
