@@ -1,14 +1,16 @@
 """Shared recursive-descent machinery for the language frontends.
 
-Parsers operate on the comment-free token stream; comments are woven
-back into the finished tree by position so that constructs keep the
-spans their own tokens define.
+Parsers operate on the comment-free token stream and append the tree's
+events as they go: a universal node at each construct's entry, each
+token, and None at its exit.  Comments are merged into the finished
+events by position so that constructs keep the spans their own tokens
+define.
 """
 
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..tree import EcstNode, EcstTree, SourceSpan, walk
+from ..tree import UNIVERSAL, EcstNode, EcstTree, SourceSpan, UniversalKind
 
 #: Deepest nesting a source may have.  Each method or procedure and each
 #: statement opens one level, so a loop or branch counts once with its
@@ -16,12 +18,19 @@ from ..tree import EcstNode, EcstTree, SourceSpan, walk
 #: level; the limit keeps them well inside Python's recursion limit.
 MAX_NESTING = 200
 
+# The node of each universal kind below the root, as the parsers put it
+# into the events; a kind's spelling finds its node in UNIVERSAL.
+FUNCTION, LOOP, BRANCHING, BRANCH, CONDITION = (
+    UNIVERSAL[kind]
+    for kind in ("FUNCTION_DECL", "LOOP_STATEMENT", "BRANCH_STATEMENT", "BRANCH", "CONDITION")
+)
+
 
 class BaseParser:
     """Cursor over the real (non-comment) tokens plus tree assembly.
 
-    The tokens are the scanner's concrete nodes; each one consumed goes
-    into the tree as it is.
+    The tokens are the scanner's concrete nodes; each one consumed is
+    appended to the events as it is, and _put appends any other event.
     """
 
     def __init__(self, tokens: list[EcstNode], language_id: str, source_path: str):
@@ -37,6 +46,8 @@ class BaseParser:
                 toks.append(tok)
         self.toks = toks
         self.comments = comments
+        self.events: list[EcstNode | None] = []
+        self._put = self.events.append
         self.i = 0
         self.depth = 0  # nesting levels open at the cursor
         # The labels _flat_until looks at: brackets, construct keywords
@@ -45,6 +56,7 @@ class BaseParser:
 
     # -- cursor primitives -------------------------------------------------
     # Each reads self.toks at self.i itself: no helper call per token.
+    # Those that consume append what they consume to the events.
 
     def _peek(self, offset: int = 0) -> EcstNode | None:
         j = self.i + offset
@@ -58,31 +70,30 @@ class BaseParser:
         i = self.i
         return i < len(self.toks) and self.toks[i].token_type == token_type
 
-    def _advance(self) -> EcstNode:
-        """Consume the current token and return it."""
+    def _advance(self) -> None:
         i = self.i
-        if i < len(self.toks):
-            self.i = i + 1
-            return self.toks[i]
-        self._error("unexpected end of input")
+        if i == len(self.toks):
+            self._error("unexpected end of input")
+        self.i = i + 1
+        self._put(self.toks[i])
 
-    def _expect(self, lexeme: str) -> EcstNode:
+    def _expect(self, lexeme: str) -> None:
         i = self.i
-        if i < len(self.toks) and self.toks[i].label == lexeme:
-            self.i = i + 1
-            return self.toks[i]
-        tok = self._peek()
-        found = "end of input" if tok is None else repr(tok.label)
-        self._error(f"expected {lexeme!r}, found {found}")
+        if i == len(self.toks) or self.toks[i].label != lexeme:
+            tok = self._peek()
+            found = "end of input" if tok is None else repr(tok.label)
+            self._error(f"expected {lexeme!r}, found {found}")
+        self.i = i + 1
+        self._put(self.toks[i])
 
-    def _expect_type(self, token_type: str) -> EcstNode:
+    def _expect_type(self, token_type: str) -> None:
         i = self.i
-        if i < len(self.toks) and self.toks[i].token_type == token_type:
-            self.i = i + 1
-            return self.toks[i]
-        tok = self._peek()
-        found = "end of input" if tok is None else repr(tok.label)
-        self._error(f"expected {token_type}, found {found}")
+        if i == len(self.toks) or self.toks[i].token_type != token_type:
+            tok = self._peek()
+            found = "end of input" if tok is None else repr(tok.label)
+            self._error(f"expected {token_type}, found {found}")
+        self.i = i + 1
+        self._put(self.toks[i])
 
     def _enter_level(self) -> None:
         """Open one nesting level at the current token; see MAX_NESTING."""
@@ -104,65 +115,54 @@ class BaseParser:
 
     # -- tree assembly -----------------------------------------------------
 
-    def parse_compilation_unit(self) -> EcstNode:  # pragma: no cover - abstract
+    def parse_compilation_unit(self) -> None:  # pragma: no cover - abstract
+        """Append the root's events between its node and its None."""
         raise NotImplementedError
 
     def build_tree(self, total_lines: int) -> EcstTree:
-        root = self.parse_compilation_unit()
+        self._put(UNIVERSAL[UniversalKind.COMPILATION_UNIT])
+        self.parse_compilation_unit()
         if self.i < len(self.toks):
             self._error("trailing input after compilation unit")
-        self._attach_comments(root)
-        return EcstTree(
-            root=root,
-            source_path=self.source_path,
-            language_id=self.language_id,
-            total_lines=total_lines,
-        )
+        self._put(None)
+        self._attach_comments()
+        return EcstTree(self.events, self.source_path, self.language_id, total_lines)
 
-    def _attach_comments(self, root: EcstNode) -> None:
-        """Insert comment nodes at their source positions.
+    def _attach_comments(self) -> None:
+        """Merge the comments into the events at their source positions.
 
-        Each comment sits between real tokens p-1 and p.  It becomes a
-        child of the deepest node covering both, just before the child
-        holding token p, so a trailing comment never widens the span of
-        the construct it follows.  In walk()'s events: the comment goes
-        into the innermost open node, just before the first non-None
-        event after token p-1; the Nones in between close every node
-        that ends with p-1.  One pass over walk() builds each universal
-        node a new children list by appends and gives it the list at the
-        node's None; comments after the last token go to the root.
+        Each comment sits between real tokens p-1 and p.  It goes into
+        the innermost node open after token p-1 and the Nones that
+        follow it, just before the first event after those: a trailing
+        comment never widens the span of the construct it follows.
+        Comments after the last token go last into the root.  The merge
+        is in place and from the back: the events grow by one slot per
+        comment, and each run of events between two places moves once.
         """
-        if not self.comments:
+        comments = self.comments
+        if not comments:
             return
-        pending = iter(self.comments)
-        due, comment = next(pending)  # real tokens before it, the comment
-        seen = 0  # real tokens walked so far
-        events = walk(root)
-        next(events)  # the root
-        opened, out = root, []  # the innermost open node and its new list
-        append = out.append
-        # (node, new list) per open node around the innermost; the root's
-        # None pops the root back, so the trailing comments go to it.
-        stack = [(root, out)]
-        for node in events:
-            if node is None:
-                opened.children = out
-                opened, out = stack.pop()
-                append = out.append
-                continue
-            while seen == due:
-                append(comment)
-                due, comment = next(pending, (-1, None))
-            append(node)
-            if node.kind is None:
-                seen += 1
-            else:
-                stack.append((opened, out))
-                opened, out = node, []
-                append = out.append
-        while seen == due:  # after the last token, into the root
-            append(comment)
-            due, comment = next(pending, (-1, None))
+        events, toks = self.events, self.toks
+        hi = len(events) - 1  # the events before hi are yet to move
+        events += comments  # the new slots, each overwritten below
+        events[-1] = None  # the root's, the first to move
+        shift = len(comments)  # slots each event before hi moves by
+        tokens = len(toks)  # real tokens before hi
+        for p, comment in reversed(comments):
+            lo = hi
+            if tokens > p:  # back to token p
+                token = toks[p]
+                lo -= 1
+                while events[lo] is not token:
+                    lo -= 1
+                tokens = p
+            # and back over the nodes entered just before it, not the root
+            while lo > 1 and (node := events[lo - 1]) is not None and node.kind is not None:
+                lo -= 1
+            events[lo + shift : hi + shift] = events[lo:hi]
+            shift -= 1
+            events[lo + shift] = comment
+            hi = lo
 
     # -- shared construct helpers ------------------------------------------
 
@@ -176,7 +176,8 @@ class BaseParser:
         raise NotImplementedError
 
     def _flat_until(self, stops) -> list[EcstNode]:
-        """Consume tokens up to a bracket-level-zero stop lexeme.
+        """Consume tokens up to a bracket-level-zero stop lexeme and
+        return them.
 
         A closing bracket must match the innermost opening one consumed
         here; one with none open stops the loop, so enclosing groups stay
@@ -214,17 +215,17 @@ class BaseParser:
                     closers.pop()
             j += 1
         self.i = j
-        return toks[start:j]
+        run = toks[start:j]
+        self.events += run
+        return run
 
-    def _balanced_group(self) -> list[EcstNode]:
+    def _balanced_group(self) -> None:
         """Consume a bracketed group through the closer of its opener."""
         tok = self._peek()
         if tok is None or tok.label not in self._CLOSER_OF:
             self._error("expected a bracketed group")
-        closer = self._CLOSER_OF[tok.label]
-        nodes = [self._advance()]
-        nodes.extend(self._flat_until(()))
+        self._advance()
+        self._flat_until(())
         if self._peek() is None:
             self._error("unbalanced brackets")
-        nodes.append(self._expect(closer))
-        return nodes
+        self._expect(self._CLOSER_OF[tok.label])

@@ -10,8 +10,7 @@ loops, and branches.
 from __future__ import annotations
 
 from ..scan import LexerSpec
-from ..tree import EcstNode, UniversalKind
-from .base import BaseParser
+from .base import BRANCH, BRANCHING, CONDITION, FUNCTION, LOOP, BaseParser
 
 MODIFIERS = ("public", "private", "protected", "static", "final")
 
@@ -47,29 +46,27 @@ class JavaParser(BaseParser):
         # After "." the keyword is a member name, as in the literal A.class.
         return self.toks[j - 1].label != "."
 
-    def parse_compilation_unit(self) -> EcstNode:
-        kids: list[EcstNode] = []
+    def parse_compilation_unit(self) -> None:
         if self._peek() is None:
             self._error("empty compilation unit")
         while self._peek() is not None:
-            self._class_declaration(kids)
-        return EcstNode.universal(UniversalKind.COMPILATION_UNIT, kids)
+            self._class_declaration()
 
     # -- class structure ---------------------------------------------------
 
-    def _class_declaration(self, kids: list[EcstNode]) -> None:
+    def _class_declaration(self) -> None:
         while self._at(*MODIFIERS):
-            kids.append(self._advance())
-        kids.append(self._expect("class"))
-        kids.append(self._expect_type("identifier"))
-        kids.append(self._expect("{"))
+            self._advance()
+        self._expect("class")
+        self._expect_type("identifier")
+        self._expect("{")
         while not self._at("}"):
             if self._peek() is None:
                 self._error("expected '}', found end of input")
-            self._member(kids)
-        kids.append(self._expect("}"))
+            self._member()
+        self._expect("}")
 
-    def _member(self, kids: list[EcstNode]) -> None:
+    def _member(self) -> None:
         j = self.i
         decide = None
         while j < len(self.toks):
@@ -79,111 +76,122 @@ class JavaParser(BaseParser):
                 break
             j += 1
         if decide == "(":
-            kids.append(self._method())
+            self._method()
         elif decide == "{":
             self._error("unsupported class member")
         else:
-            kids.extend(self._flat_until({";"}))
-            kids.append(self._expect(";"))
+            self._flat_until({";"})
+            self._expect(";")
 
-    def _method(self) -> EcstNode:
+    def _method(self) -> None:
         self._enter_level()
-        k = self._flat_until({"("})
-        if not k or k[-1].token_type != "identifier":
+        self._put(FUNCTION)
+        head = self._flat_until({"("})
+        if not head or head[-1].token_type != "identifier":
             self._expect_type("identifier")  # a method needs its name
-        k.extend(self._balanced_group())
-        self._block(k)
+        self._balanced_group()
+        self._block()
+        self._put(None)
         self._leave_level()
-        return EcstNode.universal(UniversalKind.FUNCTION_DECL, k)
 
     # -- statements --------------------------------------------------------
 
-    def _block(self, kids: list[EcstNode]) -> None:
-        kids.append(self._expect("{"))
+    def _block(self) -> None:
+        self._expect("{")
         while not self._at("}"):
             if self._peek() is None:
                 self._error("expected '}', found end of input")
-            self._statement(kids)
-        kids.append(self._expect("}"))
+            self._statement()
+        self._expect("}")
 
-    def _stmt_or_block(self, kids: list[EcstNode]) -> None:
+    def _stmt_or_block(self) -> None:
         if self._at("{"):
-            self._block(kids)
+            self._block()
         else:
-            self._statement(kids)
+            self._statement()
 
-    def _statement(self, kids: list[EcstNode]) -> None:
+    def _statement(self) -> None:
         self._enter_level()
         if self._at("if"):
-            kids.append(self._if_statement())
+            self._if_statement()
         elif self._at("while"):
-            kids.append(self._while_loop())
+            self._while_loop()
         elif self._at("do"):
-            kids.append(self._do_loop())
+            self._do_loop()
         elif self._at("for"):
-            kids.append(self._for_loop())
+            self._for_loop()
         elif self._at("{"):
-            self._block(kids)
+            self._block()
         elif self._at(";"):
-            kids.append(self._advance())
+            self._advance()
         elif self._at("return", "break", "continue"):
-            kids.append(self._advance())
-            kids.extend(self._flat_until({";"}))
-            kids.append(self._expect(";"))
+            self._advance()
+            self._flat_until({";"})
+            self._expect(";")
         else:
             tok = self._peek()
             if tok is None or (tok.token_type == "keyword" and tok.label not in DECL_KEYWORDS):
                 self._error("expected statement")
-            kids.extend(self._flat_until({";"}))
-            kids.append(self._expect(";"))
+            self._flat_until({";"})
+            self._expect(";")
         self._leave_level()
 
-    def _paren_condition(self) -> EcstNode:
+    def _paren_condition(self) -> None:
         if not self._at("("):
             self._error("expected parenthesized condition")
-        return EcstNode.universal(UniversalKind.CONDITION, self._balanced_group())
+        self._put(CONDITION)
+        self._balanced_group()
+        self._put(None)
 
-    def _if_statement(self) -> EcstNode:
-        b = [self._expect("if"), self._paren_condition()]
-        self._stmt_or_block(b)
-        branches = [EcstNode.universal(UniversalKind.BRANCH, b)]
+    def _if_statement(self) -> None:
+        self._put(BRANCHING)
+        self._put(BRANCH)
+        self._expect("if")
+        self._paren_condition()
+        self._stmt_or_block()
+        self._put(None)
         while self._at("else"):
-            nxt = self._peek(1)
-            if nxt is not None and nxt.label == "if":
-                # else-if flattens into a sibling branch of the same chain
-                b = [self._advance(), self._advance(), self._paren_condition()]
-                self._stmt_or_block(b)
-                branches.append(EcstNode.universal(UniversalKind.BRANCH, b))
-                continue
-            b = [self._advance()]
-            self._stmt_or_block(b)
-            branches.append(EcstNode.universal(UniversalKind.BRANCH, b))
-            break
-        return EcstNode.universal(UniversalKind.BRANCH_STATEMENT, branches)
+            self._put(BRANCH)
+            self._advance()
+            # else-if flattens into a sibling branch of the same chain
+            chained = self._at("if")
+            if chained:
+                self._advance()
+                self._paren_condition()
+            self._stmt_or_block()
+            self._put(None)
+            if not chained:
+                break
+        self._put(None)
 
-    def _while_loop(self) -> EcstNode:
-        k = [self._expect("while"), self._paren_condition()]
-        self._stmt_or_block(k)
-        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)
+    def _while_loop(self) -> None:
+        self._put(LOOP)
+        self._expect("while")
+        self._paren_condition()
+        self._stmt_or_block()
+        self._put(None)
 
-    def _do_loop(self) -> EcstNode:
-        k = [self._expect("do")]
-        self._stmt_or_block(k)
-        k.append(self._expect("while"))
-        k.append(self._paren_condition())
-        k.append(self._expect(";"))
-        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)
+    def _do_loop(self) -> None:
+        self._put(LOOP)
+        self._expect("do")
+        self._stmt_or_block()
+        self._expect("while")
+        self._paren_condition()
+        self._expect(";")
+        self._put(None)
 
-    def _for_loop(self) -> EcstNode:
-        k = [self._expect("for"), self._expect("(")]
-        k.extend(self._flat_until({";"}))
-        k.append(self._expect(";"))
-        test = self._flat_until({";"})
-        if test:
-            # An empty test part gets no CONDITION node.
-            k.append(EcstNode.universal(UniversalKind.CONDITION, test))
-        k.append(self._expect(";"))
-        k.extend(self._flat_until({")"}))
-        k.append(self._expect(")"))
-        self._stmt_or_block(k)
-        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)
+    def _for_loop(self) -> None:
+        self._put(LOOP)
+        self._expect("for")
+        self._expect("(")
+        self._flat_until({";"})
+        self._expect(";")
+        if not self._at(";"):  # an empty test part gets no CONDITION node
+            self._put(CONDITION)
+            self._flat_until({";"})
+            self._put(None)
+        self._expect(";")
+        self._flat_until({")"})
+        self._expect(")")
+        self._stmt_or_block()
+        self._put(None)

@@ -10,8 +10,7 @@ direct concrete child of the nearest enclosing construct.
 from __future__ import annotations
 
 from ..scan import LexerSpec
-from ..tree import EcstNode, UniversalKind
-from .base import BaseParser
+from .base import BRANCH, BRANCHING, CONDITION, FUNCTION, LOOP, BaseParser
 
 # Keywords that terminate a flat expression scan at bracket level zero.
 COND_STOPS = frozenset(
@@ -49,137 +48,148 @@ class Modula2Parser(BaseParser):
             j + 1 < len(toks) and toks[j + 1].token_type == "identifier"
         )
 
-    def parse_compilation_unit(self) -> EcstNode:
-        kids: list[EcstNode] = []
+    def parse_compilation_unit(self) -> None:
         if self._at("MODULE"):
-            kids.append(self._advance())
-            kids.append(self._expect_type("identifier"))
-            kids.append(self._expect(";"))
+            self._advance()
+            self._expect_type("identifier")
+            self._expect(";")
             while self._at("FROM", "IMPORT"):
-                kids.append(self._advance())
-                kids.extend(self._flat_until({";"}))
-                kids.append(self._expect(";"))
-            self._declarations(kids)
+                self._advance()
+                self._flat_until({";"})
+                self._expect(";")
+            self._declarations()
             if self._at("BEGIN"):
-                kids.append(self._advance())
-                self._statement_sequence(kids, {"END"})
-            kids.append(self._expect("END"))
-            kids.append(self._expect_type("identifier"))
-            kids.append(self._expect("."))
+                self._advance()
+                self._statement_sequence({"END"})
+            self._expect("END")
+            self._expect_type("identifier")
+            self._expect(".")
         else:
-            self._declarations(kids)
-            if not kids:
+            self._declarations()
+            if len(self.events) == 1:  # the root's node alone
                 self._error("empty compilation unit")
-        return EcstNode.universal(UniversalKind.COMPILATION_UNIT, kids)
 
     # -- declarations ------------------------------------------------------
 
-    def _declarations(self, kids: list[EcstNode]) -> None:
+    def _declarations(self) -> None:
         while True:
             if self._at(*SECTION_KEYWORDS):
-                kids.append(self._advance())
+                self._advance()
                 while self._at_type("identifier"):
-                    kids.extend(self._flat_until({";"}))
-                    kids.append(self._expect(";"))
+                    self._flat_until({";"})
+                    self._expect(";")
             elif self._at("PROCEDURE"):
-                kids.append(self._procedure())
+                self._procedure()
             else:
                 return
 
-    def _procedure(self) -> EcstNode:
+    def _procedure(self) -> None:
         self._enter_level()
-        k = [self._expect("PROCEDURE"), self._expect_type("identifier")]
+        self._put(FUNCTION)
+        self._expect("PROCEDURE")
+        self._expect_type("identifier")
         if self._at("("):
-            k.extend(self._balanced_group())
+            self._balanced_group()
         if self._at(":"):
-            k.append(self._advance())
-            k.append(self._expect_type("identifier"))
-        k.append(self._expect(";"))
-        self._declarations(k)
+            self._advance()
+            self._expect_type("identifier")
+        self._expect(";")
+        self._declarations()
         if self._at("BEGIN"):
-            k.append(self._advance())
-            self._statement_sequence(k, {"END"})
-        k.append(self._expect("END"))
-        k.append(self._expect_type("identifier"))
-        k.append(self._expect(";"))
+            self._advance()
+            self._statement_sequence({"END"})
+        self._expect("END")
+        self._expect_type("identifier")
+        self._expect(";")
+        self._put(None)
         self._leave_level()
-        return EcstNode.universal(UniversalKind.FUNCTION_DECL, k)
 
     # -- statements --------------------------------------------------------
 
-    def _statement_sequence(self, kids: list[EcstNode], terminators: set) -> None:
+    def _statement_sequence(self, terminators: set) -> None:
         while True:
             tok = self._peek()
             if tok is None or (tok.token_type == "keyword" and tok.label in terminators):
                 return
-            self._statement(kids)
+            self._statement()
             # Separator semicolons stay siblings of the construct nodes.
             if self._at(";"):
-                kids.append(self._advance())
+                self._advance()
 
-    def _statement(self, kids: list[EcstNode]) -> None:
+    def _statement(self) -> None:
         self._enter_level()
         if self._at("IF"):
-            kids.append(self._if_statement())
+            self._if_statement()
         elif self._at("WHILE"):
-            kids.append(self._while_loop())
+            self._while_loop()
         elif self._at("REPEAT"):
-            kids.append(self._repeat_loop())
+            self._repeat_loop()
         elif self._at("FOR"):
-            kids.append(self._for_loop())
+            self._for_loop()
         elif self._at("RETURN"):
-            kids.append(self._advance())
-            kids.extend(self._flat_until(COND_STOPS))
+            self._advance()
+            self._flat_until(COND_STOPS)
         elif self._at_type("identifier"):
-            kids.extend(self._flat_until(COND_STOPS))
+            self._flat_until(COND_STOPS)
         else:
             self._error("expected statement")
         self._leave_level()
 
-    def _condition(self, stops: frozenset) -> EcstNode:
-        nodes = self._flat_until(stops)
-        if not nodes:
+    def _condition(self) -> None:
+        self._put(CONDITION)
+        if not self._flat_until(COND_STOPS):
             self._error("empty condition")
-        return EcstNode.universal(UniversalKind.CONDITION, nodes)
+        self._put(None)
 
-    def _if_statement(self) -> EcstNode:
-        b = [self._expect("IF"), self._condition(COND_STOPS), self._expect("THEN")]
-        self._statement_sequence(b, {"ELSIF", "ELSE", "END"})
-        branches = [EcstNode.universal(UniversalKind.BRANCH, b)]
-        while self._at("ELSIF"):
-            b = [self._advance(), self._condition(COND_STOPS), self._expect("THEN")]
-            self._statement_sequence(b, {"ELSIF", "ELSE", "END"})
-            branches.append(EcstNode.universal(UniversalKind.BRANCH, b))
+    def _if_statement(self) -> None:
+        self._put(BRANCHING)
+        # IF opens the first branch and ELSIF each later one, which ends
+        # at the next ELSIF, an ELSE or END.
+        while self._at("IF", "ELSIF"):
+            self._put(BRANCH)
+            self._advance()
+            self._condition()
+            self._expect("THEN")
+            self._statement_sequence({"ELSIF", "ELSE", "END"})
+            self._put(None)
         if self._at("ELSE"):
-            b = [self._advance()]
-            self._statement_sequence(b, {"END"})
-            branches.append(EcstNode.universal(UniversalKind.BRANCH, b))
-        branches.append(self._expect("END"))
-        return EcstNode.universal(UniversalKind.BRANCH_STATEMENT, branches)
+            self._put(BRANCH)
+            self._advance()
+            self._statement_sequence({"END"})
+            self._put(None)
+        self._expect("END")
+        self._put(None)
 
-    def _while_loop(self) -> EcstNode:
-        k = [self._expect("WHILE"), self._condition(COND_STOPS), self._expect("DO")]
-        self._statement_sequence(k, {"END"})
-        k.append(self._expect("END"))
-        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)
+    def _while_loop(self) -> None:
+        self._put(LOOP)
+        self._expect("WHILE")
+        self._condition()
+        self._expect("DO")
+        self._statement_sequence({"END"})
+        self._expect("END")
+        self._put(None)
 
-    def _repeat_loop(self) -> EcstNode:
-        k = [self._expect("REPEAT")]
-        self._statement_sequence(k, {"UNTIL"})
-        k.append(self._expect("UNTIL"))
-        k.append(self._condition(COND_STOPS))
-        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)
+    def _repeat_loop(self) -> None:
+        self._put(LOOP)
+        self._expect("REPEAT")
+        self._statement_sequence({"UNTIL"})
+        self._expect("UNTIL")
+        self._condition()
+        self._put(None)
 
-    def _for_loop(self) -> EcstNode:
-        k = [self._expect("FOR"), self._expect_type("identifier"), self._expect(":=")]
-        k.extend(self._flat_until(COND_STOPS))
-        k.append(self._expect("TO"))
+    def _for_loop(self) -> None:
+        self._put(LOOP)
+        self._expect("FOR")
+        self._expect_type("identifier")
+        self._expect(":=")
+        self._flat_until(COND_STOPS)
+        self._expect("TO")
         # The bound expression acts as the loop guard.
-        k.append(self._condition(COND_STOPS))
+        self._condition()
         if self._at("BY"):
-            k.append(self._advance())
-            k.extend(self._flat_until(COND_STOPS))
-        k.append(self._expect("DO"))
-        self._statement_sequence(k, {"END"})
-        k.append(self._expect("END"))
-        return EcstNode.universal(UniversalKind.LOOP_STATEMENT, k)
+            self._advance()
+            self._flat_until(COND_STOPS)
+        self._expect("DO")
+        self._statement_sequence({"END"})
+        self._expect("END")
+        self._put(None)

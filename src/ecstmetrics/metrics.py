@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import MalformedTreeError
-from .tree import EcstNode, EcstTree, UniversalKind, walk
+from .tree import EcstNode, EcstTree, UniversalKind
 
 MEASURED_KINDS = (
     UniversalKind.FUNCTION_DECL,
@@ -23,14 +23,14 @@ MEASURED_KINDS = (
 LOGICAL_OPERATORS = frozenset({"AND", "OR", "&", "&&", "||"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocBundle:
     loc: int
     sloc: int
     cloc: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementMetrics:
     name: str
     annotation: str
@@ -92,11 +92,11 @@ def _fold(events: Iterable[EcstNode | None], extended: bool) -> list[ElementMetr
     """The whole-file row of the first node of events, then the row of
     every measured node inside it, in preorder.
 
-    events are walk()'s over a valid tree, or of their shape: a token is
-    read only while current and no node's children are read, so one node
-    may stand for every token.  Each value is a running count noted at a
-    node's entry and read at its exit, and its lines run from its first
-    token's start line to the last line counted at its exit.  cc counts
+    events are a valid tree's, or of their shape: a token is read only
+    while current, so one node may stand for every token.  Each value is
+    a running count noted at a node's entry and read at its exit, and
+    its lines run from its first token's start line to the last line
+    counted at its exit.  cc counts
     the loops and the branches with a CONDITION, plus 1 for a unit.
     """
     rows: list = []
@@ -196,7 +196,7 @@ def _fold(events: Iterable[EcstNode | None], extended: bool) -> list[ElementMetr
 
 def measure_tree(tree: EcstTree, extended: bool = False) -> MetricsReport:
     """Per-element metrics in preorder plus file-level totals."""
-    rows = _fold(walk(tree.root), extended)
+    rows = _fold(tree.events, extended)
     return _report(tree.source_path, tree.language_id, tree.total_lines, rows)
 
 

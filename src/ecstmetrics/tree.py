@@ -1,10 +1,11 @@
-"""Enriched concrete syntax tree: node types and traversal helpers.
+"""Enriched concrete syntax tree: node types, the event list, validation.
 
 A tree mixes two node flavours: concrete nodes, one per source token,
 and universal nodes, imaginary markers labelling the constructs that
 metric algorithms key on (functions, loops, branches, conditions).
 Universal nodes carry no source position of their own; their span is
-always derived from their concrete descendants.
+always derived from their concrete descendants.  A tree holds no nested
+lists: it is its flat list of events in preorder, which every pass reads.
 """
 
 from __future__ import annotations
@@ -58,11 +59,10 @@ class EcstNode:
 
     label holds the source lexeme for concrete nodes and the canonical
     kind spelling for universal nodes.  The scanner makes the concrete
-    nodes and the parser places each of them once in the tree.  A token
-    is a leaf: its children are the shared empty tuple.  Its position is
-    four int slots, 1-based and inclusive, named as SourceSpan names
-    them; a universal node has none.  Nodes compare by identity;
-    comparing their fields would recurse through the children.
+    nodes and the parser places each of them once in the tree; each
+    universal kind has its one node, in UNIVERSAL.  A token's position
+    is four int slots, 1-based and inclusive, named as SourceSpan names
+    them; a universal node has none.  Nodes compare by identity.
     """
 
     label: str
@@ -72,7 +72,6 @@ class EcstNode:
     start_col: int | None = None
     end_line: int | None = None
     end_col: int | None = None
-    children: list["EcstNode"] | tuple = ()
 
     @property
     def span(self) -> tuple[int, int, int, int] | None:
@@ -82,40 +81,23 @@ class EcstNode:
             return None
         return self.start_line, self.start_col, self.end_line, self.end_col
 
-    @classmethod
-    def universal(cls, kind: UniversalKind, children: list["EcstNode"]) -> "EcstNode":
-        return cls(kind.value, kind, children=children)
+
+#: Each kind's one node, which every tree holds at each entry of that
+#: kind.  A kind is a str, so its spelling finds its node too.
+UNIVERSAL = {kind: EcstNode(kind.value, kind) for kind in UniversalKind}
 
 
 @dataclass
 class EcstTree:
-    """A whole-file tree rooted at a COMPILATION_UNIT node."""
+    """A whole-file tree as one flat list of events in preorder: a
+    universal node at its entry, each token, and None at the exit of the
+    universal node entered last.  The first event is the
+    COMPILATION_UNIT node and its None is the last."""
 
-    root: EcstNode
+    events: list[EcstNode | None]
     source_path: str
     language_id: str
     total_lines: int
-
-
-def walk(root: EcstNode) -> Iterator[EcstNode | None]:
-    """Preorder pass from a universal root, without recursion.
-
-    Yields each node itself, parent before children, and None once after
-    the last descendant of each universal node, the root's None last.  A
-    token is yielded once; an empty universal node is followed directly
-    by its None.
-    """
-    yield root
-    stack = [iter(root.children)]
-    while stack:
-        for child in stack[-1]:
-            yield child
-            if child.kind is not None:
-                stack.append(iter(child.children))
-                break
-        else:
-            stack.pop()
-            yield None
 
 
 def validate_tree(tree: EcstTree) -> None:
@@ -126,20 +108,21 @@ def validate_tree(tree: EcstTree) -> None:
     nodes having concrete descendants, BRANCH_STATEMENT's universal
     children all being BRANCH, CONDITION placement, every FUNCTION_DECL
     containing an identifier token, and the last token ending on or
-    before line total_lines.  The fields of each node and the root kind
-    are the builder's to get right: the scanner builds each token with
-    the EcstNode constructor, the parsers build universal nodes through
-    EcstNode.universal, and both XML readers yield only checked elements.
+    before line total_lines.  The fields of each node, the root kind and
+    the shape of the events are the builder's to get right: the scanner
+    builds each token with the EcstNode constructor, the parsers put
+    UNIVERSAL's nodes and their Nones into the events, and both XML
+    readers yield only checked elements in the events' shape.
     """
-    for _ in _checked(walk(tree.root), tree.total_lines):
+    for _ in _checked(tree.events, tree.total_lines):
         pass
 
 
 def _checked(events: Iterable, total_lines: int) -> Iterator[EcstNode | None]:
-    """events, of walk()'s shape, each passed on once validate_tree's
-    rules hold up to it; MalformedTreeError at the first breach.  No
-    node's children are read, so a BRANCH_STATEMENT's universal children
-    are checked at each child's entry; a token is read only while current.
+    """events, of a tree's shape, each passed on once validate_tree's
+    rules hold up to it; MalformedTreeError at the first breach.  A
+    BRANCH_STATEMENT's universal children are checked at each child's
+    entry; a token is read only while current.
     """
     guarded = False  # inside a BRANCH or LOOP_STATEMENT
     tokens = identifiers = 0  # tokens and identifier tokens so far

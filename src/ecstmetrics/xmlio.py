@@ -2,8 +2,8 @@
 
 Serialization is hand-rolled so output is byte-deterministic: fixed
 attribute order, two-space indentation, no XML declaration, trailing
-newline.  Parsing reads a document as tree.walk()'s events from one of
-two sources: the line reader reads that form, one regular-expression
+newline.  Parsing reads a document as a tree's events from one of two
+sources: the line reader reads that form, one regular-expression
 match per element line, in pieces that each end at an element's end;
 expat reads every other document, valid or not, and alone words faults
 of well-formedness and of an element, with the element and its line.
@@ -23,12 +23,12 @@ from .errors import MalformedTreeError, SourceIoError, TreeXmlError
 from .frontends import _NOT_XML_CHAR
 from .tree import (
     TOKEN_TYPES,
+    UNIVERSAL,
     EcstNode,
     EcstTree,
     SourceSpan,
     UniversalKind,
     validate_tree,
-    walk,
 )
 
 # -- serialization ---------------------------------------------------------
@@ -78,7 +78,7 @@ def serialize_tree(tree: EcstTree, out: TextIO | None = None) -> str | None:
     ]
     indents = ["", "  "]  # indents[d]: d levels, built once per depth
     depth = 0  # open <node> elements, each one level of indent
-    for node in walk(tree.root):
+    for node in tree.events:
         if node is None:
             lines.append(f"{indents[depth]}</node>\n")
             depth -= 1
@@ -140,9 +140,6 @@ def serialize_metrics(report, out: TextIO | None = None) -> str | None:
 
 # -- parsing ---------------------------------------------------------------
 
-# Each kind's one childless node, which both readers yield for every
-# <node> of that kind.
-_NODES = {kind.value: EcstNode(kind._value_, kind) for kind in UniversalKind}
 # Each token type to the one string of its spelling that every reloaded
 # token shares; each reader gets a new string per attribute value.
 _TYPES = {token_type: token_type for token_type in TOKEN_TYPES}
@@ -217,14 +214,14 @@ def _pieces(file: BinaryIO) -> Iterator[str]:
 
 def _line_events(pieces: Iterable[str]) -> Iterator:
     """The header of a document in serialize_tree's form, then its
-    events in walk()'s shape, read with one match of _LINE per element.
+    events in a tree's shape, read with one match of _LINE per element.
 
     The form: the header line, one element per line after any run of
     spaces, one COMPILATION_UNIT <node> holding all others, and
     "</ecst>\n" at the end; each token passes the rules of _expat_events.
-    Yields the header's (source, language, totalLines), then a shared
-    childless node per <node> kind, one token node whose fields, its
-    four position slots among them, each token overwrites, and None per
+    Yields the header's (source, language, totalLines), then the node
+    of UNIVERSAL per <node>, one token node whose fields, its four
+    position slots among them, each token overwrites, and None per
     </node>.  Raises ValueError at the first line or piece outside the
     form or UTF-8.
     """
@@ -278,7 +275,7 @@ def _line_events(pieces: Iterable[str]) -> Iterator:
                 token.end_col = end_col
                 yield token
             elif kind is not None:
-                node = _NODES.get(kind)
+                node = UNIVERSAL.get(kind)
                 if node is None or not depth and (
                     rooted or node.kind is not UniversalKind.COMPILATION_UNIT
                 ):
@@ -306,22 +303,14 @@ def _fail(el: tuple, message: str):
     raise TreeXmlError(f"{message} (element <{el[0]}>, line {el[2]})")
 
 
-def _int_attr(el: tuple, name: str, ints: dict) -> int:
-    """A positive integer attribute: a line, a column or totalLines.
-
-    ints maps each value text already read in the document to its int,
-    which every later equal value shares; int() would build a new one
-    above 256.
-    """
+def _int_attr(el: tuple, name: str) -> int:
+    """A positive integer attribute: a line, a column or totalLines."""
     raw = el[1].get(name)
     if raw is None:
         _fail(el, f"missing attribute {name!r}")
-    value = ints.get(raw)
-    if value is not None:
-        return value
     # ASCII digits only, as _INT says: int() alone also takes "+5", " 5",
     # "1_0" and the digits of other scripts.
-    if re.fullmatch(_INT, raw) is None:
+    if not (raw.isascii() and raw.isdigit()):
         _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
     try:
         value = int(raw)
@@ -329,16 +318,15 @@ def _int_attr(el: tuple, name: str, ints: dict) -> int:
         _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
     if value < 1:
         _fail(el, f"attribute {name!r} must be >= 1, got {value}")
-    ints[raw] = value
     return value
 
 
 def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
     """The events of any document in _line_events' shape, read by expat
     in pieces of _READ_BYTES: the header's (source, language,
-    totalLines), a shared node per <node>, a new node per <token> and
-    None per </node>.  A str is read as its characters, whatever
-    encoding its declaration names.
+    totalLines), the node of UNIVERSAL per <node>, one token node that
+    each <token> overwrites, and None per </node>.  A str is read as
+    its characters, whatever encoding its declaration names.
 
     Each element rule is checked at the first handler that can see it:
     the root's fields and a <node>'s kind and place at its start tag, a
@@ -349,10 +337,16 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
     """
     parser = expat.ParserCreate("utf-8" if isinstance(data, str) else None)
     parser.buffer_text = True
-    events: list = []  # what the piece being read produced
+    # What the piece being read produced, a token as the list of its
+    # fields, which fill the one token node when its turn comes.
+    events: list = []
+    token = EcstNode("")
     opened: list[tuple] = []  # (tag, attributes, line) per open element
     text: list[str] = []  # the open <token>'s character data
-    ints: dict = {}  # integer attribute text -> its shared int
+    # The last token's line text and its int, which the next token on
+    # that line shares; int() would build a new one above 256.  No
+    # attribute value equals the 0 before the first token.
+    line_text = line_int = 0
     stray = None  # the open <node>, once it holds text that is not blank
     rooted = False  # the top-level <node> has started
 
@@ -367,7 +361,7 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
             head = attrs.get("source"), attrs.get("language")
             if None in head:
                 _fail(el, "<ecst> requires source and language attributes")
-            events.append((*head, _int_attr(el, "totalLines", ints)))
+            events.append((*head, _int_attr(el, "totalLines")))
         elif opened[-1][0] == "token":
             _fail(opened[-1], "<token> must not contain elements")
         elif len(opened) == 1 and (rooted or tag != "node"):
@@ -376,7 +370,7 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
             kind = attrs.get("kind")
             if kind is None:
                 _fail(el, "missing attribute 'kind'")
-            node = _NODES.get(kind)
+            node = UNIVERSAL.get(kind)
             if node is None:
                 _fail(el, f"unknown universal kind {kind!r}")
             if len(opened) == 1:
@@ -397,13 +391,15 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
             stray = el
 
     def end(tag):
+        nonlocal line_text, line_int
         if stray:
             _fail(stray, "unexpected text content in <node>")
         el = opened.pop()
         if tag == "node":
             events.append(None)
         elif tag == "token":
-            type_raw = el[1].get("type")
+            attrs = el[1]
+            type_raw = attrs.get("type")
             if type_raw is None:
                 _fail(el, "missing attribute 'type'")
             token_type = _TYPES.get(type_raw)
@@ -413,16 +409,32 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
             text.clear()
             if not lexeme:
                 _fail(el, "empty <token> lexeme")
-            line = _int_attr(el, "line", ints)
-            col = _int_attr(el, "col", ints)
-            end_line = _int_attr(el, "endLine", ints)
-            end_col = _int_attr(el, "endCol", ints)
+            if attrs.get("line") != line_text:
+                line_int = _int_attr(el, "line")
+                line_text = attrs["line"]
+            line = line_int
+            col = _int_attr(el, "col")
+            if attrs.get("endLine") == line_text:
+                end_line = line
+            else:
+                end_line = _int_attr(el, "endLine")
+            end_col = _int_attr(el, "endCol")
             if line > end_line or line == end_line and col > end_col:
                 span = SourceSpan(line, col, end_line, end_col)
                 _fail(el, f"invalid span: span start after end: {span}")
-            events.append(EcstNode(lexeme, None, token_type, line, col, end_line, end_col))
+            events.append([lexeme, token_type, line, col, end_line, end_col])
         elif not rooted:
             _fail(el, "<ecst> must contain exactly one <node>")
+
+    def filled():
+        """The piece's events, each token's fields put in the one node."""
+        for event in events:
+            if event.__class__ is list:
+                (token.label, token.token_type, token.start_line, token.start_col,
+                 token.end_line, token.end_col) = event
+                event = token
+            yield event
+        events.clear()
 
     parser.StartElementHandler = start
     parser.CharacterDataHandler = chars
@@ -435,10 +447,9 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
             data = io.BytesIO(data)
         while piece := data.read(_READ_BYTES):
             parser.Parse(piece, False)
-            yield from events
-            events.clear()
+            yield from filled()
         parser.Parse(b"", True)
-        yield from events
+        yield from filled()
     except expat.ExpatError as e:
         raise TreeXmlError(f"not well-formed XML: {e}") from e
     finally:
@@ -454,31 +465,21 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
 
 def _tree(head: tuple, events: Iterable) -> EcstTree:
     """The tree of a header's (source, language, totalLines) and the
-    events of either reader after it, once validate_tree passes it.  Each
-    node is built anew: a reader yields one node for many.  Tokens of
-    one lexeme share one str, as the scanner's tokens do; each reader
-    gets a new str per lexeme it reads."""
+    events of either reader after it, once validate_tree passes it.
+    Each token is built anew, as a reader yields one node for all of
+    them; tokens of one lexeme share one str, as the scanner's tokens do,
+    where each reader gets a new str per lexeme it reads."""
     labels: dict[str, str] = {}  # each lexeme read so far -> its first str
-    top: list[EcstNode] = []  # the COMPILATION_UNIT node, once read
-    children = top  # the open <node>'s children
-    append = top.append
-    parents: list[list] = []  # the children list each open <node> is in
+    out: list[EcstNode | None] = []
+    append = out.append
     for node in events:
-        if node is None:
-            children = parents.pop()
-            append = children.append
-        elif node.kind is None:
+        if node is not None and node.kind is None:
             label = node.label
-            append(EcstNode(labels.setdefault(label, label), None, node.token_type,
+            node = EcstNode(labels.setdefault(label, label), None, node.token_type,
                             node.start_line, node.start_col, node.end_line,
-                            node.end_col))
-        else:
-            node = EcstNode(node.label, node.kind, children=[])
-            append(node)
-            parents.append(children)
-            children = node.children
-            append = children.append
-    tree = EcstTree(top[0], *head)
+                            node.end_col)
+        append(node)
+    tree = EcstTree(out, *head)
     validate_tree(tree)
     return tree
 

@@ -10,39 +10,43 @@ reference_lex is the character-loop scanner and classifier the package
 used before its single-pass regex scanner; the lexer must agree with it
 token for token and on every LexError.
 
+A tree is one flat list of events; the oracles read a test-only nested
+view of it instead (Nested, built by nested and flattened back by
+events_of), in which each universal node has its list of children and
+each token is the tree's own node.
+
 reference_parse_source, reference_measure_tree and subtree_span keep the
 subtree re-walking implementations the package used before its single
-ordered pass (tree.walk): comment placement by per-node token ranges,
-metrics read off each measured node's own subtree, and a node's span as
-the least and greatest position among its tokens.  Every oracle here
-walks trees with this module's own preorder or its own stack, never
-with the package's traversal; nodes_of finds the universal nodes of one
-kind with it.  Two rules differ from those earlier bodies on purpose,
-to match the current definitions: a unit is named from its direct
-children, and a logical operator counts once however many CONDITION
-nodes enclose it.
+ordered pass over the events: comment placement by per-node token
+ranges, metrics read off each measured node's own subtree, and a node's
+span as the least and greatest position among its tokens.  Every oracle
+here walks the nested view with this module's own preorder or its own
+stack; nodes_of finds the universal nodes of one kind with it.  Two
+rules differ from those earlier bodies on purpose, to match the current
+definitions: a unit is named from its direct children, and a logical
+operator counts once however many CONDITION nodes enclose it.
 
 reference_parse_tree_xml reads a whole document in one call of expat
 into a record per element, with its own check of every rule about an
 element, each in the handler of the first event that shows its fault,
-and then validates the tree it built.  The reader, which reads a
-document in pieces and builds it from events, must give its tree or
-its TreeXmlError message on every document.
+builds the nested view from those records, and then validates the tree
+of its events.  The reader, which reads a document in pieces and builds
+it from events, must give its tree or its TreeXmlError message on every
+document.
 
 reference_serialize_tree is the tree writer the package used before it
 escaped only the lexemes that hold markup characters: every lexeme
-escaped, each indent built per line, here with its own explicit stack.
-The writer must give the same bytes for every tree.
+escaped, each indent built per line, here with its own explicit stack
+over the nested view.  The writer must give the same bytes for every
+tree.
 
-same_tree compares two trees' preorder sequences field by field, with
-each node's number of children, without recursion; EcstNode itself
-compares by identity.
+same_tree compares two trees' events field by field, without
+recursion; EcstNode itself compares by identity.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
@@ -63,6 +67,7 @@ from ecstmetrics.metrics import (
 )
 from ecstmetrics.tree import (
     TOKEN_TYPES,
+    UNIVERSAL,
     EcstNode,
     EcstTree,
     SourceSpan,
@@ -354,14 +359,16 @@ def reference_lex(source, language_id):
 # -- comment attachment ----------------------------------------------------
 
 
-def reference_attach_comments(parser, root):
-    """Insert the parser's comments into its pristine tree by token ranges.
+def reference_attach_comments(parser):
+    """Insert the parser's comments into the nested view of its pristine
+    events by token ranges, and give the parser that view's events.
 
     Each comment sits between real tokens p-1 and p; it becomes a child
     of the deepest node whose token range covers both neighbours.
     """
     if not parser.comments:
         return
+    root = nested(parser.events)
     # A concrete node is the token itself.
     token_index = {id(tok): i for i, tok in enumerate(parser.toks)}
     ranges = {}
@@ -413,6 +420,7 @@ def reference_attach_comments(parser, root):
         for index, node in sorted(items, key=lambda item: item[0]):
             parent.children.insert(index + offset, node)
             offset += 1
+    parser.events[:] = events_of(root)
 
 
 def reference_parse_source(source, language_id, source_path="<string>"):
@@ -531,9 +539,10 @@ def _element_name(node):
 def reference_measure_tree(tree):
     """measure_tree's reports, plain and extended, re-walking each
     measured node's subtree; returned as {extended: report}."""
-    operators = _conditional_operators(tree.root)
+    root = nested(tree)
+    operators = _conditional_operators(root)
     rows = {False: [], True: []}
-    for node in preorder(tree.root):
+    for node in preorder(root):
         if node.kind in MEASURED_KINDS:
             bundle = _loc_bundle(node)
             span = subtree_span(node)
@@ -556,7 +565,7 @@ def reference_measure_tree(tree):
                         end_line=span.end_line,
                     )
                 )
-    whole = _loc_bundle(tree.root)
+    whole = _loc_bundle(root)
     totals = LocBundle(loc=tree.total_lines, sloc=whole.sloc, cloc=whole.cloc)
     return {
         extended: MetricsReport(
@@ -572,13 +581,78 @@ def reference_measure_tree(tree):
 # -- trees -----------------------------------------------------------------
 
 
+class Nested:
+    """A universal node of the nested view of a tree's events: its kind
+    and its children, universal nodes of this view and the tree's own
+    tokens.  It answers the fields a universal EcstNode has."""
+
+    __slots__ = ("kind", "children")
+    token_type = None
+    span = None
+
+    def __init__(self, kind: UniversalKind, children: list | None = None):
+        self.kind = kind
+        self.children = [] if children is None else children
+
+    @property
+    def label(self) -> str:
+        return self.kind.value
+
+
+def nested(tree_or_events) -> Nested:
+    """The nested view of a tree's events, or of a list in their shape,
+    built without recursion."""
+    events = getattr(tree_or_events, "events", tree_or_events)
+    opened: list[Nested] = []  # the view of each open universal node
+    root = None
+    for node in events:
+        if node is None:
+            root = opened.pop()
+        elif node.kind is None:
+            opened[-1].children.append(node)
+        else:
+            view = Nested(node.kind)
+            if opened:
+                opened[-1].children.append(view)
+            opened.append(view)
+    return root
+
+
+def events_of(root: Nested) -> list:
+    """The events of a nested view, each universal node as the tree
+    holds it (UNIVERSAL's), built without recursion."""
+    events = [UNIVERSAL[root.kind]]
+    stack = [iter(root.children)]  # per open node, its children not yet read
+    while stack:
+        for node in stack[-1]:
+            if node.kind is None:
+                events.append(node)
+            else:
+                events.append(UNIVERSAL[node.kind])
+                stack.append(iter(node.children))
+                break
+        else:
+            stack.pop()
+            events.append(None)
+    return events
+
+
+def tree_of(root: Nested, source_path="t", language_id="modula2", total_lines=1) -> EcstTree:
+    """The tree whose nested view is root."""
+    return EcstTree(events_of(root), source_path, language_id, total_lines)
+
+
 def preorder(tree_or_node):
-    """Every node of a tree or subtree, parent before children."""
-    stack = [getattr(tree_or_node, "root", tree_or_node)]
+    """Every node of a tree's nested view or of a subtree of one, parent
+    before children."""
+    if isinstance(tree_or_node, EcstTree):
+        tree_or_node = nested(tree_or_node)
+    stack = [tree_or_node]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(node.children))
+        if node.kind is not None:
+            stack.extend(reversed(node.children))
 
 
 def nodes_of(tree_or_node, kind):
@@ -587,21 +661,22 @@ def nodes_of(tree_or_node, kind):
 
 
 def same_tree(a: EcstTree, b: EcstTree) -> bool:
-    """Equal headers, and equal nodes (label, kind, token type, span,
-    number of children) at equal places in preorder."""
+    """Equal headers, and equal events, each compared by its fields."""
     if (a.source_path, a.language_id, a.total_lines) != (
         b.source_path,
         b.language_id,
         b.total_lines,
     ):
         return False
-    shapes_a = ((fields(n), len(n.children)) for n in preorder(a))
-    shapes_b = ((fields(n), len(n.children)) for n in preorder(b))
-    return all(x == y for x, y in itertools.zip_longest(shapes_a, shapes_b))
+    return len(a.events) == len(b.events) and all(
+        fields(x) == fields(y) for x, y in zip(a.events, b.events)
+    )
 
 
-def fields(node: EcstNode) -> tuple:
-    """What a node holds apart from its children."""
+def fields(node: EcstNode | None) -> tuple | None:
+    """What an event holds: a node's fields, or None for an exit."""
+    if node is None:
+        return None
     return node.label, node.kind, node.token_type, node.span
 
 
@@ -668,11 +743,12 @@ def _check_start(el: _Open, parent: _Open | None) -> None:
         _fail(el, f"unknown element <{el.tag}>")
 
 
-def _build_node(el: _Open) -> EcstNode:
-    """The node for an element below <ecst> at its end tag, its children
-    already built, once the rules about a token's fields hold."""
+def _build_node(el: _Open) -> EcstNode | Nested:
+    """The node for an element below <ecst> at its end tag, in the
+    nested view, its children already built, once the rules about a
+    token's fields hold."""
     if el.tag == "node":
-        return EcstNode.universal(UniversalKind(el.attrs["kind"]), el.children)
+        return Nested(UniversalKind(el.attrs["kind"]), el.children)
     text = "".join(el.text)
     token_type = el.attrs.get("type")
     if token_type is None:
@@ -748,7 +824,7 @@ def reference_parse_tree_xml(data: bytes | str) -> EcstTree:
         raise TreeXmlError(f"not well-formed XML: {e}") from e
     root_el = stack[0]
     tree = EcstTree(
-        root_el.children[0],
+        events_of(root_el.children[0]),
         root_el.attrs["source"],
         root_el.attrs["language"],
         int(root_el.attrs["totalLines"]),
@@ -773,7 +849,7 @@ def reference_serialize_tree(tree: EcstTree) -> str:
         f' totalLines="{tree.total_lines}">\n'
     ]
     # Per open <node> element, its children not yet written.
-    stack = [iter([tree.root])]
+    stack = [iter([nested(tree)])]
     while stack:
         depth = len(stack) - 1  # open <node> elements, each one level of indent
         for node in stack[-1]:

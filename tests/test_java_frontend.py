@@ -10,8 +10,8 @@ from ecstmetrics import parse_source
 from ecstmetrics.errors import ParseError
 from ecstmetrics.frontends import lex
 from ecstmetrics.frontends.java import JavaParser
-from ecstmetrics.tree import UniversalKind
-from oracles import nodes_of, preorder, same_tree
+from ecstmetrics.tree import UNIVERSAL, UniversalKind
+from oracles import nested, nodes_of, preorder, same_tree
 
 
 def _wrap(statements: str) -> str:
@@ -19,7 +19,7 @@ def _wrap(statements: str) -> str:
 
 
 def _kinds(tree):
-    return Counter(n.kind for n in preorder(tree.root) if n.kind is not None)
+    return Counter(n.kind for n in preorder(tree) if n.kind is not None)
 
 
 class TestStructure:
@@ -108,7 +108,7 @@ class TestStructure:
 class TestCommentAttachment:
     def test_leading_comment_attaches_to_root(self, corpus):
         _, tree = corpus["QuickSort.java"]
-        first = tree.root.children[0]
+        first = nested(tree).children[0]
         assert first.token_type == "comment"
         start_line, _, _, _ = first.span
         assert start_line == 1
@@ -126,66 +126,63 @@ class TestCommentAttachment:
         assert [line for line, _, _, _ in (c.span for c in comments)] == [16]
 
     def test_attachment_is_linear_in_a_flat_body(self):
-        # Every comment of one flat body goes into the same children
-        # list: inserting them one at a time into the parser's list would
-        # move n * comments elements.  Attachment reads the parser's
-        # lists only through walk() and builds each new list by appends,
-        # so it moves none of their elements; the bound guards against
-        # inserting into them in place.
+        # Every comment of one flat body goes into the same run of
+        # events: inserting them one at a time would move n * comments
+        # events.  The merge grows the list once and then writes each
+        # event at most once where it ends, from the back, so the writes
+        # are at most the final length plus one per new slot.
         n = 2_000
         parser = JavaParser(lex(_wrap("x = x + i; // c\n" * n), "javaoo"), "javaoo", "T.java")
-        root = parser.parse_compilation_unit()
-        for node in preorder(root):
-            if node.kind is not None:
-                node.children = _MoveCountingList(node.children)
-        _MoveCountingList.moved = 0
-        parser._attach_comments(root)
-        lists = [node.children for node in preorder(root) if node.kind is not None]
-        assert sum(c.token_type == "comment" for c in preorder(root)) == n
-        assert _MoveCountingList.moved <= sum(map(len, lists))
+        parser._put(UNIVERSAL[UniversalKind.COMPILATION_UNIT])
+        parser.parse_compilation_unit()
+        parser._put(None)
+        events = parser.events = _WriteCountingList(parser.events)
+        parser._attach_comments()
+        assert sum(n is not None and n.token_type == "comment" for n in events) == n
+        assert events.written <= len(events) + n
 
 
-class _MoveCountingList(list):
-    """A children list that counts the elements each of its operations
-    writes or shifts; a slice of it is another such list."""
+class _WriteCountingList(list):
+    """A list that counts the elements each of its operations writes,
+    shifted ones included."""
 
-    moved = 0
-
-    @classmethod
-    def _count(cls, elements: int) -> None:
-        cls.moved += elements
+    written = 0
 
     def insert(self, index, item):
         start = min(max(index + len(self) if index < 0 else index, 0), len(self))
-        self._count(len(self) - start + 1)
+        self.written += len(self) - start + 1
         super().insert(index, item)
 
     def append(self, item):
-        self._count(1)
+        self.written += 1
         super().append(item)
 
     def extend(self, items):
         items = list(items)
-        self._count(len(items))
+        self.written += len(items)
         super().extend(items)
 
+    def __iadd__(self, items):
+        self.extend(items)
+        return self
+
     def pop(self, index=-1):
-        self._count(len(self) - (index % len(self)) if self else 0)
+        self.written += len(self) - (index % len(self)) - 1 if self else 0
         return super().pop(index)
 
-    def __getitem__(self, index):
-        got = super().__getitem__(index)
-        if isinstance(index, slice):
-            self._count(len(got))
-            return _MoveCountingList(got)
-        return got
-
     def __setitem__(self, index, value):
-        self._count(len(self) if isinstance(index, slice) else 1)
+        if isinstance(index, slice):
+            value = list(value)
+            start, stop, _ = index.indices(len(self))
+            # elements after a slice that changes length shift too
+            shifted = len(self) - stop if len(value) != stop - start else 0
+            self.written += len(value) + shifted
+        else:
+            self.written += 1
         super().__setitem__(index, value)
 
     def __delitem__(self, index):
-        self._count(len(self))
+        self.written += len(self)
         super().__delitem__(index)
 
 
@@ -195,7 +192,7 @@ class TestInvariants:
             text, tree = corpus[name]
             tokens = [t for t in lex(text, "javaoo") if t.token_type != "comment"]
             concrete = [
-                n for n in preorder(tree.root)
+                n for n in preorder(tree)
                 if n.span is not None and n.token_type != "comment"
             ]
             assert [t.label for t in tokens] == [n.label for n in concrete]

@@ -16,8 +16,9 @@ from ecstmetrics import parse_source
 from ecstmetrics.cli import main
 from ecstmetrics.errors import MalformedTreeError
 from ecstmetrics.metrics import MEASURED_KINDS, measure_tree, render_table
-from ecstmetrics.tree import EcstNode, EcstTree, UniversalKind
+from ecstmetrics.tree import EcstNode, UniversalKind
 from ecstmetrics.xmlio import parse_tree_xml
+from oracles import Nested, tree_of
 
 # (name, annotation, cc, loc, sloc, cloc, startLine, endLine)
 EXPECTED_ROWS = {
@@ -104,8 +105,8 @@ def _of(tree, annotation, extended=False):
 
 def _detached(node, extended=False):
     """The rows of a node measured as the only child of a tree's root."""
-    root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [node])
-    return measure_tree(EcstTree(root, "T", "modula2", 1), extended).elements
+    root = Nested(UniversalKind.COMPILATION_UNIT, [node])
+    return measure_tree(tree_of(root, "T"), extended).elements
 
 
 class TestFixtureValues:
@@ -308,21 +309,21 @@ class TestDecisionCounting:
     def test_universal_node_without_tokens_is_malformed(self):
         # A tree no frontend builds and validate_tree rejects: the fold
         # itself refuses a measured node with nothing to span.
-        unit = EcstNode.universal(
+        unit = Nested(
             UniversalKind.COMPILATION_UNIT,
             [
                 EcstNode("x", None, "identifier", 1, 1, 1, 1),
-                EcstNode.universal(UniversalKind.FUNCTION_DECL, []),
+                Nested(UniversalKind.FUNCTION_DECL, []),
             ],
         )
         with pytest.raises(
             MalformedTreeError,
             match="^universal node 'FUNCTION_DECL' has no concrete descendants$",
         ):
-            measure_tree(EcstTree(unit, "T.java", "javaoo", 1))
+            measure_tree(tree_of(unit, "T.java", "javaoo"))
 
     def test_operator_tokens_only_count_in_extended_mode(self):
-        cond = EcstNode.universal(
+        cond = Nested(
             UniversalKind.CONDITION,
             [
                 EcstNode("a", None, "identifier", 1, 4, 1, 4),
@@ -330,7 +331,7 @@ class TestDecisionCounting:
                 EcstNode("'AND'", None, "literal", 1, 10, 1, 14),
             ],
         )
-        branch = EcstNode.universal(
+        branch = Nested(
             UniversalKind.BRANCH,
             [EcstNode("IF", None, "keyword", 1, 1, 1, 2), cond],
         )
@@ -459,7 +460,7 @@ class TestElementNames:
         assert [r.name for r in measure_tree(tree).elements] == ["F"]
 
     def test_unit_without_header_identifier_uses_first_identifier(self):
-        unit = EcstNode.universal(
+        unit = Nested(
             UniversalKind.FUNCTION_DECL,
             [
                 EcstNode("(", None, "punctuation", 1, 1, 1, 1),
@@ -470,7 +471,7 @@ class TestElementNames:
         assert [r.name for r in _detached(unit)] == ["x"]
 
     def test_nameless_unit_is_anonymous(self):
-        unit = EcstNode.universal(
+        unit = Nested(
             UniversalKind.FUNCTION_DECL,
             [EcstNode("(", None, "punctuation", 1, 1, 1, 1)],
         )

@@ -10,7 +10,7 @@ from ecstmetrics import parse_source
 from ecstmetrics.errors import ParseError
 from ecstmetrics.frontends import lex
 from ecstmetrics.tree import UniversalKind
-from oracles import nodes_of, preorder, same_tree, subtree_span
+from oracles import nested, nodes_of, preorder, same_tree, subtree_span
 
 
 def _wrap(statements: str) -> str:
@@ -19,7 +19,7 @@ def _wrap(statements: str) -> str:
 
 def _kinds(tree):
     return Counter(
-        n.kind for n in preorder(tree.root) if n.kind is not None
+        n.kind for n in preorder(tree) if n.kind is not None
     )
 
 
@@ -82,10 +82,10 @@ class TestStructure:
         assert loop.children[-1].label == "END"
 
     def test_separator_semicolon_stays_outside_constructs(self):
-        tree = parse_source(_wrap("WHILE a DO b := 1 END;\nc := 2"), "modula2")
-        loop = nodes_of(tree, UniversalKind.LOOP_STATEMENT)[0]
+        view = nested(parse_source(_wrap("WHILE a DO b := 1 END;\nc := 2"), "modula2"))
+        loop = nodes_of(view, UniversalKind.LOOP_STATEMENT)[0]
         assert loop.children[-1].label == "END"
-        unit = nodes_of(tree, UniversalKind.FUNCTION_DECL)[0]
+        unit = nodes_of(view, UniversalKind.FUNCTION_DECL)[0]
         loop_index = unit.children.index(loop)
         assert unit.children[loop_index + 1].label == ";"
 
@@ -133,7 +133,7 @@ class TestStructure:
 class TestCommentAttachment:
     def test_leading_comment_attaches_to_root(self, corpus):
         text, tree = corpus["QuickSort.mod"]
-        comments = [c for c in tree.root.children if c.token_type == "comment"]
+        comments = [c for c in nested(tree).children if c.token_type == "comment"]
         assert [line for line, _, _, _ in (c.span for c in comments)] == [3]
 
     def test_trailing_comment_does_not_stretch_loop(self, corpus):
@@ -158,7 +158,7 @@ class TestInvariants:
             text, tree = corpus[name]
             tokens = [t for t in lex(text, "modula2") if t.token_type != "comment"]
             concrete = [
-                n for n in preorder(tree.root)
+                n for n in preorder(tree)
                 if n.span is not None and n.token_type != "comment"
             ]
             assert [t.label for t in tokens] == [n.label for n in concrete]

@@ -11,9 +11,9 @@ from ecstmetrics import parse_source
 from ecstmetrics.errors import LexError, ParseError
 from ecstmetrics.frontends import lex
 from ecstmetrics.metrics import measure_tree
-from ecstmetrics.tree import validate_tree, walk
+from ecstmetrics.tree import validate_tree
 from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
-from oracles import preorder, same_tree, subtree_span
+from oracles import nested, preorder, same_tree, subtree_span
 from test_reference_parity import PROGRAMS
 
 LANGUAGES = ("modula2", "javaoo")
@@ -52,7 +52,7 @@ def test_token_and_comment_preservation(language, seed):
     program = generators.generate(language, seed)
     tree = parse_source(program.source, language)
     tokens = lex(program.source, language)
-    concrete = [n for n in preorder(tree.root) if n.span is not None]
+    concrete = [n for n in preorder(tree) if n.span is not None]
     code = [n.label for n in concrete if n.token_type != "comment"]
     comments = [n.label for n in concrete if n.token_type == "comment"]
     assert code == [t.label for t in tokens if t.token_type != "comment"]
@@ -75,7 +75,7 @@ def test_generated_trees_round_trip(language, seed):
 def test_measurement_bounds(language, seed):
     program = generators.generate(language, seed)
     tree = parse_source(program.source, language)
-    span = subtree_span(tree.root)
+    span = subtree_span(nested(tree))
     assert span.end_line <= tree.total_lines
     report = measure_tree(tree)
     assert report.totals.sloc <= report.totals.loc
@@ -99,7 +99,7 @@ def _language_independent_view(language, seed):
     tree = parse_source(generators.generate(language, seed).source, language)
     skeleton = [
         None if node is None else node.kind
-        for node in walk(tree.root)
+        for node in tree.events
         if node is None or node.kind is not None
     ]
     columns = [

@@ -14,14 +14,7 @@ from ecstmetrics import parse_source, xmlio
 from ecstmetrics.cli import main
 from ecstmetrics.errors import LexError, ParseError
 from ecstmetrics.metrics import measure_tree
-from ecstmetrics.tree import (
-    EcstNode,
-    EcstTree,
-    SourceSpan,
-    UniversalKind,
-    validate_tree,
-    walk,
-)
+from ecstmetrics.tree import EcstNode, SourceSpan, UniversalKind, validate_tree
 from ecstmetrics.xmlio import parse_tree_xml, serialize_metrics, serialize_tree
 
 LANGUAGES = ("modula2", "javaoo")
@@ -155,20 +148,23 @@ PLACES = {
 
 
 def _comment_places(tree, expected):
-    """Each comment's place, its index counted as in the expected one."""
-    open_nodes = []
+    """Each comment's place in the tree's nested view, its index counted
+    as in the expected one."""
     places = []
-    for node in walk(tree.root):
-        if node is None:
-            open_nodes.pop()
-        elif node.kind is not None:
-            open_nodes.append(node)
-        elif node.token_type == "comment":
-            parent = open_nodes[-1]
-            index = parent.children.index(node)
+    # Per open node, in preorder: its view and the index of its next child.
+    stack = [(oracles.nested(tree), 0)]
+    while stack:
+        parent, index = stack.pop()
+        if index == len(parent.children):
+            continue
+        stack.append((parent, index + 1))
+        child = parent.children[index]
+        if child.kind is not None:
+            stack.append((child, 0))
+        elif child.token_type == "comment":
             if expected[len(places)][2] < 0:
                 index -= len(parent.children)
-            places.append((parent.label, len(open_nodes) - 1, index))
+            places.append((parent.label, len(stack) - 1, index))
     return places
 
 
@@ -189,7 +185,7 @@ def _comment_edged_tree():
     def tok(label, token_type, *span):
         return EcstNode(label, None, token_type, *span)
 
-    loop = EcstNode.universal(
+    loop = oracles.Nested(
         UniversalKind.LOOP_STATEMENT,
         [
             tok("// c", "comment", 4, 3, 4, 6),
@@ -197,7 +193,7 @@ def _comment_edged_tree():
             tok("/* d\n */", "comment", 5, 9, 6, 3),
         ],
     )
-    unit = EcstNode.universal(
+    unit = oracles.Nested(
         UniversalKind.FUNCTION_DECL,
         [
             tok("/* a\n   b */", "comment", 1, 1, 2, 7),
@@ -207,8 +203,8 @@ def _comment_edged_tree():
             tok("// e", "comment", 7, 1, 7, 4),
         ],
     )
-    root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
-    return EcstTree(root, "Edged.java", "javaoo", 7)
+    root = oracles.Nested(UniversalKind.COMPILATION_UNIT, [unit])
+    return oracles.tree_of(root, "Edged.java", "javaoo", 7)
 
 
 def test_comment_edged_nodes_match_reference(monkeypatch):
@@ -254,7 +250,7 @@ def _unusual_tree():
         return EcstNode(label, None, token_type, line, col, line, col + len(label) - 1)
 
     def node(kind, *children):
-        return EcstNode.universal(kind, list(children))
+        return oracles.Nested(kind, list(children))
 
     elsif = node(
         UniversalKind.BRANCH,
@@ -290,7 +286,7 @@ def _unusual_tree():
         ),
     )
     root = node(UniversalKind.COMPILATION_UNIT, unit)
-    return EcstTree(root, "Odd.java", "javaoo", 5)
+    return oracles.tree_of(root, "Odd.java", "javaoo", 5)
 
 
 def test_unusual_names_and_decisions_match_reference(tmp_path, capsys):

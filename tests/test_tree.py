@@ -1,21 +1,25 @@
-"""Core tree model: spans, construction, traversal, validation."""
+"""Core tree model: spans, construction, the event list, validation."""
 
 from __future__ import annotations
 
 import pytest
 
+import generators
+from ecstmetrics import xmlio
 from ecstmetrics.errors import LexError, MalformedTreeError, ParseError, TreeXmlError
 from ecstmetrics.frontends import lex, parse_source
+from ecstmetrics.metrics import measure_tree
 from ecstmetrics.tree import (
+    UNIVERSAL,
     EcstNode,
     EcstTree,
     SourceSpan,
     UniversalKind,
     validate_tree,
-    walk,
 )
 from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
-from oracles import preorder, subtree_span
+from oracles import Nested, events_of, nested, preorder, same_tree, subtree_span, tree_of
+from test_xmlio import _decline
 
 
 def _tok(lexeme, token_type="identifier", line=1, col=1, end_col=None):
@@ -24,12 +28,12 @@ def _tok(lexeme, token_type="identifier", line=1, col=1, end_col=None):
 
 
 def _unit(children):
-    return EcstNode.universal(UniversalKind.FUNCTION_DECL, children)
+    return Nested(UniversalKind.FUNCTION_DECL, children)
 
 
 def _tree(root_children, total_lines=1):
-    root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, root_children)
-    return EcstTree(root=root, source_path="t", language_id="modula2", total_lines=total_lines)
+    root = Nested(UniversalKind.COMPILATION_UNIT, root_children)
+    return tree_of(root, total_lines=total_lines)
 
 
 def _rejected_on_reload(tree_or_doc, match):
@@ -81,9 +85,13 @@ class TestSourceSpan:
 
 class TestNodeConstruction:
     def test_universal_label_matches_kind(self):
-        node = EcstNode.universal(UniversalKind.LOOP_STATEMENT, [])
-        assert node.label == "LOOP_STATEMENT"
-        assert node.kind is UniversalKind.LOOP_STATEMENT
+        # Each kind has one node, found by the kind or by its spelling.
+        assert len(UNIVERSAL) == len(UniversalKind)
+        for kind in UniversalKind:
+            node = UNIVERSAL[kind]
+            assert node.label == kind.value and node.kind is kind
+            assert node.token_type is None and node.span is None
+            assert UNIVERSAL[kind.value] is node
 
     def test_concrete_carries_token_fields(self):
         node = _tok("WHILE", "keyword")
@@ -93,56 +101,128 @@ class TestNodeConstruction:
         assert end_col == 5
 
     def test_tokens_are_slotted_leaves(self, corpus):
-        # One object per token: no children list and no instance __dict__.
+        # One object per token: no children and no instance __dict__.
         for name, (text, tree) in corpus.items():
             lexed = lex(text, tree.language_id)
             reloaded = parse_tree_xml(serialize_tree(tree))
             tokens = [n for n in preorder(reloaded) if n.kind is None]
             assert len(tokens) == len(lexed), name
             for tok in lexed + tokens:
-                assert tok.children == ()
+                assert not hasattr(tok, "children")
                 assert not hasattr(tok, "__dict__")
 
 
 class TestWalk:
+    """A tree is its events in preorder: a universal node at its entry,
+    each token, and None at its exit."""
+
     def test_nodes_in_preorder_with_exit_markers(self):
-        inner = _unit([_tok("f", col=3), _tok("(", "punctuation", col=4)])
-        tree = _tree([_tok("a"), inner, _tok(";", "punctuation", col=5)])
-        events = list(walk(tree.root))
-        assert [None if n is None else n.label for n in events] == [
+        tree = parse_source("MODULE M;\nPROCEDURE P;\nEND P;\nEND M.\n", "modula2")
+        assert [None if n is None else n.label for n in tree.events] == [
             "COMPILATION_UNIT",
-            "a",
+            "MODULE", "M", ";",
             "FUNCTION_DECL",
-            "f",
-            "(",
+            "PROCEDURE", "P", ";", "END", "P", ";",
             None,
-            ";",
+            "END", "M", ".",
             None,
         ]
-        assert events[2] is inner and events[3] is inner.children[0]
+        assert tree.events[0] is UNIVERSAL[UniversalKind.COMPILATION_UNIT]
+        assert tree.events[4] is UNIVERSAL[UniversalKind.FUNCTION_DECL]
 
     def test_empty_universal_is_followed_by_its_exit(self):
-        cond = EcstNode.universal(UniversalKind.CONDITION, [])
-        assert list(walk(cond)) == [cond, None]
-        loop = EcstNode.universal(UniversalKind.LOOP_STATEMENT, [cond, _tok("x")])
-        labels = [None if n is None else n.label for n in walk(loop)]
-        assert labels == ["LOOP_STATEMENT", "CONDITION", None, "x", None]
+        cond = Nested(UniversalKind.CONDITION, [])
+        loop = Nested(UniversalKind.LOOP_STATEMENT, [cond, _tok("x")])
+        tree = _tree([loop])
+        labels = [None if n is None else n.label for n in tree.events]
+        assert labels == [
+            "COMPILATION_UNIT", "LOOP_STATEMENT", "CONDITION", None, "x", None, None
+        ]
+        assert '<node kind="CONDITION">\n      </node>\n' in serialize_tree(tree)
+        with pytest.raises(MalformedTreeError, match="'CONDITION' has no concrete"):
+            validate_tree(tree)
 
     def test_deep_nesting_needs_no_recursion(self):
-        node = _tok("x")
-        for _ in range(5000):
-            node = EcstNode.universal(UniversalKind.LOOP_STATEMENT, [node])
-        events = list(walk(node))
-        assert events[0] is node and events[5000].label == "x"
-        assert events[5001:] == [None] * 5000
+        # Every pass reads the flat events: no pass recurses on depth.
+        loop = UNIVERSAL[UniversalKind.LOOP_STATEMENT]
+        events = [UNIVERSAL[UniversalKind.COMPILATION_UNIT], *[loop] * 5000,
+                  _tok("x"), *[None] * 5001]
+        tree = EcstTree(events, "t", "modula2", 1)
+        validate_tree(tree)
+        assert same_tree(parse_tree_xml(serialize_tree(tree)), tree)
+        rows = measure_tree(tree).elements
+        assert len(rows) == 5000 and rows[0].cc == 5000
+        assert events_of(nested(tree)) == events
 
     def test_one_item_per_node_and_one_exit_per_universal_node(self, corpus):
         for name, (_, tree) in corpus.items():
             nodes = list(preorder(tree))
             universal = sum(n.kind is not None for n in nodes)
-            events = list(walk(tree.root))
-            assert len(events) == len(nodes) + universal, name
-            assert [n for n in events if n is not None] == nodes, name
+            assert len(tree.events) == len(nodes) + universal, name
+            assert tree.events.count(None) == universal, name
+            tokens = [n for n in nodes if n.kind is None]
+            assert [n for n in tree.events if n is not None and n.kind is None] == tokens, name
+            assert events_of(nested(tree)) == tree.events, name
+
+
+def _shape_faults(events) -> list[str]:
+    """How events break the shape every tree's events have, if they do."""
+    faults = []
+    unit = UNIVERSAL[UniversalKind.COMPILATION_UNIT]
+    if not events or events[0] is not unit:
+        faults.append("the first event is not the COMPILATION_UNIT node")
+    depth = 0  # open universal nodes
+    for index, node in enumerate(events):
+        if isinstance(node, list):
+            faults.append(f"event {index} is a list")
+        elif node is None:
+            depth -= 1
+            if depth < 0 or depth == 0 and index != len(events) - 1:
+                faults.append(f"event {index} closes the root before the end")
+                break
+        elif node.kind is not None:
+            depth += 1
+            if node is not UNIVERSAL[node.kind]:
+                faults.append(f"event {index} is not UNIVERSAL's {node.kind.value} node")
+    if depth:
+        faults.append(f"{depth} nodes left open")
+    return faults
+
+
+class TestEventShape:
+    """Every parsed and every reloaded tree holds its events in one shape:
+    the COMPILATION_UNIT node first and its None last, entries and Nones
+    balanced, each universal event UNIVERSAL's node of its kind, and no
+    nested list."""
+
+    def test_parsed_and_reloaded_trees(self, corpus, monkeypatch):
+        programs = [(tree.language_id, text) for text, tree in corpus.values()]
+        programs += [
+            (language, generators.generate(language, seed).source)
+            for language in ("modula2", "javaoo")
+            for seed in range(200)
+        ]
+        for language, source in programs:
+            tree = parse_source(source, language)
+            doc = serialize_tree(tree)
+            reloaded = [parse_tree_xml(doc)]
+            with monkeypatch.context() as patch:
+                patch.setattr(xmlio, "_line_events", _decline)
+                reloaded.append(parse_tree_xml(doc))
+            for got in (tree, *reloaded):
+                assert _shape_faults(got.events) == [], (language, source[:40])
+
+    def test_the_check_sees_each_fault(self):
+        unit = UNIVERSAL[UniversalKind.COMPILATION_UNIT]
+        x = _tok("x")
+        assert _shape_faults([unit, x, None]) == []
+        assert _shape_faults([x, None]) != []
+        assert _shape_faults([unit, x, None, None]) != []
+        assert _shape_faults([unit, x, None, x]) != []
+        assert _shape_faults([unit, x]) != []
+        assert _shape_faults([unit, [x], None]) != []
+        copy = EcstNode("BRANCH", UniversalKind.BRANCH)
+        assert _shape_faults([unit, copy, x, None, None]) != []
 
 
 class TestSubtreeSpan:
@@ -163,7 +243,7 @@ class TestSubtreeSpan:
         assert (span.start_col, span.end_col) == (2, 9)
 
     def test_empty_universal_raises(self):
-        node = EcstNode.universal(UniversalKind.CONDITION, [])
+        node = Nested(UniversalKind.CONDITION, [])
         with pytest.raises(MalformedTreeError):
             subtree_span(node)
 
@@ -178,36 +258,35 @@ class TestValidation:
         validate_tree(_tree([unit, _tok(";", "punctuation", col=12)]))
 
     def test_rejects_non_unit_root(self):
-        root = EcstNode.universal(UniversalKind.BRANCH, [_tok("x")])
-        tree = EcstTree(root=root, source_path="t", language_id="modula2", total_lines=1)
+        tree = tree_of(Nested(UniversalKind.BRANCH, [_tok("x")]))
         _rejected_on_reload(tree, "top-level <node> must be COMPILATION_UNIT")
 
     def test_rejects_universal_without_tokens(self):
-        tree = _tree([EcstNode.universal(UniversalKind.BRANCH_STATEMENT, [])])
+        tree = _tree([Nested(UniversalKind.BRANCH_STATEMENT, [])])
         with pytest.raises(MalformedTreeError):
             validate_tree(tree)
 
     def test_rejects_condition_outside_guarded_construct(self):
-        cond = EcstNode.universal(UniversalKind.CONDITION, [_tok("x")])
+        cond = Nested(UniversalKind.CONDITION, [_tok("x")])
         tree = _tree([cond])
         with pytest.raises(MalformedTreeError):
             validate_tree(tree)
 
     def test_accepts_condition_under_branch(self):
-        cond = EcstNode.universal(UniversalKind.CONDITION, [_tok("x", col=4)])
-        branch = EcstNode.universal(
+        cond = Nested(UniversalKind.CONDITION, [_tok("x", col=4)])
+        branch = Nested(
             UniversalKind.BRANCH, [_tok("IF", "keyword"), cond]
         )
-        chain = EcstNode.universal(
+        chain = Nested(
             UniversalKind.BRANCH_STATEMENT, [branch, _tok("END", "keyword", col=9)]
         )
         validate_tree(_tree([chain]))
 
     def test_rejects_stray_branch_statement_child(self):
-        loop = EcstNode.universal(
+        loop = Nested(
             UniversalKind.LOOP_STATEMENT, [_tok("WHILE", "keyword")]
         )
-        chain = EcstNode.universal(UniversalKind.BRANCH_STATEMENT, [loop])
+        chain = Nested(UniversalKind.BRANCH_STATEMENT, [loop])
         tree = _tree([chain])
         with pytest.raises(MalformedTreeError):
             validate_tree(tree)
@@ -216,14 +295,14 @@ class TestValidation:
         # A CONDITION right inside a BRANCH_STATEMENT is worded as the
         # chain's child before its own place is checked; an empty BRANCH
         # before a LOOP_STATEMENT is the first fault in document order.
-        cond = EcstNode.universal(UniversalKind.CONDITION, [_tok("x")])
-        chain = EcstNode.universal(UniversalKind.BRANCH_STATEMENT, [cond])
+        cond = Nested(UniversalKind.CONDITION, [_tok("x")])
+        chain = Nested(UniversalKind.BRANCH_STATEMENT, [cond])
         with pytest.raises(MalformedTreeError) as info:
             validate_tree(_tree([chain]))
         assert str(info.value) == "BRANCH_STATEMENT has a universal child of kind CONDITION"
-        empty = EcstNode.universal(UniversalKind.BRANCH, [])
-        loop = EcstNode.universal(UniversalKind.LOOP_STATEMENT, [_tok("WHILE", "keyword")])
-        chain = EcstNode.universal(UniversalKind.BRANCH_STATEMENT, [empty, loop])
+        empty = Nested(UniversalKind.BRANCH, [])
+        loop = Nested(UniversalKind.LOOP_STATEMENT, [_tok("WHILE", "keyword")])
+        chain = Nested(UniversalKind.BRANCH_STATEMENT, [empty, loop])
         with pytest.raises(MalformedTreeError) as info:
             validate_tree(_tree([chain]))
         assert str(info.value) == "universal node 'BRANCH' has no concrete descendants"

@@ -19,13 +19,7 @@ from ecstmetrics.cli import main
 from ecstmetrics.errors import SourceIoError, TreeXmlError
 from ecstmetrics.frontends import _NOT_XML_CHAR
 from ecstmetrics.metrics import ElementMetrics, LocBundle, MetricsReport, measure_tree
-from ecstmetrics.tree import (
-    TOKEN_TYPES,
-    EcstNode,
-    EcstTree,
-    UniversalKind,
-    walk,
-)
+from ecstmetrics.tree import TOKEN_TYPES, EcstNode, EcstTree, UniversalKind
 from ecstmetrics.xmlio import (
     escape,
     load_tree_file,
@@ -34,7 +28,13 @@ from ecstmetrics.xmlio import (
     serialize_metrics,
     serialize_tree,
 )
-from oracles import reference_parse_tree_xml, reference_serialize_tree, same_tree
+from oracles import (
+    Nested,
+    reference_parse_tree_xml,
+    reference_serialize_tree,
+    same_tree,
+    tree_of,
+)
 
 # A hand-built two-token tree; the serialized form below is frozen.
 MINI_XML = (
@@ -49,18 +49,17 @@ MINI_XML = (
 )
 
 
-def _mini_tree() -> EcstTree:
-    unit = EcstNode.universal(
+def _mini_tree(*more: EcstNode) -> EcstTree:
+    """The tree of MINI_XML, with more tokens after P if given."""
+    unit = Nested(
         UniversalKind.FUNCTION_DECL,
         [
             EcstNode("PROCEDURE", None, "keyword", 1, 1, 1, 9),
             EcstNode("P", None, "identifier", 1, 11, 1, 11),
+            *more,
         ],
     )
-    root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
-    return EcstTree(
-        root=root, source_path="Mini.mod", language_id="modula2", total_lines=1
-    )
+    return tree_of(Nested(UniversalKind.COMPILATION_UNIT, [unit]), "Mini.mod")
 
 
 class TestSerialize:
@@ -78,10 +77,7 @@ class TestSerialize:
             assert doc.endswith("</ecst>\n")
 
     def test_markup_characters_escaped(self):
-        tree = _mini_tree()
-        tree.root.children[0].children.append(
-            EcstNode("a<b&c", None, "operator", 1, 13, 1, 17)
-        )
+        tree = _mini_tree(EcstNode("a<b&c", None, "operator", 1, 13, 1, 17))
         doc = serialize_tree(tree)
         assert "a&lt;b&amp;c" in doc
         assert "a<b" not in doc
@@ -104,7 +100,7 @@ class TestRoundTrip:
         for _, tree in corpus.values():
             doc = serialize_tree(tree)
             for data in (doc, doc.encode(), io.BytesIO(doc.encode())):
-                for node in walk(parse_tree_xml(data).root):
+                for node in parse_tree_xml(data).events:
                     if node is not None and node.kind is None:
                         assert any(node.token_type is t for t in TOKEN_TYPES)
 
@@ -116,26 +112,23 @@ class TestRoundTrip:
         tree = parse_source(source, "modula2")
 
         def line_objects(t) -> int:
-            tokens = [n for n in walk(t.root) if n is not None and n.kind is None]
+            tokens = [n for n in t.events if n is not None and n.kind is None]
             return len({id(n.span[0]) for n in tokens})
 
         reloaded = parse_tree_xml(serialize_tree(tree))
         assert line_objects(reloaded) <= line_objects(tree)
 
     def test_escaped_lexemes_survive(self):
-        tree = _mini_tree()
-        tree.root.children[0].children.append(
-            EcstNode('"x<&>"', None, "literal", 1, 13, 1, 18)
-        )
+        tree = _mini_tree(EcstNode('"x<&>"', None, "literal", 1, 13, 1, 18))
         again = parse_tree_xml(serialize_tree(tree))
-        assert again.root.children[0].children[-1].label == '"x<&>"'
+        assert again.events[-3].label == '"x<&>"'
 
     def test_multiline_span_with_smaller_end_col(self):
         doc = MINI_XML.replace(
             'col="11" endLine="1" endCol="11"', 'col="11" endLine="2" endCol="2"'
         ).replace('totalLines="1"', 'totalLines="2"')
         tree = parse_tree_xml(doc)
-        assert tree.root.children[0].children[1].span == (1, 11, 2, 2)
+        assert tree.events[3].span == (1, 11, 2, 2)
         assert serialize_tree(tree) == doc
 
     def test_bytes_and_str_inputs_agree(self):
@@ -155,9 +148,9 @@ class TestRoundTrip:
         doc = '<?xml version="1.0" encoding="latin-1"?>\n' + MINI_XML.replace(
             ">P</token>", ">\u00e9</token>"
         )
-        token = parse_tree_xml(doc).root.children[0].children[1]
+        token = parse_tree_xml(doc).events[3]
         assert token.label == "\u00e9"
-        token = parse_tree_xml(doc.encode("latin-1")).root.children[0].children[1]
+        token = parse_tree_xml(doc.encode("latin-1")).events[3]
         assert token.label == "\u00e9"
 
 
@@ -173,7 +166,7 @@ class TestSpanType:
     @staticmethod
     def _spans(tree: EcstTree) -> list:
         spans = []
-        for node in walk(tree.root):
+        for node in tree.events:
             if node is None:
                 continue
             if node.kind is not None:
@@ -183,10 +176,8 @@ class TestSpanType:
             assert all(type(value) is int for value in slots)
             span = node.span
             assert type(span) is tuple and span == slots
-            # No span tuple is kept: the only tuple a token refers to is
-            # the shared empty children.
-            tuples = [r for r in gc.get_referents(node) if type(r) is tuple]
-            assert tuples == [()] and tuples[0] is node.children
+            # No span tuple is kept: a token refers to no tuple.
+            assert not any(type(r) is tuple for r in gc.get_referents(node))
             spans.append(span)
         return spans
 
@@ -502,7 +493,7 @@ class TestDeepDocument:
         doc = _deep_document(1200)
         first, second = parse_tree_xml(doc), parse_tree_xml(doc)
         assert same_tree(first, second)
-        assert first != second  # identity: == does not walk the children
+        assert first != second  # tokens compare by identity
         last = ">WHILE</token>\n</node>"
         changed = parse_tree_xml(doc.replace(last, last.replace("WHILE", "LOOP")))
         assert not same_tree(first, changed)
@@ -529,7 +520,7 @@ class TestSharedLabels:
     @staticmethod
     def _check(tree):
         first: dict[str, str] = {}
-        for node in walk(tree.root):
+        for node in tree.events:
             if node is not None and node.kind is None and node.token_type != "comment":
                 assert first.setdefault(node.label, node.label) is node.label, node.label
 
@@ -681,16 +672,24 @@ class TestLineReader:
             assert serialize_tree(_built(xmlio._expat_events(doc))) == doc
 
     def test_tokens_share_line_ints(self, monkeypatch):
+        # Each reader shares the previous token's line int, so each
+        # source line has one int object: the line reader, with expat
+        # kept out, and expat, with the line reader declining.
         source = generators.generate("modula2", 5, n_units=20).source
         tree = parse_source(source, "modula2", source_path="g.mod")
         doc = serialize_tree(tree)
-        monkeypatch.setattr(xmlio.expat, "ParserCreate", None)
-        for data in _as_inputs(doc):
-            reloaded = parse_tree_xml(data)
-            tokens = [n for n in walk(reloaded.root) if n is not None and n.kind is None]
-            lines = {n.span[0] for n in tokens}
-            starts = {id(n.span[0]) for n in tokens}
-            assert max(lines) > 256 and len(starts) == len(lines)
+        for module, name, value in (
+            (xmlio.expat, "ParserCreate", None),
+            (xmlio, "_line_events", _decline),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, value)
+                for data in _as_inputs(doc):
+                    reloaded = parse_tree_xml(data)
+                    tokens = [n for n in reloaded.events if n is not None and n.kind is None]
+                    lines = {n.span[0] for n in tokens}
+                    starts = {id(n.span[0]) for n in tokens}
+                    assert max(lines) > 256 and len(starts) == len(lines), name
 
     # Valid documents that serialize_tree would not write.
     OTHER_FORMS = {
@@ -827,15 +826,15 @@ class TestReadPieces:
     def test_cut_inside_a_token(self, monkeypatch, size):
         # A lexeme that starts with a line break puts ">\n" inside its
         # <token>, so a piece may end there.
-        unit = EcstNode.universal(
+        unit = Nested(
             UniversalKind.FUNCTION_DECL,
             [
                 EcstNode("PROCEDURE", None, "keyword", 1, 1, 1, 9),
                 EcstNode("\nP", None, "identifier", 1, 10, 2, 1),
             ],
         )
-        root = EcstNode.universal(UniversalKind.COMPILATION_UNIT, [unit])
-        doc = serialize_tree(EcstTree(root, "Mini.mod", "modula2", 2))
+        root = Nested(UniversalKind.COMPILATION_UNIT, [unit])
+        doc = serialize_tree(tree_of(root, "Mini.mod", "modula2", 2))
         assert 'endCol="1">\nP</token>' in doc
         monkeypatch.setattr(xmlio, "_READ_BYTES", size)
         assert serialize_tree(parse_tree_xml(io.BytesIO(doc.encode()))) == doc
@@ -1005,11 +1004,10 @@ class TestWriterParity:
 
     def test_escaped_lexemes(self):
         lexemes = ["&&", "<=", ">=", '"a<b&c>"', "// x < y", "<>", "&", "(* a<b *)", "'\"'"]
-        tree = _mini_tree()
-        tree.root.children[0].children += [
+        tree = _mini_tree(*(
             EcstNode(lexeme, None, "literal", line, 1, line, len(lexeme))
             for line, lexeme in enumerate(lexemes, start=2)
-        ]
+        ))
         assert serialize_tree(tree) == reference_serialize_tree(tree)
 
 
