@@ -10,13 +10,12 @@ same algorithms serve every supported language.
 
 from .frontends import parse_file, parse_source
 from .metrics import LocBundle, MetricsReport, measure_tree
-from .tree import EcstNode, EcstTree, SourceSpan, UniversalKind
+from .tree import EcstTree, SourceSpan, UniversalKind
 from .xmlio import parse_tree_xml, serialize_metrics, serialize_tree
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EcstNode",
     "EcstTree",
     "SourceSpan",
     "UniversalKind",

@@ -8,7 +8,7 @@ import re
 
 from .. import scan as _scan
 from ..errors import LexError, SourceIoError, UnsupportedLanguageError
-from ..tree import EcstNode, EcstTree, SourceSpan
+from ..tree import EcstTree, SourceSpan, Token
 from .java import JavaParser
 from .modula2 import Modula2Parser
 
@@ -35,7 +35,7 @@ def _unix_newlines(source: str) -> str:
     return source.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def lex(source: str, language_id: str) -> list[EcstNode]:
+def lex(source: str, language_id: str) -> list[Token]:
     """Tokenize source text; comments kept, whitespace dropped.
 
     Spans are 1-based and inclusive.  Raises LexError on unlexable
@@ -82,9 +82,12 @@ def parse_source(source: str, language_id: str, source_path: str = "<string>") -
         raise SourceIoError(
             f"character {bad.group()!r} in the file name cannot be stored in tree XML"
         )
-    parser = parser_cls(lex(source, language_id), language_id, source_path)
+    # One copy with the line breaks read: lex and count_physical_lines
+    # find no "\r" in it, and str.replace returns such a text itself.
+    text = _unix_newlines(source)
+    parser = parser_cls(lex(text, language_id), language_id, source_path)
     _check_xml_chars(source)
-    return parser.build_tree(count_physical_lines(source))
+    return parser.build_tree(count_physical_lines(text))
 
 
 def parse_file(path, language_id: str) -> EcstTree:

@@ -10,7 +10,7 @@ define.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..tree import UNIVERSAL, EcstNode, EcstTree, SourceSpan, UniversalKind
+from ..tree import EcstTree, SourceSpan, Token, UniversalKind
 
 #: Deepest nesting a source may have.  Each method or procedure and each
 #: statement opens one level, so a loop or branch counts once with its
@@ -18,35 +18,35 @@ from ..tree import UNIVERSAL, EcstNode, EcstTree, SourceSpan, UniversalKind
 #: level; the limit keeps them well inside Python's recursion limit.
 MAX_NESTING = 200
 
-# The node of each universal kind below the root, as the parsers put it
-# into the events; a kind's spelling finds its node in UNIVERSAL.
-FUNCTION, LOOP, BRANCHING, BRANCH, CONDITION = (
-    UNIVERSAL[kind]
-    for kind in ("FUNCTION_DECL", "LOOP_STATEMENT", "BRANCH_STATEMENT", "BRANCH", "CONDITION")
-)
+# Each universal kind below the root, as the parsers put it into the events.
+FUNCTION = UniversalKind.FUNCTION_DECL
+LOOP = UniversalKind.LOOP_STATEMENT
+BRANCHING = UniversalKind.BRANCH_STATEMENT
+BRANCH = UniversalKind.BRANCH
+CONDITION = UniversalKind.CONDITION
 
 
 class BaseParser:
     """Cursor over the real (non-comment) tokens plus tree assembly.
 
-    The tokens are the scanner's concrete nodes; each one consumed is
-    appended to the events as it is, and _put appends any other event.
+    The tokens are the scanner's tuples; each one consumed is appended
+    to the events as it is, and _put appends any other event.
     """
 
-    def __init__(self, tokens: list[EcstNode], language_id: str, source_path: str):
+    def __init__(self, tokens: list[Token], language_id: str, source_path: str):
         self.language_id = language_id
         self.source_path = source_path
-        toks: list[EcstNode] = []
-        # (number of real tokens preceding the comment, comment node)
-        comments: list[tuple[int, EcstNode]] = []
+        toks: list[Token] = []
+        # (number of real tokens preceding the comment, comment token)
+        comments: list[tuple[int, Token]] = []
         for tok in tokens:
-            if tok.token_type == "comment":
+            if tok[1] == "comment":
                 comments.append((len(toks), tok))
             else:
                 toks.append(tok)
         self.toks = toks
         self.comments = comments
-        self.events: list[EcstNode | None] = []
+        self.events: list[Token | UniversalKind | None] = []
         self._put = self.events.append
         self.i = 0
         self.depth = 0  # nesting levels open at the cursor
@@ -56,19 +56,20 @@ class BaseParser:
 
     # -- cursor primitives -------------------------------------------------
     # Each reads self.toks at self.i itself: no helper call per token.
-    # Those that consume append what they consume to the events.
+    # Those that consume append what they consume to the events.  A
+    # token's label is tok[0] and its type tok[1].
 
-    def _peek(self, offset: int = 0) -> EcstNode | None:
+    def _peek(self, offset: int = 0) -> Token | None:
         j = self.i + offset
         return self.toks[j] if j < len(self.toks) else None
 
     def _at(self, *lexemes: str) -> bool:
         i = self.i
-        return i < len(self.toks) and self.toks[i].label in lexemes
+        return i < len(self.toks) and self.toks[i][0] in lexemes
 
     def _at_type(self, token_type: str) -> bool:
         i = self.i
-        return i < len(self.toks) and self.toks[i].token_type == token_type
+        return i < len(self.toks) and self.toks[i][1] == token_type
 
     def _advance(self) -> None:
         i = self.i
@@ -79,18 +80,18 @@ class BaseParser:
 
     def _expect(self, lexeme: str) -> None:
         i = self.i
-        if i == len(self.toks) or self.toks[i].label != lexeme:
+        if i == len(self.toks) or self.toks[i][0] != lexeme:
             tok = self._peek()
-            found = "end of input" if tok is None else repr(tok.label)
+            found = "end of input" if tok is None else repr(tok[0])
             self._error(f"expected {lexeme!r}, found {found}")
         self.i = i + 1
         self._put(self.toks[i])
 
     def _expect_type(self, token_type: str) -> None:
         i = self.i
-        if i == len(self.toks) or self.toks[i].token_type != token_type:
+        if i == len(self.toks) or self.toks[i][1] != token_type:
             tok = self._peek()
-            found = "end of input" if tok is None else repr(tok.label)
+            found = "end of input" if tok is None else repr(tok[0])
             self._error(f"expected {token_type}, found {found}")
         self.i = i + 1
         self._put(self.toks[i])
@@ -110,8 +111,7 @@ class BaseParser:
             tok = self.toks[-1]
         if tok is None:
             raise ParseError(message, span=SourceSpan(1, 1, 1, 1))
-        span = SourceSpan(tok.start_line, tok.start_col, tok.end_line, tok.end_col)
-        raise ParseError(message, span=span)
+        raise ParseError(message, span=SourceSpan(*tok[2:]))
 
     # -- tree assembly -----------------------------------------------------
 
@@ -120,7 +120,7 @@ class BaseParser:
         raise NotImplementedError
 
     def build_tree(self, total_lines: int) -> EcstTree:
-        self._put(UNIVERSAL[UniversalKind.COMPILATION_UNIT])
+        self._put(UniversalKind.COMPILATION_UNIT)
         self.parse_compilation_unit()
         if self.i < len(self.toks):
             self._error("trailing input after compilation unit")
@@ -157,7 +157,7 @@ class BaseParser:
                     lo -= 1
                 tokens = p
             # and back over the nodes entered just before it, not the root
-            while lo > 1 and (node := events[lo - 1]) is not None and node.kind is not None:
+            while lo > 1 and (node := events[lo - 1]) is not None and type(node) is not tuple:
                 lo -= 1
             events[lo + shift : hi + shift] = events[lo:hi]
             shift -= 1
@@ -175,7 +175,7 @@ class BaseParser:
         """Whether the _CONSTRUCTS keyword at toks[j] opens a construct."""
         raise NotImplementedError
 
-    def _flat_until(self, stops) -> list[EcstNode]:
+    def _flat_until(self, stops) -> list[Token]:
         """Consume tokens up to a bracket-level-zero stop lexeme and
         return them.
 
@@ -192,7 +192,7 @@ class BaseParser:
         start = j = self.i
         closers: list[str] = []  # the closer each open bracket needs
         while j < len(toks):
-            label = toks[j].label
+            label = toks[j][0]
             if not closers and label in stops:
                 break
             if label in marked:  # one set test per plain token
@@ -222,10 +222,10 @@ class BaseParser:
     def _balanced_group(self) -> None:
         """Consume a bracketed group through the closer of its opener."""
         tok = self._peek()
-        if tok is None or tok.label not in self._CLOSER_OF:
+        if tok is None or tok[0] not in self._CLOSER_OF:
             self._error("expected a bracketed group")
         self._advance()
         self._flat_until(())
         if self._peek() is None:
             self._error("unbalanced brackets")
-        self._expect(self._CLOSER_OF[tok.label])
+        self._expect(self._CLOSER_OF[tok[0]])

@@ -44,7 +44,7 @@ class JavaParser(BaseParser):
 
     def _opens_construct(self, j: int) -> bool:
         # After "." the keyword is a member name, as in the literal A.class.
-        return self.toks[j - 1].label != "."
+        return self.toks[j - 1][0] != "."
 
     def parse_compilation_unit(self) -> None:
         if self._peek() is None:
@@ -70,7 +70,7 @@ class JavaParser(BaseParser):
         j = self.i
         decide = None
         while j < len(self.toks):
-            lex = self.toks[j].label
+            lex = self.toks[j][0]
             if lex in ("(", "=", ";", "{"):
                 decide = lex
                 break
@@ -87,7 +87,7 @@ class JavaParser(BaseParser):
         self._enter_level()
         self._put(FUNCTION)
         head = self._flat_until({"("})
-        if not head or head[-1].token_type != "identifier":
+        if not head or head[-1][1] != "identifier":
             self._expect_type("identifier")  # a method needs its name
         self._balanced_group()
         self._block()
@@ -130,7 +130,7 @@ class JavaParser(BaseParser):
             self._expect(";")
         else:
             tok = self._peek()
-            if tok is None or (tok.token_type == "keyword" and tok.label not in DECL_KEYWORDS):
+            if tok is None or (tok[1] == "keyword" and tok[0] not in DECL_KEYWORDS):
                 self._error("expected statement")
             self._flat_until({";"})
             self._expect(";")

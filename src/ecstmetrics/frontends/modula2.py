@@ -44,8 +44,8 @@ class Modula2Parser(BaseParser):
         # PROCEDURE with no name after it is a procedure type, such as
         # PROCEDURE (INTEGER): BOOLEAN in a declaration.
         toks = self.toks
-        return toks[j].label != "PROCEDURE" or (
-            j + 1 < len(toks) and toks[j + 1].token_type == "identifier"
+        return toks[j][0] != "PROCEDURE" or (
+            j + 1 < len(toks) and toks[j + 1][1] == "identifier"
         )
 
     def parse_compilation_unit(self) -> None:
@@ -109,7 +109,7 @@ class Modula2Parser(BaseParser):
     def _statement_sequence(self, terminators: set) -> None:
         while True:
             tok = self._peek()
-            if tok is None or (tok.token_type == "keyword" and tok.label in terminators):
+            if tok is None or (tok[1] == "keyword" and tok[0] in terminators):
                 return
             self._statement()
             # Separator semicolons stay siblings of the construct nodes.
@@ -129,6 +129,10 @@ class Modula2Parser(BaseParser):
         elif self._at("RETURN"):
             self._advance()
             self._flat_until(COND_STOPS)
+        elif self._at("LOOP"):
+            # Outside the subset; read flat, its END would close the
+            # enclosing construct and the error would land far from it.
+            self._error("LOOP statements are not supported")
         elif self._at_type("identifier"):
             self._flat_until(COND_STOPS)
         else:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import MalformedTreeError
-from .tree import EcstNode, EcstTree, UniversalKind
+from .tree import EcstTree, Token, UniversalKind
 
 MEASURED_KINDS = (
     UniversalKind.FUNCTION_DECL,
@@ -88,12 +88,11 @@ def _named(mark: list, token_type: str, label: str) -> bool:
     return head != "ELSE"
 
 
-def _fold(events: Iterable[EcstNode | None], extended: bool) -> list[ElementMetrics]:
+def _fold(events: Iterable[Token | UniversalKind | None], extended: bool) -> list[ElementMetrics]:
     """The whole-file row of the first node of events, then the row of
     every measured node inside it, in preorder.
 
-    events are a valid tree's, or of their shape: a token is read only
-    while current, so one node may stand for every token.  Each value is
+    events are a valid tree's, or of their shape.  Each value is
     a running count noted at a node's entry and read at its exit, and
     its lines run from its first token's start line to the last line
     counted at its exit.  cc counts
@@ -111,43 +110,12 @@ def _fold(events: Iterable[EcstNode | None], extended: bool) -> list[ElementMetr
     # units, the last identifier:
     code_waiting, comment_waiting, unnamed = [], [], []
     naming = None  # the innermost open node's mark while its tokens may name it
-    # Per open universal node: the node, its mark (None unless reported)
+    # Per open universal node: its kind, its mark (None unless reported)
     # and naming at its entry.
     marks: list[tuple] = []
     for node in events:
-        if node is None:
-            node, mark, naming = marks.pop()
-            kind = node.kind
-            conditions -= kind is UniversalKind.CONDITION
-            if mark is None:
-                continue
-            (_, row, decisions_in, operators_in, sloc_in, sloc_last_in, cloc_in,
-             cloc_last_in, first_code, first_comment, name, decided) = mark
-            decisions += decided
-            if not (first_code or first_comment):
-                raise MalformedTreeError(
-                    f"universal node {node.label!r} has no concrete descendants"
-                )
-            cc = decisions - decisions_in + (kind is UniversalKind.FUNCTION_DECL)
-            if extended:
-                cc += operators - operators_in
-            start_line = min(first_code or first_comment, first_comment or first_code)
-            end_line = max(sloc_last, cloc_last)
-            # A node's first token may start on the line last counted before it.
-            rows[row] = ElementMetrics(
-                name="<anonymous>" if name is None else name,
-                annotation=kind.value,
-                cc=cc,
-                loc=end_line - start_line + 1,
-                sloc=sloc - sloc_in + (0 < first_code == sloc_last_in),
-                cloc=cloc - cloc_in + (0 < first_comment == cloc_last_in),
-                start_line=start_line,
-                end_line=end_line,
-            )
-        elif node.kind is None:
-            line = node.start_line
-            end = node.end_line
-            token_type = node.token_type
+        if type(node) is tuple:
+            label, token_type, line, _, end, _ = node
             # A token may start on the line the previous one ended on.
             if token_type == "comment":
                 if comment_waiting:
@@ -166,17 +134,45 @@ def _fold(events: Iterable[EcstNode | None], extended: bool) -> list[ElementMetr
             if token_type == "identifier":
                 if unnamed:
                     for mark in unnamed:
-                        mark[_NAME] = node.label
+                        mark[_NAME] = label
                     unnamed.clear()
             elif conditions and token_type == "operator":
-                operators += node.label in LOGICAL_OPERATORS
-            if naming is not None and _named(naming, token_type, node.label):
+                operators += label in LOGICAL_OPERATORS
+            if naming is not None and _named(naming, token_type, label):
                 naming = None
+        elif node is None:
+            kind, mark, naming = marks.pop()
+            conditions -= kind is UniversalKind.CONDITION
+            if mark is None:
+                continue
+            (_, row, decisions_in, operators_in, sloc_in, sloc_last_in, cloc_in,
+             cloc_last_in, first_code, first_comment, name, decided) = mark
+            decisions += decided
+            if not (first_code or first_comment):
+                raise MalformedTreeError(
+                    f"universal node {kind.value!r} has no concrete descendants"
+                )
+            cc = decisions - decisions_in + (kind is UniversalKind.FUNCTION_DECL)
+            if extended:
+                cc += operators - operators_in
+            start_line = min(first_code or first_comment, first_comment or first_code)
+            end_line = max(sloc_last, cloc_last)
+            # A node's first token may start on the line last counted before it.
+            rows[row] = ElementMetrics(
+                name="<anonymous>" if name is None else name,
+                annotation=kind.value,
+                cc=cc,
+                loc=end_line - start_line + 1,
+                sloc=sloc - sloc_in + (0 < first_code == sloc_last_in),
+                cloc=cloc - cloc_in + (0 < first_comment == cloc_last_in),
+                start_line=start_line,
+                end_line=end_line,
+            )
         else:
-            kind = node.kind
+            kind = node
             if kind is UniversalKind.CONDITION:
                 conditions += 1
-                if marks and marks[-1][0].kind is UniversalKind.BRANCH:
+                if marks and marks[-1][0] is UniversalKind.BRANCH:
                     marks[-1][1][_DECIDED] = True  # counted at the BRANCH's exit
             if kind in MEASURED_KINDS or not marks:
                 mark = [kind, len(rows), decisions, operators, sloc, sloc_last,
@@ -188,7 +184,7 @@ def _fold(events: Iterable[EcstNode | None], extended: bool) -> list[ElementMetr
                     unnamed.append(mark)
             else:
                 mark = None
-            marks.append((node, mark, naming))
+            marks.append((kind, mark, naming))
             naming = mark if kind in _UNNAMED else None
             decisions += kind is UniversalKind.LOOP_STATEMENT
     return rows

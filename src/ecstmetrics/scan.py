@@ -2,9 +2,9 @@
 
 A LexerSpec holds one language's lexical rules; each language's parser
 keeps its own as SPEC.  One compiled pattern per spec splits the text
-into tokens; each match is classified by the spec and becomes a concrete
-EcstNode, the token the tree keeps, with its 1-based, inclusive
-position in four int slots; only a LexError's span is a SourceSpan.
+into tokens; each match is classified by the spec and becomes a token,
+the plain tuple the tree keeps, with its 1-based, inclusive position in
+its last four items; only a LexError's span is a SourceSpan.
 Blanks ride with the match before them: every match takes the blanks
 after it, and a line break takes the next line's indentation, so the
 loop turns once per token and once per line.  The pattern matches only
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import LexError
-from .tree import EcstNode, SourceSpan
+from .tree import SourceSpan, Token
 
 #: The scanner implementation, named in benchmark reports.
 KERNEL = "python"
@@ -118,14 +118,14 @@ def _error(message: str, line: int, col: int) -> LexError:
     return LexError(message, span=SourceSpan(line, col, line, col))
 
 
-def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
+def scan(text: str, spec: LexerSpec) -> list[Token]:
     """Tokenize text by spec; comments kept, whitespace dropped.
 
-    Newlines must already be normalized to "\\n".  Each token's
-    position is its start_line, start_col, end_line and end_col, 1-based
-    and inclusive.  Raises LexError, whose SourceSpan is the position of
-    the offending character or of the opener of an unterminated literal
-    or comment.
+    Newlines must already be normalized to "\\n".  Each token is the
+    tuple (label, token_type, start_line, start_col, end_line, end_col),
+    its position 1-based and inclusive.  Raises LexError, whose
+    SourceSpan is the position of the offending character or of the
+    opener of an unterminated literal or comment.
     """
     match, word_types, symbol_types = _compile(spec)
     # The word table, which takes each new identifier, number and string
@@ -167,8 +167,7 @@ def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
             if breaks:
                 line += breaks
                 line_start = text.rfind("\n", pos, end) + 1
-            append(EcstNode(text[pos:end], None, "comment",
-                            start_line, col, line, end - line_start))
+            append((text[pos:end], "comment", start_line, col, line, end - line_start))
             pos = end
             continue
         elif kind == "space":
@@ -185,7 +184,6 @@ def scan(text: str, spec: LexerSpec) -> list[EcstNode]:
             if entry is None:
                 entry = labels[lexeme] = (lexeme, "literal")
             lexeme, token_type = entry
-        append(EcstNode(lexeme, None, token_type,
-                        line, col, line, col + len(lexeme) - 1))
+        append((lexeme, token_type, line, col, line, col + len(lexeme) - 1))
         pos = m.end()
     return tokens

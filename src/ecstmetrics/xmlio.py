@@ -21,15 +21,7 @@ from xml.parsers import expat
 
 from .errors import MalformedTreeError, SourceIoError, TreeXmlError
 from .frontends import _NOT_XML_CHAR
-from .tree import (
-    TOKEN_TYPES,
-    UNIVERSAL,
-    EcstNode,
-    EcstTree,
-    SourceSpan,
-    UniversalKind,
-    validate_tree,
-)
+from .tree import TOKEN_TYPES, EcstTree, SourceSpan, UniversalKind, validate_tree
 
 # -- serialization ---------------------------------------------------------
 
@@ -79,26 +71,26 @@ def serialize_tree(tree: EcstTree, out: TextIO | None = None) -> str | None:
     indents = ["", "  "]  # indents[d]: d levels, built once per depth
     depth = 0  # open <node> elements, each one level of indent
     for node in tree.events:
-        if node is None:
+        if type(node) is tuple:
+            label, token_type, line, col, end_line, end_col = node
+            if "&" in label or "<" in label or ">" in label:
+                label = escape(label)
+            lines.append(
+                f'{indents[depth + 1]}<token type="{token_type}"'
+                f' line="{line}" col="{col}"'
+                f' endLine="{end_line}" endCol="{end_col}">{label}</token>\n'
+            )
+        elif node is None:
             lines.append(f"{indents[depth]}</node>\n")
             depth -= 1
             if out is not None and len(lines) >= _PIECE_LINES:
                 out.write("".join(lines))
                 lines.clear()
-        elif node.kind is None:
-            label = node.label
-            if "&" in label or "<" in label or ">" in label:
-                label = escape(label)
-            lines.append(
-                f'{indents[depth + 1]}<token type="{node.token_type}"'
-                f' line="{node.start_line}" col="{node.start_col}"'
-                f' endLine="{node.end_line}" endCol="{node.end_col}">{label}</token>\n'
-            )
         else:
             depth += 1
             if depth + 1 == len(indents):
                 indents.append(indents[-1] + "  ")
-            lines.append(f'{indents[depth]}<node kind="{node.kind.value}">\n')
+            lines.append(f'{indents[depth]}<node kind="{node.value}">\n')
     lines.append("</ecst>\n")
     if out is None:
         return "".join(lines)
@@ -143,6 +135,8 @@ def serialize_metrics(report, out: TextIO | None = None) -> str | None:
 # Each token type to the one string of its spelling that every reloaded
 # token shares; each reader gets a new string per attribute value.
 _TYPES = {token_type: token_type for token_type in TOKEN_TYPES}
+# Each universal kind's spelling to the kind.
+_KINDS = {kind.value: kind for kind in UniversalKind}
 # The one form of an integer attribute: ASCII digits.  A line, a column
 # and totalLines must also be at least 1.
 _INT = "[0-9]+"
@@ -212,20 +206,20 @@ def _pieces(file: BinaryIO) -> Iterator[str]:
         yield tail.decode()
 
 
-def _line_events(pieces: Iterable[str]) -> Iterator:
+def _line_events(pieces: Iterable[str], share: bool = False) -> Iterator:
     """The header of a document in serialize_tree's form, then its
     events in a tree's shape, read with one match of _LINE per element.
 
     The form: the header line, one element per line after any run of
     spaces, one COMPILATION_UNIT <node> holding all others, and
     "</ecst>\n" at the end; each token passes the rules of _expat_events.
-    Yields the header's (source, language, totalLines), then the node
-    of UNIVERSAL per <node>, one token node whose fields, its four
-    position slots among them, each token overwrites, and None per
-    </node>.  Raises ValueError at the first line or piece outside the
-    form or UTF-8.
+    Yields the header's (source, language, totalLines), then the kind
+    per <node>, each token's tuple and None per </node>.  With share,
+    tokens of one lexeme share its first str, as the scanner's tokens
+    do.  Raises ValueError at the first line or piece outside the form
+    or UTF-8.
     """
-    token = EcstNode("")
+    labels = {} if share else None  # each lexeme read so far -> its first str
     head = None
     rest = ""  # what the last piece left unread
     depth = 0  # open <node> elements
@@ -267,22 +261,18 @@ def _line_events(pieces: Iterable[str]) -> Iterator:
                     raise ValueError("a token outside the form")
                 if "&" in lexeme:
                     lexeme = _unescape(lexeme)
-                token.label = lexeme
-                token.token_type = token_type
-                token.start_line = line
-                token.start_col = col
-                token.end_line = end_line
-                token.end_col = end_col
-                yield token
+                if labels is not None:
+                    lexeme = labels.setdefault(lexeme, lexeme)
+                yield lexeme, token_type, line, col, end_line, end_col
             elif kind is not None:
-                node = UNIVERSAL.get(kind)
-                if node is None or not depth and (
-                    rooted or node.kind is not UniversalKind.COMPILATION_UNIT
+                kind = _KINDS.get(kind)
+                if kind is None or not depth and (
+                    rooted or kind is not UniversalKind.COMPILATION_UNIT
                 ):
                     raise ValueError("a <node> outside the form")
                 rooted = True
                 depth += 1
-                yield node
+                yield kind
             elif depth:
                 depth -= 1
                 yield None
@@ -321,12 +311,12 @@ def _int_attr(el: tuple, name: str) -> int:
     return value
 
 
-def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
+def _expat_events(data: bytes | str | BinaryIO, share: bool = False) -> Iterator:
     """The events of any document in _line_events' shape, read by expat
     in pieces of _READ_BYTES: the header's (source, language,
-    totalLines), the node of UNIVERSAL per <node>, one token node that
-    each <token> overwrites, and None per </node>.  A str is read as
-    its characters, whatever encoding its declaration names.
+    totalLines), the kind per <node>, each token's tuple and None per
+    </node>, tokens of one lexeme sharing one str with share.  A str is
+    read as its characters, whatever encoding its declaration names.
 
     Each element rule is checked at the first handler that can see it:
     the root's fields and a <node>'s kind and place at its start tag, a
@@ -337,10 +327,8 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
     """
     parser = expat.ParserCreate("utf-8" if isinstance(data, str) else None)
     parser.buffer_text = True
-    # What the piece being read produced, a token as the list of its
-    # fields, which fill the one token node when its turn comes.
-    events: list = []
-    token = EcstNode("")
+    events: list = []  # what the piece being read produced
+    labels = {} if share else None  # each lexeme read so far -> its first str
     opened: list[tuple] = []  # (tag, attributes, line) per open element
     text: list[str] = []  # the open <token>'s character data
     # The last token's line text and its int, which the next token on
@@ -370,11 +358,11 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
             kind = attrs.get("kind")
             if kind is None:
                 _fail(el, "missing attribute 'kind'")
-            node = UNIVERSAL.get(kind)
+            node = _KINDS.get(kind)
             if node is None:
                 _fail(el, f"unknown universal kind {kind!r}")
             if len(opened) == 1:
-                if node.kind is not UniversalKind.COMPILATION_UNIT:
+                if node is not UniversalKind.COMPILATION_UNIT:
                     _fail(el, "top-level <node> must be COMPILATION_UNIT")
                 rooted = True
             events.append(node)
@@ -422,19 +410,11 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
             if line > end_line or line == end_line and col > end_col:
                 span = SourceSpan(line, col, end_line, end_col)
                 _fail(el, f"invalid span: span start after end: {span}")
-            events.append([lexeme, token_type, line, col, end_line, end_col])
+            if labels is not None:
+                lexeme = labels.setdefault(lexeme, lexeme)
+            events.append((lexeme, token_type, line, col, end_line, end_col))
         elif not rooted:
             _fail(el, "<ecst> must contain exactly one <node>")
-
-    def filled():
-        """The piece's events, each token's fields put in the one node."""
-        for event in events:
-            if event.__class__ is list:
-                (token.label, token.token_type, token.start_line, token.start_col,
-                 token.end_line, token.end_col) = event
-                event = token
-            yield event
-        events.clear()
 
     parser.StartElementHandler = start
     parser.CharacterDataHandler = chars
@@ -447,9 +427,10 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
             data = io.BytesIO(data)
         while piece := data.read(_READ_BYTES):
             parser.Parse(piece, False)
-            yield from filled()
+            yield from events
+            events.clear()
         parser.Parse(b"", True)
-        yield from filled()
+        yield from events
     except expat.ExpatError as e:
         raise TreeXmlError(f"not well-formed XML: {e}") from e
     finally:
@@ -465,31 +446,20 @@ def _expat_events(data: bytes | str | BinaryIO) -> Iterator:
 
 def _tree(head: tuple, events: Iterable) -> EcstTree:
     """The tree of a header's (source, language, totalLines) and the
-    events of either reader after it, once validate_tree passes it.
-    Each token is built anew, as a reader yields one node for all of
-    them; tokens of one lexeme share one str, as the scanner's tokens do,
-    where each reader gets a new str per lexeme it reads."""
-    labels: dict[str, str] = {}  # each lexeme read so far -> its first str
-    out: list[EcstNode | None] = []
-    append = out.append
-    for node in events:
-        if node is not None and node.kind is None:
-            label = node.label
-            node = EcstNode(labels.setdefault(label, label), None, node.token_type,
-                            node.start_line, node.start_col, node.end_line,
-                            node.end_col)
-        append(node)
-    tree = EcstTree(out, *head)
+    events of either reader after it, kept as the reader gives them,
+    once validate_tree passes it."""
+    tree = EcstTree(list(events), *head)
     validate_tree(tree)
     return tree
 
 
-def _read(data: bytes | str | BinaryIO, consume):
+def _read(data: bytes | str | BinaryIO, consume, share: bool = False):
     """consume(head, events) over the document data, bytes, a str or a
     binary file read from its position: the header and events of the
     line reader, or of expat from the start once the line reader
     declines the document.  A binary file that cannot seek, such as a
-    pipe, goes to expat at once.
+    pipe, goes to expat at once.  share goes to the reader: a caller
+    that keeps the tokens shares one str per lexeme.
 
     The first fault of well-formedness or of an element, in reading
     order, is raised as TreeXmlError.  An invariant fault, which consume
@@ -504,15 +474,15 @@ def _read(data: bytes | str | BinaryIO, consume):
         start = data.tell()
         pieces = _pieces(data)
     else:
-        return _consumed(_expat_events(data), consume)
+        return _consumed(_expat_events(data, share), consume)
     try:
-        return _consumed(_line_events(pieces), consume)
+        return _consumed(_line_events(pieces, share), consume)
     except ValueError:  # not in the writer's form, or not UTF-8
         pass
     # Expat starts once the except block has freed what the line reader built.
     if hasattr(data, "read"):
         data.seek(start)
-    return _consumed(_expat_events(data), consume)
+    return _consumed(_expat_events(data, share), consume)
 
 
 def _consumed(events: Iterator, consume):
@@ -532,10 +502,11 @@ def parse_tree_xml(data: bytes | str | BinaryIO) -> EcstTree:
 
     data is the document as bytes or str, or a binary file, which is
     read in pieces, so the whole document is never held at once.  The
-    tree is built by _tree from the events _read chooses; raises
-    TreeXmlError on any fault, as _read ranks them.
+    tree is built by _tree from the events _read chooses, tokens of one
+    lexeme sharing one str; raises TreeXmlError on any fault, as _read
+    ranks them.
     """
-    return _read(data, _tree)
+    return _read(data, _tree, True)
 
 
 def load_tree_file(path) -> EcstTree:

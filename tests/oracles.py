@@ -10,10 +10,13 @@ reference_lex is the character-loop scanner and classifier the package
 used before its single-pass regex scanner; the lexer must agree with it
 token for token and on every LexError.
 
-A tree is one flat list of events; the oracles read a test-only nested
-view of it instead (Nested, built by nested and flattened back by
-events_of), in which each universal node has its list of children and
-each token is the tree's own node.
+A tree is one flat list of events: a UniversalKind at each universal
+node's entry, each token as the plain tuple (label, token_type,
+start_line, start_col, end_line, end_col), and None at each exit.  The
+oracles read a test-only nested view of it instead (Nested, built by
+nested and flattened back by events_of), in which each universal node
+has its list of children and each token is a Leaf, a named view of the
+token's six fields that compares equal to the tree's tuple.
 
 reference_parse_source, reference_measure_tree and subtree_span keep the
 subtree re-walking implementations the package used before its single
@@ -40,8 +43,8 @@ escaped, each indent built per line, here with its own explicit stack
 over the nested view.  The writer must give the same bytes for every
 tree.
 
-same_tree compares two trees' events field by field, without
-recursion; EcstNode itself compares by identity.
+same_tree compares two trees' headers and events, each event by its
+type and its value.
 """
 
 from __future__ import annotations
@@ -67,8 +70,6 @@ from ecstmetrics.metrics import (
 )
 from ecstmetrics.tree import (
     TOKEN_TYPES,
-    UNIVERSAL,
-    EcstNode,
     EcstTree,
     SourceSpan,
     UniversalKind,
@@ -352,7 +353,7 @@ def reference_lex(source, language_id):
             token_type = "punctuation" if lexeme in spec.punctuation else "operator"
         else:
             token_type = "comment"
-        tokens.append(EcstNode(lexeme, None, token_type, line, col, end_line, end_col))
+        tokens.append((lexeme, token_type, line, col, end_line, end_col))
     return tokens
 
 
@@ -369,8 +370,11 @@ def reference_attach_comments(parser):
     if not parser.comments:
         return
     root = nested(parser.events)
-    # A concrete node is the token itself.
-    token_index = {id(tok): i for i, tok in enumerate(parser.toks)}
+    # Each Leaf of the view, by identity, to the index of its token: the
+    # pristine events hold the real tokens once each, in order.
+    leaves = [id(n) for n in preorder(root) if n.kind is None]
+    assert len(leaves) == len(parser.toks)
+    token_index = {leaf: i for i, leaf in enumerate(leaves)}
     ranges = {}
 
     def compute(node):
@@ -407,7 +411,7 @@ def reference_attach_comments(parser):
             if ranges[id(child)][0] >= pos:
                 index = k
                 break
-        placements.append((target, index, comment_node))
+        placements.append((target, index, Leaf(*comment_node)))
 
     by_parent = {}
     parents = {}
@@ -443,7 +447,7 @@ def subtree_span(node):
     first = None
     last = None
     for n in preorder(node):
-        if n.span is None:
+        if n.kind is not None:
             continue
         start_line, start_col, end_line, end_col = n.span
         if first is None or (start_line, start_col) < first:
@@ -494,7 +498,7 @@ def _loc_bundle(node):
     code_lines = set()
     comment_lines = set()
     for n in preorder(node):
-        if n.span is None:
+        if n.kind is not None:
             continue
         target = comment_lines if n.token_type == "comment" else code_lines
         start_line, _, end_line, _ = n.span
@@ -581,10 +585,28 @@ def reference_measure_tree(tree):
 # -- trees -----------------------------------------------------------------
 
 
+class Leaf(NamedTuple):
+    """A token of the nested view: the six fields of the tree's tuple,
+    named.  It answers the fields of a Nested too, as kind None."""
+
+    label: str
+    token_type: str
+    start_line: int
+    start_col: int
+    end_line: int
+    end_col: int
+
+    kind = None
+
+    @property
+    def span(self) -> tuple[int, int, int, int]:
+        return self[2:]
+
+
 class Nested:
     """A universal node of the nested view of a tree's events: its kind
-    and its children, universal nodes of this view and the tree's own
-    tokens.  It answers the fields a universal EcstNode has."""
+    and its children, universal nodes of this view and Leafs.  It answers
+    the fields of a Leaf too, its label the kind's spelling."""
 
     __slots__ = ("kind", "children")
     token_type = None
@@ -608,27 +630,27 @@ def nested(tree_or_events) -> Nested:
     for node in events:
         if node is None:
             root = opened.pop()
-        elif node.kind is None:
-            opened[-1].children.append(node)
-        else:
-            view = Nested(node.kind)
+        elif isinstance(node, UniversalKind):
+            view = Nested(node)
             if opened:
                 opened[-1].children.append(view)
             opened.append(view)
+        else:
+            opened[-1].children.append(Leaf(*node))
     return root
 
 
 def events_of(root: Nested) -> list:
-    """The events of a nested view, each universal node as the tree
-    holds it (UNIVERSAL's), built without recursion."""
-    events = [UNIVERSAL[root.kind]]
+    """The events of a nested view, each token as a plain tuple, built
+    without recursion."""
+    events = [root.kind]
     stack = [iter(root.children)]  # per open node, its children not yet read
     while stack:
         for node in stack[-1]:
             if node.kind is None:
-                events.append(node)
+                events.append(tuple(node))
             else:
-                events.append(UNIVERSAL[node.kind])
+                events.append(node.kind)
                 stack.append(iter(node.children))
                 break
         else:
@@ -661,7 +683,7 @@ def nodes_of(tree_or_node, kind):
 
 
 def same_tree(a: EcstTree, b: EcstTree) -> bool:
-    """Equal headers, and equal events, each compared by its fields."""
+    """Equal headers, and equal events, each of the same type and value."""
     if (a.source_path, a.language_id, a.total_lines) != (
         b.source_path,
         b.language_id,
@@ -669,15 +691,8 @@ def same_tree(a: EcstTree, b: EcstTree) -> bool:
     ):
         return False
     return len(a.events) == len(b.events) and all(
-        fields(x) == fields(y) for x, y in zip(a.events, b.events)
+        type(x) is type(y) and x == y for x, y in zip(a.events, b.events)
     )
-
-
-def fields(node: EcstNode | None) -> tuple | None:
-    """What an event holds: a node's fields, or None for an exit."""
-    if node is None:
-        return None
-    return node.label, node.kind, node.token_type, node.span
 
 
 # -- tree XML reader -------------------------------------------------------
@@ -743,7 +758,7 @@ def _check_start(el: _Open, parent: _Open | None) -> None:
         _fail(el, f"unknown element <{el.tag}>")
 
 
-def _build_node(el: _Open) -> EcstNode | Nested:
+def _build_node(el: _Open) -> Leaf | Nested:
     """The node for an element below <ecst> at its end tag, in the
     nested view, its children already built, once the rules about a
     token's fields hold."""
@@ -765,7 +780,7 @@ def _build_node(el: _Open) -> EcstNode | Nested:
     )
     if span[:2] > span[2:]:
         _fail(el, f"invalid span: span start after end: {SourceSpan(*span)}")
-    return EcstNode(text, None, token_type, *span)
+    return Leaf(text, token_type, *span)
 
 
 def reference_parse_tree_xml(data: bytes | str) -> EcstTree:
@@ -854,7 +869,7 @@ def reference_serialize_tree(tree: EcstTree) -> str:
         depth = len(stack) - 1  # open <node> elements, each one level of indent
         for node in stack[-1]:
             if node.kind is None:
-                line, col, end_line, end_col = node.span
+                _, _, line, col, end_line, end_col = node
                 out.append(
                     f"{'  ' * (depth + 1)}<token type=\"{node.token_type}\""
                     f' line="{line}" col="{col}"'

@@ -10,7 +10,7 @@ from ecstmetrics import parse_source
 from ecstmetrics.errors import ParseError
 from ecstmetrics.frontends import lex
 from ecstmetrics.frontends.java import JavaParser
-from ecstmetrics.tree import UNIVERSAL, UniversalKind
+from ecstmetrics.tree import UniversalKind
 from oracles import nested, nodes_of, preorder, same_tree
 
 
@@ -133,12 +133,12 @@ class TestCommentAttachment:
         # are at most the final length plus one per new slot.
         n = 2_000
         parser = JavaParser(lex(_wrap("x = x + i; // c\n" * n), "javaoo"), "javaoo", "T.java")
-        parser._put(UNIVERSAL[UniversalKind.COMPILATION_UNIT])
+        parser._put(UniversalKind.COMPILATION_UNIT)
         parser.parse_compilation_unit()
         parser._put(None)
         events = parser.events = _WriteCountingList(parser.events)
         parser._attach_comments()
-        assert sum(n is not None and n.token_type == "comment" for n in events) == n
+        assert sum(type(e) is tuple and e[1] == "comment" for e in events) == n
         assert events.written <= len(events) + n
 
 
@@ -190,12 +190,12 @@ class TestInvariants:
     def test_token_preservation(self, corpus):
         for name in ("QuickSort.java", "Features.java"):
             text, tree = corpus[name]
-            tokens = [t for t in lex(text, "javaoo") if t.token_type != "comment"]
+            tokens = [t for t in lex(text, "javaoo") if t[1] != "comment"]
             concrete = [
                 n for n in preorder(tree)
-                if n.span is not None and n.token_type != "comment"
+                if n.kind is None and n.token_type != "comment"
             ]
-            assert [t.label for t in tokens] == [n.label for n in concrete]
+            assert tokens == concrete
 
     def test_parse_is_deterministic(self, corpus):
         text, tree = corpus["QuickSort.java"]

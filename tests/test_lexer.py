@@ -9,7 +9,7 @@ from ecstmetrics.frontends import count_physical_lines, lex
 
 
 def _types(tokens):
-    return [(t.label, t.token_type) for t in tokens]
+    return [t[:2] for t in tokens]
 
 
 class TestModula2Lexing:
@@ -25,7 +25,7 @@ class TestModula2Lexing:
 
     def test_operator_words(self):
         tokens = lex("x DIV y MOD z AND w OR v", "modula2")
-        kinds = {t.label: t.token_type for t in tokens}
+        kinds = {t[0]: t[1] for t in tokens}
         assert kinds["DIV"] == "operator"
         assert kinds["MOD"] == "operator"
         assert kinds["AND"] == "operator"
@@ -37,7 +37,7 @@ class TestModula2Lexing:
 
     def test_punctuation_versus_operator_symbols(self):
         tokens = lex("a[i] := (b + c) * 2;", "modula2")
-        kinds = {t.label: t.token_type for t in tokens}
+        kinds = {t[0]: t[1] for t in tokens}
         assert kinds["["] == "punctuation"
         assert kinds["("] == "punctuation"
         assert kinds[";"] == "punctuation"
@@ -46,9 +46,9 @@ class TestModula2Lexing:
 
     def test_comment_token_and_span(self):
         tokens = lex("x := 1; (* note\nspans lines *)\ny := 2;", "modula2")
-        comments = [t for t in tokens if t.token_type == "comment"]
+        comments = [t for t in tokens if t[1] == "comment"]
         assert len(comments) == 1
-        start_line, _, end_line, _ = comments[0].span
+        _, _, start_line, _, end_line, _ = comments[0]
         assert (start_line, end_line) == (1, 2)
 
     def test_string_literal(self):
@@ -63,19 +63,19 @@ class TestModula2Lexing:
 class TestJavaLexing:
     def test_do_while_keywords(self):
         tokens = lex("do { } while (x);", "javaoo")
-        assert tokens[0].label == "do"
-        assert tokens[0].token_type == "keyword"
+        assert tokens[0][0] == "do"
+        assert tokens[0][1] == "keyword"
         assert ("while", "keyword") in _types(tokens)
 
     def test_literal_words(self):
         tokens = lex("flag = true; other = null;", "javaoo")
-        kinds = {t.label: t.token_type for t in tokens}
+        kinds = {t[0]: t[1] for t in tokens}
         assert kinds["true"] == "literal"
         assert kinds["null"] == "literal"
 
     def test_two_char_operators(self):
         tokens = lex("a <= b && c != d || e++", "javaoo")
-        ops = [t.label for t in tokens if t.token_type == "operator"]
+        ops = [t[0] for t in tokens if t[1] == "operator"]
         assert ops == ["<=", "&&", "!=", "||", "++"]
 
     def test_braces_are_punctuation(self):
@@ -84,7 +84,7 @@ class TestJavaLexing:
 
     def test_both_comment_styles(self):
         tokens = lex("// one\n/* two */ x", "javaoo")
-        assert [t.token_type for t in tokens] == ["comment", "comment", "identifier"]
+        assert [t[1] for t in tokens] == ["comment", "comment", "identifier"]
 
 
 class TestLexerContract:
@@ -94,17 +94,16 @@ class TestLexerContract:
 
     def test_whitespace_dropped_comments_kept(self):
         tokens = lex("  a\t b  (* c *)  ", "modula2")
-        assert [t.label for t in tokens] == ["a", "b", "(* c *)"]
+        assert [t[0] for t in tokens] == ["a", "b", "(* c *)"]
 
     def test_spans_are_one_based_inclusive(self):
         tokens = lex("ab cd", "modula2")
-        cols = [(col, end_col) for _, col, _, end_col in (t.span for t in tokens)]
+        cols = [(col, end_col) for _, _, _, col, _, end_col in tokens]
         assert cols == [(1, 2), (4, 5)]
 
     def test_crlf_normalized(self):
         tokens = lex("a\r\nb", "modula2")
-        start_line, _, _, _ = tokens[1].span
-        assert start_line == 2
+        assert tokens[1][2] == 2  # start_line
 
     def test_unknown_language(self):
         with pytest.raises(UnsupportedLanguageError):

@@ -16,9 +16,9 @@ from ecstmetrics import parse_source
 from ecstmetrics.cli import main
 from ecstmetrics.errors import MalformedTreeError
 from ecstmetrics.metrics import MEASURED_KINDS, measure_tree, render_table
-from ecstmetrics.tree import EcstNode, UniversalKind
+from ecstmetrics.tree import UniversalKind
 from ecstmetrics.xmlio import parse_tree_xml
-from oracles import Nested, tree_of
+from oracles import Leaf, Nested, tree_of
 
 # (name, annotation, cc, loc, sloc, cloc, startLine, endLine)
 EXPECTED_ROWS = {
@@ -312,7 +312,7 @@ class TestDecisionCounting:
         unit = Nested(
             UniversalKind.COMPILATION_UNIT,
             [
-                EcstNode("x", None, "identifier", 1, 1, 1, 1),
+                Leaf("x", "identifier", 1, 1, 1, 1),
                 Nested(UniversalKind.FUNCTION_DECL, []),
             ],
         )
@@ -326,14 +326,14 @@ class TestDecisionCounting:
         cond = Nested(
             UniversalKind.CONDITION,
             [
-                EcstNode("a", None, "identifier", 1, 4, 1, 4),
-                EcstNode("AND", None, "operator", 1, 6, 1, 8),
-                EcstNode("'AND'", None, "literal", 1, 10, 1, 14),
+                Leaf("a", "identifier", 1, 4, 1, 4),
+                Leaf("AND", "operator", 1, 6, 1, 8),
+                Leaf("'AND'", "literal", 1, 10, 1, 14),
             ],
         )
         branch = Nested(
             UniversalKind.BRANCH,
-            [EcstNode("IF", None, "keyword", 1, 1, 1, 2), cond],
+            [Leaf("IF", "keyword", 1, 1, 1, 2), cond],
         )
         assert [r.cc for r in _detached(branch)] == [1]
         assert [r.cc for r in _detached(branch, extended=True)] == [2]
@@ -463,9 +463,9 @@ class TestElementNames:
         unit = Nested(
             UniversalKind.FUNCTION_DECL,
             [
-                EcstNode("(", None, "punctuation", 1, 1, 1, 1),
-                EcstNode("x", None, "identifier", 1, 2, 1, 2),
-                EcstNode(")", None, "punctuation", 1, 3, 1, 3),
+                Leaf("(", "punctuation", 1, 1, 1, 1),
+                Leaf("x", "identifier", 1, 2, 1, 2),
+                Leaf(")", "punctuation", 1, 3, 1, 3),
             ],
         )
         assert [r.name for r in _detached(unit)] == ["x"]
@@ -473,7 +473,7 @@ class TestElementNames:
     def test_nameless_unit_is_anonymous(self):
         unit = Nested(
             UniversalKind.FUNCTION_DECL,
-            [EcstNode("(", None, "punctuation", 1, 1, 1, 1)],
+            [Leaf("(", "punctuation", 1, 1, 1, 1)],
         )
         assert [r.name for r in _detached(unit)] == ["<anonymous>"]
 

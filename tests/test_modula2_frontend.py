@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from ecstmetrics import parse_source
+from ecstmetrics.cli import main
 from ecstmetrics.errors import ParseError
 from ecstmetrics.frontends import lex
 from ecstmetrics.tree import UniversalKind
@@ -156,12 +157,12 @@ class TestInvariants:
     def test_token_preservation(self, corpus):
         for name in ("QuickSort.mod", "Features.mod"):
             text, tree = corpus[name]
-            tokens = [t for t in lex(text, "modula2") if t.token_type != "comment"]
+            tokens = [t for t in lex(text, "modula2") if t[1] != "comment"]
             concrete = [
                 n for n in preorder(tree)
-                if n.span is not None and n.token_type != "comment"
+                if n.kind is None and n.token_type != "comment"
             ]
-            assert [t.label for t in tokens] == [n.label for n in concrete]
+            assert tokens == concrete
 
     def test_parse_is_deterministic(self, corpus):
         text, tree = corpus["QuickSort.mod"]
@@ -200,6 +201,24 @@ class TestErrors:
             parse_source(_wrap(statement), "modula2")
         assert str(info.value) == f"{keyword!r} inside a flat statement"
         assert info.value.span[:2] == (4, col)
+
+    def test_loop_is_rejected_where_it_starts(self, tmp_path, monkeypatch, capsys):
+        # LOOP is outside the subset; read flat, its END would close the
+        # procedure and the fault would be reported at the procedure's END.
+        source = (
+            "MODULE L;\nVAR x: INTEGER;\nPROCEDURE P;\nBEGIN\n  x := 0;\n"
+            "  LOOP x := x + 1; EXIT END\nEND P;\nBEGIN\n  P\nEND L.\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_source(source, "modula2")
+        assert str(info.value) == "LOOP statements are not supported"
+        assert info.value.span == (6, 3, 6, 6)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "loop.mod").write_text(source, encoding="utf-8")
+        assert main(["run", "loop.mod"]) == 3
+        assert capsys.readouterr().err == (
+            "loop.mod:6:3: error: LOOP statements are not supported\n"
+        )
 
     def test_procedure_types_stay_flat(self):
         source = (

@@ -52,13 +52,11 @@ def test_token_and_comment_preservation(language, seed):
     program = generators.generate(language, seed)
     tree = parse_source(program.source, language)
     tokens = lex(program.source, language)
-    concrete = [n for n in preorder(tree) if n.span is not None]
-    code = [n.label for n in concrete if n.token_type != "comment"]
-    comments = [n.label for n in concrete if n.token_type == "comment"]
-    assert code == [t.label for t in tokens if t.token_type != "comment"]
-    assert sorted(comments) == sorted(
-        t.label for t in tokens if t.token_type == "comment"
-    )
+    concrete = [n for n in preorder(tree) if n.kind is None]
+    code = [n for n in concrete if n.token_type != "comment"]
+    comments = [n for n in concrete if n.token_type == "comment"]
+    assert code == [t for t in tokens if t[1] != "comment"]
+    assert sorted(comments) == sorted(t for t in tokens if t[1] == "comment")
 
 
 @pytest.mark.parametrize("language,seed", _cases())
@@ -97,11 +95,7 @@ def _language_independent_view(language, seed):
     (each universal node's kind on entry, None on exit) and the
     (annotation, cc) columns, plain and extended."""
     tree = parse_source(generators.generate(language, seed).source, language)
-    skeleton = [
-        None if node is None else node.kind
-        for node in tree.events
-        if node is None or node.kind is not None
-    ]
+    skeleton = [node for node in tree.events if type(node) is not tuple]
     columns = [
         [(row.annotation, row.cc) for row in measure_tree(tree, extended=ext).elements]
         for ext in (False, True)

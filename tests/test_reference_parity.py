@@ -14,7 +14,7 @@ from ecstmetrics import parse_source, xmlio
 from ecstmetrics.cli import main
 from ecstmetrics.errors import LexError, ParseError
 from ecstmetrics.metrics import measure_tree
-from ecstmetrics.tree import EcstNode, SourceSpan, UniversalKind, validate_tree
+from ecstmetrics.tree import SourceSpan, UniversalKind, validate_tree
 from ecstmetrics.xmlio import parse_tree_xml, serialize_metrics, serialize_tree
 
 LANGUAGES = ("modula2", "javaoo")
@@ -183,7 +183,7 @@ def _comment_edged_tree():
     one.  No frontend places comments so, but the tree is valid."""
 
     def tok(label, token_type, *span):
-        return EcstNode(label, None, token_type, *span)
+        return oracles.Leaf(label, token_type, *span)
 
     loop = oracles.Nested(
         UniversalKind.LOOP_STATEMENT,
@@ -247,7 +247,7 @@ def _unusual_tree():
     no keyword, and a logical operator inside a condition."""
 
     def tok(label, token_type, line, col):
-        return EcstNode(label, None, token_type, line, col, line, col + len(label) - 1)
+        return oracles.Leaf(label, token_type, line, col, line, col + len(label) - 1)
 
     def node(kind, *children):
         return oracles.Nested(kind, list(children))

@@ -9,22 +9,26 @@ from ecstmetrics import xmlio
 from ecstmetrics.errors import LexError, MalformedTreeError, ParseError, TreeXmlError
 from ecstmetrics.frontends import lex, parse_source
 from ecstmetrics.metrics import measure_tree
-from ecstmetrics.tree import (
-    UNIVERSAL,
-    EcstNode,
-    EcstTree,
-    SourceSpan,
-    UniversalKind,
-    validate_tree,
-)
+from ecstmetrics.tree import EcstTree, SourceSpan, UniversalKind, validate_tree
 from ecstmetrics.xmlio import parse_tree_xml, serialize_tree
-from oracles import Nested, events_of, nested, preorder, same_tree, subtree_span, tree_of
-from test_xmlio import _decline
+from oracles import Leaf, Nested, events_of, nested, preorder, same_tree, subtree_span, tree_of
+
+UNIT = UniversalKind.COMPILATION_UNIT
+# An XML declaration: no line of the writer's form, so expat reads the rest.
+DECLARATION = '<?xml version="1.0"?>\n'
 
 
 def _tok(lexeme, token_type="identifier", line=1, col=1, end_col=None):
+    """A token of a nested view; events_of gives the tree its tuple."""
     end = end_col if end_col is not None else col + len(lexeme) - 1
-    return EcstNode(lexeme, None, token_type, line, col, line, end)
+    return Leaf(lexeme, token_type, line, col, line, end)
+
+
+def _label(event):
+    """A token's lexeme or a kind's spelling; None for an exit."""
+    if event is None:
+        return None
+    return event[0] if type(event) is tuple else event.value
 
 
 def _unit(children):
@@ -54,11 +58,11 @@ class TestSourceSpan:
         _rejected_on_reload(_tree([_tok("x", col=0, end_col=1)]), "'col' must be >= 1")
 
     def test_rejects_reversed_lines(self):
-        node = EcstNode("x", None, "identifier", 4, 1, 3, 1)
+        node = Leaf("x", "identifier", 4, 1, 3, 1)
         _rejected_on_reload(_tree([node], total_lines=4), "span start after end")
 
     def test_rejects_reversed_cols_on_same_line(self):
-        node = EcstNode("x", None, "identifier", 2, 9, 2, 5)
+        node = Leaf("x", "identifier", 2, 9, 2, 5)
         _rejected_on_reload(_tree([node], total_lines=2), "span start after end")
 
     def test_multiline_allows_smaller_end_col(self):
@@ -85,29 +89,29 @@ class TestSourceSpan:
 
 class TestNodeConstruction:
     def test_universal_label_matches_kind(self):
-        # Each kind has one node, found by the kind or by its spelling.
-        assert len(UNIVERSAL) == len(UniversalKind)
+        # A universal event is its kind, found by its spelling too, which
+        # is the name the XML writes.
         for kind in UniversalKind:
-            node = UNIVERSAL[kind]
-            assert node.label == kind.value and node.kind is kind
-            assert node.token_type is None and node.span is None
-            assert UNIVERSAL[kind.value] is node
+            assert kind.value == kind.name and UniversalKind(kind.value) is kind
+            tree = _tree([Nested(kind, [_tok("x")])])
+            assert tree.events[1] is kind
+            assert f'<node kind="{kind.name}">' in serialize_tree(tree)
 
     def test_concrete_carries_token_fields(self):
-        node = _tok("WHILE", "keyword")
-        assert node.kind is None
-        assert node.token_type == "keyword"
-        _, _, _, end_col = node.span
-        assert end_col == 5
+        (token,) = lex("  WHILE", "modula2")
+        assert token == ("WHILE", "keyword", 1, 3, 1, 7)
+        label, token_type, start_line, start_col, end_line, end_col = token
+        assert SourceSpan(start_line, start_col, end_line, end_col) == (1, 3, 1, 7)
 
     def test_tokens_are_slotted_leaves(self, corpus):
-        # One object per token: no children and no instance __dict__.
+        # One plain tuple per token: no children and no instance __dict__.
         for name, (text, tree) in corpus.items():
             lexed = lex(text, tree.language_id)
             reloaded = parse_tree_xml(serialize_tree(tree))
-            tokens = [n for n in preorder(reloaded) if n.kind is None]
+            tokens = [e for e in reloaded.events if type(e) is tuple]
             assert len(tokens) == len(lexed), name
             for tok in lexed + tokens:
+                assert type(tok) is tuple and len(tok) == 6
                 assert not hasattr(tok, "children")
                 assert not hasattr(tok, "__dict__")
 
@@ -118,7 +122,7 @@ class TestWalk:
 
     def test_nodes_in_preorder_with_exit_markers(self):
         tree = parse_source("MODULE M;\nPROCEDURE P;\nEND P;\nEND M.\n", "modula2")
-        assert [None if n is None else n.label for n in tree.events] == [
+        assert [_label(n) for n in tree.events] == [
             "COMPILATION_UNIT",
             "MODULE", "M", ";",
             "FUNCTION_DECL",
@@ -127,14 +131,15 @@ class TestWalk:
             "END", "M", ".",
             None,
         ]
-        assert tree.events[0] is UNIVERSAL[UniversalKind.COMPILATION_UNIT]
-        assert tree.events[4] is UNIVERSAL[UniversalKind.FUNCTION_DECL]
+        assert tree.events[0] is UNIT
+        assert tree.events[4] is UniversalKind.FUNCTION_DECL
+        assert tree.events[1] == ("MODULE", "keyword", 1, 1, 1, 6)
 
     def test_empty_universal_is_followed_by_its_exit(self):
         cond = Nested(UniversalKind.CONDITION, [])
         loop = Nested(UniversalKind.LOOP_STATEMENT, [cond, _tok("x")])
         tree = _tree([loop])
-        labels = [None if n is None else n.label for n in tree.events]
+        labels = [_label(n) for n in tree.events]
         assert labels == [
             "COMPILATION_UNIT", "LOOP_STATEMENT", "CONDITION", None, "x", None, None
         ]
@@ -144,9 +149,8 @@ class TestWalk:
 
     def test_deep_nesting_needs_no_recursion(self):
         # Every pass reads the flat events: no pass recurses on depth.
-        loop = UNIVERSAL[UniversalKind.LOOP_STATEMENT]
-        events = [UNIVERSAL[UniversalKind.COMPILATION_UNIT], *[loop] * 5000,
-                  _tok("x"), *[None] * 5001]
+        loop = UniversalKind.LOOP_STATEMENT
+        events = [UNIT, *[loop] * 5000, ("x", "identifier", 1, 1, 1, 1), *[None] * 5001]
         tree = EcstTree(events, "t", "modula2", 1)
         validate_tree(tree)
         assert same_tree(parse_tree_xml(serialize_tree(tree)), tree)
@@ -161,68 +165,87 @@ class TestWalk:
             assert len(tree.events) == len(nodes) + universal, name
             assert tree.events.count(None) == universal, name
             tokens = [n for n in nodes if n.kind is None]
-            assert [n for n in tree.events if n is not None and n.kind is None] == tokens, name
+            assert [n for n in tree.events if type(n) is tuple] == tokens, name
             assert events_of(nested(tree)) == tree.events, name
 
 
+_TOKEN_FIELDS = (str, str, int, int, int, int)
+
+
 def _shape_faults(events) -> list[str]:
-    """How events break the shape every tree's events have, if they do."""
+    """How events break the shape every tree's events have, if they do:
+    a UniversalKind member at each entry, each token a plain tuple of a
+    str label and type and four int positions, and None at each exit."""
     faults = []
-    unit = UNIVERSAL[UniversalKind.COMPILATION_UNIT]
-    if not events or events[0] is not unit:
-        faults.append("the first event is not the COMPILATION_UNIT node")
+    if not events or events[0] is not UNIT:
+        faults.append("the first event is not COMPILATION_UNIT")
     depth = 0  # open universal nodes
     for index, node in enumerate(events):
-        if isinstance(node, list):
-            faults.append(f"event {index} is a list")
-        elif node is None:
+        if node is None:
             depth -= 1
             if depth < 0 or depth == 0 and index != len(events) - 1:
                 faults.append(f"event {index} closes the root before the end")
                 break
-        elif node.kind is not None:
+        elif type(node) is UniversalKind:
             depth += 1
-            if node is not UNIVERSAL[node.kind]:
-                faults.append(f"event {index} is not UNIVERSAL's {node.kind.value} node")
+        elif type(node) is not tuple:
+            faults.append(f"event {index} is a {type(node).__name__}")
+        elif tuple(map(type, node)) != _TOKEN_FIELDS:
+            faults.append(f"token {index} holds {tuple(type(f).__name__ for f in node)}")
     if depth:
         faults.append(f"{depth} nodes left open")
     return faults
 
 
+def _programs(corpus):
+    """(language, source) of the fixtures and generator seeds 0-199."""
+    programs = [(tree.language_id, text) for text, tree in corpus.values()]
+    return programs + [
+        (language, generators.generate(language, seed).source)
+        for language in ("modula2", "javaoo")
+        for seed in range(200)
+    ]
+
+
 class TestEventShape:
     """Every parsed and every reloaded tree holds its events in one shape:
-    the COMPILATION_UNIT node first and its None last, entries and Nones
-    balanced, each universal event UNIVERSAL's node of its kind, and no
-    nested list."""
+    COMPILATION_UNIT first and its None last, entries and Nones balanced,
+    each universal event a UniversalKind member and each token a plain
+    tuple of six fields."""
 
     def test_parsed_and_reloaded_trees(self, corpus, monkeypatch):
-        programs = [(tree.language_id, text) for text, tree in corpus.values()]
-        programs += [
-            (language, generators.generate(language, seed).source)
-            for language in ("modula2", "javaoo")
-            for seed in range(200)
-        ]
-        for language, source in programs:
+        readers = []  # the source of each reload: line reader or expat
+        line_events = xmlio._line_events
+
+        def spied(pieces, share=False):
+            readers.append("lines")
+            return line_events(pieces, share)
+
+        monkeypatch.setattr(xmlio, "_line_events", spied)
+        for language, source in _programs(corpus):
             tree = parse_source(source, language)
             doc = serialize_tree(tree)
-            reloaded = [parse_tree_xml(doc)]
-            with monkeypatch.context() as patch:
-                patch.setattr(xmlio, "_line_events", _decline)
-                reloaded.append(parse_tree_xml(doc))
+            del readers[:]
+            reloaded = [parse_tree_xml(doc), parse_tree_xml(DECLARATION + doc)]
+            assert readers == ["lines", "lines"]  # the second one declined
+            assert reloaded[1].events == reloaded[0].events == tree.events
             for got in (tree, *reloaded):
                 assert _shape_faults(got.events) == [], (language, source[:40])
 
     def test_the_check_sees_each_fault(self):
-        unit = UNIVERSAL[UniversalKind.COMPILATION_UNIT]
-        x = _tok("x")
-        assert _shape_faults([unit, x, None]) == []
+        x = ("x", "identifier", 1, 1, 1, 1)
+        assert _shape_faults([UNIT, x, None]) == []
         assert _shape_faults([x, None]) != []
-        assert _shape_faults([unit, x, None, None]) != []
-        assert _shape_faults([unit, x, None, x]) != []
-        assert _shape_faults([unit, x]) != []
-        assert _shape_faults([unit, [x], None]) != []
-        copy = EcstNode("BRANCH", UniversalKind.BRANCH)
-        assert _shape_faults([unit, copy, x, None, None]) != []
+        assert _shape_faults([UNIT, x, None, None]) != []
+        assert _shape_faults([UNIT, x, None, x]) != []
+        assert _shape_faults([UNIT, x]) != []
+        assert _shape_faults([UNIT, [x], None]) != []
+        assert _shape_faults([UNIT, list(x), None]) != []
+        assert _shape_faults([UNIT, Leaf(*x), None]) != []
+        assert _shape_faults([UNIT, ("x", "identifier", "1", 1, 1, 1), None]) != []
+        assert _shape_faults([UNIT, ("x", "identifier", 1, 1, 1), None]) != []
+        assert _shape_faults(["COMPILATION_UNIT", x, None]) != []
+        assert _shape_faults([UNIT, "BRANCH", x, None, None]) != []
 
 
 class TestSubtreeSpan:
@@ -314,7 +337,7 @@ class TestValidation:
             validate_tree(tree)
 
     def test_rejects_bad_token_type(self):
-        node = EcstNode("x", None, "mystery", 1, 1, 1, 1)
+        node = Leaf("x", "mystery", 1, 1, 1, 1)
         _rejected_on_reload(_tree([node]), "unknown token type 'mystery'")
 
     def test_rejects_concrete_with_children(self):
@@ -344,7 +367,7 @@ class TestValidation:
     def test_rejects_a_token_ending_after_the_last_line(self):
         # A multi-line token on lines 2-3 of a 2-line tree; ending on the
         # last line itself is allowed.
-        comment = EcstNode("(*\n*)", None, "comment", 2, 1, 3, 2)
+        comment = Leaf("(*\n*)", "comment", 2, 1, 3, 2)
         tokens = [_tok("m", line=1), comment]
         validate_tree(_tree([_unit(tokens)], total_lines=3))
         with pytest.raises(MalformedTreeError) as info:
