@@ -54,20 +54,19 @@ def count_physical_lines(source: str) -> int:
     return text.count("\n") + (not text.endswith("\n"))
 
 
-def _check_xml_chars(source: str) -> None:
+def _check_xml_chars(text: str) -> None:
     """Raise LexError at the first character tree XML cannot store.
 
-    Called once lex has accepted the source: the scanner rejects any
-    such character outside a comment or string, so the first one in the
-    source is the one to report.  Its line and column count lines as
-    lex does.
+    Called once lex has accepted the text, whose line breaks are read
+    already: the scanner rejects any such character outside a comment
+    or string, so the first one in the text is the one to report.
     """
-    m = _NOT_XML_CHAR.search(source)
+    m = _NOT_XML_CHAR.search(text)
     if m is None:
         return
-    before = _unix_newlines(source[: m.start()])
-    line = before.count("\n") + 1
-    col = len(before) - before.rfind("\n")
+    at = m.start()
+    line = text.count("\n", 0, at) + 1
+    col = at - text.rfind("\n", 0, at)
     raise LexError(
         f"character {m.group()!r} cannot be stored in tree XML",
         span=SourceSpan(line, col, line, col),
@@ -86,7 +85,7 @@ def parse_source(source: str, language_id: str, source_path: str = "<string>") -
     # find no "\r" in it, and str.replace returns such a text itself.
     text = _unix_newlines(source)
     parser = parser_cls(lex(text, language_id), language_id, source_path)
-    _check_xml_chars(source)
+    _check_xml_chars(text)
     return parser.build_tree(count_physical_lines(text))
 
 

@@ -14,9 +14,11 @@ from .base import BRANCH, BRANCHING, CONDITION, FUNCTION, LOOP, BaseParser
 
 MODIFIERS = ("public", "private", "protected", "static", "final")
 
-# Keywords that may open a flat statement (declarations).
-DECL_KEYWORDS = frozenset(
+# Keywords that may open a flat statement: declarations, and return,
+# break and continue.
+FLAT_KEYWORDS = frozenset(
     {"int", "long", "short", "byte", "char", "boolean", "float", "double", "final", "new"}
+    | {"return", "break", "continue"}
 )
 
 
@@ -40,7 +42,6 @@ class JavaParser(BaseParser):
         nested_blocks=False,
         string_escapes=True,
     )
-    _CONSTRUCTS = frozenset({"if", "else", "while", "do", "for", "class"})
 
     def _opens_construct(self, j: int) -> bool:
         # After "." the keyword is a member name, as in the literal A.class.
@@ -92,7 +93,7 @@ class JavaParser(BaseParser):
         self._balanced_group()
         self._block()
         self._put(None)
-        self._leave_level()
+        self.depth -= 1
 
     # -- statements --------------------------------------------------------
 
@@ -105,36 +106,18 @@ class JavaParser(BaseParser):
         self._expect("}")
 
     def _stmt_or_block(self) -> None:
+        # A loop's or branch's braces open no level of their own.
         if self._at("{"):
             self._block()
         else:
             self._statement()
 
-    def _statement(self) -> None:
-        self._enter_level()
-        if self._at("if"):
-            self._if_statement()
-        elif self._at("while"):
-            self._while_loop()
-        elif self._at("do"):
-            self._do_loop()
-        elif self._at("for"):
-            self._for_loop()
-        elif self._at("{"):
-            self._block()
-        elif self._at(";"):
-            self._advance()
-        elif self._at("return", "break", "continue"):
-            self._advance()
-            self._flat_until({";"})
-            self._expect(";")
-        else:
-            tok = self._peek()
-            if tok is None or (tok[1] == "keyword" and tok[0] not in DECL_KEYWORDS):
-                self._error("expected statement")
-            self._flat_until({";"})
-            self._expect(";")
-        self._leave_level()
+    def _flat_statement(self) -> None:
+        tok = self._peek()
+        if tok is None or (tok[1] == "keyword" and tok[0] not in FLAT_KEYWORDS):
+            self._error("expected statement")
+        self._flat_until({";"})  # nothing, for an empty statement
+        self._expect(";")
 
     def _paren_condition(self) -> None:
         if not self._at("("):
@@ -144,7 +127,6 @@ class JavaParser(BaseParser):
         self._put(None)
 
     def _if_statement(self) -> None:
-        self._put(BRANCHING)
         self._put(BRANCH)
         self._expect("if")
         self._paren_condition()
@@ -162,26 +144,20 @@ class JavaParser(BaseParser):
             self._put(None)
             if not chained:
                 break
-        self._put(None)
 
     def _while_loop(self) -> None:
-        self._put(LOOP)
         self._expect("while")
         self._paren_condition()
         self._stmt_or_block()
-        self._put(None)
 
     def _do_loop(self) -> None:
-        self._put(LOOP)
         self._expect("do")
         self._stmt_or_block()
         self._expect("while")
         self._paren_condition()
         self._expect(";")
-        self._put(None)
 
     def _for_loop(self) -> None:
-        self._put(LOOP)
         self._expect("for")
         self._expect("(")
         self._flat_until({";"})
@@ -194,4 +170,14 @@ class JavaParser(BaseParser):
         self._flat_until({")"})
         self._expect(")")
         self._stmt_or_block()
-        self._put(None)
+
+    _STATEMENTS = {
+        "if": (BRANCHING, _if_statement),
+        "while": (LOOP, _while_loop),
+        "do": (LOOP, _do_loop),
+        "for": (LOOP, _for_loop),
+        "{": (None, _block),
+    }
+    _CONSTRUCTS = frozenset({"else", "class"}).union(
+        lexeme for lexeme, (kind, _) in _STATEMENTS.items() if kind is not None
+    )

@@ -38,7 +38,6 @@ class Modula2Parser(BaseParser):
         nested_blocks=True,
         string_escapes=False,
     )
-    _CONSTRUCTS = frozenset({"IF", "WHILE", "REPEAT", "FOR", "PROCEDURE", "MODULE"})
 
     def _opens_construct(self, j: int) -> bool:
         # PROCEDURE with no name after it is a procedure type, such as
@@ -58,12 +57,7 @@ class Modula2Parser(BaseParser):
                 self._flat_until({";"})
                 self._expect(";")
             self._declarations()
-            if self._at("BEGIN"):
-                self._advance()
-                self._statement_sequence({"END"})
-            self._expect("END")
-            self._expect_type("identifier")
-            self._expect(".")
+            self._body(".")
         else:
             self._declarations()
             if len(self.events) == 1:  # the root's node alone
@@ -95,14 +89,22 @@ class Modula2Parser(BaseParser):
             self._expect_type("identifier")
         self._expect(";")
         self._declarations()
+        self._body(";")
+        self._put(None)
+        self.depth -= 1
+
+    def _body(self, closer: str) -> None:
+        """A module's or procedure's statements, END, name and closer.
+
+        Its caller reads the declarations before them, so that a nested
+        procedure costs two frames: _declarations and _procedure.
+        """
         if self._at("BEGIN"):
             self._advance()
             self._statement_sequence({"END"})
         self._expect("END")
         self._expect_type("identifier")
-        self._expect(";")
-        self._put(None)
-        self._leave_level()
+        self._expect(closer)
 
     # -- statements --------------------------------------------------------
 
@@ -116,28 +118,10 @@ class Modula2Parser(BaseParser):
             if self._at(";"):
                 self._advance()
 
-    def _statement(self) -> None:
-        self._enter_level()
-        if self._at("IF"):
-            self._if_statement()
-        elif self._at("WHILE"):
-            self._while_loop()
-        elif self._at("REPEAT"):
-            self._repeat_loop()
-        elif self._at("FOR"):
-            self._for_loop()
-        elif self._at("RETURN"):
-            self._advance()
-            self._flat_until(COND_STOPS)
-        elif self._at("LOOP"):
-            # Outside the subset; read flat, its END would close the
-            # enclosing construct and the error would land far from it.
-            self._error("LOOP statements are not supported")
-        elif self._at_type("identifier"):
-            self._flat_until(COND_STOPS)
-        else:
+    def _flat_statement(self) -> None:
+        if not (self._at_type("identifier") or self._at("RETURN")):
             self._error("expected statement")
-        self._leave_level()
+        self._flat_until(COND_STOPS)
 
     def _condition(self) -> None:
         self._put(CONDITION)
@@ -146,7 +130,6 @@ class Modula2Parser(BaseParser):
         self._put(None)
 
     def _if_statement(self) -> None:
-        self._put(BRANCHING)
         # IF opens the first branch and ELSIF each later one, which ends
         # at the next ELSIF, an ELSE or END.
         while self._at("IF", "ELSIF"):
@@ -162,27 +145,21 @@ class Modula2Parser(BaseParser):
             self._statement_sequence({"END"})
             self._put(None)
         self._expect("END")
-        self._put(None)
 
     def _while_loop(self) -> None:
-        self._put(LOOP)
         self._expect("WHILE")
         self._condition()
         self._expect("DO")
         self._statement_sequence({"END"})
         self._expect("END")
-        self._put(None)
 
     def _repeat_loop(self) -> None:
-        self._put(LOOP)
         self._expect("REPEAT")
         self._statement_sequence({"UNTIL"})
         self._expect("UNTIL")
         self._condition()
-        self._put(None)
 
     def _for_loop(self) -> None:
-        self._put(LOOP)
         self._expect("FOR")
         self._expect_type("identifier")
         self._expect(":=")
@@ -196,4 +173,19 @@ class Modula2Parser(BaseParser):
         self._expect("DO")
         self._statement_sequence({"END"})
         self._expect("END")
-        self._put(None)
+
+    def _loop(self) -> None:
+        # Outside the subset; read flat, its END would close the
+        # enclosing construct and the error would land far from it.
+        self._error("LOOP statements are not supported")
+
+    _STATEMENTS = {
+        "IF": (BRANCHING, _if_statement),
+        "WHILE": (LOOP, _while_loop),
+        "REPEAT": (LOOP, _repeat_loop),
+        "FOR": (LOOP, _for_loop),
+        "LOOP": (None, _loop),
+    }
+    _CONSTRUCTS = frozenset({"PROCEDURE", "MODULE"}).union(
+        lexeme for lexeme, (kind, _) in _STATEMENTS.items() if kind is not None
+    )

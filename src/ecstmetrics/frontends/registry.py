@@ -98,7 +98,7 @@ def load_registry(path) -> dict[str, str]:
     except expat.ExpatError as e:
         raise SourceIoError(f"malformed registry XML {path}: {e}") from e
     finally:
-        # Break the parser <-> handler-closure cycle (see parse_tree_xml).
+        # Break the parser <-> handler-closure cycle (see xmlio._expat_events).
         parser.StartElementHandler = None
         parser.CharacterDataHandler = None
         parser.EndElementHandler = None

@@ -903,15 +903,16 @@ class TestRunContract:
 
 # Sources nested `levels` deep, one level opening per line, each with
 # the line where its deepest level opens.  A method or procedure opens a
-# level, and so does each statement: a loop with its braces, a bare block.
-def _java(opening: str, levels: int) -> tuple[str, int]:
+# level, and so does each statement: a loop or branch with its braces, a
+# bare block.
+def _java(opening: str, levels: int, closing: str = "}\n") -> tuple[str, int]:
     n = levels - 1  # inside the method
-    return "class T {\n  void m() {\n" + opening * n + "}\n" * n + "  }\n}\n", 2 + n
+    return "class T {\n  void m() {\n" + opening * n + closing * n + "  }\n}\n", 2 + n
 
 
-def _modula2_loops(levels: int) -> tuple[str, int]:
+def _modula2(opening: str, closing: str, levels: int) -> tuple[str, int]:
     n = levels - 1  # the innermost assignment is the last level
-    source = "MODULE M;\nBEGIN\n" + "WHILE a DO\n" * n + "a := 1\n" + "END\n" * n + "END M.\n"
+    source = "MODULE M;\nBEGIN\n" + opening * n + "a := 1\n" + closing * n + "END M.\n"
     return source, 3 + n
 
 
@@ -926,10 +927,18 @@ def _modula2_procedures(levels: int) -> tuple[str, int]:
     return source, 1 + levels
 
 
+# Every construct that recurses, each alone.
 NESTED = {
     "java-loops": ("javaoo", lambda levels: _java("while (a) {\n", levels)),
     "java-blocks": ("javaoo", lambda levels: _java("{\n", levels)),
-    "modula2-loops": ("modula2", _modula2_loops),
+    "java-if": ("javaoo", lambda levels: _java("if (a) {\n", levels)),
+    "java-else": ("javaoo", lambda levels: _java("if (a) {} else {\n", levels)),
+    "java-do": ("javaoo", lambda levels: _java("do {\n", levels, "} while (a);\n")),
+    "java-for": ("javaoo", lambda levels: _java("for (i = 0; i < n; i++) {\n", levels)),
+    "modula2-loops": ("modula2", lambda levels: _modula2("WHILE a DO\n", "END\n", levels)),
+    "modula2-if": ("modula2", lambda levels: _modula2("IF a THEN\n", "END\n", levels)),
+    "modula2-repeat": ("modula2", lambda levels: _modula2("REPEAT\n", "UNTIL a\n", levels)),
+    "modula2-for": ("modula2", lambda levels: _modula2("FOR i := 1 TO n DO\n", "END\n", levels)),
     "modula2-procedures": ("modula2", _modula2_procedures),
 }
 NESTING_ERROR = f"nesting deeper than {MAX_NESTING} levels"
@@ -946,7 +955,7 @@ class TestNestingLimit:
                 parse_source(build(levels)[0], language)
             assert info.value.span[:2] == (line, 1)
 
-    @pytest.mark.parametrize("shape", ["java-loops", "modula2-loops"])
+    @pytest.mark.parametrize("shape", sorted(NESTED))
     def test_run_subprocess_at_and_past_the_limit(self, tmp_path, shape):
         language, build = NESTED[shape]
         name = "Deep" + EXTENSIONS[language]

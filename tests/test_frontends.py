@@ -11,10 +11,20 @@ from ecstmetrics.frontends import FRONTENDS, java, lex, modula2, parse_source
 from ecstmetrics.frontends.registry import BUILTIN
 from ecstmetrics.scan import LexerSpec
 
+
+def _node_openers(parser_cls) -> set[str]:
+    """The _STATEMENTS keys whose statement opens a universal node."""
+    return {lexeme for lexeme, (kind, _) in parser_cls._STATEMENTS.items() if kind is not None}
+
+
 # language id -> every keyword its parser tests for by name
 PARSER_KEYWORDS = {
-    "javaoo": java.JavaParser._CONSTRUCTS | set(java.MODIFIERS) | java.DECL_KEYWORDS,
+    "javaoo": java.JavaParser._CONSTRUCTS
+    | _node_openers(java.JavaParser)
+    | set(java.MODIFIERS)
+    | java.FLAT_KEYWORDS,
     "modula2": modula2.Modula2Parser._CONSTRUCTS
+    | _node_openers(modula2.Modula2Parser)
     | set(modula2.SECTION_KEYWORDS)
     | {word for word in modula2.COND_STOPS if word.isalpha()},
 }
@@ -39,6 +49,14 @@ def test_keyword_sets_cover_every_frontend():
 @pytest.mark.parametrize("language", sorted(PARSER_KEYWORDS))
 def test_parser_keywords_are_spec_keywords(language):
     assert PARSER_KEYWORDS[language] <= FRONTENDS[language].SPEC.keywords
+
+
+@pytest.mark.parametrize("language", sorted(FRONTENDS))
+def test_statements_with_a_node_are_constructs(language):
+    # A flat run must reject such a keyword: taken flat, its statement's
+    # node would be lost.
+    parser_cls = FRONTENDS[language]
+    assert _node_openers(parser_cls) <= parser_cls._CONSTRUCTS
 
 
 def test_every_builtin_language_has_a_frontend():
