@@ -54,6 +54,14 @@ def count_physical_lines(source: str) -> int:
     return text.count("\n") + (not text.endswith("\n"))
 
 
+def _span_at(text: str, at: int) -> SourceSpan:
+    """The span of the character at index at of text, whose line breaks
+    are read already."""
+    line = text.count("\n", 0, at) + 1
+    col = at - text.rfind("\n", 0, at)
+    return SourceSpan(line, col, line, col)
+
+
 def _check_xml_chars(text: str) -> None:
     """Raise LexError at the first character tree XML cannot store.
 
@@ -62,15 +70,11 @@ def _check_xml_chars(text: str) -> None:
     or string, so the first one in the text is the one to report.
     """
     m = _NOT_XML_CHAR.search(text)
-    if m is None:
-        return
-    at = m.start()
-    line = text.count("\n", 0, at) + 1
-    col = at - text.rfind("\n", 0, at)
-    raise LexError(
-        f"character {m.group()!r} cannot be stored in tree XML",
-        span=SourceSpan(line, col, line, col),
-    )
+    if m is not None:
+        raise LexError(
+            f"character {m.group()!r} cannot be stored in tree XML",
+            span=_span_at(text, m.start()),
+        )
 
 
 def parse_source(source: str, language_id: str, source_path: str = "<string>") -> EcstTree:
@@ -89,16 +93,28 @@ def parse_source(source: str, language_id: str, source_path: str = "<string>") -
     return parser.build_tree(count_physical_lines(text))
 
 
-def parse_file(path, language_id: str) -> EcstTree:
-    """Read a source file and parse it into an eCST."""
+def _read_source(path) -> str:
+    """A source file's text, decoded from its bytes as UTF-8 with its
+    line breaks read; SourceIoError at the first byte that is not UTF-8,
+    with the line and column lex would give a character there.  The
+    bytes are freed on return, before any parsing."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            source = f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise SourceIoError(f"cannot read {path}: {e.strerror or e}") from e
+    try:
+        return _unix_newlines(data.decode())
     except UnicodeDecodeError as e:
-        raise SourceIoError(f"cannot decode {path}: {e.reason}") from e
-    return parse_source(source, language_id, source_path=str(path))
+        before = _unix_newlines(data[: e.start].decode())
+        raise SourceIoError(
+            f"cannot decode {path}: {e.reason}", span=_span_at(before, len(before))
+        ) from e
+
+
+def parse_file(path, language_id: str) -> EcstTree:
+    """Read a source file and parse it into an eCST."""
+    return parse_source(_read_source(path), language_id, source_path=str(path))
 
 
 __all__ = ["FRONTENDS", "count_physical_lines", "lex", "parse_source", "parse_file"]

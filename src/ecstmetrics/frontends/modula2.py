@@ -61,7 +61,10 @@ class Modula2Parser(BaseParser):
         else:
             self._declarations()
             if len(self.events) == 1:  # the root's node alone
-                self._error("empty compilation unit")
+                tok = self._peek()
+                if tok is None:
+                    self._error("empty compilation unit")
+                self._error(f"expected 'MODULE' or a declaration, found {tok[0]!r}")
 
     # -- declarations ------------------------------------------------------
 

@@ -3,8 +3,8 @@
 Serialization is hand-rolled so output is byte-deterministic: fixed
 attribute order, two-space indentation, no XML declaration, trailing
 newline.  Parsing reads a document as a tree's events from one of two
-sources: the line reader reads that form, one regular-expression
-match per element line, in pieces that each end at an element's end;
+sources: the line reader reads that form in pieces that each end at an
+element's end, with one regular-expression findall per piece;
 expat reads every other document, valid or not, and alone words faults
 of well-formedness and of an element, with the element and its line.
 One function chooses the source and ranks the faults for both
@@ -137,9 +137,6 @@ def serialize_metrics(report, out: TextIO | None = None) -> str | None:
 _TYPES = {token_type: token_type for token_type in TOKEN_TYPES}
 # Each universal kind's spelling to the kind.
 _KINDS = {kind.value: kind for kind in UniversalKind}
-# The one form of an integer attribute: ASCII digits.  A line, a column
-# and totalLines must also be at least 1.
-_INT = "[0-9]+"
 # Each reference that escape and quoteattr write, and its character.
 _REFS = {
     "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
@@ -168,60 +165,76 @@ _VALUE = "|".join(
     f"{quote}(?:[^{quote}<&>\t\n\r{_NOT_XML}]|{'|'.join(_REFS)})*{quote}"
     for quote in "\"'"
 )
+# totalLines, a line or a column: ASCII digits of an integer of at least
+# 1, with no leading zero, so two equal positions have equal text.
+_POSITION = "[1-9][0-9]*"
 _HEADER = re.compile(
-    f'<ecst source=({_VALUE}) language=({_VALUE}) totalLines="([1-9][0-9]*)">\n'
+    f'<ecst source=({_VALUE}) language=({_VALUE}) totalLines="({_POSITION})">\n'
 )
-_TOKEN_START = (
-    f'<token type="([a-z]+)" line="({_INT})" col="({_INT})"'
-    f' endLine="({_INT})" endCol="({_INT})">'
+# What findall reads of a piece, one tuple per match: an element line,
+# after any run of spaces, a token, a start tag or an end tag; else the
+# rest of the piece, in the last group alone.  The spaces are blank text
+# between elements, which neither reader keeps.  Some alternative
+# matches at any place, so the matches cover the whole piece, and the
+# rest is "</ecst>\n" only at the document's end.
+_LINES = re.compile(
+    f' *(?:<token type="([a-z]+)" line="({_POSITION})" col="({_POSITION})"'
+    f' endLine="({_POSITION})" endCol="({_POSITION})">{_LEXEME}</token>'
+    f'|<node kind="([A-Z_]+)">|</node>)\n|([\\s\\S]+)'
 )
-# One element line: a token, a start tag or an end tag, after any run of
-# spaces.  The spaces are blank text between elements, which neither
-# reader keeps.
-_LINE = re.compile(
-    f' *(?:{_TOKEN_START}{_LEXEME}</token>|<node kind="([A-Z_]+)">|</node>)\n'
-)
+# The int of each column or end column up to 256, saving an int() call.
+_COLUMNS = {str(col): col for col in range(1, 257)}
 
-# Bytes the line reader asks a binary file for at a time: small beside
-# any tree, and large enough that the costs of each piece do not show.
+# Bytes each reader asks a binary file for at a time, and characters the
+# line reader takes of a str: small beside any tree, and large enough
+# that the costs of each piece do not show.
 _READ_BYTES = 1 << 14
 
 
-def _pieces(file: BinaryIO) -> Iterator[str]:
-    """A binary file's text in pieces, each cut after the last ">\n"
-    read so far; UnicodeDecodeError on text that is not UTF-8.  In
+def _pieces(data: str | BinaryIO) -> Iterator[str]:
+    """The text of a str or of a binary file in pieces of about
+    _READ_BYTES, each cut after the last ">\n" read so far; raises
+    UnicodeDecodeError on a file's text that is not UTF-8.  In
     serialize_tree's form that pair only ends an element, as text and
     header values hold ">" only as "&gt;": no element runs across a cut.
     """
-    parts: list[bytes] = []  # what was read since the last cut
-    while chunk := file.read(_READ_BYTES):
-        cut = chunk.rfind(b">\n") + 2
+    if isinstance(data, str):
+        chunks = (data[at : at + _READ_BYTES] for at in range(0, len(data), _READ_BYTES))
+        mark, join = ">\n", "".join
+    else:
+        chunks = iter(lambda: data.read(_READ_BYTES), b"")
+        mark, join = b">\n", lambda parts: b"".join(parts).decode()
+    parts: list = []  # what was read since the last cut
+    for chunk in chunks:
+        cut = chunk.rfind(mark) + 2
         if cut > 1:
             parts.append(chunk[:cut])
-            yield b"".join(parts).decode()
+            yield join(parts)
             parts = [chunk[cut:]]
         else:
             parts.append(chunk)
-    if tail := b"".join(parts):
-        yield tail.decode()
+    if tail := join(parts):
+        yield tail
 
 
 def _line_events(pieces: Iterable[str], share: bool = False) -> Iterator:
     """The header of a document in serialize_tree's form, then its
-    events in a tree's shape, read with one match of _LINE per element.
+    events in a tree's shape, read with one findall of _LINES per piece.
 
     The form: the header line, one element per line after any run of
     spaces, one COMPILATION_UNIT <node> holding all others, and
-    "</ecst>\n" at the end; each token passes the rules of _expat_events.
-    Yields the header's (source, language, totalLines), then the kind
-    per <node>, each token's tuple and None per </node>.  With share,
-    tokens of one lexeme share its first str, as the scanner's tokens
-    do.  Raises ValueError at the first line or piece outside the form
-    or UTF-8.
+    "</ecst>\n" at the end; each token passes the rules of
+    _expat_events, its positions written with no leading zero.  Yields
+    the header's (source, language, totalLines), then the kind per
+    <node>, each token's tuple and None per </node>.  With share, tokens
+    of one lexeme share its first str, as the scanner's tokens do.
+    Raises ValueError at the first line or piece outside the form or
+    UTF-8.
     """
     labels = {} if share else None  # each lexeme read so far -> its first str
+    columns = _COLUMNS
     head = None
-    rest = ""  # what the last piece left unread
+    ended = False  # "</ecst>\n" has ended a piece
     depth = 0  # open <node> elements
     rooted = False  # the COMPILATION_UNIT <node> has started
     # The last token's line text and its int, which the next token on
@@ -229,8 +242,8 @@ def _line_events(pieces: Iterable[str], share: bool = False) -> Iterator:
     line_text = ""
     line_int = 0
     for text in pieces:
-        if rest:
-            raise ValueError("a piece not read to its end")
+        if ended:
+            raise ValueError("a piece after </ecst>")
         pos = 0
         if head is None:
             head = _HEADER.match(text)
@@ -239,32 +252,30 @@ def _line_events(pieces: Iterable[str], share: bool = False) -> Iterator:
             source, language, total_lines = head.groups()
             yield _unescape(source[1:-1]), _unescape(language[1:-1]), int(total_lines)
             pos = head.end()
-        m = None
-        for m in iter(_LINE.scanner(text, pos).match, None):
-            (token_type, raw_line, raw_col, raw_end, raw_end_col, lexeme,
-             kind) = m.groups()
-            if token_type is not None:
+        for (token_type, raw_line, raw_col, raw_end, raw_end_col, lexeme, kind,
+             rest) in _LINES.findall(text, pos):
+            if token_type:
                 if raw_line != line_text:
                     line_int = int(raw_line)
                     line_text = raw_line
                 line = line_int
-                col = int(raw_col)
-                end_line = line if raw_end == raw_line else int(raw_end)
-                end_col = int(raw_end_col)
+                col = columns.get(raw_col) or int(raw_col)
+                end_col = columns.get(raw_end_col) or int(raw_end_col)
+                if raw_end == raw_line:
+                    end_line = line
+                    ordered = col <= end_col
+                else:
+                    end_line = int(raw_end)
+                    ordered = end_line > line
                 token_type = _TYPES.get(token_type)
-                if not depth or token_type is None or not (
-                    0 < line <= end_line
-                    and col > 0
-                    and end_col > 0
-                    and (line < end_line or col <= end_col)
-                ):
+                if not depth or token_type is None or not ordered:
                     raise ValueError("a token outside the form")
                 if "&" in lexeme:
                     lexeme = _unescape(lexeme)
                 if labels is not None:
                     lexeme = labels.setdefault(lexeme, lexeme)
                 yield lexeme, token_type, line, col, end_line, end_col
-            elif kind is not None:
+            elif kind:
                 kind = _KINDS.get(kind)
                 if kind is None or not depth and (
                     rooted or kind is not UniversalKind.COMPILATION_UNIT
@@ -273,15 +284,16 @@ def _line_events(pieces: Iterable[str], share: bool = False) -> Iterator:
                 rooted = True
                 depth += 1
                 yield kind
+            elif rest:
+                if rest != "</ecst>\n" or depth or not rooted:
+                    raise ValueError("a line outside the form")
+                ended = True
             elif depth:
                 depth -= 1
                 yield None
             else:
                 raise ValueError("an unmatched </node>")
-        if m is not None:
-            pos = m.end()
-        rest = text[pos:]
-    if not rooted or depth or rest != "</ecst>\n":
+    if not ended:
         raise ValueError("an unfinished document")
 
 
@@ -298,8 +310,8 @@ def _int_attr(el: tuple, name: str) -> int:
     raw = el[1].get(name)
     if raw is None:
         _fail(el, f"missing attribute {name!r}")
-    # ASCII digits only, as _INT says: int() alone also takes "+5", " 5",
-    # "1_0" and the digits of other scripts.
+    # ASCII digits only: int() alone also takes "+5", " 5", "1_0" and the
+    # digits of other scripts.
     if not (raw.isascii() and raw.isdigit()):
         _fail(el, f"attribute {name!r} is not an integer: {raw!r}")
     try:
@@ -467,7 +479,7 @@ def _read(data: bytes | str | BinaryIO, consume, share: bool = False):
     events are read, so any fault of an element outranks it.
     """
     if isinstance(data, str):
-        pieces = (data,)
+        pieces = _pieces(data)
     elif not hasattr(data, "read"):
         pieces = _pieces(io.BytesIO(data))
     elif data.seekable():

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import ecstmetrics
 import generators
-from ecstmetrics import cli, measure_tree, parse_file, parse_source, xmlio
+from ecstmetrics import cli, frontends, measure_tree, parse_file, parse_source, xmlio
 from ecstmetrics.cli import main
 from ecstmetrics.errors import LexError, ParseError, TreeXmlError
 from ecstmetrics.frontends.base import MAX_NESTING
@@ -70,6 +70,25 @@ class TestParseCommand:
         first = (workdir / "Features.mod.ecst.xml").read_bytes()
         assert main(["parse", "Features.mod"]) == 0
         assert (workdir / "Features.mod.ecst.xml").read_bytes() == first
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_breaks_give_one_tree(self, workdir, newline):
+        # A source read with "\r\n" or "\r" line breaks gives the tree
+        # file its "\n" form gives, byte for byte.
+        sources = {
+            name: (workdir / name).read_text(encoding="utf-8")
+            for name in ("QuickSort.java", "QuickSort.mod")
+        }
+        for language, ext in (("javaoo", ".java"), ("modula2", ".mod")):
+            for seed in range(3):
+                sources[f"g{seed}{ext}"] = generators.generate(language, seed).source
+        for name, text in sources.items():
+            assert "\r" not in text and text.count("\n") > 5
+            (workdir / name).write_bytes(text.encode())
+            assert main(["parse", name, "--out", "lf.xml"]) == 0
+            (workdir / name).write_bytes(text.replace("\n", newline).encode())
+            assert main(["parse", name, "--out", "other.xml"]) == 0
+            assert (workdir / "other.xml").read_bytes() == (workdir / "lf.xml").read_bytes()
 
 
 class TestMeasureCommand:
@@ -616,6 +635,63 @@ class TestExitCodes:
                 message,
                 SourceSpan(line, col, line, col),
             ), source
+
+    # (a source's bytes, the line and column of its first byte that is not
+    # UTF-8, the decoder's reason): at the start; past 8 kB, where the
+    # offset of a decoder that reads in chunks no longer counts from the
+    # file's start; after "\r\n" and after lone "\r" line breaks; after
+    # characters of several bytes, which count one column each.
+    UNDECODABLE = {
+        "at the start": (b"\xff\xfe class", 1, 1, "invalid start byte"),
+        "past 8 kB": (
+            b"class T {\n" + b"  // a line that pads the file\n" * 300 + b"  \xe9\n}\n",
+            302, 3, "invalid continuation byte",
+        ),
+        "after CRLF": (
+            b"class T {\r\n  void m() { }\r\n  // \xc3(\r\n}\r\n",
+            3, 6, "invalid continuation byte",
+        ),
+        "after CR": (b"class T {\r\r  int \xff;\r}\r", 3, 7, "invalid start byte"),
+        "after multi-byte characters": (
+            "class T {\n  // \u00e9\u20ac\U0001d11e ".encode() + b"\x80\n}\n",
+            2, 10, "invalid start byte",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["parse", "measure", "run"])
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_undecodable_source_is_4_with_position(self, workdir, capsys, command, case):
+        data, line, col, reason = self.UNDECODABLE[case]
+        (workdir / "Bad.java").write_bytes(data)
+        before = sorted(os.listdir(workdir))
+        assert main([command, "Bad.java"]) == 4
+        assert capsys.readouterr().err == (
+            f"Bad.java:{line}:{col}: error: cannot decode Bad.java: {reason}\n"
+        )
+        assert sorted(os.listdir(workdir)) == before
+
+    def test_source_bytes_are_freed_before_parsing(self, workdir, monkeypatch):
+        # When parsing starts, the file's text is held once, as a str:
+        # no bytes of the file, and no second copy for its "\r\n"s.
+        text = generators.generate("javaoo", 2, n_units=30).source
+        assert text.isascii() and len(text) > 50_000
+        (workdir / "Big.java").write_bytes(text.replace("\n", "\r\n").encode())
+        held = []
+        real = frontends.parse_source
+
+        def spied(source, *args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(frontends, "parse_source", spied)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = parse_file("Big.java", "javaoo")
+        finally:
+            tracemalloc.stop()
+        assert same_tree(tree, parse_source(text, "javaoo", source_path="Big.java"))
+        assert len(held) == 1 and held[0] < 1.2 * len(text)
 
     @pytest.mark.parametrize(
         "option,directory,reason",

@@ -247,6 +247,34 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_source("", "modula2")
 
+    # A unit that opens neither a MODULE nor a declaration: the message
+    # names the token found there, and "empty" is left for a unit with no
+    # token at all.
+    @pytest.mark.parametrize(
+        "source,message,span",
+        [
+            ("x := 1;\n", "expected 'MODULE' or a declaration, found 'x'", (1, 1, 1, 1)),
+            ("(* c *)\nFOO BAR\n", "expected 'MODULE' or a declaration, found 'FOO'", (2, 1, 2, 3)),
+            (
+                "IMPLEMENTATION MODULE I;\nEND I.\n",
+                "expected 'MODULE' or a declaration, found 'IMPLEMENTATION'",
+                (1, 1, 1, 14),
+            ),
+            ("(* only a comment *)\n", "empty compilation unit", (1, 1, 1, 1)),
+            ("", "empty compilation unit", (1, 1, 1, 1)),
+        ],
+    )
+    def test_unit_message_names_what_it_found(
+        self, tmp_path, monkeypatch, capsys, source, message, span
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_source(source, "modula2")
+        assert (str(info.value), info.value.span) == (message, span)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "S.mod").write_text(source, encoding="utf-8")
+        assert main(["run", "S.mod"]) == 3
+        assert capsys.readouterr().err == f"S.mod:{span[0]}:{span[1]}: error: {message}\n"
+
     def test_trailing_input_after_module(self):
         with pytest.raises(ParseError):
             parse_source("MODULE T;\nEND T.\nextra", "modula2")

@@ -817,6 +817,152 @@ class TestLineReader:
         assert len(alive) == 1 and alive[0] - before < size / 5
 
 
+class TestPositions:
+    """The line reader takes a position only as serialize_tree writes it,
+    with no leading zero, so equal positions have equal text; any other
+    spelling goes to expat, which reads it to the tree or the message of
+    the reader in oracles.py."""
+
+    # The first token of MINI_XML's positions.
+    POSITION = {"line": "1", "col": "1", "endLine": "1", "endCol": "9"}
+
+    @staticmethod
+    def _attributes(position: dict) -> str:
+        return " ".join(f'{name}="{value}"' for name, value in position.items())
+
+    @pytest.mark.parametrize("name", ["line", "col", "endLine", "endCol"])
+    @pytest.mark.parametrize("value", ["01", "007", "0"])
+    def test_other_spellings_reach_expat(self, expat_calls, name, value):
+        written = self._attributes(self.POSITION)
+        assert written in MINI_XML
+        doc = MINI_XML.replace(written, self._attributes({**self.POSITION, name: value}))
+        expected = _outcome(reference_parse_tree_xml, doc)
+        # A leading zero reads as the digits' value; a zero is a fault,
+        # and a token on line 0 or 7 also breaks the span or totalLines.
+        if value == "0":
+            assert expected.startswith("error: ") and "must be >= 1, got 0" in expected
+        elif value == "01" or name in ("col", "endCol"):
+            assert not expected.startswith("error: ")
+        expat_calls.clear()
+        for data in _as_inputs(doc):
+            assert _outcome(parse_tree_xml, data) == expected
+        assert len(expat_calls) == 3
+
+    def test_total_lines_with_a_leading_zero_reach_expat(self, expat_calls):
+        doc = MINI_XML.replace('totalLines="1"', 'totalLines="01"')
+        expected = _outcome(reference_parse_tree_xml, doc)
+        assert expected == MINI_XML
+        expat_calls.clear()
+        for data in _as_inputs(doc):
+            assert _outcome(parse_tree_xml, data) == expected
+        assert len(expat_calls) == 3
+
+    def test_large_positions_read_alike_through_both_sources(self, monkeypatch):
+        # Columns at and past the 256 of the line reader's table, lines
+        # above 256, and a span over two lines that ends at a smaller
+        # column than it starts.
+        unit = Nested(
+            UniversalKind.FUNCTION_DECL,
+            [
+                Leaf("PROCEDURE", "keyword", 256, 1, 256, 9),
+                Leaf("P", "identifier", 256, 255, 256, 256),
+                Leaf("Q", "identifier", 256, 257, 256, 257),
+                Leaf("(* x\n *)", "comment", 256, 300, 257, 3),
+                Leaf("R", "identifier", 300, 256, 300, 1000),
+                Leaf("S", "identifier", 1000, 1001, 1001, 256),
+            ],
+        )
+        tree = tree_of(Nested(UniversalKind.COMPILATION_UNIT, [unit]), "Big.mod", total_lines=1001)
+        doc = serialize_tree(tree)
+        assert 'line="256" col="300" endLine="257" endCol="3"' in doc
+        reloaded = []
+        for module, name, value in (
+            (xmlio.expat, "ParserCreate", None),
+            (xmlio, "_line_events", _decline),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, value)
+                for data in _as_inputs(doc):
+                    reloaded.append(parse_tree_xml(data))
+        for again in reloaded:
+            assert again.events == tree.events and same_tree(again, tree)
+            assert serialize_tree(again) == doc
+
+    def test_text_after_the_end_is_declined(self, monkeypatch, expat_calls):
+        # Text after </ecst>, in the piece that holds it or in a later one.
+        for size in (8, 1 << 14):
+            monkeypatch.setattr(xmlio, "_READ_BYTES", size)
+            for after in ("</ecst>\n", '  <node kind="BRANCH">\n', "<!-- -->\n", " ", "\n"):
+                doc = MINI_XML + after
+                expected = _outcome(reference_parse_tree_xml, doc)
+                expat_calls.clear()
+                for data in _as_inputs(doc):
+                    assert _outcome(parse_tree_xml, data) == expected, (size, after)
+                assert len(expat_calls) == 3, (size, after)
+        with pytest.raises(ValueError):
+            _events_of(MINI_XML + "</ecst>\n")
+
+
+def _excess_peak(read, data) -> tuple:
+    """What read(data) returns, and the bytes tracemalloc saw at its
+    peak beyond those still allocated when it returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            result = read(data)
+        except ValueError as e:
+            result = e
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - max(kept, before)
+
+
+def _events_of(doc: str):
+    """Every event the line reader reads of doc, a str."""
+    return list(xmlio._line_events(xmlio._pieces(doc)))
+
+
+class TestPieceMemory:
+    """A str is read in pieces of about _READ_BYTES characters, as a
+    binary file is: beyond the tree, a reload holds what one piece needs,
+    however long the document."""
+
+    def test_str_reload_peak_beyond_the_tree_is_bounded(self):
+        for n_units in (5, 100):
+            source = generators.generate("modula2", 3, n_units=n_units).source
+            doc = serialize_tree(parse_source(source, "modula2", source_path="g.mod"))
+            tree, excess = _excess_peak(parse_tree_xml, doc)
+            assert serialize_tree(tree) == doc
+            assert excess < 16 * xmlio._READ_BYTES, (len(doc), excess)
+        assert len(doc) > 10 * 16 * xmlio._READ_BYTES
+
+    def test_str_is_cut_after_an_element(self, monkeypatch):
+        source = generators.generate("javaoo", 4).source
+        doc = serialize_tree(parse_source(source, "javaoo", source_path="g.java"))
+        assert len(doc) > 2 << 14
+        for size in (2, 5, 64, 1 << 14):
+            monkeypatch.setattr(xmlio, "_READ_BYTES", size)
+            pieces = list(xmlio._pieces(doc))
+            assert "".join(pieces) == doc and len(pieces) > 1
+            assert all(piece.endswith(">\n") for piece in pieces)
+
+    @pytest.mark.parametrize("garbage", ["x", "<token ", "\n"])
+    def test_decline_on_garbage_in_a_large_first_piece(self, garbage):
+        # No ">\n" after the header: the first piece is the whole
+        # document, and the line reader declines it in one step.
+        head = MINI_XML[: MINI_XML.index("\n") + 1]
+        doc = head + garbage * (2_000_000 // len(garbage))
+        declined, excess = _excess_peak(_events_of, doc)
+        assert isinstance(declined, ValueError)
+        assert excess < 4 * len(doc)
+        expected = _outcome(reference_parse_tree_xml, doc)
+        assert expected.startswith("error: ")
+        assert _outcome(parse_tree_xml, doc) == expected
+
+
 class TestReadPieces:
     """A binary file is read in pieces of _READ_BYTES, each cut after the
     last ">" and line break read: the end of an element, in the writer's
