@@ -10,7 +10,18 @@ define.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..tree import EcstTree, SourceSpan, Token, UniversalKind
+from ..tree import (
+    BRANCH,
+    BRANCHING,
+    CONDITION,
+    FUNCTION,
+    LOOP,
+    UNIT,
+    EcstTree,
+    SourceSpan,
+    Token,
+    UniversalKind,
+)
 
 #: Deepest nesting a source may have.  Each method or procedure and each
 #: statement opens one level, so a loop or branch counts once with its
@@ -20,13 +31,6 @@ from ..tree import EcstTree, SourceSpan, Token, UniversalKind
 #: statement level three (about 610) and a nested procedure two (about
 #: 410).  No rule may add a frame per level.
 MAX_NESTING = 200
-
-# Each universal kind below the root, as the parsers put it into the events.
-FUNCTION = UniversalKind.FUNCTION_DECL
-LOOP = UniversalKind.LOOP_STATEMENT
-BRANCHING = UniversalKind.BRANCH_STATEMENT
-BRANCH = UniversalKind.BRANCH
-CONDITION = UniversalKind.CONDITION
 
 
 class BaseParser:
@@ -120,7 +124,7 @@ class BaseParser:
         raise NotImplementedError
 
     def build_tree(self, total_lines: int) -> EcstTree:
-        self._put(UniversalKind.COMPILATION_UNIT)
+        self._put(UNIT)
         self.parse_compilation_unit()
         if self.i < len(self.toks):
             self._error("trailing input after compilation unit")

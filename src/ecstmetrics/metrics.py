@@ -7,31 +7,40 @@ no language-specific lexeme ever influences a metric value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import MalformedTreeError
-from .tree import EcstTree, Token, UniversalKind
-
-MEASURED_KINDS = (
-    UniversalKind.FUNCTION_DECL,
-    UniversalKind.LOOP_STATEMENT,
-    UniversalKind.BRANCH_STATEMENT,
-    UniversalKind.BRANCH,
+from .tree import (
+    BRANCH,
+    BRANCHING,
+    CONDITION,
+    FUNCTION,
+    LOOP,
+    SPELLING,
+    EcstTree,
+    Token,
+    UniversalKind,
 )
+
+MEASURED_KINDS = (FUNCTION, LOOP, BRANCHING, BRANCH)
 
 # Binary logical operators recognized by the extended-CC mode.
 LOGICAL_OPERATORS = frozenset({"AND", "OR", "&", "&&", "||"})
 
 
-@dataclass(frozen=True, slots=True)
-class LocBundle:
+class LocBundle(NamedTuple):
+    """A file's totals, in the order of the metrics XML's <totals>."""
+
     loc: int
     sloc: int
     cloc: int
 
 
-@dataclass(frozen=True, slots=True)
-class ElementMetrics:
+class ElementMetrics(NamedTuple):
+    """One report row, in the order of a metrics XML <element>'s
+    attributes; _fold builds it positionally, as a keyword call costs
+    nearly twice as much."""
+
     name: str
     annotation: str
     cc: int
@@ -53,11 +62,7 @@ class MetricsReport:
 # Each kind that its direct child tokens name, and its name until one
 # does (a unit with no identifier is "<anonymous>"); a BRANCH_STATEMENT,
 # which none names, is BRANCHING.
-_UNNAMED = {
-    UniversalKind.FUNCTION_DECL: None,
-    UniversalKind.LOOP_STATEMENT: "LOOP",
-    UniversalKind.BRANCH: "BRANCH",
-}
+_UNNAMED = {FUNCTION: None, LOOP: "LOOP", BRANCH: "BRANCH"}
 # The fields of a reported node's mark that are set after its entry.
 _FIRST_CODE, _FIRST_COMMENT, _NAME, _DECIDED = range(8, 12)
 
@@ -69,14 +74,14 @@ def _named(mark: list, token_type: str, label: str) -> bool:
     branches take their first keyword (DO-WHILE, and ELSIF for else-if).
     """
     kind = mark[0]
-    if kind is UniversalKind.FUNCTION_DECL:
+    if kind is FUNCTION:
         if token_type == "identifier":
             mark[_NAME] = label
         return token_type == "punctuation" and label in ("(", ":", ";")
     if token_type != "keyword":
         return False
     head = label.upper()
-    if kind is UniversalKind.LOOP_STATEMENT:
+    if kind is LOOP:
         mark[_NAME] = "DO-WHILE" if head == "DO" else head
         return True
     # BRANCH: an else-if pair reads as ELSIF
@@ -142,7 +147,7 @@ def _fold(events: Iterable[Token | UniversalKind | None], extended: bool) -> lis
                 naming = None
         elif node is None:
             kind, mark, naming = marks.pop()
-            conditions -= kind is UniversalKind.CONDITION
+            conditions -= kind is CONDITION
             if mark is None:
                 continue
             (_, row, decisions_in, operators_in, sloc_in, sloc_last_in, cloc_in,
@@ -150,29 +155,29 @@ def _fold(events: Iterable[Token | UniversalKind | None], extended: bool) -> lis
             decisions += decided
             if not (first_code or first_comment):
                 raise MalformedTreeError(
-                    f"universal node {kind.value!r} has no concrete descendants"
+                    f"universal node {SPELLING[kind]!r} has no concrete descendants"
                 )
-            cc = decisions - decisions_in + (kind is UniversalKind.FUNCTION_DECL)
+            cc = decisions - decisions_in + (kind is FUNCTION)
             if extended:
                 cc += operators - operators_in
             start_line = min(first_code or first_comment, first_comment or first_code)
             end_line = max(sloc_last, cloc_last)
             # A node's first token may start on the line last counted before it.
             rows[row] = ElementMetrics(
-                name="<anonymous>" if name is None else name,
-                annotation=kind.value,
-                cc=cc,
-                loc=end_line - start_line + 1,
-                sloc=sloc - sloc_in + (0 < first_code == sloc_last_in),
-                cloc=cloc - cloc_in + (0 < first_comment == cloc_last_in),
-                start_line=start_line,
-                end_line=end_line,
+                "<anonymous>" if name is None else name,
+                SPELLING[kind],
+                cc,
+                end_line - start_line + 1,
+                sloc - sloc_in + (0 < first_code == sloc_last_in),
+                cloc - cloc_in + (0 < first_comment == cloc_last_in),
+                start_line,
+                end_line,
             )
         else:
             kind = node
-            if kind is UniversalKind.CONDITION:
+            if kind is CONDITION:
                 conditions += 1
-                if marks and marks[-1][0] is UniversalKind.BRANCH:
+                if marks and marks[-1][0] is BRANCH:
                     marks[-1][1][_DECIDED] = True  # counted at the BRANCH's exit
             if kind in MEASURED_KINDS or not marks:
                 mark = [kind, len(rows), decisions, operators, sloc, sloc_last,
@@ -180,13 +185,13 @@ def _fold(events: Iterable[Token | UniversalKind | None], extended: bool) -> lis
                 rows.append(None)
                 code_waiting.append(mark)
                 comment_waiting.append(mark)
-                if kind is UniversalKind.FUNCTION_DECL:
+                if kind is FUNCTION:
                     unnamed.append(mark)
             else:
                 mark = None
             marks.append((kind, mark, naming))
             naming = mark if kind in _UNNAMED else None
-            decisions += kind is UniversalKind.LOOP_STATEMENT
+            decisions += kind is LOOP
     return rows
 
 
@@ -199,7 +204,7 @@ def measure_tree(tree: EcstTree, extended: bool = False) -> MetricsReport:
 def _report(source_path, language_id, total_lines: int, rows: list) -> MetricsReport:
     """The report of _fold's rows for a file of total_lines lines."""
     whole, *elements = rows
-    totals = LocBundle(loc=total_lines, sloc=whole.sloc, cloc=whole.cloc)
+    totals = LocBundle(total_lines, whole.sloc, whole.cloc)
     return MetricsReport(source_path, language_id, elements, totals)
 
 

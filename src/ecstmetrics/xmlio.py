@@ -21,7 +21,7 @@ from xml.parsers import expat
 
 from .errors import MalformedTreeError, SourceIoError, TreeXmlError
 from .frontends import _NOT_XML_CHAR
-from .tree import TOKEN_TYPES, EcstTree, SourceSpan, UniversalKind, validate_tree
+from .tree import SPELLING, TOKEN_TYPES, UNIT, EcstTree, SourceSpan, validate_tree
 
 # -- serialization ---------------------------------------------------------
 
@@ -68,6 +68,7 @@ def serialize_tree(tree: EcstTree, out: TextIO | None = None) -> str | None:
         f" language={quoteattr(tree.language_id)}"
         f' totalLines="{tree.total_lines}">\n'
     ]
+    spelling = SPELLING
     indents = ["", "  "]  # indents[d]: d levels, built once per depth
     depth = 0  # open <node> elements, each one level of indent
     for node in tree.events:
@@ -90,7 +91,7 @@ def serialize_tree(tree: EcstTree, out: TextIO | None = None) -> str | None:
             depth += 1
             if depth + 1 == len(indents):
                 indents.append(indents[-1] + "  ")
-            lines.append(f'{indents[depth]}<node kind="{node.value}">\n')
+            lines.append(f'{indents[depth]}<node kind="{spelling[node]}">\n')
     lines.append("</ecst>\n")
     if out is None:
         return "".join(lines)
@@ -103,18 +104,23 @@ def serialize_metrics(report, out: TextIO | None = None) -> str | None:
 
     Without out, return the document.  With a text file out, write it
     there in pieces of _PIECE_LINES lines and return None, as
-    serialize_tree does.
+    serialize_tree does.  Each distinct name and annotation is quoted
+    once.
     """
     lines = [
         f"<metrics source={quoteattr(report.source_path)}"
         f" language={quoteattr(report.language_id)}>\n"
     ]
-    for row in report.elements:
+    quoted = {}  # each name and annotation written so far -> its quoteattr
+    for name, annotation, cc, loc, sloc, cloc, start_line, end_line in report.elements:
+        if (quoted_name := quoted.get(name)) is None:
+            quoted_name = quoted[name] = quoteattr(name)
+        if (quoted_annotation := quoted.get(annotation)) is None:
+            quoted_annotation = quoted[annotation] = quoteattr(annotation)
         lines.append(
-            f"  <element name={quoteattr(row.name)}"
-            f" annotation={quoteattr(row.annotation)}"
-            f' cc="{row.cc}" loc="{row.loc}" sloc="{row.sloc}" cloc="{row.cloc}"'
-            f' startLine="{row.start_line}" endLine="{row.end_line}"/>\n'
+            f"  <element name={quoted_name} annotation={quoted_annotation}"
+            f' cc="{cc}" loc="{loc}" sloc="{sloc}" cloc="{cloc}"'
+            f' startLine="{start_line}" endLine="{end_line}"/>\n'
         )
         if out is not None and len(lines) == _PIECE_LINES:
             out.write("".join(lines))
@@ -136,7 +142,7 @@ def serialize_metrics(report, out: TextIO | None = None) -> str | None:
 # token shares; each reader gets a new string per attribute value.
 _TYPES = {token_type: token_type for token_type in TOKEN_TYPES}
 # Each universal kind's spelling to the kind.
-_KINDS = {kind.value: kind for kind in UniversalKind}
+_KINDS = {spelling: kind for kind, spelling in SPELLING.items()}
 # Each reference that escape and quoteattr write, and its character.
 _REFS = {
     "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
@@ -193,7 +199,8 @@ _READ_BYTES = 1 << 14
 
 def _pieces(data: str | BinaryIO) -> Iterator[str]:
     """The text of a str or of a binary file in pieces of about
-    _READ_BYTES, each cut after the last ">\n" read so far; raises
+    _READ_BYTES, each cut after the last ">\n" read so far, whether its
+    two characters came in one read or in two; raises
     UnicodeDecodeError on a file's text that is not UTF-8.  In
     serialize_tree's form that pair only ends an element, as text and
     header values hold ">" only as "&gt;": no element runs across a cut.
@@ -204,10 +211,12 @@ def _pieces(data: str | BinaryIO) -> Iterator[str]:
     else:
         chunks = iter(lambda: data.read(_READ_BYTES), b"")
         mark, join = b">\n", lambda parts: b"".join(parts).decode()
+    gt, newline = mark[:1], mark[1:]
     parts: list = []  # what was read since the last cut
     for chunk in chunks:
-        cut = chunk.rfind(mark) + 2
-        if cut > 1:
+        cut = chunk.rfind(mark) + 2  # 1 if chunk holds no ">\n"
+        # A cut at 1 ends a pair whose ">" ended the previous read.
+        if cut > 1 or chunk[:1] == newline and parts and parts[-1][-1:] == gt:
             parts.append(chunk[:cut])
             yield join(parts)
             parts = [chunk[cut:]]
@@ -271,15 +280,16 @@ def _line_events(pieces: Iterable[str], share: bool = False) -> Iterator:
                 if not depth or token_type is None or not ordered:
                     raise ValueError("a token outside the form")
                 if "&" in lexeme:
-                    lexeme = _unescape(lexeme)
+                    # _LEXEME admits only these three references; "&amp;"
+                    # goes last, so the text "&amp;lt;" reads as "&lt;".
+                    lexeme = lexeme.replace("&lt;", "<").replace("&gt;", ">")
+                    lexeme = lexeme.replace("&amp;", "&")
                 if labels is not None:
                     lexeme = labels.setdefault(lexeme, lexeme)
                 yield lexeme, token_type, line, col, end_line, end_col
             elif kind:
                 kind = _KINDS.get(kind)
-                if kind is None or not depth and (
-                    rooted or kind is not UniversalKind.COMPILATION_UNIT
-                ):
+                if kind is None or not depth and (rooted or kind is not UNIT):
                     raise ValueError("a <node> outside the form")
                 rooted = True
                 depth += 1
@@ -374,7 +384,7 @@ def _expat_events(data: bytes | str | BinaryIO, share: bool = False) -> Iterator
             if node is None:
                 _fail(el, f"unknown universal kind {kind!r}")
             if len(opened) == 1:
-                if node is not UniversalKind.COMPILATION_UNIT:
+                if node is not UNIT:
                     _fail(el, "top-level <node> must be COMPILATION_UNIT")
                 rooted = True
             events.append(node)

@@ -15,7 +15,13 @@ import oracles
 from ecstmetrics import parse_source
 from ecstmetrics.cli import main
 from ecstmetrics.errors import MalformedTreeError
-from ecstmetrics.metrics import MEASURED_KINDS, measure_tree, render_table
+from ecstmetrics.metrics import (
+    MEASURED_KINDS,
+    ElementMetrics,
+    LocBundle,
+    measure_tree,
+    render_table,
+)
 from ecstmetrics.tree import UniversalKind
 from ecstmetrics.xmlio import parse_tree_xml
 from oracles import Leaf, Nested, tree_of
@@ -495,6 +501,29 @@ class TestLocBundle:
         src = "MODULE M;\n(* one\n   two *)\nEND M.\n"
         tree = parse_source(src, "modula2")
         assert measure_tree(tree).totals.cloc == 2
+
+
+class TestRows:
+    """A row and the totals are NamedTuples: immutable, hashable, equal to
+    the plain tuple of their fields, in the metrics XML's attribute
+    order."""
+
+    def test_rows_are_tuples(self, corpus):
+        _, tree = corpus["QuickSort.java"]
+        report = measure_tree(tree)
+        assert ElementMetrics._fields == (
+            "name", "annotation", "cc", "loc", "sloc", "cloc", "start_line", "end_line",
+        )
+        assert LocBundle._fields == ("loc", "sloc", "cloc")
+        assert _rows(report) == [tuple(row) for row in report.elements]
+        assert report.elements[0] == ("sort", "FUNCTION_DECL", 7, 27, 21, 3, 4, 30)
+        assert report.totals == (report.totals.loc, report.totals.sloc, report.totals.cloc)
+        for value in (report.elements[0], report.totals):
+            assert hash(value) == hash(tuple(value))
+            with pytest.raises(AttributeError):
+                value.loc = 0
+            assert value._replace(loc=0).loc == 0 and value.loc != 0
+            assert tuple(value._asdict()) == value._fields
 
 
 class TestRenderTable:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 import generators
-from ecstmetrics import xmlio
+from ecstmetrics import metrics, xmlio
+from ecstmetrics import tree as tree_module
 from ecstmetrics.errors import LexError, MalformedTreeError, ParseError, TreeXmlError
 from ecstmetrics.frontends import lex, parse_source
 from ecstmetrics.metrics import measure_tree
@@ -383,3 +384,38 @@ class TestValidation:
         tree = _tree([_tok("a", line=2, col=1), _unit([_tok("f", line=1, col=5)])])
         with pytest.raises(MalformedTreeError):
             validate_tree(tree)
+
+
+class TestPerEventLoops:
+    """No per-event loop reads a kind through the Enum class or .value.
+    On Python 3.11 each read such as UniversalKind.BRANCH takes
+    EnumType's __getattr__, about 110 ns against 8 ns for a module
+    global, and each kind.value is a Python-level property, about
+    220 ns.  The loops read tree's module names and its SPELLING table."""
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            tree_module._checked,
+            metrics._fold,
+            metrics._named,
+            xmlio.serialize_tree,
+            xmlio._line_events,
+        ],
+        ids=lambda function: function.__qualname__,
+    )
+    def test_no_enum_machinery(self, function):
+        names = function.__code__.co_names
+        assert "UniversalKind" not in names and "value" not in names
+
+    def test_module_names_are_the_kinds(self):
+        kinds = (
+            tree_module.UNIT,
+            tree_module.FUNCTION,
+            tree_module.LOOP,
+            tree_module.BRANCHING,
+            tree_module.BRANCH,
+            tree_module.CONDITION,
+        )
+        assert kinds == tuple(UniversalKind)
+        assert tree_module.SPELLING == {kind: kind.value for kind in UniversalKind}

@@ -673,6 +673,47 @@ class TestLineReader:
             assert _outcome(parse_tree_xml, data) == expected
         assert expat_calls == []
 
+    # Lexemes whose text looks like a reference, written escaped.
+    ENTITY_SOURCES = {
+        "javaoo": """class E {
+    void m(boolean a, boolean b) {
+        s = "&lt;"; t = "&amp;lt;"; u = "&gt;&amp;&lt;&amp;amp;";
+        if (a && b) { v = "&#10;&quot;"; } // &gt;&lt; and a && b
+        /* &amp; <&lt;> (* &#10; *) */
+    }
+}
+""",
+        "modula2": """MODULE E;
+(* &#10; *)
+PROCEDURE P;
+BEGIN
+    s := '&lt;&amp;lt;'; (* &gt;&lt; and a && b *)
+    t := "&gt;&#9;"
+END P;
+END E.
+""",
+    }
+
+    @pytest.mark.parametrize("language", sorted(ENTITY_SOURCES))
+    def test_entity_looking_lexemes(self, monkeypatch, expat_calls, language):
+        source = self.ENTITY_SOURCES[language]
+        tree = parse_source(source, language, source_path="E.src")
+        doc = serialize_tree(tree)
+        assert "&amp;amp;lt;" in doc or "&amp;lt;&amp;amp;lt;" in doc
+        expected = _outcome(reference_parse_tree_xml, doc)
+        assert expected == doc
+        expat_calls.clear()
+        for data in _as_inputs(doc):
+            reloaded = parse_tree_xml(data)
+            assert reloaded.events == tree.events
+            assert serialize_tree(reloaded) == expected
+        assert expat_calls == []
+        # Expat, with the line reader declining.
+        monkeypatch.setattr(xmlio, "_line_events", _decline)
+        for data in _as_inputs(doc):
+            assert _outcome(parse_tree_xml, data) == expected
+        assert len(expat_calls) == 3
+
     def test_expat_reader_agrees_on_writer_documents(self, writer_documents):
         # The fallback reads the writer's documents to the same trees.
         for doc in writer_documents[::10]:
@@ -943,7 +984,7 @@ class TestPieceMemory:
         source = generators.generate("javaoo", 4).source
         doc = serialize_tree(parse_source(source, "javaoo", source_path="g.java"))
         assert len(doc) > 2 << 14
-        for size in (2, 5, 64, 1 << 14):
+        for size in (1, 2, 5, 64, 1 << 14):
             monkeypatch.setattr(xmlio, "_READ_BYTES", size)
             pieces = list(xmlio._pieces(doc))
             assert "".join(pieces) == doc and len(pieces) > 1
@@ -986,6 +1027,15 @@ class TestReadPieces:
         monkeypatch.setattr(xmlio, "_READ_BYTES", size)
         monkeypatch.setattr(xmlio.expat, "ParserCreate", fail)
         assert serialize_tree(parse_tree_xml(io.BytesIO(doc.encode()))) == doc
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_pair_across_two_reads_is_a_cut(self, monkeypatch, as_bytes):
+        # One character per read: each ">\n" spans two reads, and each
+        # line of the document is a piece.
+        monkeypatch.setattr(xmlio, "_READ_BYTES", 1)
+        data = io.BytesIO(MINI_XML.encode()) if as_bytes else MINI_XML
+        pieces = list(xmlio._pieces(data))
+        assert pieces == MINI_XML.splitlines(keepends=True) and len(pieces) == 8
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13, 64])
     def test_cut_inside_a_token(self, monkeypatch, size):
